@@ -4,6 +4,7 @@ Each test prints a single PASS line on success; tolerances and budgets are
 pinned here and nowhere else.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -16,6 +17,7 @@ from twoseq.cutelim import (eliminate_cuts, is_cut_free,
                             verify_subformula_property)
 from twoseq.errors import UnsupportedSystemError
 from twoseq.ltl import ltl_soundness_fuzz, sequent_satisfied
+from twoseq.parser import render_proof
 from twoseq.positions import LtlPos, SeqPos, seqpos
 from twoseq.semantics import sequent_holds, soundness_fuzz
 from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, Or, Prop,
@@ -73,10 +75,20 @@ def test_criterion_2_corpus_negative_matrix():
 
 
 def test_criterion_3_cut_elimination_suite():
+    # sha256 over the concatenated rendered outputs: the eliminated proofs
+    # themselves, not just their verdicts, are pinned
+    digests = {
+        SystemId.K: "066292648d4feb47",
+        SystemId.D: "22228bd8dc2109c4",
+        SystemId.T: "bc29d6e7f1309008",
+        SystemId.K4: "56ae1b6577eb4577",
+        SystemId.S4: "6766cecfd7f91b2e",
+    }
     t0 = time.perf_counter()
     per_system = 100
     total = 0
     for sysid in CORE:
+        digest = hashlib.sha256()
         for p in generate_suite(sysid, per_system, seed=2026):
             assert check_proof(p, sysid).accepted
             out = eliminate_cuts(p, sysid)
@@ -84,7 +96,9 @@ def test_criterion_3_cut_elimination_suite():
             assert out.conclusion == p.conclusion, sysid
             assert check_proof(out, sysid).accepted, sysid
             assert verify_subformula_property(out), sysid
+            digest.update(render_proof(sysid, out).encode())
             total += 1
+        assert digest.hexdigest()[:16] == digests[sysid], sysid
     elapsed = time.perf_counter() - t0
     assert total >= 500
     assert elapsed < 30.0, f"elimination suite took {elapsed:.2f}s"
