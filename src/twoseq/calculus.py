@@ -6,13 +6,24 @@ left rules consume the last antecedent formula, right rules produce the
 first succedent formula, and explicit exchange steps recover any other
 arrangement.  Rule parameters are stored on the node and validated, never
 inferred.
+
+Every logical rule and the cut is written once, as a ``RuleSchema`` in
+``SCHEMAS``: the side and connective of its principal formula, the active
+formulas at each premise's edges (the operand each carries and the map
+from the principal position to its own), its parameter kinds and its
+hooks into the constraint table.  That entry drives the forward
+constructor (``apply_rule``, behind the named wrappers), the checker
+(``_check_schema``) and the mix step of cut elimination (``reapply``).
+A new rule is one entry here, its name in ``RULES_BY_SYSTEM`` and, for
+building proofs by hand, a wrapper; a new side condition is a hook.
+Induction, the axioms and the structural rules are written out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import BridgeError, TwoseqError
 from .positions import (LtlPos, PastPos, Position, SeqPos, SetPos, Token,
@@ -77,11 +88,6 @@ TABLE: dict[SystemId, ConstraintTable] = {
 }
 
 STRUCTURAL_RULES = ("weakL", "weakR", "contrL", "contrR", "excL", "excR")
-LEFT_LOGICAL = ("negL", "andL1", "andL2", "orL", "impL", "boxL", "diaL",
-                "nextL", "prevL", "histL", "onceL")
-RIGHT_LOGICAL = ("negR", "andR", "orR1", "orR2", "impR", "boxR", "diaR",
-                 "nextR", "prevR", "histR", "onceR")
-EIGEN_RULES = ("boxR", "diaL", "histR", "onceL", "ind", "pind")
 
 _COMMON = ("ax", "cut") + STRUCTURAL_RULES + (
     "negL", "negR", "andL1", "andL2", "andR", "orL", "orR1", "orR2",
@@ -97,7 +103,7 @@ RULES_BY_SYSTEM: dict[SystemId, tuple[str, ...]] = {
                               "ind", "pind"),
 }
 
-_ARITY = {"ax": 0, "indax": 0, "cut": 2, "andR": 2, "orL": 2, "impL": 2}
+_ARITY = {"ax": 0, "indax": 0}       # rules outside the schema table
 
 
 @dataclass(frozen=True)
@@ -225,40 +231,236 @@ def eigen_token(n: ProofNode) -> Optional[Token]:
 
 # --- position plumbing shared by the rule schemas ---
 
-def combine_add(alpha: Position, step) -> Position:
-    """The position the premise of a forward box/dia step lives at."""
-    if isinstance(alpha, SeqPos):
-        return concat(alpha, step)
-    if isinstance(alpha, SetPos):
-        return SetPos(alpha.items | step.items)
-    if isinstance(alpha, LtlPos):
-        return ltl_add(alpha, step)
-    if isinstance(alpha, PastPos):
-        return past_add(alpha, step.steps, step.future)
-    raise TwoseqError(f"bad position family: {alpha!r}")
+# the family of the steps a position moves forward by
+_STEP_FAMILY = {SeqPos: SeqPos, SetPos: SetPos, LtlPos: LtlPos, PastPos: LtlPos}
 
 
-def combine_sub(alpha: PastPos, step: LtlPos) -> PastPos:
-    return past_sub(alpha, step.steps, step.future)
+def _fits(pos, sign: str, step) -> bool:
+    if sign == "-":
+        return type(pos) is PastPos and type(step) is LtlPos
+    return type(step) is _STEP_FAMILY.get(type(pos))
 
 
-def token_step(x: Token, family: type):
+def shift(pos: Position, sign: str, step) -> Optional[Position]:
+    """``pos`` moved forward (``+``) or back (``-``) by ``step``, or None
+    when the step is not of a family that moves the position."""
+    if not _fits(pos, sign, step):
+        return None
+    if sign == "-":
+        return past_sub(pos, step.steps, step.future)
+    if isinstance(pos, SeqPos):
+        return concat(pos, step)
+    if isinstance(pos, SetPos):
+        return SetPos(pos.items | step.items)
+    if isinstance(pos, LtlPos):
+        return ltl_add(pos, step)
+    return past_add(pos, step.steps, step.future)
+
+
+def _unshift(pos: Position, sign: str, step) -> Position:
+    """The position ``step`` moves to ``pos``; callers check the result by
+    shifting it back, since token-set shifts are not injective."""
+    if not _fits(pos, sign, step):
+        raise TwoseqError(f"step {step} does not apply to position {pos}")
+    if isinstance(pos, PastPos):
+        return shift(pos, "+" if sign == "-" else "-", step)
+    if isinstance(pos, SeqPos):
+        k = len(pos.items) - len(step.items)
+        if pos.items[k:] != step.items:
+            raise TwoseqError("position does not end with the declared step")
+        return SeqPos(pos.items[:k])
+    if isinstance(pos, SetPos):
+        return SetPos(pos.items - step.items)
+    if pos.steps < step.steps:
+        raise TwoseqError(f"position {pos} has no step to consume")
+    return LtlPos(pos.steps - step.steps, pos.future - step.future)
+
+
+# --- the rule schemas ---
+
+@dataclass(frozen=True)
+class Active:
+    """An active formula of a premise, read off the principal formula.
+
+    ``shift`` maps the principal position to its own: empty for the
+    identity, else ``+`` or ``-`` and the step moved by, which is the
+    declared ``step`` (beta or t), the eigen token ``x`` or one tick
+    ``1``.  ``operand`` names what it carries: the operand of a unary
+    connective (``sub``), one side of a binary one (``left``, ``right``),
+    or the cut formula (``cutf``).
+    """
+
+    shift: str = ""
+    operand: str = "sub"
+
+
+@dataclass(frozen=True)
+class Premise:
+    left: Optional[Active] = None       # the last antecedent formula
+    right: Optional[Active] = None      # the first succedent formula
+
+
+@dataclass(frozen=True)
+class RuleSchema:
+    side: str                           # L or R, where the principal sits; "" for cut
+    connective: Optional[type]
+    premises: tuple[Premise, ...]
+    kind: str = ""                      # "principal formula must be <kind>"
+    noun: str = ""                      # "premise does not match the <noun> schema"
+    params: tuple[str, ...] = ()        # required parameter kinds: step, x, cutf
+    hooks: tuple[str, ...] = ()         # constraint-table checks, by condition name
+    based: bool = False                 # declares its principal position as alpha
+    expose: tuple[str, ...] = ("premises do not expose the two operands",)
+
+
+def _one(side: str, connective: type, kind: str, noun: str,
+         left: Optional[Active] = None, right: Optional[Active] = None,
+         **rest) -> RuleSchema:
+    return RuleSchema(side, connective, (Premise(left, right),), kind, noun, **rest)
+
+
+_SUB, _LEFT, _RIGHT = Active(), Active(operand="left"), Active(operand="right")
+_CUTF = Active(operand="cutf")
+_STEP = dict(params=("step",), based=True)
+_BOX_LEFT = dict(_STEP, hooks=("beta-shape", "context-demand"))
+_EIGEN = dict(params=("x",), hooks=("eigen-position",), based=True)
+
+SCHEMAS: dict[str, RuleSchema] = {
+    "cut": RuleSchema("", None, (Premise(right=_CUTF), Premise(left=_CUTF)),
+                      params=("cutf",), hooks=("cut-position",),
+                      expose=("cut formula must head the first premise's succedent",
+                              "cut formula must end the second premise's antecedent")),
+    "negL": _one("L", Not, "a negation", "negation-left", right=_SUB),
+    "negR": _one("R", Not, "a negation", "negation-right", left=_SUB),
+    "andL1": _one("L", And, "a conjunction", "conjunction-left", left=_LEFT),
+    "andL2": _one("L", And, "a conjunction", "conjunction-left", left=_RIGHT),
+    "andR": RuleSchema("R", And, (Premise(right=_LEFT), Premise(right=_RIGHT)), "a conjunction"),
+    "orL": RuleSchema("L", Or, (Premise(left=_LEFT), Premise(left=_RIGHT)), "a disjunction"),
+    "orR1": _one("R", Or, "a disjunction", "disjunction-right", right=_LEFT),
+    "orR2": _one("R", Or, "a disjunction", "disjunction-right", right=_RIGHT),
+    # the first premise holds the consequent, the second the antecedent
+    "impL": RuleSchema("L", Imp, (Premise(left=_RIGHT), Premise(right=_LEFT)), "an implication"),
+    "impR": _one("R", Imp, "an implication", "implication-right", left=_LEFT, right=_RIGHT),
+    "boxL": _one("L", Box, "boxed", "box-left", left=Active("+step"), **_BOX_LEFT),
+    "diaR": _one("R", Dia, "diamonded", "dia-right", right=Active("+step"), **_BOX_LEFT),
+    "boxR": _one("R", Box, "boxed", "box-right", right=Active("+x"), **_EIGEN),
+    "diaL": _one("L", Dia, "diamonded", "dia-left", left=Active("+x"), **_EIGEN),
+    "nextL": _one("L", Next, "a next", "next", left=Active("+1")),
+    "nextR": _one("R", Next, "a next", "next", right=Active("+1")),
+    "prevL": _one("L", Prev, "a prev", "prev", left=Active("-1")),
+    "prevR": _one("R", Prev, "a prev", "prev", right=Active("-1")),
+    "histL": _one("L", Hist, "a past-box", "past-box-left", left=Active("-step"), **_STEP),
+    "onceR": _one("R", Once, "a past-dia", "past-dia-right", right=Active("-step"), **_STEP),
+    "histR": _one("R", Hist, "a past-box", "past-box-right", right=Active("-x"), **_EIGEN),
+    "onceL": _one("L", Once, "a past-dia", "past-dia-left", left=Active("-x"), **_EIGEN),
+}
+
+EIGEN_RULES = tuple(r for r, s in SCHEMAS.items() if "x" in s.params) + ("ind", "pind")
+
+
+# the name the declared step goes by: t over linear time, beta otherwise
+_STEP_KEY = {LtlPos: "t", PastPos: "t"}
+
+
+def _step(what: str, values: dict, family: type):
+    """The step a position map moves by: the declared one, one tick, or
+    the eigen token as a step of the position family."""
+    if what == "step":
+        return values["step"]
+    if what == "1":
+        return ltl_step(1)
     if family is SeqPos:
-        return seqpos(x)
-    if family is SetPos:
-        return SetPos(frozenset((x,)))
-    return ltl_token(x)         # LtlPos and PastPos increments
+        return seqpos(values["x"])
+    return SetPos(frozenset((values["x"],))) if family is SetPos else ltl_token(values["x"])
 
 
-def _shape_ok(shape: str, beta) -> bool:
-    n = len(beta.items) if isinstance(beta, SeqPos) else len(beta.tokens())
-    if shape == "any":
-        return True
-    if shape == "singleton":
-        return n == 1
-    if shape == "empty-or-singleton":
-        return n <= 1
-    return n >= 1               # nonempty
+def edge(s: Sequent, side: str) -> Optional[PFormula]:
+    """The formula a rule acts on: the last antecedent (L) or the first
+    succedent (R) formula, if any."""
+    xs = s.ant[-1:] if side == "L" else s.suc[:1]
+    return xs[0] if xs else None
+
+
+def _splice(s: RuleSchema, prems: Sequence[Sequent],
+            principal: Optional[PFormula]) -> Sequent:
+    """The conclusion: the premise contexts in order around the principal."""
+    ant: tuple[PFormula, ...] = ()
+    suc: tuple[PFormula, ...] = ()
+    for q, shape in zip(prems, s.premises):
+        ant += q.ant[:-1] if shape.left else q.ant
+        suc += q.suc[1:] if shape.right else q.suc
+    if s.side == "L":
+        ant += (principal,)
+    elif s.side == "R":
+        suc = (principal,) + suc
+    return Sequent(ant, suc)
+
+
+def _base(rule: str, pos: Position, act: Active, values: dict,
+          alpha: Optional[Position]) -> Position:
+    """The principal position an active formula at ``pos`` comes from."""
+    if not act.shift:
+        return pos
+    sign, what = act.shift[0], act.shift[1:]
+    step = _step(what, values, type(pos))
+    if alpha is None:
+        if what == "step" and not isinstance(pos, SeqPos):
+            raise TwoseqError(f"{rule} off sequence positions needs an explicit alpha")
+        alpha = _unshift(pos, sign, step)
+    if shift(alpha, sign, step) != pos:
+        raise TwoseqError(f"{rule}: alpha and the step do not reach the premise position")
+    return alpha
+
+
+def apply_rule(rule: str, premises: Sequence[ProofNode], *,
+               alpha: Optional[Position] = None, step=None,
+               x: Optional[Token] = None, cutf: Optional[PFormula] = None,
+               other: Optional[Formula] = None) -> ProofNode:
+    """Forward application of a schema rule: the principal formula is built
+    from the premises' active formulas (``other`` supplies a binary operand
+    no premise carries) at the position the inverted position maps give
+    (``alpha`` where a declared step leaves it ambiguous), and the
+    conclusion is spliced around it."""
+    s = SCHEMAS[rule]
+    values = {"step": step, "x": x, "cutf": cutf}
+    operands: dict[str, Formula] = {}
+    base = None
+    for i, (p, shape) in enumerate(zip(premises, s.premises)):
+        for side, act in (("L", shape.left), ("R", shape.right)):
+            q = edge(p.conclusion, side)
+            if act is None or (act.operand == "cutf" and q == cutf):
+                continue
+            if q is None or act.operand == "cutf":
+                raise TwoseqError(f"{rule}: premise {i + 1} does not expose its "
+                                  f"active formula")
+            here = _base(rule, q.pos, act, values, alpha)
+            if base is not None and here != base:
+                raise TwoseqError(f"{rule}: operand positions differ")
+            base = here
+            operands[act.operand] = q.formula
+    principal = None
+    if "sub" in operands:
+        principal = pf(s.connective(operands["sub"]), base)
+    elif s.connective is not None:
+        principal = pf(s.connective(operands.get("left", other),
+                                    operands.get("right", other)), base)
+    params = {"alpha": base} if s.based else {}
+    for kind in s.params:
+        params[_STEP_KEY.get(type(base), "beta") if kind == "step" else kind] = values[kind]
+    return node(rule, params, _splice(s, [p.conclusion for p in premises], principal),
+                premises)
+
+
+def reapply(p: ProofNode, premises: Sequence[ProofNode]) -> ProofNode:
+    """The rule and principal formula of ``p`` over new premises that
+    expose the same active formulas."""
+    s = SCHEMAS[p.rule]
+    principal = edge(p.conclusion, s.side) if s.side else None
+    params = dict(p.params)
+    if s.based:
+        params["alpha"] = principal.pos
+    return node(p.rule, params,
+                _splice(s, [q.conclusion for q in premises], principal), premises)
 
 
 # --- forward constructors: build a node and compute its conclusion ---
@@ -268,13 +470,7 @@ def ax(p: PFormula) -> ProofNode:
 
 
 def cut(p1: ProofNode, p2: ProofNode, cutf: PFormula) -> ProofNode:
-    s1, s2 = p1.conclusion, p2.conclusion
-    if not s1.suc or s1.suc[0] != cutf:
-        raise TwoseqError("cut: first premise must expose the cut formula first on the right")
-    if not s2.ant or s2.ant[-1] != cutf:
-        raise TwoseqError("cut: second premise must expose the cut formula last on the left")
-    concl = seq(s1.ant + s2.ant[:-1], s1.suc[1:] + s2.suc)
-    return node("cut", {"cutf": cutf}, concl, (p1, p2))
+    return apply_rule("cut", (p1, p2), cutf=cutf)
 
 
 def weak_left(p: ProofNode, extra: PFormula) -> ProofNode:
@@ -320,300 +516,124 @@ def exc_right(p: ProofNode, at: int) -> ProofNode:
 
 
 def neg_left(p: ProofNode) -> ProofNode:
-    s = p.conclusion
-    a = s.suc[0]
-    return node("negL", {}, seq(s.ant + (pf(Not(a.formula), a.pos),), s.suc[1:]), (p,))
+    return apply_rule("negL", (p,))
 
 
 def neg_right(p: ProofNode) -> ProofNode:
-    s = p.conclusion
-    a = s.ant[-1]
-    return node("negR", {}, seq(s.ant[:-1], (pf(Not(a.formula), a.pos),) + s.suc), (p,))
+    return apply_rule("negR", (p,))
 
 
 def and_left1(p: ProofNode, other: Formula) -> ProofNode:
-    s = p.conclusion
-    a = s.ant[-1]
-    new = pf(And(a.formula, other), a.pos)
-    return node("andL1", {}, seq(s.ant[:-1] + (new,), s.suc), (p,))
+    return apply_rule("andL1", (p,), other=other)
 
 
 def and_left2(p: ProofNode, other: Formula) -> ProofNode:
-    s = p.conclusion
-    b = s.ant[-1]
-    new = pf(And(other, b.formula), b.pos)
-    return node("andL2", {}, seq(s.ant[:-1] + (new,), s.suc), (p,))
+    return apply_rule("andL2", (p,), other=other)
 
 
 def and_right(p1: ProofNode, p2: ProofNode) -> ProofNode:
-    s1, s2 = p1.conclusion, p2.conclusion
-    a, b = s1.suc[0], s2.suc[0]
-    if a.pos != b.pos:
-        raise TwoseqError("andR: operand positions differ")
-    new = pf(And(a.formula, b.formula), a.pos)
-    return node("andR", {}, seq(s1.ant + s2.ant, (new,) + s1.suc[1:] + s2.suc[1:]),
-                (p1, p2))
+    return apply_rule("andR", (p1, p2))
 
 
 def or_left(p1: ProofNode, p2: ProofNode) -> ProofNode:
-    s1, s2 = p1.conclusion, p2.conclusion
-    a, b = s1.ant[-1], s2.ant[-1]
-    if a.pos != b.pos:
-        raise TwoseqError("orL: operand positions differ")
-    new = pf(Or(a.formula, b.formula), a.pos)
-    return node("orL", {}, seq(s1.ant[:-1] + s2.ant[:-1] + (new,), s1.suc + s2.suc),
-                (p1, p2))
+    return apply_rule("orL", (p1, p2))
 
 
 def or_right1(p: ProofNode, other: Formula) -> ProofNode:
-    s = p.conclusion
-    a = s.suc[0]
-    new = pf(Or(a.formula, other), a.pos)
-    return node("orR1", {}, seq(s.ant, (new,) + s.suc[1:]), (p,))
+    return apply_rule("orR1", (p,), other=other)
 
 
 def or_right2(p: ProofNode, other: Formula) -> ProofNode:
-    s = p.conclusion
-    b = s.suc[0]
-    new = pf(Or(other, b.formula), b.pos)
-    return node("orR2", {}, seq(s.ant, (new,) + s.suc[1:]), (p,))
+    return apply_rule("orR2", (p,), other=other)
 
 
 def imp_left(p1: ProofNode, p2: ProofNode) -> ProofNode:
     # p1 holds the conclusion-side operand, p2 the antecedent-side one
-    s1, s2 = p1.conclusion, p2.conclusion
-    b, a = s1.ant[-1], s2.suc[0]
-    if a.pos != b.pos:
-        raise TwoseqError("impL: operand positions differ")
-    new = pf(Imp(a.formula, b.formula), a.pos)
-    return node("impL", {}, seq(s1.ant[:-1] + s2.ant + (new,), s1.suc + s2.suc[1:]),
-                (p1, p2))
+    return apply_rule("impL", (p1, p2))
 
 
 def imp_right(p: ProofNode) -> ProofNode:
-    s = p.conclusion
-    a, b = s.ant[-1], s.suc[0]
-    if a.pos != b.pos:
-        raise TwoseqError("impR: operand positions differ")
-    new = pf(Imp(a.formula, b.formula), a.pos)
-    return node("impR", {}, seq(s.ant[:-1], (new,) + s.suc[1:]), (p,))
-
-
-def _strip_suffix(pos: SeqPos, beta: SeqPos) -> SeqPos:
-    k = len(beta.items)
-    if k and pos.items[len(pos.items) - k:] != beta.items:
-        raise TwoseqError("position does not end with the declared step")
-    return SeqPos(pos.items[:len(pos.items) - k]) if k else pos
+    return apply_rule("impR", (p,))
 
 
 def box_left(p: ProofNode, beta, alpha=None) -> ProofNode:
-    """Modal/S42 box-left: the premise operand sits one declared step up."""
-    s = p.conclusion
-    a = s.ant[-1]
-    if alpha is None:
-        if isinstance(a.pos, SeqPos):
-            alpha = _strip_suffix(a.pos, beta)
-        else:
-            raise TwoseqError("boxL over sets needs an explicit alpha")
-    if combine_add(alpha, beta) != a.pos:
-        raise TwoseqError("boxL: alpha and beta do not compose to the premise position")
-    new = pf(Box(a.formula), alpha)
-    return node("boxL", {"alpha": alpha, "beta": beta},
-                seq(s.ant[:-1] + (new,), s.suc), (p,))
+    """Box-left: the premise operand sits one declared step up."""
+    return apply_rule("boxL", (p,), step=beta, alpha=alpha)
 
 
 def box_right(p: ProofNode, x: Token) -> ProofNode:
-    s = p.conclusion
-    a = s.suc[0]
-    if isinstance(a.pos, SeqPos):
-        if not a.pos.items or a.pos.items[-1] != x:
-            raise TwoseqError("boxR: premise position does not end with the eigen token")
-        alpha: Position = SeqPos(a.pos.items[:-1])
-    elif isinstance(a.pos, SetPos):
-        alpha = SetPos(a.pos.items - {x})
-    elif isinstance(a.pos, LtlPos):
-        alpha = LtlPos(a.pos.steps, a.pos.future - {x})
-    else:
-        alpha = past_sub(a.pos, 0, {x})
-    if combine_add(alpha, token_step(x, type(a.pos))) != a.pos:
-        raise TwoseqError("boxR: eigen step does not reproduce the premise position")
-    new = pf(Box(a.formula), alpha)
-    return node("boxR", {"alpha": alpha, "x": x},
-                seq(s.ant, (new,) + s.suc[1:]), (p,))
+    return apply_rule("boxR", (p,), x=x)
 
 
 def dia_left(p: ProofNode, x: Token) -> ProofNode:
-    s = p.conclusion
-    a = s.ant[-1]
-    if isinstance(a.pos, SeqPos):
-        if not a.pos.items or a.pos.items[-1] != x:
-            raise TwoseqError("diaL: premise position does not end with the eigen token")
-        alpha: Position = SeqPos(a.pos.items[:-1])
-    elif isinstance(a.pos, SetPos):
-        alpha = SetPos(a.pos.items - {x})
-    elif isinstance(a.pos, LtlPos):
-        alpha = LtlPos(a.pos.steps, a.pos.future - {x})
-    else:
-        alpha = past_sub(a.pos, 0, {x})
-    if combine_add(alpha, token_step(x, type(a.pos))) != a.pos:
-        raise TwoseqError("diaL: eigen step does not reproduce the premise position")
-    new = pf(Dia(a.formula), alpha)
-    return node("diaL", {"alpha": alpha, "x": x},
-                seq(s.ant[:-1] + (new,), s.suc), (p,))
+    return apply_rule("diaL", (p,), x=x)
 
 
 def dia_right(p: ProofNode, beta, alpha=None) -> ProofNode:
-    s = p.conclusion
-    a = s.suc[0]
-    if alpha is None:
-        if isinstance(a.pos, SeqPos):
-            alpha = _strip_suffix(a.pos, beta)
-        else:
-            raise TwoseqError("diaR over sets needs an explicit alpha")
-    if combine_add(alpha, beta) != a.pos:
-        raise TwoseqError("diaR: alpha and beta do not compose to the premise position")
-    new = pf(Dia(a.formula), alpha)
-    return node("diaR", {"alpha": alpha, "beta": beta},
-                seq(s.ant, (new,) + s.suc[1:]), (p,))
+    return apply_rule("diaR", (p,), step=beta, alpha=alpha)
 
 
 def box_left_at(p: ProofNode, s_pos, t: LtlPos) -> ProofNode:
-    """Temporal box-left with an explicit base position (the split is ambiguous)."""
-    return box_left(p, t, alpha=s_pos) if isinstance(s_pos, SetPos) else _temporal_left(
-        p, "boxL", Box, s_pos, t, forward=True)
+    """Box-left with an explicit base position (the split is ambiguous)."""
+    return box_left(p, t, alpha=s_pos)
 
 
 def dia_right_at(p: ProofNode, s_pos, t: LtlPos) -> ProofNode:
-    return dia_right(p, t, alpha=s_pos) if isinstance(s_pos, SetPos) else _temporal_right(
-        p, "diaR", Dia, s_pos, t, forward=True)
-
-
-def _temporal_left(p: ProofNode, rule: str, head, s_pos, t: LtlPos,
-                   forward: bool) -> ProofNode:
-    s = p.conclusion
-    a = s.ant[-1]
-    expect = combine_add(s_pos, t) if forward else combine_sub(s_pos, t)
-    if expect != a.pos:
-        raise TwoseqError(f"{rule}: base and step do not compose to the premise position")
-    new = pf(head(a.formula), s_pos)
-    return node(rule, {"alpha": s_pos, "t": t}, seq(s.ant[:-1] + (new,), s.suc), (p,))
-
-
-def _temporal_right(p: ProofNode, rule: str, head, s_pos, t: LtlPos,
-                    forward: bool) -> ProofNode:
-    s = p.conclusion
-    a = s.suc[0]
-    expect = combine_add(s_pos, t) if forward else combine_sub(s_pos, t)
-    if expect != a.pos:
-        raise TwoseqError(f"{rule}: base and step do not compose to the premise position")
-    new = pf(head(a.formula), s_pos)
-    return node(rule, {"alpha": s_pos, "t": t}, seq(s.ant, (new,) + s.suc[1:]), (p,))
+    return dia_right(p, t, alpha=s_pos)
 
 
 def hist_left(p: ProofNode, s_pos: PastPos, t: LtlPos) -> ProofNode:
-    return _temporal_left(p, "histL", Hist, s_pos, t, forward=False)
+    return apply_rule("histL", (p,), step=t, alpha=s_pos)
 
 
 def once_right(p: ProofNode, s_pos: PastPos, t: LtlPos) -> ProofNode:
-    return _temporal_right(p, "onceR", Once, s_pos, t, forward=False)
+    return apply_rule("onceR", (p,), step=t, alpha=s_pos)
 
 
 def hist_right(p: ProofNode, x: Token) -> ProofNode:
-    s = p.conclusion
-    a = s.suc[0]
-    alpha = past_add(a.pos, 0, {x})
-    if combine_sub(alpha, ltl_token(x)) != a.pos:
-        raise TwoseqError("histR: eigen step does not reproduce the premise position")
-    new = pf(Hist(a.formula), alpha)
-    return node("histR", {"alpha": alpha, "x": x}, seq(s.ant, (new,) + s.suc[1:]), (p,))
+    return apply_rule("histR", (p,), x=x)
 
 
 def once_left(p: ProofNode, x: Token) -> ProofNode:
-    s = p.conclusion
-    a = s.ant[-1]
-    alpha = past_add(a.pos, 0, {x})
-    if combine_sub(alpha, ltl_token(x)) != a.pos:
-        raise TwoseqError("onceL: eigen step does not reproduce the premise position")
-    new = pf(Once(a.formula), alpha)
-    return node("onceL", {"alpha": alpha, "x": x}, seq(s.ant[:-1] + (new,), s.suc), (p,))
+    return apply_rule("onceL", (p,), x=x)
 
 
 def next_left(p: ProofNode) -> ProofNode:
-    s = p.conclusion
-    a = s.ant[-1]
-    if isinstance(a.pos, LtlPos):
-        if a.pos.steps < 1:
-            raise TwoseqError("nextL: premise position has no step to consume")
-        base: Position = LtlPos(a.pos.steps - 1, a.pos.future)
-    else:
-        base = past_sub(a.pos, 1, ())
-    new = pf(Next(a.formula), base)
-    return node("nextL", {}, seq(s.ant[:-1] + (new,), s.suc), (p,))
+    return apply_rule("nextL", (p,))
 
 
 def next_right(p: ProofNode) -> ProofNode:
-    s = p.conclusion
-    a = s.suc[0]
-    if isinstance(a.pos, LtlPos):
-        if a.pos.steps < 1:
-            raise TwoseqError("nextR: premise position has no step to consume")
-        base: Position = LtlPos(a.pos.steps - 1, a.pos.future)
-    else:
-        base = past_sub(a.pos, 1, ())
-    new = pf(Next(a.formula), base)
-    return node("nextR", {}, seq(s.ant, (new,) + s.suc[1:]), (p,))
+    return apply_rule("nextR", (p,))
 
 
 def prev_left(p: ProofNode) -> ProofNode:
-    s = p.conclusion
-    a = s.ant[-1]
-    base = past_add(a.pos, 1, ())
-    new = pf(Prev(a.formula), base)
-    return node("prevL", {}, seq(s.ant[:-1] + (new,), s.suc), (p,))
+    return apply_rule("prevL", (p,))
 
 
 def prev_right(p: ProofNode) -> ProofNode:
-    s = p.conclusion
-    a = s.suc[0]
-    base = past_add(a.pos, 1, ())
-    new = pf(Prev(a.formula), base)
-    return node("prevR", {}, seq(s.ant, (new,) + s.suc[1:]), (p,))
+    return apply_rule("prevR", (p,))
 
 
 def ind(p: ProofNode, x: Token, t: LtlPos) -> ProofNode:
     """Temporal induction: base position read off the premise eigen step."""
-    s = p.conclusion
-    a, b = s.ant[-1], s.suc[0]
-    if a.formula != b.formula:
-        raise TwoseqError("ind: premise formulas differ")
-    if isinstance(a.pos, LtlPos):
-        if x not in a.pos.future:
-            raise TwoseqError("ind: eigen token absent from the premise position")
-        base: Position = LtlPos(a.pos.steps, a.pos.future - {x})
-        if ltl_add(base, ltl_token(x)) != a.pos or \
-                ltl_add(a.pos, ltl_step(1)) != b.pos:
-            raise TwoseqError("ind: premise positions are not s+x and s+x+1")
-    else:
-        base = past_sub(a.pos, 0, {x})
-        if past_add(base, 0, {x}) != a.pos or past_add(a.pos, 1, ()) != b.pos:
-            raise TwoseqError("ind: premise positions are not s+x and s+x+1")
-    new_l = pf(a.formula, base)
-    new_r = pf(a.formula, combine_add(base, t))
-    return node("ind", {"alpha": base, "x": x, "t": t},
-                seq(s.ant[:-1] + (new_l,), (new_r,) + s.suc[1:]), (p,))
+    return _induction("ind", "+", p, x, t)
 
 
 def pind(p: ProofNode, x: Token, t: LtlPos) -> ProofNode:
+    return _induction("pind", "-", p, x, t)
+
+
+def _induction(rule: str, sign: str, p: ProofNode, x: Token, t: LtlPos) -> ProofNode:
     s = p.conclusion
     a, b = s.ant[-1], s.suc[0]
     if a.formula != b.formula:
-        raise TwoseqError("pind: premise formulas differ")
-    base = past_add(a.pos, 0, {x})
-    if past_sub(base, 0, {x}) != a.pos or past_sub(a.pos, 1, ()) != b.pos:
-        raise TwoseqError("pind: premise positions are not s-x and s-x-1")
+        raise TwoseqError(f"{rule}: premise formulas differ")
+    base = _base(rule, a.pos, Active(sign + "x"), {"x": x}, None)
+    if shift(a.pos, sign, ltl_step(1)) != b.pos:
+        raise TwoseqError(f"{rule}: premise positions are not s{sign}x and s{sign}x{sign}1")
     new_l = pf(a.formula, base)
-    new_r = pf(a.formula, combine_sub(base, t))
-    return node("pind", {"alpha": base, "x": x, "t": t},
+    new_r = pf(a.formula, shift(base, sign, t))
+    return node(rule, {"alpha": base, "x": x, "t": t},
                 seq(s.ant[:-1] + (new_l,), (new_r,) + s.suc[1:]), (p,))
 
 
@@ -624,38 +644,144 @@ def indax(formula: Formula, s_pos: LtlPos) -> ProofNode:
 
 # --- local rule checking ---
 
-def _positions_ctx(pfs: Iterable[PFormula]):
-    return [q.pos for q in pfs]
+def _seq_positions(pfs: Iterable[PFormula]) -> list[SeqPos]:
+    # positions of another family are reported by the family check; they
+    # never witness a sequence-position side condition
+    return [q.pos for q in pfs if isinstance(q.pos, SeqPos)]
 
 
-def _eigen_violation(sys: SystemId, x: Token, base: Position,
-                     ctx: list[PFormula]) -> Optional[str]:
-    table = TABLE[sys]
+# the box-left step sizes each shape admits
+_SHAPES = {"any": lambda k: True, "singleton": lambda k: k == 1,
+           "empty-or-singleton": lambda k: k <= 1, "nonempty": lambda k: k >= 1}
+
+
+# constraint-table hooks: (table row, node, principal, parameters, context
+# of the principal) -> the violation message, if any
+def _beta_shape(table, n, a, values, ctx) -> Optional[str]:
+    beta = values["step"]
+    if table.family is not SeqPos:
+        return None
+    k = len(beta.items) if isinstance(beta, SeqPos) else len(beta.tokens())
+    if _SHAPES[table.box_left_shape](k):
+        return None
+    return f"step {beta} violates the '{table.box_left_shape}' shape"
+
+
+def _context_demand(table, n, a, values, ctx) -> Optional[str]:
+    """K/K4: some context formula sits at or below alpha+beta."""
+    if table.family is not SeqPos or not table.context_demand:
+        return None
+    ab = shift(a.pos, "+", values["step"])
+    if isinstance(ab, SeqPos):
+        for q in _seq_positions(ctx):
+            if related(ab, q, "prefix"):
+                return None
+    return f"no context formula has a position starting with {ab}"
+
+
+def cut_position_holds(cutf: PFormula, s1: Sequent, s2: Sequent) -> bool:
+    """The K/K4 cut condition: the cut position is an initial segment of a
+    position in the left or the right context, once every occurrence of
+    the cut formula is taken out of both."""
+    left = list(s1.ant) + [q for q in s1.suc if q != cutf]
+    right = [q for q in s2.ant if q != cutf] + list(s2.suc)
+    return cutf.pos in initials(_seq_positions(left)) or \
+        cutf.pos in initials(_seq_positions(right))
+
+
+def _eigen_position(table, n, a, values, ctx) -> Optional[str]:
+    x, base = values["x"], a.pos
     if table.family is SeqPos:
         eig = concat(base, seqpos(x))
-        if eig in initials(_positions_ctx(ctx)):
+        if eig in initials(_seq_positions(ctx)):
             return f"eigenposition {eig} occurs among the context initials"
         return None
     if x in base.tokens():
         return f"eigen token {x} occurs in the base position"
-    for q in ctx:
-        if x in q.pos.tokens():
-            return f"eigen token {x} occurs in a context position"
+    if any(x in q.pos.tokens() for q in ctx):
+        return f"eigen token {x} occurs in a context position"
     return None
 
 
-def _demand_violation(alpha, beta, ctx: list[PFormula]) -> Optional[str]:
-    """K/K4 context demand: some context formula sits at or below alpha+beta."""
-    ab = combine_add(alpha, beta)
-    for q in ctx:
-        if related(ab, q.pos, "prefix"):
-            return None
-    return f"no context formula has a position starting with {ab}"
+def _cut_position(table, n, a, values, ctx) -> Optional[str]:
+    cutf = values["cutf"]
+    p1, p2 = (q.conclusion for q in n.premises)
+    if not table.cut_guard or cut_position_holds(cutf, p1, p2):
+        return None
+    return f"cut position {cutf.pos} is not an initial of either context"
+
+
+_HOOKS = {"beta-shape": _beta_shape, "context-demand": _context_demand,
+          "eigen-position": _eigen_position, "cut-position": _cut_position}
+
+_PARAM_KINDS = {"step": ((SeqPos, SetPos, LtlPos, PastPos), "missing step parameter"),
+                "x": (str, "missing eigen token"),
+                "cutf": (PFormula, "missing cut formula")}
+
+
+def _check_schema(n: ProofNode, s: RuleSchema, sys: SystemId,
+                  prems: list[Sequent], expect) -> None:
+    """The generic check: principal formula, parameters, the expected
+    active formulas of each premise, the context splice, then the hooks."""
+    table = TABLE[sys]
+    family = table.family
+    c = n.conclusion
+    a = edge(c, s.side) if s.side else None
+    # messages are formatted only on failure: this runs once per node
+    ok = s.connective is None or (a is not None and isinstance(a.formula, s.connective))
+    if not ok:
+        expect(False, "schema", f"principal formula must be {s.kind}")
+    values = {}
+    for kind in s.params:
+        values[kind] = v = n.param(_STEP_KEY.get(family, "beta") if kind == "step" else kind)
+        types, message = _PARAM_KINDS[kind]
+        ok &= expect(isinstance(v, types), "params", message)
+    if not ok:
+        return
+
+    exposed = []
+    for q, shape in zip(prems, s.premises):
+        shown = True
+        for side, act in (("L", shape.left), ("R", shape.right)):
+            if act is None:
+                continue
+            if act.operand == "cutf":
+                want = values["cutf"]
+            else:
+                pos = a.pos
+                if act.shift:
+                    sign, what = act.shift[0], act.shift[1:]
+                    step = _step(what, values, family)
+                    pos = shift(a.pos, sign, step)
+                    if pos is None:
+                        expect(False, "params" if what == "step" else "family",
+                               f"step {step} does not apply to position {a.pos}")
+                        return
+                want = pf(getattr(a.formula, act.operand), pos)
+            shown = shown and edge(q, side) == want
+        exposed.append(shown)
+    if len(prems) == 1:
+        ok = exposed[0] and c == _splice(s, prems, a)
+        if not ok:
+            expect(False, "schema", f"premise does not match the {s.noun} schema")
+    else:
+        checks = zip(exposed, s.expose) if len(s.expose) > 1 else \
+            [(all(exposed), s.expose[0])]
+        for shown, message in checks:
+            ok &= expect(shown, "schema", message)
+        if ok:
+            expect(c == _splice(s, prems, a), "schema",
+                   "conclusion does not splice the premise contexts")
+    if ok and s.hooks:
+        ctx = list(c.ant[:-1]) + list(c.suc) if s.side == "L" else \
+            list(c.ant) + list(c.suc[1:])
+        for condition in s.hooks:
+            message = _HOOKS[condition](table, n, a, values, ctx)
+            expect(message is None, condition, message or "")
 
 
 def check_rule_instance(n: ProofNode, sys: SystemId) -> list[Violation]:
     """Local validity of one rule instance against the system's table row."""
-    table = TABLE[sys]
     out: list[Violation] = []
 
     def bad(condition: str, message: str):
@@ -667,7 +793,8 @@ def check_rule_instance(n: ProofNode, sys: SystemId) -> list[Violation]:
     if n.rule not in RULES_BY_SYSTEM[sys]:
         bad("schema", f"rule {n.rule} is not part of this system")
         return out
-    want = _ARITY.get(n.rule, 1)
+    s = SCHEMAS.get(n.rule)
+    want = len(s.premises) if s is not None else _ARITY.get(n.rule, 1)
     if len(n.premises) != want:
         bad("arity", f"expected {want} premise(s), found {len(n.premises)}")
         return out
@@ -680,384 +807,112 @@ def check_rule_instance(n: ProofNode, sys: SystemId) -> list[Violation]:
             bad(condition, message)
         return cond
 
-    try:
-        if n.rule == "ax":
-            expect(len(c.ant) == 1 and len(c.suc) == 1 and c.ant[0] == c.suc[0],
-                   "schema", "axiom must be of shape A at p |- A at p")
+    if s is not None:
+        _check_schema(n, s, sys, prems, expect)
 
-        elif n.rule == "cut":
-            cutf = n.param("cutf")
-            if not expect(isinstance(cutf, PFormula), "params", "missing cut formula"):
-                return out
-            p1, p2 = prems
-            ok = expect(bool(p1.suc) and p1.suc[0] == cutf, "schema",
-                        "cut formula must head the first premise's succedent")
-            ok &= expect(bool(p2.ant) and p2.ant[-1] == cutf, "schema",
-                         "cut formula must end the second premise's antecedent")
-            if ok:
-                expect(c == seq(p1.ant + p2.ant[:-1], p1.suc[1:] + p2.suc),
-                       "schema", "conclusion does not splice the premise contexts")
-            if ok and table.cut_guard:
-                alpha = cutf.pos
-                left = list(p1.ant) + [q for q in p1.suc[1:] if q != cutf]
-                right = [q for q in p2.ant[:-1] if q != cutf] + list(p2.suc)
-                linit = initials(_positions_ctx(left))
-                rinit = initials(_positions_ctx(right))
-                expect(alpha in linit or alpha in rinit, "cut-position",
-                       f"cut position {alpha} is not an initial of either context")
+    elif n.rule == "ax":
+        expect(len(c.ant) == 1 and len(c.suc) == 1 and c.ant[0] == c.suc[0],
+               "schema", "axiom must be of shape A at p |- A at p")
 
-        elif n.rule == "weakL":
-            p1, = prems
-            ok = expect(len(c.ant) == len(p1.ant) + 1 and c.ant[:-1] == p1.ant
-                        and c.suc == p1.suc,
-                        "schema", "weakening must append one antecedent formula")
-            declared = n.param("pf")
-            if ok and declared is not None:
-                expect(declared == c.ant[-1], "params",
-                       "declared formula differs from the weakened one")
-        elif n.rule == "weakR":
-            p1, = prems
-            ok = expect(len(c.suc) == len(p1.suc) + 1 and c.suc[1:] == p1.suc
-                        and c.ant == p1.ant,
-                        "schema", "weakening must prepend one succedent formula")
-            declared = n.param("pf")
-            if ok and declared is not None:
-                expect(declared == c.suc[0], "params",
-                       "declared formula differs from the weakened one")
-        elif n.rule == "contrL":
-            p1, = prems
-            expect(bool(c.ant) and p1.ant == c.ant + (c.ant[-1],)
-                   and c.suc == p1.suc,
-                   "schema", "contraction must merge the last two antecedent formulas")
-        elif n.rule == "contrR":
-            p1, = prems
-            expect(bool(c.suc) and p1.suc == (c.suc[0],) + c.suc
-                   and c.ant == p1.ant,
-                   "schema", "contraction must merge the first two succedent formulas")
-        elif n.rule == "excL":
-            p1, = prems
-            at = n.param("at")
-            if expect(isinstance(at, int) and 0 <= at < len(p1.ant) - 1,
-                      "params", "exchange index out of range"):
-                ant = list(p1.ant)
-                ant[at], ant[at + 1] = ant[at + 1], ant[at]
-                expect(c == seq(tuple(ant), p1.suc), "schema",
-                       "conclusion is not the declared adjacent swap")
-        elif n.rule == "excR":
-            p1, = prems
-            at = n.param("at")
-            if expect(isinstance(at, int) and 0 <= at < len(p1.suc) - 1,
-                      "params", "exchange index out of range"):
-                suc = list(p1.suc)
-                suc[at], suc[at + 1] = suc[at + 1], suc[at]
-                expect(c == seq(p1.ant, tuple(suc)), "schema",
-                       "conclusion is not the declared adjacent swap")
+    elif n.rule == "weakL":
+        p1, = prems
+        ok = expect(len(c.ant) == len(p1.ant) + 1 and c.ant[:-1] == p1.ant
+                    and c.suc == p1.suc,
+                    "schema", "weakening must append one antecedent formula")
+        declared = n.param("pf")
+        if ok and declared is not None:
+            expect(declared == c.ant[-1], "params",
+                   "declared formula differs from the weakened one")
+    elif n.rule == "weakR":
+        p1, = prems
+        ok = expect(len(c.suc) == len(p1.suc) + 1 and c.suc[1:] == p1.suc
+                    and c.ant == p1.ant,
+                    "schema", "weakening must prepend one succedent formula")
+        declared = n.param("pf")
+        if ok and declared is not None:
+            expect(declared == c.suc[0], "params",
+                   "declared formula differs from the weakened one")
+    elif n.rule == "contrL":
+        p1, = prems
+        expect(bool(c.ant) and p1.ant == c.ant + (c.ant[-1],)
+               and c.suc == p1.suc,
+               "schema", "contraction must merge the last two antecedent formulas")
+    elif n.rule == "contrR":
+        p1, = prems
+        expect(bool(c.suc) and p1.suc == (c.suc[0],) + c.suc
+               and c.ant == p1.ant,
+               "schema", "contraction must merge the first two succedent formulas")
+    elif n.rule == "excL":
+        p1, = prems
+        at = n.param("at")
+        if expect(isinstance(at, int) and 0 <= at < len(p1.ant) - 1,
+                  "params", "exchange index out of range"):
+            ant = list(p1.ant)
+            ant[at], ant[at + 1] = ant[at + 1], ant[at]
+            expect(c == seq(tuple(ant), p1.suc), "schema",
+                   "conclusion is not the declared adjacent swap")
+    elif n.rule == "excR":
+        p1, = prems
+        at = n.param("at")
+        if expect(isinstance(at, int) and 0 <= at < len(p1.suc) - 1,
+                  "params", "exchange index out of range"):
+            suc = list(p1.suc)
+            suc[at], suc[at + 1] = suc[at + 1], suc[at]
+            expect(c == seq(p1.ant, tuple(suc)), "schema",
+                   "conclusion is not the declared adjacent swap")
 
-        elif n.rule == "negL":
-            p1, = prems
-            ok = expect(bool(c.ant) and isinstance(c.ant[-1].formula, Not),
-                        "schema", "principal formula must be a negation")
-            if ok:
-                a = c.ant[-1]
-                expect(p1 == seq(c.ant[:-1], (pf(a.formula.sub, a.pos),) + c.suc),
-                       "schema", "premise does not match the negation-left schema")
-        elif n.rule == "negR":
-            p1, = prems
-            ok = expect(bool(c.suc) and isinstance(c.suc[0].formula, Not),
-                        "schema", "principal formula must be a negation")
-            if ok:
-                a = c.suc[0]
-                expect(p1 == seq(c.ant + (pf(a.formula.sub, a.pos),), c.suc[1:]),
-                       "schema", "premise does not match the negation-right schema")
-        elif n.rule in ("andL1", "andL2"):
-            p1, = prems
-            ok = expect(bool(c.ant) and isinstance(c.ant[-1].formula, And),
-                        "schema", "principal formula must be a conjunction")
-            if ok:
-                a = c.ant[-1]
-                side = a.formula.left if n.rule == "andL1" else a.formula.right
-                expect(p1 == seq(c.ant[:-1] + (pf(side, a.pos),), c.suc),
-                       "schema", "premise does not match the conjunction-left schema")
-        elif n.rule == "andR":
-            p1, p2 = prems
-            ok = expect(bool(c.suc) and isinstance(c.suc[0].formula, And),
-                        "schema", "principal formula must be a conjunction")
-            if ok:
-                a = c.suc[0]
-                ok = expect(bool(p1.suc) and p1.suc[0] == pf(a.formula.left, a.pos)
-                            and bool(p2.suc) and p2.suc[0] == pf(a.formula.right, a.pos),
-                            "schema", "premises do not expose the two operands")
-            if ok:
-                expect(c == seq(p1.ant + p2.ant, (a,) + p1.suc[1:] + p2.suc[1:]),
-                       "schema", "conclusion does not splice the premise contexts")
-        elif n.rule in ("orR1", "orR2"):
-            p1, = prems
-            ok = expect(bool(c.suc) and isinstance(c.suc[0].formula, Or),
-                        "schema", "principal formula must be a disjunction")
-            if ok:
-                a = c.suc[0]
-                side = a.formula.left if n.rule == "orR1" else a.formula.right
-                expect(p1 == seq(c.ant, (pf(side, a.pos),) + c.suc[1:]),
-                       "schema", "premise does not match the disjunction-right schema")
-        elif n.rule == "orL":
-            p1, p2 = prems
-            ok = expect(bool(c.ant) and isinstance(c.ant[-1].formula, Or),
-                        "schema", "principal formula must be a disjunction")
-            if ok:
-                a = c.ant[-1]
-                ok = expect(bool(p1.ant) and p1.ant[-1] == pf(a.formula.left, a.pos)
-                            and bool(p2.ant) and p2.ant[-1] == pf(a.formula.right, a.pos),
-                            "schema", "premises do not expose the two operands")
-            if ok:
-                expect(c == seq(p1.ant[:-1] + p2.ant[:-1] + (a,), p1.suc + p2.suc),
-                       "schema", "conclusion does not splice the premise contexts")
-        elif n.rule == "impL":
-            p1, p2 = prems
-            ok = expect(bool(c.ant) and isinstance(c.ant[-1].formula, Imp),
-                        "schema", "principal formula must be an implication")
-            if ok:
-                a = c.ant[-1]
-                ok = expect(bool(p1.ant) and p1.ant[-1] == pf(a.formula.right, a.pos)
-                            and bool(p2.suc) and p2.suc[0] == pf(a.formula.left, a.pos),
-                            "schema", "premises do not expose the two operands")
-            if ok:
-                expect(c == seq(p1.ant[:-1] + p2.ant + (a,), p1.suc + p2.suc[1:]),
-                       "schema", "conclusion does not splice the premise contexts")
-        elif n.rule == "impR":
-            p1, = prems
-            ok = expect(bool(c.suc) and isinstance(c.suc[0].formula, Imp),
-                        "schema", "principal formula must be an implication")
-            if ok:
-                a = c.suc[0]
-                expect(p1 == seq(c.ant + (pf(a.formula.left, a.pos),),
-                                 (pf(a.formula.right, a.pos),) + c.suc[1:]),
-                       "schema", "premise does not match the implication-right schema")
-
-        elif n.rule == "boxL":
-            p1, = prems
-            ok = expect(bool(c.ant) and isinstance(c.ant[-1].formula, Box),
-                        "schema", "principal formula must be boxed")
-            if ok:
-                a = c.ant[-1]
-                step = n.param("t") if table.family in (LtlPos, PastPos) else n.param("beta")
-                if not expect(step is not None, "params", "missing step parameter"):
-                    return out
-                up = pf(a.formula.sub, combine_add(a.pos, step))
-                ok = expect(p1 == seq(c.ant[:-1] + (up,), c.suc), "schema",
-                            "premise does not match the box-left schema")
-                if ok and table.family is SeqPos:
-                    expect(_shape_ok(table.box_left_shape, step), "beta-shape",
-                           f"step {step} violates the '{table.box_left_shape}' shape")
-                    if table.context_demand:
-                        msg = _demand_violation(a.pos, step, list(c.ant[:-1]) + list(c.suc))
-                        expect(msg is None, "context-demand", msg or "")
-        elif n.rule == "diaR":
-            p1, = prems
-            ok = expect(bool(c.suc) and isinstance(c.suc[0].formula, Dia),
-                        "schema", "principal formula must be diamonded")
-            if ok:
-                a = c.suc[0]
-                step = n.param("t") if table.family in (LtlPos, PastPos) else n.param("beta")
-                if not expect(step is not None, "params", "missing step parameter"):
-                    return out
-                up = pf(a.formula.sub, combine_add(a.pos, step))
-                ok = expect(p1 == seq(c.ant, (up,) + c.suc[1:]), "schema",
-                            "premise does not match the dia-right schema")
-                if ok and table.family is SeqPos:
-                    expect(_shape_ok(table.box_left_shape, step), "beta-shape",
-                           f"step {step} violates the '{table.box_left_shape}' shape")
-                    if table.context_demand:
-                        msg = _demand_violation(a.pos, step, list(c.ant) + list(c.suc[1:]))
-                        expect(msg is None, "context-demand", msg or "")
-        elif n.rule == "boxR":
-            p1, = prems
-            x = n.param("x")
-            ok = expect(bool(c.suc) and isinstance(c.suc[0].formula, Box),
-                        "schema", "principal formula must be boxed")
-            ok &= expect(isinstance(x, str), "params", "missing eigen token")
-            if ok:
-                a = c.suc[0]
-                up = pf(a.formula.sub, combine_add(a.pos, token_step(x, table.family)))
-                ok = expect(p1 == seq(c.ant, (up,) + c.suc[1:]), "schema",
-                            "premise does not match the box-right schema")
-            if ok:
-                msg = _eigen_violation(sys, x, a.pos, list(c.ant) + list(c.suc[1:]))
-                expect(msg is None, "eigen-position", msg or "")
-        elif n.rule == "diaL":
-            p1, = prems
-            x = n.param("x")
-            ok = expect(bool(c.ant) and isinstance(c.ant[-1].formula, Dia),
-                        "schema", "principal formula must be diamonded")
-            ok &= expect(isinstance(x, str), "params", "missing eigen token")
-            if ok:
-                a = c.ant[-1]
-                up = pf(a.formula.sub, combine_add(a.pos, token_step(x, table.family)))
-                ok = expect(p1 == seq(c.ant[:-1] + (up,), c.suc), "schema",
-                            "premise does not match the dia-left schema")
-            if ok:
-                msg = _eigen_violation(sys, x, a.pos, list(c.ant[:-1]) + list(c.suc))
-                expect(msg is None, "eigen-position", msg or "")
-
-        elif n.rule in ("nextL", "nextR"):
-            p1, = prems
-            side = c.ant[-1] if n.rule == "nextL" and c.ant else (
-                c.suc[0] if n.rule == "nextR" and c.suc else None)
-            ok = expect(side is not None and isinstance(side.formula, Next),
-                        "schema", "principal formula must be a next")
-            if ok:
-                a = side
-                up_pos = (ltl_add(a.pos, ltl_step(1)) if isinstance(a.pos, LtlPos)
-                          else past_add(a.pos, 1, ()))
-                up = pf(a.formula.sub, up_pos)
-                want_seq = (seq(c.ant[:-1] + (up,), c.suc) if n.rule == "nextL"
-                            else seq(c.ant, (up,) + c.suc[1:]))
-                expect(p1 == want_seq, "schema",
-                       "premise does not match the next schema")
-        elif n.rule in ("prevL", "prevR"):
-            p1, = prems
-            side = c.ant[-1] if n.rule == "prevL" and c.ant else (
-                c.suc[0] if n.rule == "prevR" and c.suc else None)
-            ok = expect(side is not None and isinstance(side.formula, Prev),
-                        "schema", "principal formula must be a prev")
-            if ok:
-                a = side
-                up = pf(a.formula.sub, past_sub(a.pos, 1, ()))
-                want_seq = (seq(c.ant[:-1] + (up,), c.suc) if n.rule == "prevL"
-                            else seq(c.ant, (up,) + c.suc[1:]))
-                expect(p1 == want_seq, "schema",
-                       "premise does not match the prev schema")
-        elif n.rule == "histL":
-            p1, = prems
-            ok = expect(bool(c.ant) and isinstance(c.ant[-1].formula, Hist),
-                        "schema", "principal formula must be a past-box")
-            t = n.param("t")
-            ok &= expect(t is not None, "params", "missing step parameter")
-            if ok:
-                a = c.ant[-1]
-                up = pf(a.formula.sub, combine_sub(a.pos, t))
-                expect(p1 == seq(c.ant[:-1] + (up,), c.suc), "schema",
-                       "premise does not match the past-box-left schema")
-        elif n.rule == "onceR":
-            p1, = prems
-            ok = expect(bool(c.suc) and isinstance(c.suc[0].formula, Once),
-                        "schema", "principal formula must be a past-dia")
-            t = n.param("t")
-            ok &= expect(t is not None, "params", "missing step parameter")
-            if ok:
-                a = c.suc[0]
-                up = pf(a.formula.sub, combine_sub(a.pos, t))
-                expect(p1 == seq(c.ant, (up,) + c.suc[1:]), "schema",
-                       "premise does not match the past-dia-right schema")
-        elif n.rule == "histR":
-            p1, = prems
-            x = n.param("x")
-            ok = expect(bool(c.suc) and isinstance(c.suc[0].formula, Hist),
-                        "schema", "principal formula must be a past-box")
-            ok &= expect(isinstance(x, str), "params", "missing eigen token")
-            if ok:
-                a = c.suc[0]
-                up = pf(a.formula.sub, combine_sub(a.pos, ltl_token(x)))
-                ok = expect(p1 == seq(c.ant, (up,) + c.suc[1:]), "schema",
-                            "premise does not match the past-box-right schema")
-            if ok:
-                msg = _eigen_violation(sys, x, a.pos, list(c.ant) + list(c.suc[1:]))
-                expect(msg is None, "eigen-position", msg or "")
-        elif n.rule == "onceL":
-            p1, = prems
-            x = n.param("x")
-            ok = expect(bool(c.ant) and isinstance(c.ant[-1].formula, Once),
-                        "schema", "principal formula must be a past-dia")
-            ok &= expect(isinstance(x, str), "params", "missing eigen token")
-            if ok:
-                a = c.ant[-1]
-                up = pf(a.formula.sub, combine_sub(a.pos, ltl_token(x)))
-                ok = expect(p1 == seq(c.ant[:-1] + (up,), c.suc), "schema",
-                            "premise does not match the past-dia-left schema")
-            if ok:
-                msg = _eigen_violation(sys, x, a.pos, list(c.ant[:-1]) + list(c.suc))
-                expect(msg is None, "eigen-position", msg or "")
-
-        elif n.rule == "ind":
-            p1, = prems
-            x, t = n.param("x"), n.param("t")
-            ok = expect(isinstance(x, str) and t is not None, "params",
-                        "induction needs an eigen token and a target step")
-            ok &= expect(bool(c.ant) and bool(c.suc), "schema",
-                         "induction conclusion needs principal formulas on both sides")
-            if ok:
-                a, b = c.ant[-1], c.suc[0]
-                ok = expect(a.formula == b.formula, "schema",
-                            "left and right principal formulas differ")
-            if ok:
-                s_pos = a.pos
-                ok = expect(combine_add(s_pos, t) == b.pos, "schema",
-                            "right principal is not at the declared target step")
-            if ok:
-                up_l = pf(a.formula, combine_add(s_pos, ltl_token(x)))
-                up_r = pf(a.formula, combine_add(combine_add(s_pos, ltl_token(x)),
-                                                 ltl_step(1)))
-                ok = expect(p1 == seq(c.ant[:-1] + (up_l,), (up_r,) + c.suc[1:]),
-                            "schema", "premise does not match the induction schema")
-            if ok:
-                msg = _eigen_violation(sys, x, s_pos, list(c.ant[:-1]) + list(c.suc[1:]))
-                expect(msg is None, "eigen-position", msg or "")
-        elif n.rule == "pind":
-            p1, = prems
-            x, t = n.param("x"), n.param("t")
-            ok = expect(isinstance(x, str) and t is not None, "params",
-                        "induction needs an eigen token and a target step")
-            ok &= expect(bool(c.ant) and bool(c.suc), "schema",
-                         "induction conclusion needs principal formulas on both sides")
-            if ok:
-                a, b = c.ant[-1], c.suc[0]
-                ok = expect(a.formula == b.formula, "schema",
-                            "left and right principal formulas differ")
-            if ok:
-                s_pos = a.pos
-                ok = expect(combine_sub(s_pos, t) == b.pos, "schema",
-                            "right principal is not at the declared target step")
-            if ok:
-                down = combine_sub(s_pos, ltl_token(x))
-                up_l = pf(a.formula, down)
-                up_r = pf(a.formula, combine_sub(down, ltl_step(1)))
-                ok = expect(p1 == seq(c.ant[:-1] + (up_l,), (up_r,) + c.suc[1:]),
-                            "schema", "premise does not match the past-induction schema")
-            if ok:
-                msg = _eigen_violation(sys, x, s_pos, list(c.ant[:-1]) + list(c.suc[1:]))
-                expect(msg is None, "eigen-position", msg or "")
-        elif n.rule == "indax":
-            ok = expect(not c.ant and len(c.suc) == 1, "schema",
-                        "induction axiom must conclude a single succedent formula")
-            if ok:
-                f = c.suc[0].formula
-                good = (isinstance(f, Imp) and isinstance(f.left, And)
-                        and isinstance(f.right, Box)
-                        and isinstance(f.left.right, Box)
-                        and isinstance(f.left.right.sub, Imp)
-                        and isinstance(f.left.right.sub.right, Next)
-                        and f.left.left == f.right.sub
-                        and f.left.right.sub.left == f.left.left
-                        and f.left.right.sub.right.sub == f.left.left)
-                expect(good, "schema", "formula is not an induction-axiom instance")
-        else:
-            bad("schema", f"unknown rule {n.rule}")
-    except TwoseqError as e:
-        bad("schema", str(e))
+    elif n.rule in ("ind", "pind"):
+        p1, = prems
+        sign = "+" if n.rule == "ind" else "-"
+        x, t = n.param("x"), n.param("t")
+        ok = expect(isinstance(x, str) and t is not None, "params",
+                    "induction needs an eigen token and a target step")
+        ok &= expect(bool(c.ant) and bool(c.suc), "schema",
+                     "induction conclusion needs principal formulas on both sides")
+        if ok:
+            a, b = c.ant[-1], c.suc[0]
+            ok = expect(a.formula == b.formula, "schema",
+                        "left and right principal formulas differ")
+        if ok:
+            ok = expect(shift(a.pos, sign, t) == b.pos, "schema",
+                        "right principal is not at the declared target step")
+        if ok:
+            down = shift(a.pos, sign, ltl_token(x))
+            up_l = pf(a.formula, down)
+            up_r = pf(a.formula, shift(down, sign, ltl_step(1)))
+            noun = "induction" if sign == "+" else "past-induction"
+            ok = expect(p1 == seq(c.ant[:-1] + (up_l,), (up_r,) + c.suc[1:]),
+                        "schema", f"premise does not match the {noun} schema")
+        if ok:
+            msg = _eigen_position(TABLE[sys], n, a, {"x": x},
+                                  list(c.ant[:-1]) + list(c.suc[1:]))
+            expect(msg is None, "eigen-position", msg or "")
+    elif n.rule == "indax":
+        ok = expect(not c.ant and len(c.suc) == 1, "schema",
+                    "induction axiom must conclude a single succedent formula")
+        if ok:
+            f = c.suc[0].formula
+            good = (isinstance(f, Imp) and isinstance(f.left, And)
+                    and isinstance(f.right, Box)
+                    and isinstance(f.left.right, Box)
+                    and isinstance(f.left.right.sub, Imp)
+                    and isinstance(f.left.right.sub.right, Next)
+                    and f.left.left == f.right.sub
+                    and f.left.right.sub.left == f.left.left
+                    and f.left.right.sub.right.sub == f.left.left)
+            expect(good, "schema", "formula is not an induction-axiom instance")
+    else:
+        bad("schema", f"unknown rule {n.rule}")
 
     # declared base positions, when present, must agree with the conclusion
     alpha = n.param("alpha")
-    if alpha is not None and not out:
-        principal = None
-        if n.rule in ("boxL", "diaL", "histL", "onceL", "ind", "pind"):
-            principal = c.ant[-1] if c.ant else None
-        elif n.rule in ("boxR", "diaR", "histR", "onceR"):
-            principal = c.suc[0] if c.suc else None
-        if n.rule in ("ind", "pind"):
-            principal = c.ant[-1] if c.ant else None
+    side = "L" if n.rule in ("ind", "pind") else s.side if s and s.based else ""
+    if side and alpha is not None and not out:
+        principal = edge(c, side)
         if principal is not None and principal.pos != alpha:
-            out.append(Violation((), n.rule, "params",
-                                 "declared base position differs from the conclusion"))
+            bad("params", "declared base position differs from the conclusion")
     return out
+
 
 
 def _family_violations(n: ProofNode, sys: SystemId) -> list[Violation]:
@@ -1239,8 +1094,3 @@ def expand_double_lines(script: ProofScript) -> ProofNode:
                          tuple(rec(c, path + (i,)) for i, c in enumerate(sn.children)))
 
     return rec(script.root, ())
-
-
-def script_of_proof(p: ProofNode) -> ScriptNode:
-    return ScriptNode(p.rule, p.params, p.conclusion,
-                      tuple(script_of_proof(c) for c in p.premises))

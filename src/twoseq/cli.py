@@ -54,6 +54,17 @@ def _load_proof(path: str, system: Optional[str],
     return sys_id, expand_double_lines(script)
 
 
+def _write_checked(args, sys_id: SystemId, out: ProofNode, what: str) -> int:
+    """Write a produced proof only once the kernel has re-checked it."""
+    rep = check_proof(out, sys_id)
+    if not rep.accepted:
+        print(f"internal error: {what} proof was rejected", file=_sys.stderr)
+        print(rep.render_text(), file=_sys.stderr)
+        return 2
+    _write(args.output, render_proof(sys_id, out))
+    return 0
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -83,9 +94,8 @@ def cmd_cutelim(args) -> int:
         print(rep.render_text(), file=_sys.stderr)
         return 2
     trace = (lambda s: print(s, file=_sys.stderr)) if args.trace else None
-    out = eliminate_cuts(proof, sys_id, trace)
-    _write(args.output, render_proof(sys_id, out))
-    return 0
+    return _write_checked(args, sys_id, eliminate_cuts(proof, sys_id, trace),
+                          "cut-free")
 
 
 def cmd_subformula(args) -> int:
@@ -203,13 +213,7 @@ def cmd_transform(args) -> int:
     else:
         print(f"unknown transformation {args.op!r}", file=_sys.stderr)
         return 2
-    rep = check_proof(out, sys_id)
-    if not rep.accepted:
-        print("internal error: transformed proof was rejected", file=_sys.stderr)
-        print(rep.render_text(), file=_sys.stderr)
-        return 2
-    _write(args.output, render_proof(sys_id, out))
-    return 0
+    return _write_checked(args, sys_id, out, "transformed")
 
 
 def build_parser() -> argparse.ArgumentParser:

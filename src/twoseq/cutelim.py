@@ -14,19 +14,15 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .calculus import (CORE_SYSTEMS, LEFT_LOGICAL, RIGHT_LOGICAL,
-                       STRUCTURAL_RULES, ProofNode, Sequent, SystemId, TABLE,
-                       and_left1, and_left2, and_right, ax, box_left,
-                       box_right, bridge_proof, cut, dia_left, dia_right,
-                       height, imp_left, imp_right, iter_nodes, neg_left,
-                       neg_right, node, or_left, or_right1, or_right2,
-                       proof_tokens, seq)
+from .calculus import (CORE_SYSTEMS, SCHEMAS, STRUCTURAL_RULES, ProofNode,
+                       Sequent, SystemId, TABLE, bridge_proof, cut,
+                       cut_position_holds, edge, height, iter_nodes, node,
+                       proof_tokens, reapply, seq)
 from .errors import (MixHypothesisError, TwoseqError, UnsupportedSystemError)
-from .positions import SeqPos, initials
+from .positions import SeqPos, prefix_replace
 from .syntax import (And, Box, Dia, Imp, Not, Or, PFormula, degree,
                      is_subformula, pf)
-from .transform import (FreshTokenSource, _scoped_rename,
-                        substitute_positions)
+from .transform import FreshTokenSource, _map_positions, _scoped_rename
 
 Trace = Optional[Callable[[str], None]]
 
@@ -63,27 +59,10 @@ def _mix_target(p1: ProofNode, p2: ProofNode, cutf: PFormula) -> Sequent:
                _removed(p1.conclusion.suc, cutf) + p2.conclusion.suc)
 
 
-def _check_hypothesis(p1: ProofNode, p2: ProofNode, cutf: PFormula) -> None:
-    alpha = cutf.pos
-    left = [q.pos for q in p1.conclusion.ant] + \
-           [q.pos for q in _removed(p1.conclusion.suc, cutf)]
-    right = [q.pos for q in _removed(p2.conclusion.ant, cutf)] + \
-            [q.pos for q in p2.conclusion.suc]
-    if alpha in initials(left) or alpha in initials(right):
-        return
-    raise MixHypothesisError(
-        f"mix position {alpha} is not an initial segment of either "
-        f"cut-free context")
-
-
-def _introduces_right(p: ProofNode, cutf: PFormula) -> bool:
-    return (p.rule in RIGHT_LOGICAL and bool(p.conclusion.suc)
-            and p.conclusion.suc[0] == cutf)
-
-
-def _introduces_left(p: ProofNode, cutf: PFormula) -> bool:
-    return (p.rule in LEFT_LOGICAL and bool(p.conclusion.ant)
-            and p.conclusion.ant[-1] == cutf)
+def _introduces(p: ProofNode, cutf: PFormula, side: str) -> bool:
+    """Whether p's rule is a logical one making cutf its principal on side."""
+    s = SCHEMAS.get(p.rule)
+    return s is not None and s.side == side and edge(p.conclusion, side) == cutf
 
 
 class _Mixer:
@@ -150,210 +129,41 @@ class _Mixer:
         # from here on rules are rebuilt over removal-damaged contexts,
         # which is where the restricted systems' position hypothesis does
         # its work; the axiom and structural cases above never consume it
-        if TABLE[self.sys].cut_guard:
-            _check_hypothesis(p1, p2, cutf)
-        if r == "cut" or not _introduces_right(p1, cutf):
+        if TABLE[self.sys].cut_guard and \
+                not cut_position_holds(cutf, p1.conclusion, p2.conclusion):
+            raise MixHypothesisError(
+                f"mix position {cutf.pos} is not an initial segment of either "
+                f"cut-free context")
+        c1, c2, strip = p1.conclusion, p2.conclusion, self.strip
+        if r == "cut" or not _introduces(p1, cutf, "R"):
             t(f"mix: left rule {r} does not introduce the cut formula")
-            return self._case_left(p1, p2, E, measure)
-        if rp == "cut" or not _introduces_left(p2, cutf):
+            return self._reapply(p1, lambda c: self.sub(c, p2, measure),
+                                 lambda ant, suc: (ant + strip(c2.ant), strip(suc) + c2.suc), E)
+        if rp == "cut" or not _introduces(p2, cutf, "L"):
             t(f"mix: right rule {rp} does not introduce the cut formula")
-            return self._case_right(p1, p2, E, measure)
+            return self._reapply(p2, lambda c: self.sub(p1, c, measure),
+                                 lambda ant, suc: (c1.ant + strip(ant), strip(c1.suc) + suc), E)
         t(f"mix: principal case on {type(cutf.formula).__name__}")
         return self._case_principal(p1, p2, E, measure)
 
-    # -- the left rule is reapplied over the mixed premises --
+    # -- a non-principal rule is reapplied over its mixed premises --
 
-    def _case_left(self, p1, p2, E, measure) -> ProofNode:
-        cutf, strip = self.cutf, self.strip
-        s2 = strip(p2.conclusion.ant)
-        R2 = p2.conclusion.suc
-        P = [c.conclusion for c in p1.premises]
-        M = [self.sub(c, p2, measure) for c in p1.premises]
-        C = p1.conclusion
-        r = p1.rule
-
-        def to(m, ant, suc):
-            return bridge_proof(m, seq(tuple(ant), tuple(suc)))
-
-        if r == "negL":
-            a = C.ant[-1]
-            sub = pf(a.formula.sub, a.pos)
-            m = to(M[0], P[0].ant + s2, (sub,) + strip(P[0].suc[1:]) + R2)
-            return bridge_proof(neg_left(m), E)
-        if r == "negR":
-            a = C.suc[0]
-            sub = pf(a.formula.sub, a.pos)
-            m = to(M[0], P[0].ant[:-1] + s2 + (sub,), strip(P[0].suc) + R2)
-            return bridge_proof(neg_right(m), E)
-        if r in ("andL1", "andL2"):
-            a = C.ant[-1]
-            comp = a.formula.left if r == "andL1" else a.formula.right
-            other = a.formula.right if r == "andL1" else a.formula.left
-            m = to(M[0], P[0].ant[:-1] + s2 + (pf(comp, a.pos),),
-                   strip(P[0].suc) + R2)
-            built = and_left1(m, other) if r == "andL1" else and_left2(m, other)
-            return bridge_proof(built, E)
-        if r == "andR":
-            a = C.suc[0]
-            m1 = to(M[0], P[0].ant + s2,
-                    (pf(a.formula.left, a.pos),) + strip(P[0].suc[1:]) + R2)
-            m2 = to(M[1], P[1].ant + s2,
-                    (pf(a.formula.right, a.pos),) + strip(P[1].suc[1:]) + R2)
-            return bridge_proof(and_right(m1, m2), E)
-        if r == "orL":
-            a = C.ant[-1]
-            m1 = to(M[0], P[0].ant[:-1] + s2 + (pf(a.formula.left, a.pos),),
-                    strip(P[0].suc) + R2)
-            m2 = to(M[1], P[1].ant[:-1] + s2 + (pf(a.formula.right, a.pos),),
-                    strip(P[1].suc) + R2)
-            return bridge_proof(or_left(m1, m2), E)
-        if r in ("orR1", "orR2"):
-            a = C.suc[0]
-            comp = a.formula.left if r == "orR1" else a.formula.right
-            other = a.formula.right if r == "orR1" else a.formula.left
-            m = to(M[0], P[0].ant + s2,
-                   (pf(comp, a.pos),) + strip(P[0].suc[1:]) + R2)
-            built = or_right1(m, other) if r == "orR1" else or_right2(m, other)
-            return bridge_proof(built, E)
-        if r == "impL":
-            a = C.ant[-1]
-            m1 = to(M[0], P[0].ant[:-1] + s2 + (pf(a.formula.right, a.pos),),
-                    strip(P[0].suc) + R2)
-            m2 = to(M[1], P[1].ant + s2,
-                    (pf(a.formula.left, a.pos),) + strip(P[1].suc[1:]) + R2)
-            return bridge_proof(imp_left(m1, m2), E)
-        if r == "impR":
-            a = C.suc[0]
-            m = to(M[0], P[0].ant[:-1] + s2 + (pf(a.formula.left, a.pos),),
-                   (pf(a.formula.right, a.pos),) + strip(P[0].suc[1:]) + R2)
-            return bridge_proof(imp_right(m), E)
-        if r == "boxL":
-            a = C.ant[-1]
-            beta = p1.param("beta")
-            up = pf(a.formula.sub, p1.premises[0].conclusion.ant[-1].pos)
-            m = to(M[0], P[0].ant[:-1] + s2 + (up,), strip(P[0].suc) + R2)
-            return bridge_proof(box_left(m, beta, alpha=a.pos), E)
-        if r == "diaR":
-            a = C.suc[0]
-            beta = p1.param("beta")
-            up = pf(a.formula.sub, p1.premises[0].conclusion.suc[0].pos)
-            m = to(M[0], P[0].ant + s2, (up,) + strip(P[0].suc[1:]) + R2)
-            return bridge_proof(dia_right(m, beta, alpha=a.pos), E)
-        if r == "boxR":
-            a = C.suc[0]
-            x = p1.param("x")
-            up = pf(a.formula.sub, p1.premises[0].conclusion.suc[0].pos)
-            m = to(M[0], P[0].ant + s2, (up,) + strip(P[0].suc[1:]) + R2)
-            return bridge_proof(box_right(m, x), E)
-        if r == "diaL":
-            a = C.ant[-1]
-            x = p1.param("x")
-            up = pf(a.formula.sub, p1.premises[0].conclusion.ant[-1].pos)
-            m = to(M[0], P[0].ant[:-1] + s2 + (up,), strip(P[0].suc) + R2)
-            return bridge_proof(dia_left(m, x), E)
-        if r == "cut":
-            inner = p1.param("cutf")
-            m1 = to(M[0], P[0].ant + s2, (inner,) + strip(P[0].suc[1:]) + R2)
-            m2 = to(M[1], P[1].ant[:-1] + s2 + (inner,), strip(P[1].suc) + R2)
-            return bridge_proof(cut(m1, m2, inner), E)
-        raise TwoseqError(f"mix: unexpected left rule {r}")
-
-    # -- the right rule is reapplied over the mixed premises --
-
-    def _case_right(self, p1, p2, E, measure) -> ProofNode:
-        cutf, strip = self.cutf, self.strip
-        aL = p1.conclusion.ant
-        s1 = strip(p1.conclusion.suc)
-        P = [c.conclusion for c in p2.premises]
-        M = [self.sub(p1, c, measure) for c in p2.premises]
-        C = p2.conclusion
-        r = p2.rule
-
-        def to(m, ant, suc):
-            return bridge_proof(m, seq(tuple(ant), tuple(suc)))
-
-        if r == "negL":
-            a = C.ant[-1]
-            sub = pf(a.formula.sub, a.pos)
-            m = to(M[0], aL + strip(P[0].ant), (sub,) + s1 + P[0].suc[1:])
-            return bridge_proof(neg_left(m), E)
-        if r == "negR":
-            a = C.suc[0]
-            sub = pf(a.formula.sub, a.pos)
-            m = to(M[0], aL + strip(P[0].ant[:-1]) + (sub,), s1 + P[0].suc)
-            return bridge_proof(neg_right(m), E)
-        if r in ("andL1", "andL2"):
-            a = C.ant[-1]
-            comp = a.formula.left if r == "andL1" else a.formula.right
-            other = a.formula.right if r == "andL1" else a.formula.left
-            m = to(M[0], aL + strip(P[0].ant[:-1]) + (pf(comp, a.pos),),
-                   s1 + P[0].suc)
-            built = and_left1(m, other) if r == "andL1" else and_left2(m, other)
-            return bridge_proof(built, E)
-        if r == "andR":
-            a = C.suc[0]
-            m1 = to(M[0], aL + strip(P[0].ant),
-                    (pf(a.formula.left, a.pos),) + s1 + P[0].suc[1:])
-            m2 = to(M[1], aL + strip(P[1].ant),
-                    (pf(a.formula.right, a.pos),) + s1 + P[1].suc[1:])
-            return bridge_proof(and_right(m1, m2), E)
-        if r == "orL":
-            a = C.ant[-1]
-            m1 = to(M[0], aL + strip(P[0].ant[:-1]) + (pf(a.formula.left, a.pos),),
-                    s1 + P[0].suc)
-            m2 = to(M[1], aL + strip(P[1].ant[:-1]) + (pf(a.formula.right, a.pos),),
-                    s1 + P[1].suc)
-            return bridge_proof(or_left(m1, m2), E)
-        if r in ("orR1", "orR2"):
-            a = C.suc[0]
-            comp = a.formula.left if r == "orR1" else a.formula.right
-            other = a.formula.right if r == "orR1" else a.formula.left
-            m = to(M[0], aL + strip(P[0].ant),
-                   (pf(comp, a.pos),) + s1 + P[0].suc[1:])
-            built = or_right1(m, other) if r == "orR1" else or_right2(m, other)
-            return bridge_proof(built, E)
-        if r == "impL":
-            a = C.ant[-1]
-            m1 = to(M[0], aL + strip(P[0].ant[:-1]) + (pf(a.formula.right, a.pos),),
-                    s1 + P[0].suc)
-            m2 = to(M[1], aL + strip(P[1].ant),
-                    (pf(a.formula.left, a.pos),) + s1 + P[1].suc[1:])
-            return bridge_proof(imp_left(m1, m2), E)
-        if r == "impR":
-            a = C.suc[0]
-            m = to(M[0], aL + strip(P[0].ant[:-1]) + (pf(a.formula.left, a.pos),),
-                   (pf(a.formula.right, a.pos),) + s1 + P[0].suc[1:])
-            return bridge_proof(imp_right(m), E)
-        if r == "boxL":
-            a = C.ant[-1]
-            beta = p2.param("beta")
-            up = pf(a.formula.sub, p2.premises[0].conclusion.ant[-1].pos)
-            m = to(M[0], aL + strip(P[0].ant[:-1]) + (up,), s1 + P[0].suc)
-            return bridge_proof(box_left(m, beta, alpha=a.pos), E)
-        if r == "diaR":
-            a = C.suc[0]
-            beta = p2.param("beta")
-            up = pf(a.formula.sub, p2.premises[0].conclusion.suc[0].pos)
-            m = to(M[0], aL + strip(P[0].ant), (up,) + s1 + P[0].suc[1:])
-            return bridge_proof(dia_right(m, beta, alpha=a.pos), E)
-        if r == "boxR":
-            a = C.suc[0]
-            x = p2.param("x")
-            up = pf(a.formula.sub, p2.premises[0].conclusion.suc[0].pos)
-            m = to(M[0], aL + strip(P[0].ant), (up,) + s1 + P[0].suc[1:])
-            return bridge_proof(box_right(m, x), E)
-        if r == "diaL":
-            a = C.ant[-1]
-            x = p2.param("x")
-            up = pf(a.formula.sub, p2.premises[0].conclusion.ant[-1].pos)
-            m = to(M[0], aL + strip(P[0].ant[:-1]) + (up,), s1 + P[0].suc)
-            return bridge_proof(dia_left(m, x), E)
-        if r == "cut":
-            inner = p2.param("cutf")
-            m1 = to(M[0], aL + strip(P[0].ant), (inner,) + s1 + P[0].suc[1:])
-            m2 = to(M[1], aL + strip(P[1].ant[:-1]) + (inner,), s1 + P[1].suc)
-            return bridge_proof(cut(m1, m2, inner), E)
-        raise TwoseqError(f"mix: unexpected right rule {r}")
+    def _reapply(self, p: ProofNode, mixed, widen, E) -> ProofNode:
+        """Mix each premise of p (``mixed``), bridge the result to the
+        premise's shape around the same active formulas, with the contexts
+        ``widen`` gives, then rebuild p's rule and bridge to E."""
+        s = SCHEMAS.get(p.rule)
+        if s is None:
+            raise TwoseqError(f"mix: unexpected rule {p.rule}")
+        prems = []
+        for c, shape in zip(p.premises, s.premises):
+            q = c.conclusion
+            ant, suc = widen(q.ant[:-1] if shape.left else q.ant,
+                             q.suc[1:] if shape.right else q.suc)
+            target = seq(ant + q.ant[-1:] if shape.left else ant,
+                         q.suc[:1] + suc if shape.right else suc)
+            prems.append(bridge_proof(mixed(c), target))
+        return bridge_proof(reapply(p, prems), E)
 
     # -- both rules introduce the cut formula principally --
 
@@ -422,11 +232,10 @@ class _Mixer:
             return bridge_proof(cut(k1, m2, b_pf), E)
 
         if isinstance(f, Box):
-            x, beta = p1.param("x"), p2.param("beta")
+            x = p1.param("x")
             up = pf(f.sub, p2.premises[0].conclusion.ant[-1].pos)
-            shifted = substitute_positions(
-                p1.premises[0], SeqPos(alpha.items + (x,)),
-                p2.premises[0].conclusion.ant[-1].pos)
+            shifted = _map_positions(p1.premises[0], lambda q: prefix_replace(
+                q, SeqPos(alpha.items + (x,)), up.pos))
             m1 = self.run(shifted, ren(p2), measure)
             m2 = self.run(ren(p1), ren(p2.premises[0]), measure)
             left = p1.conclusion.ant + strip(p2.conclusion.ant[:-1])
@@ -436,11 +245,10 @@ class _Mixer:
             return bridge_proof(cut(m1, m2, up), E)
 
         if isinstance(f, Dia):
-            x, beta = p2.param("x"), p1.param("beta")
+            x = p2.param("x")
             up = pf(f.sub, p1.premises[0].conclusion.suc[0].pos)
-            shifted = substitute_positions(
-                p2.premises[0], SeqPos(alpha.items + (x,)),
-                p1.premises[0].conclusion.suc[0].pos)
+            shifted = _map_positions(p2.premises[0], lambda q: prefix_replace(
+                q, SeqPos(alpha.items + (x,)), up.pos))
             m1 = self.run(p1.premises[0], ren(p2), measure)
             m2 = self.run(ren(p1), ren(shifted), measure)
             left = p1.conclusion.ant + strip(p2.conclusion.ant[:-1])

@@ -95,10 +95,6 @@ def setpos(*items: Token) -> SetPos:
     return SetPos(frozenset(items))
 
 
-def ltlpos(steps: int = 0, *tokens: Token) -> LtlPos:
-    return LtlPos(steps, frozenset(tokens))
-
-
 def pastpos(offset: int = 0,
             future: Iterable[Token] = (),
             past: Iterable[Token] = ()) -> PastPos:
@@ -150,10 +146,6 @@ def initials(positions: Iterable[SeqPos]) -> frozenset[SeqPos]:
     return frozenset(out)
 
 
-def set_union(s: SetPos, t: SetPos) -> SetPos:
-    return SetPos(s.items | t.items)
-
-
 def ltl_add(s: LtlPos, t: LtlPos) -> LtlPos:
     """Componentwise sum: step counts add, token sets unite."""
     return LtlPos(s.steps + t.steps, s.future | t.future)
@@ -188,11 +180,3 @@ def past_sub(s: PastPos, m: int, toks: Iterable[Token]) -> PastPos:
     """Backward shift, the dual of past_add."""
     t = frozenset(toks)
     return PastPos(s.offset - m, s.future | (t - s.past), s.past - t)
-
-
-def position_tokens(p: Position) -> frozenset[Token]:
-    return p.tokens()
-
-
-def same_family(p: Position, q: Position) -> bool:
-    return type(p) is type(q)

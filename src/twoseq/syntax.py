@@ -212,10 +212,6 @@ def is_subformula(cand: PFormula, root: PFormula) -> bool:
     return rec(root.formula, root.pos)
 
 
-def pformula_tokens(p: PFormula) -> frozenset[Token]:
-    return p.pos.tokens()
-
-
 def tokens_of(s: Sequent) -> frozenset[Token]:
     """Every token occurring in any position of the sequent."""
     out: frozenset[Token] = frozenset()

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .calculus import (ProofNode, SystemId, TABLE, ax, and_right, box_left_at,
-                       box_right, bridge_proof, check_proof, cut, eigen_token,
-                       imp_left, imp_right, indax, iter_nodes, next_right,
-                       node, proof_tokens, seq)
+from .calculus import (SCHEMAS, ProofNode, SystemId, TABLE, ax, and_right,
+                       box_left_at, box_right, bridge_proof, check_proof, cut,
+                       edge, eigen_token, imp_left, imp_right, indax,
+                       iter_nodes, next_right, node, proof_tokens, seq)
 from .errors import TransformError
 from .positions import (LtlPos, PastPos, Position, SeqPos, SetPos, Token,
                         concat, ltl_add, prefix_replace, seqpos)
@@ -60,9 +60,8 @@ def _rename_seq(s: Sequent, mapping) -> Sequent:
                    tuple(_rename_pf(q, mapping) for q in s.suc))
 
 
-def _rename_tree(n: ProofNode, mapping: dict[Token, Token],
-                 rename_conclusion: bool) -> ProofNode:
-    prems = tuple(_rename_tree(c, mapping, True) for c in n.premises)
+def _rename_tree(n: ProofNode, mapping: dict[Token, Token]) -> ProofNode:
+    prems = tuple(_rename_tree(c, mapping) for c in n.premises)
     params = {}
     for k, v in n.params:
         if isinstance(v, (SeqPos, SetPos, LtlPos, PastPos)):
@@ -73,8 +72,7 @@ def _rename_tree(n: ProofNode, mapping: dict[Token, Token],
             params[k] = mapping.get(v, v)
         else:
             params[k] = v
-    concl = _rename_seq(n.conclusion, mapping) if rename_conclusion else n.conclusion
-    return node(n.rule, params, concl, prems)
+    return node(n.rule, params, _rename_seq(n.conclusion, mapping), prems)
 
 
 def _scoped_rename(n: ProofNode, source: FreshTokenSource) -> ProofNode:
@@ -98,7 +96,7 @@ def _scoped_rename(n: ProofNode, source: FreshTokenSource) -> ProofNode:
         tmp = f"\x00eig{len(temps)}"
         temps.append(tmp)
         mapping = {x: tmp}
-        new_prems = tuple(_rename_tree(c, mapping, True) for c in cur.premises)
+        new_prems = tuple(_rename_tree(c, mapping) for c in cur.premises)
         params = {k: (tmp if k == "x" else v) for k, v in cur.params}
         return node(cur.rule, params, cur.conclusion, new_prems)
 
@@ -106,7 +104,7 @@ def _scoped_rename(n: ProofNode, source: FreshTokenSource) -> ProofNode:
     if not temps:
         return mid
     final = {tmp: source.take() for tmp in temps}
-    return _rename_tree(mid, final, True)
+    return _rename_tree(mid, final)
 
 
 def _free_tokens(p: ProofNode) -> frozenset[Token]:
@@ -163,46 +161,6 @@ def _strip_prefix(pos: SeqPos, pre: SeqPos) -> SeqPos:
     return SeqPos(pos.items[len(pre.items):])
 
 
-def substitute_positions(p: ProofNode, u: SeqPos, v: SeqPos) -> ProofNode:
-    """Apply one prefix replacement to every position of a proof tree.
-
-    Callers must have arranged the eigen side conditions already; the
-    box/dia step parameters are recomputed from the rewritten sequents so
-    replacements cutting into a step stay well formed.
-    """
-
-    def sub_pos(q: SeqPos) -> SeqPos:
-        return prefix_replace(q, u, v)
-
-    def sub_pf(q: PFormula) -> PFormula:
-        return PFormula(q.formula, sub_pos(q.pos))
-
-    def sub_seq(s: Sequent) -> Sequent:
-        return Sequent(tuple(sub_pf(q) for q in s.ant),
-                       tuple(sub_pf(q) for q in s.suc))
-
-    def rec(n: ProofNode) -> ProofNode:
-        prems = tuple(rec(c) for c in n.premises)
-        concl = sub_seq(n.conclusion)
-        params = dict(n.params)
-        if isinstance(params.get("alpha"), SeqPos):
-            params["alpha"] = sub_pos(params["alpha"])
-        if isinstance(params.get("cutf"), PFormula):
-            params["cutf"] = sub_pf(params["cutf"])
-        if isinstance(params.get("pf"), PFormula):
-            params["pf"] = sub_pf(params["pf"])
-        if "beta" in params and isinstance(params["beta"], SeqPos):
-            if n.rule == "boxL":
-                params["beta"] = _strip_prefix(prems[0].conclusion.ant[-1].pos,
-                                               concl.ant[-1].pos)
-            elif n.rule == "diaR":
-                params["beta"] = _strip_prefix(prems[0].conclusion.suc[0].pos,
-                                               concl.suc[0].pos)
-        return node(n.rule, params, concl, prems)
-
-    return rec(p)
-
-
 def prefix_replace_proof(p: ProofNode, source: SeqPos, target: SeqPos,
                          sys: SystemId) -> ProofNode:
     """Rewrite a proof under the replacement of one position prefix.
@@ -217,11 +175,14 @@ def prefix_replace_proof(p: ProofNode, source: SeqPos, target: SeqPos,
     fresh = FreshTokenSource(_free_tokens(renamed))
     fresh.reserve(source.tokens() | target.tokens())
     renamed = _scoped_rename(renamed, fresh)
-    return substitute_positions(renamed, source, target)
+    return _map_positions(renamed, lambda q: prefix_replace(q, source, target))
 
 
-def _map_positions(p: ProofNode, fn: Callable[[Position], Position],
-                   recompute_beta: bool) -> ProofNode:
+def _map_positions(p: ProofNode, fn: Callable[[Position], Position]) -> ProofNode:
+    """Apply ``fn`` to every position of a proof tree (the caller has
+    arranged the eigen side conditions); a sequence step ``beta`` is read
+    off again from the rewritten active and principal formulas."""
+
     def sub_pf(q: PFormula) -> PFormula:
         return PFormula(q.formula, fn(q.pos))
 
@@ -239,13 +200,11 @@ def _map_positions(p: ProofNode, fn: Callable[[Position], Position],
             params["cutf"] = sub_pf(params["cutf"])
         if isinstance(params.get("pf"), PFormula):
             params["pf"] = sub_pf(params["pf"])
-        if recompute_beta and isinstance(params.get("beta"), SeqPos):
-            if n.rule == "boxL":
-                params["beta"] = _strip_prefix(prems[0].conclusion.ant[-1].pos,
-                                               concl.ant[-1].pos)
-            elif n.rule == "diaR":
-                params["beta"] = _strip_prefix(prems[0].conclusion.suc[0].pos,
-                                               concl.suc[0].pos)
+        s = SCHEMAS.get(n.rule)
+        if s and "step" in s.params and isinstance(params.get("beta"), SeqPos):
+            side = "L" if s.premises[0].left else "R"
+            params["beta"] = _strip_prefix(edge(prems[0].conclusion, side).pos,
+                                           edge(concl, s.side).pos)
         return node(n.rule, params, concl, prems)
 
     return rec(p)
@@ -275,13 +234,11 @@ def lift_proof(p: ProofNode, by: Position, sys: SystemId) -> ProofNode:
     fresh.reserve(by.tokens())
     renamed = _scoped_rename(renamed, fresh)
     if isinstance(by, SeqPos):
-        return _map_positions(renamed, lambda q: concat(by, q), recompute_beta=True)
+        return _map_positions(renamed, lambda q: concat(by, q))
     if isinstance(by, SetPos):
-        return _map_positions(renamed, lambda q: SetPos(q.items | by.items),
-                              recompute_beta=False)
+        return _map_positions(renamed, lambda q: SetPos(q.items | by.items))
     if isinstance(by, LtlPos):
-        return _map_positions(renamed, lambda q: ltl_add(q, by),
-                              recompute_beta=False)
+        return _map_positions(renamed, lambda q: ltl_add(q, by))
     raise TransformError("lifting is not defined for past positions")
 
 

@@ -74,6 +74,32 @@ def test_cutelim_refuses_ltl(files, capsys):
     assert "unsupported" in capsys.readouterr().err
 
 
+def test_cutelim_rechecks_its_output(files, tmp_path, monkeypatch, capsys):
+    import twoseq.cli as cli
+    from twoseq.calculus import ProofNode, seq
+
+    def tampered(p, sys_id, trace=None):
+        return ProofNode(p.rule, p.params, seq(), p.premises)
+
+    monkeypatch.setattr(cli, "eliminate_cuts", tampered)
+    path = proof_file(files, "mp.2sp", SystemId.S4, corpus.mp_example(SystemId.S4))
+    out_path = tmp_path / "out.2sp"
+    assert main(["cutelim", path, "-o", str(out_path)]) == 2
+    assert main(["cutelim", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("internal error:") == 2
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
+def test_check_system_override_across_families(files, capsys):
+    path = proof_file(files, "k.2sp", SystemId.K, corpus.axiom_k())
+    assert main(["check", "--system", "S42", "--json", path]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "rejected"
+    assert {f["condition"] for f in data["failures"]} <= {"family", "params", "schema"}
+
+
 def test_subformula_needs_cut_free(files, capsys):
     path = proof_file(files, "cutty.2sp", SystemId.S4, corpus.diamond_taut_cut())
     assert main(["subformula", path]) == 2
