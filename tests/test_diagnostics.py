@@ -2,16 +2,18 @@
 
 The golden (``tests/golden/diagnostics.json``, written by ``tests/mutants.py``)
 holds the full (path, rule, condition, message) failure list of every
-corpus proof against every system, and of every single-node mutant of it
-in its home system.
+corpus proof against every system, of every single-node mutant of it in
+its home system, and of every eigen mutant (an eigen token renamed to
+one already taken), which pins the token-condition diagnostics.
 """
 
 import json
 
 import pytest
 
-from mutants import GOLDEN, corpus_proofs, failures, mutants
-from twoseq.calculus import SystemId, check_proof, expand_double_lines
+from mutants import (GOLDEN, corpus_proofs, eigen_mutants, eigen_subjects,
+                     failures, mutants)
+from twoseq.calculus import TABLE, SystemId, check_proof, expand_double_lines
 from twoseq.parser import parse_proof
 
 GOLD = json.loads(GOLDEN.read_text())
@@ -19,7 +21,9 @@ PROOFS = {(home.value, name): proof for home, name, proof in corpus_proofs()}
 
 
 def test_corpus_against_every_system_matches_golden():
-    assert len(GOLD["pairs"]) == 291
+    assert len(GOLD["pairs"]) == 387
+    assert {(r["home"], r["name"], r["system"]) for r in GOLD["pairs"]} == \
+        {(home, name, sys.value) for home, name in PROOFS for sys in SystemId}
     for rec in GOLD["pairs"]:
         proof = PROOFS[rec["home"], rec["name"]]
         got = failures(proof, SystemId(rec["system"]))
@@ -40,15 +44,33 @@ def test_mutants_match_golden():
     assert sum(1 for fs in want.values() if fs) == 341
 
 
+def test_eigen_mutants_match_golden():
+    want = {(r["home"], r["name"], r["mutant"]): r["failures"]
+            for r in GOLD["eigen_mutants"]}
+    assert len(want) == len(GOLD["eigen_mutants"]) == 57
+    seen = []
+    for (home, name), proof in PROOFS.items():
+        for prefix, subject in eigen_subjects(SystemId(home), proof):
+            for label, m in eigen_mutants(subject):
+                key = (home, name, prefix + label)
+                seen.append(key)
+                assert failures(m, SystemId(home)) == want[key], key
+    assert seen == list(want)
+    for key, fs in want.items():
+        assert any(f[2] == "token-condition" for f in fs), key
+    assert sum(1 for fs in want.values()
+               if any("two rules" in f[3] for f in fs)) == 32
+    assert sum(1 for fs in want.values()
+               if any("occurs outside" in f[3] for f in fs)) == 57
+
+
 def test_checker_is_total_on_cross_family_input():
-    # every corpus proof against every system yields a report; the pairs
-    # missing from the golden, on which its recording checker raised, are
-    # rejected
-    pinned = {(r["home"], r["name"], r["system"]) for r in GOLD["pairs"]}
+    # every corpus proof against every system yields a report, and one of
+    # another position family than its home system is rejected
     for (home, name), proof in PROOFS.items():
         for sys in SystemId:
             rep = check_proof(proof, sys)
-            if (home, name, sys.value) not in pinned:
+            if TABLE[sys].family is not TABLE[SystemId(home)].family:
                 assert not rep.accepted, (home, name, sys.value)
 
 

@@ -1,8 +1,13 @@
 """Text front end: grammar instances, round trips, diagnostics."""
 
+import json
+import random
+
 import pytest
 from hypothesis import given, settings
 
+from corruptions import GOLDEN as PARSE_ERRORS, corruptions, parse_error
+from mutants import corpus_proofs
 from strategies import formula_st, pformula_st, sequent_st
 from twoseq.calculus import SystemId, expand_double_lines
 from twoseq.errors import ParseError
@@ -57,6 +62,21 @@ def test_diagnostics_have_locations_and_are_deterministic():
         parse_sequent(bad)
     assert str(e1.value) == str(e2.value)
     assert e1.value.line == 1 and e1.value.col >= 4
+
+
+def test_error_positions_match_golden():
+    # (message, line, col) of seeded corruptions of every rendered corpus script
+    want = json.loads(PARSE_ERRORS.read_text())
+    got = []
+    for home, name, proof in corpus_proofs():
+        rng = random.Random(f"{home.value}:{name}")
+        for label, text in corruptions(render_proof(home, proof), rng):
+            got.append({"home": home.value, "name": name, "corruption": label,
+                        "error": parse_error(text)})
+    assert len(got) == 473
+    for g, w in zip(got, want):
+        assert g == w
+    assert len(got) == len(want)
 
 
 def test_unknown_rule_and_system_rejected():
