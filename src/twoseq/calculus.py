@@ -21,6 +21,7 @@ Induction, the axioms and the structural rules are written out.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -44,6 +45,10 @@ class SystemId(Enum):
     LTL = "LTL"
     LTL_INDAX = "LTL_IndAx"
     LTLP = "LTLP"
+
+    # members are singletons, so identity hashing agrees with ==; Enum's
+    # own __hash__ is a Python-level call on every table lookup
+    __hash__ = object.__hash__
 
     @classmethod
     def parse(cls, text: str) -> "SystemId":
@@ -207,6 +212,63 @@ def iter_nodes(p: ProofNode):
         yield path, n
         for i, c in enumerate(n.premises):
             stack.append((path + (i,), c))
+
+
+class OccurrenceIndex:
+    """One preorder pass over a proof, in the order of ``iter_nodes``.
+
+    Node ``i`` in preorder has the strict descendants ``(i, end[i]]``;
+    ``at`` maps each token to the sorted preorder indices of the nodes
+    whose conclusion carries it, and ``eigens`` lists the eigen rules as
+    (index, token).  Paths are rebuilt from parent links on demand.
+    """
+
+    def __init__(self, p: ProofNode):
+        self.nodes: list[ProofNode] = []
+        self.parent: list[int] = []
+        self.slot: list[int] = []           # which premise of its parent
+        self.at: dict[Token, list[int]] = {}
+        self.eigens: list[tuple[int, Token]] = []
+        stack = [(p, -1, 0)]
+        while stack:
+            n, up, k = stack.pop()
+            i = len(self.nodes)
+            self.nodes.append(n)
+            self.parent.append(up)
+            self.slot.append(k)
+            for t in tokens_of(n.conclusion):
+                self.at.setdefault(t, []).append(i)
+            x = eigen_token(n)
+            if x is not None:
+                self.eigens.append((i, x))
+            stack.extend((c, i, k) for k, c in enumerate(n.premises))
+        self.end = list(range(len(self.nodes)))
+        for i in range(len(self.nodes) - 1, 0, -1):
+            up = self.parent[i]
+            if self.end[i] > self.end[up]:
+                self.end[up] = self.end[i]
+
+    def path(self, i: int) -> tuple[int, ...]:
+        out = []
+        while i > 0:
+            out.append(self.slot[i])
+            i = self.parent[i]
+        return tuple(reversed(out))
+
+    def first_outside(self, token: Token, scopes: Iterable[int]) -> Optional[int]:
+        """The first node in preorder whose conclusion carries ``token``
+        and that lies in the premise subtree of none of ``scopes``."""
+        occ = self.at.get(token, ())
+        j, reach = 0, -1
+        for s in sorted(scopes):
+            hi = self.end[s]
+            if hi <= reach:     # inside a scope passed: subtrees nest or are disjoint
+                continue
+            if j < len(occ) and occ[j] <= s:
+                return occ[j]
+            j = bisect_right(occ, hi, j)
+            reach = hi
+        return occ[j] if j < len(occ) else None
 
 
 def proof_tokens(p: ProofNode) -> frozenset[Token]:
@@ -714,6 +776,15 @@ def _cut_position(table, n, a, values, ctx) -> Optional[str]:
 _HOOKS = {"beta-shape": _beta_shape, "context-demand": _context_demand,
           "eigen-position": _eigen_position, "cut-position": _cut_position}
 
+# the parameter keys each rule takes: a schema rule its base position
+# (alpha) if it declares one and its parameters, a step under either name
+_KEY_NAMES = {"step": ("beta", "t"), "x": ("x",), "cutf": ("cutf",)}
+_TAKES = {r: frozenset(("alpha",) * s.based + sum((_KEY_NAMES[k] for k in s.params), ()))
+          for r, s in SCHEMAS.items()}
+_TAKES.update((r, frozenset(keys)) for r, keys in (
+    ("weakL", ("pf",)), ("weakR", ("pf",)), ("excL", ("at",)), ("excR", ("at",)),
+    ("ind", ("alpha", "x", "t")), ("pind", ("alpha", "x", "t"))))
+
 _PARAM_KINDS = {"step": ((SeqPos, SetPos, LtlPos, PastPos), "missing step parameter"),
                 "x": (str, "missing eigen token"),
                 "cutf": (PFormula, "missing cut formula")}
@@ -911,6 +982,10 @@ def check_rule_instance(n: ProofNode, sys: SystemId) -> list[Violation]:
         principal = edge(c, side)
         if principal is not None and principal.pos != alpha:
             bad("params", "declared base position differs from the conclusion")
+    takes = _TAKES.get(n.rule, frozenset())
+    for key, _ in n.params:
+        if key not in takes:
+            bad("params", f"rule {n.rule} takes no parameter {key}")
     return out
 
 
@@ -940,37 +1015,34 @@ def check_proof(p: ProofNode, sys: SystemId) -> CheckReport:
     """Full proof check: every rule instance plus the global token condition.
 
     The token condition asks that each eigen token belong to exactly one
-    rule and occur nowhere outside that rule's premise subtree.
+    rule and occur nowhere outside that rule's premise subtree.  It is
+    read off an ``OccurrenceIndex``, whose one preorder pass also feeds
+    the local checks: the premise subtree of the rule at preorder index i
+    is the index range (i, end[i]], so the occurrence reported for its
+    eigen token is the first one in preorder outside that range: the
+    token's first occurrence, or else the first one past end[i].
     """
     failures: list[Violation] = []
-    eigens: list[tuple[tuple[int, ...], Token]] = []
+    index = OccurrenceIndex(p)
+    for i, n in enumerate(index.nodes):
+        found = _family_violations(n, sys) + check_rule_instance(n, sys)
+        if found:
+            path = index.path(i)
+            failures += [Violation(path, v.rule, v.condition, v.message) for v in found]
 
-    for path, n in iter_nodes(p):
-        for v in _family_violations(n, sys):
-            failures.append(Violation(path, v.rule, v.condition, v.message))
-        for v in check_rule_instance(n, sys):
-            failures.append(Violation(path, v.rule, v.condition, v.message))
-        x = eigen_token(n)
-        if x is not None:
-            eigens.append((path, x))
-
-    seen: dict[Token, tuple[int, ...]] = {}
-    for path, x in eigens:
+    seen: set[Token] = set()
+    for i, x in index.eigens:
         if x in seen:
-            failures.append(Violation(path, "", "token-condition",
+            failures.append(Violation(index.path(i), "", "token-condition",
                                       f"token {x} is the eigen token of two rules"))
-        seen[x] = path
-    for path, x in eigens:
-        for other_path, n in iter_nodes(p):
-            inside = len(other_path) > len(path) and other_path[:len(path)] == path
-            if inside:
-                continue
-            if x in tokens_of(n.conclusion):
-                failures.append(Violation(
-                    path, "", "token-condition",
-                    f"eigen token {x} occurs outside its rule's premises (at "
-                    f"{'/'.join(map(str, other_path)) or 'root'})"))
-                break
+        seen.add(x)
+    for i, x in index.eigens:
+        w = index.first_outside(x, (i,))
+        if w is not None:
+            failures.append(Violation(
+                index.path(i), "", "token-condition",
+                f"eigen token {x} occurs outside its rule's premises (at "
+                f"{'/'.join(map(str, index.path(w))) or 'root'})"))
 
     failures.sort(key=lambda v: v.path)
     return report(failures)

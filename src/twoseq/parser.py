@@ -12,7 +12,6 @@ lexicographic order and ``parse(render(v)) == v`` for every value.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .calculus import (ProofNode, ProofScript, RULES_BY_SYSTEM, ScriptNode,
@@ -26,55 +25,67 @@ _UNARY_WORDS = {"box": Box, "dia": Dia, "X": Next, "Y": Prev, "H": Hist, "P": On
 _PARAM_KEYS = ("alpha", "beta", "t", "x", "at", "cutf", "pf")
 
 
-@dataclass
 class _Tok:
-    kind: str
-    value: str
-    line: int
-    col: int
+    """A token: its kind (punctuation is its own kind), text and offset."""
+
+    __slots__ = ("kind", "value", "offset")
+
+    def __init__(self, kind: str, value: str, offset: int):
+        self.kind = kind
+        self.value = value
+        self.offset = offset
 
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<turnstile>\|-)
+# what lies between tokens; a comment runs to the end of its line, so
+# each stretch of whitespace and comments matches in exactly one way
+_SKIP = r"[ \t\r\n]*(?:\#[^\n]*(?:\n[ \t\r\n]*|\Z))*"
+_SKIP_RE = re.compile(_SKIP)
+_TOKEN_RE = re.compile(_SKIP + r"""(?:
+    (?P<turnstile>\|-)
   | (?P<arrow>->)
   | (?P<int>-?[0-9]+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[()\[\]{};,@&|~])
+  | (?P<eof>\Z))
 """, re.VERBOSE)
 
 
+def _error_at(text: str, offset: int, message: str) -> ParseError:
+    """A ParseError at an offset; lines and columns are counted only here."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+
 def _lex(text: str) -> list[_Tok]:
-    text = text.replace("\u2212", "-")     # accept the unicode minus sign
+    """The tokens of ``text``, each match taking the whitespace and comments
+    before its token, padded with two ``eof`` tokens for one-token lookahead."""
     toks: list[_Tok] = []
-    line, col, i = 1, 1, 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {text[i]!r}", line, col)
+    match = _TOKEN_RE.match
+    i = 0
+    while True:
+        m = match(text, i)
+        if m is None:
+            j = _SKIP_RE.match(text, i).end()
+            raise _error_at(text, j, f"unexpected character {text[j]!r}")
         kind = m.lastgroup
-        val = m.group()
-        if kind not in ("ws", "comment"):
-            toks.append(_Tok(kind if kind != "punct" else val, val, line, col))
-        nl = val.count("\n")
-        if nl:
-            line += nl
-            col = len(val) - val.rfind("\n")
-        else:
-            col += len(val)
         i = m.end()
-    toks.append(_Tok("eof", "", line, col))
+        if kind == "eof":
+            break
+        value = m.group(kind)
+        toks.append(_Tok(value if kind == "punct" else kind, value, i - len(value)))
+    end = _Tok("eof", "", len(text))
+    toks += (end, end)
     return toks
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _lex(text)
+        self.text = text.replace("\u2212", "-")     # accept the unicode minus sign
+        self.toks = _lex(self.text)
         self.i = 0
 
     def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+        return self.toks[self.i + ahead]
 
     def next(self) -> _Tok:
         t = self.toks[self.i]
@@ -82,9 +93,12 @@ class _Parser:
             self.i += 1
         return t
 
+    def error(self, msg: str, tok: Optional[_Tok] = None) -> ParseError:
+        """A ParseError at ``tok``, by default the next token."""
+        return _error_at(self.text, (tok or self.peek()).offset, msg)
+
     def fail(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
+        raise self.error(msg)
 
     def expect(self, kind: str) -> _Tok:
         t = self.peek()
@@ -211,13 +225,12 @@ class _Parser:
         self.expect("(")
         head = self.expect("ident")
         if head.value != "proof":
-            raise ParseError("proof file must start with (proof SYSTEM ...)",
-                             head.line, head.col)
+            raise self.error("proof file must start with (proof SYSTEM ...)", head)
         name = self.expect("ident")
         try:
             sys = SystemId.parse(name.value)
         except TwoseqError:
-            raise ParseError(f"unknown system {name.value!r}", name.line, name.col)
+            raise self.error(f"unknown system {name.value!r}", name)
         root = self.script_node(sys)
         self.expect(")")
         return ProofScript(sys, root)
@@ -232,16 +245,13 @@ class _Parser:
                 children.append(self.script_node(sys))
             self.expect(")")
             if len(children) != 1:
-                raise ParseError("bridge nodes take exactly one child",
-                                 opener.line, opener.col)
+                raise self.error("bridge nodes take exactly one child", opener)
             return ScriptNode("bridge", (), concl, tuple(children))
         if head.value != "rule":
-            raise ParseError("expected (rule ...) or (bridge ...)",
-                             head.line, head.col)
+            raise self.error("expected (rule ...) or (bridge ...)", head)
         name = self.expect("ident")
         if name.value not in RULES_BY_SYSTEM[sys]:
-            raise ParseError(f"unknown rule {name.value!r} for system {sys.value}",
-                             name.line, name.col)
+            raise self.error(f"unknown rule {name.value!r} for system {sys.value}", name)
         params: dict[str, object] = {}
         concl: Optional[Sequent] = None
         while self.peek().kind == "(" and self.peek(1).kind == "ident" \
@@ -268,8 +278,7 @@ class _Parser:
         self.expect("(")
         key = self.expect("ident")
         if key.value != "concl":
-            raise ParseError("bridge nodes start with their (concl ...) sequent",
-                             key.line, key.col)
+            raise self.error("bridge nodes start with their (concl ...) sequent", key)
         out = self.sequent()
         self.expect(")")
         self._check_family(out, sys, key)
@@ -293,9 +302,8 @@ class _Parser:
         fam = TABLE[sys].family
         for q in s.ant + s.suc:
             if not isinstance(q.pos, fam):
-                raise ParseError(
-                    f"position {q.pos} is not in the {fam.__name__} family of "
-                    f"system {sys.value}", tok.line, tok.col)
+                raise self.error(f"position {q.pos} is not in the {fam.__name__} "
+                                 f"family of system {sys.value}", tok)
 
     # -- models --
 

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .calculus import (SCHEMAS, ProofNode, SystemId, TABLE, ax, and_right,
-                       box_left_at, box_right, bridge_proof, check_proof, cut,
-                       edge, eigen_token, imp_left, imp_right, indax,
-                       iter_nodes, next_right, node, proof_tokens, seq)
+from .calculus import (SCHEMAS, OccurrenceIndex, ProofNode, SystemId, TABLE,
+                       ax, and_right, box_left_at, box_right, bridge_proof,
+                       check_proof, cut, edge, eigen_token, imp_left,
+                       imp_right, indax, next_right, node, proof_tokens, seq)
 from .errors import TransformError
 from .positions import (LtlPos, PastPos, Position, SeqPos, SetPos, Token,
                         concat, ltl_add, prefix_replace, seqpos)
-from .syntax import Box, Imp, Next, PFormula, Sequent, pf, tokens_of
+from .syntax import Box, Imp, Next, PFormula, Sequent, pf
 
 
 class FreshTokenSource:
@@ -110,19 +110,12 @@ def _scoped_rename(n: ProofNode, source: FreshTokenSource) -> ProofNode:
 def _free_tokens(p: ProofNode) -> frozenset[Token]:
     """Tokens with an occurrence outside every scope of an eigen rule
     carrying that token; these must survive a canonical renaming."""
-    scopes: dict[Token, list[tuple[int, ...]]] = {}
-    for path, n in iter_nodes(p):
-        x = eigen_token(n)
-        if x is not None:
-            scopes.setdefault(x, []).append(path)
-    free: set[Token] = set()
-    for path, n in iter_nodes(p):
-        for t in tokens_of(n.conclusion):
-            inside = any(len(path) > len(ep) and path[:len(ep)] == ep
-                         for ep in scopes.get(t, ()))
-            if not inside:
-                free.add(t)
-    return frozenset(free)
+    index = OccurrenceIndex(p)
+    scopes: dict[Token, list[int]] = {}
+    for i, x in index.eigens:
+        scopes.setdefault(x, []).append(i)
+    return frozenset(t for t in index.at
+                     if index.first_outside(t, scopes.get(t, ())) is not None)
 
 
 def canonical_rename(p: ProofNode,

@@ -28,6 +28,7 @@ from twoseq.parser import parse_proof, render_proof
 GOLDEN = Path(__file__).parent / "golden" / "parse_errors.json"
 
 _TOKEN = re.compile(r"\|-|->|-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[()\[\]{};,@&|~]")
+_COMMENT = "  # note: (rule $\n"
 PER_KIND = 3
 
 
@@ -46,8 +47,8 @@ def corruptions(text: str, rng: random.Random) -> Iterator[tuple[str, str]]:
     starts = [0] + [m.end() for m in re.finditer("\n", text)]
     for _ in range(PER_KIND - 1):
         i = rng.choice(starts)
-        commented = text[:i] + "  # note: (rule $\n" + text[i:]
-        j = rng.randrange(i + 18, len(commented))
+        commented = text[:i] + _COMMENT + text[i:]
+        j = rng.randrange(i + len(_COMMENT), len(commented))
         yield f"comment at {i}, truncate at {j}", commented[:j]
 
 

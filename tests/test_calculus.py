@@ -4,8 +4,10 @@ import pytest
 
 from twoseq.calculus import (ProofNode, SystemId, ax, box_left, box_right,
                              bridge_proof, check_proof, check_rule_instance,
-                             cut, node, seq, structural_bridge, weak_left)
+                             cut, expand_double_lines, node, seq,
+                             structural_bridge, weak_left)
 from twoseq.errors import BridgeError
+from twoseq.parser import parse_proof
 from twoseq.positions import seqpos
 from twoseq.syntax import Box, Prop, pf
 from twoseq.transform import canonical_rename
@@ -66,6 +68,24 @@ def test_malformed_parameters_are_violations_not_crashes():
                 seq((), (pf(Box(P0), E),)),
                 (node("ax", {}, seq((pf(P0, X),), (pf(P0, X),))),))
     assert any(v.condition == "params" for v in check_rule_instance(no_x, SystemId.S4))
+
+
+def test_stray_parameters_are_params_violations():
+    script = parse_proof("(proof K (rule negR (beta [x]) (x y) (concl |- ~p0 @ [], p0 @ [])"
+                         " (rule ax (concl p0 @ [] |- p0 @ []))))")
+    rep = check_proof(expand_double_lines(script), script.system)
+    assert [(v.path, v.rule, v.condition, v.message) for v in rep.failures] == [
+        ((), "negR", "params", "rule negR takes no parameter beta"),
+        ((), "negR", "params", "rule negR takes no parameter x")]
+    leaf = node("ax", {"at": 0}, seq((pf(P0, E),), (pf(P0, E),)))
+    assert [v.message for v in check_rule_instance(leaf, SystemId.K)] == \
+        ["rule ax takes no parameter at"]
+    boxed = find_node(corpus.axiom_k(), "boxR")
+    stray = node("boxR", dict(boxed.params, pf=pf(P0, E)), boxed.conclusion,
+                 boxed.premises)
+    assert check_rule_instance(boxed, SystemId.K) == []
+    assert [v.message for v in check_rule_instance(stray, SystemId.K)] == \
+        ["rule boxR takes no parameter pf"]
 
 
 def test_eigen_condition_is_positional():

@@ -1,13 +1,18 @@
-"""The global token condition against a brute-force oracle."""
+"""The global token condition and the free-token scan against
+brute-force oracles, and a count that keeps both linear."""
 
 import random
 
 from mutants import rename_eigen_at
 from proofgen import generate_suite
-from token_oracle import preorder, token_condition_failures
-from twoseq.calculus import (CORE_SYSTEMS, check_proof, eigen_token,
-                             iter_nodes, proof_tokens)
-from twoseq.syntax import tokens_of
+from token_oracle import free_tokens, preorder, token_condition_failures
+from twoseq import calculus
+from twoseq.calculus import (CORE_SYSTEMS, ProofNode, SystemId, and_right,
+                             ax, box_right, check_proof, eigen_token,
+                             imp_right, iter_nodes, proof_tokens, weak_left)
+from twoseq.positions import seqpos
+from twoseq.syntax import Prop, pf, seq, tokens_of
+from twoseq.transform import _free_tokens, canonical_rename
 
 
 def collide(p, rng: random.Random):
@@ -59,3 +64,56 @@ def test_token_condition_agrees_with_brute_force_oracle():
     assert messages == {"token", "eigen"}
     assert mutated >= 500
     assert sides == {"before", "after"}
+
+
+def random_tree(rng: random.Random, depth: int) -> ProofNode:
+    """A tree of boxR and andR nodes, not a proof: random arities, random
+    eigen tokens and random tokens in the conclusions, from a small set."""
+    tokens = "abcde"
+    k = rng.choice((0, 1, 1, 2, 2, 3)) if depth else 0
+    prems = tuple(random_tree(rng, depth - 1) for _ in range(k))
+    concl = seq(tuple(pf(Prop("p0"), seqpos(*rng.sample(tokens, rng.randint(0, 2))))
+                      for _ in range(rng.randint(0, 2))))
+    if rng.random() < 0.4:
+        return ProofNode("boxR", (("x", rng.choice(tokens)),), concl, prems)
+    return ProofNode("andR", (), concl, prems)
+
+
+def test_occurrence_index_agrees_with_oracles_on_random_trees():
+    rng = random.Random(3)
+    for _ in range(1500):
+        p = random_tree(rng, rng.randint(1, 6))
+        got = [v for v in check_proof(p, SystemId.S4).failures
+               if v.condition == "token-condition"]
+        assert got == token_condition_failures(p)
+        assert _free_tokens(p) == free_tokens(p)
+
+
+def wide_proof(leaves: int) -> ProofNode:
+    """Balanced andR over ``leaves`` boxR subproofs of |- box(p0 -> (p1 -> p0)),
+    each with its own eigen token."""
+    level = []
+    for i in range(leaves):
+        at = seqpos(f"x{i}")
+        leaf = weak_left(ax(pf(Prop("p0"), at)), pf(Prop("p1"), at))
+        level.append(box_right(imp_right(imp_right(leaf)), f"x{i}"))
+    while len(level) > 1:
+        level = [and_right(*level[j:j + 2]) if j + 1 < len(level) else level[j]
+                 for j in range(0, len(level), 2)]
+    return level[0]
+
+
+def test_token_scans_read_each_conclusion_once(monkeypatch):
+    # the free-token scan of canonical_rename reaches tokens_of through the
+    # checker's occurrence index, so one counter covers both
+    p = wide_proof(256)
+    nodes = sum(1 for _ in iter_nodes(p))
+    assert nodes == 5 * 256 + 255
+    calls = []
+    real = calculus.tokens_of
+    monkeypatch.setattr(calculus, "tokens_of", lambda s: calls.append(s) or real(s))
+    assert check_proof(p, SystemId.S4).accepted
+    assert 0 < len(calls) <= nodes
+    calls.clear()
+    canonical_rename(p)
+    assert 0 < len(calls) <= nodes

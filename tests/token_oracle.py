@@ -1,10 +1,10 @@
-"""A brute-force statement of the global token condition, kept as an
-oracle for the checker's occurrence index.
+"""Brute-force statements of the global token condition and of the free
+tokens of a proof, kept as oracles for the occurrence index.
 
-For each eigen rule it walks the whole tree in the checker's preorder
-and reports the first node outside the rule's premise subtree whose
-conclusion carries the eigen token: O(eigen rules x nodes).  The
-messages and their order are those of ``check_proof``.
+For each eigen rule the token condition walks the whole tree in the
+checker's preorder and reports the first node outside the rule's premise
+subtree whose conclusion carries the eigen token: O(eigen rules x nodes).
+The messages and their order are those of ``check_proof``.
 """
 
 from __future__ import annotations
@@ -44,3 +44,20 @@ def token_condition_failures(p: ProofNode) -> list[Violation]:
                 break
     out.sort(key=lambda v: v.path)
     return out
+
+
+def free_tokens(p: ProofNode) -> frozenset:
+    """Tokens of a conclusion outside every premise subtree of an eigen
+    rule carrying that token."""
+    scopes: dict = {}
+    for path, n in preorder(p):
+        x = eigen_token(n)
+        if x is not None:
+            scopes.setdefault(x, []).append(path)
+    free = set()
+    for path, n in preorder(p):
+        for t in tokens_of(n.conclusion):
+            if not any(len(path) > len(ep) and path[:len(ep)] == ep
+                       for ep in scopes.get(t, ())):
+                free.add(t)
+    return frozenset(free)
