@@ -1,12 +1,16 @@
 """Rule engine: local instances, constraint matrix, bridges, token discipline."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from strategies import pformula_st
 from twoseq.calculus import (ProofNode, SystemId, ax, box_left, box_right,
                              bridge_proof, check_proof, check_rule_instance,
-                             cut, expand_double_lines, node, seq,
-                             structural_bridge, weak_left)
-from twoseq.errors import BridgeError
+                             contr_left, contr_right, cut, exc_left, exc_right,
+                             expand_double_lines, node, seq,
+                             structural_bridge, weak_left, weak_right)
+from twoseq.errors import BridgeError, TwoseqError
 from twoseq.parser import parse_proof
 from twoseq.positions import seqpos
 from twoseq.syntax import Box, Prop, pf
@@ -86,6 +90,61 @@ def test_stray_parameters_are_params_violations():
     assert check_rule_instance(boxed, SystemId.K) == []
     assert [v.message for v in check_rule_instance(stray, SystemId.K)] == \
         ["rule boxR takes no parameter pf"]
+
+
+A0, A1 = pf(P0, E), pf(P1, E)
+AX0 = ax(A0)                                    # p0 |- p0
+TWO_L = weak_left(AX0, A1)                      # p0, p1 |- p0
+TWO_R = weak_right(AX0, A1)                     # p0 |- p1, p0
+SAME_R = weak_right(AX0, A0)                    # p0 |- p0, p0
+
+
+@pytest.mark.parametrize("rule, params, conclusion, premise, want", [
+    ("weakL", {"pf": A1}, seq((A1, A0), (A0,)), AX0,
+     [("schema", "weakening must append one antecedent formula")]),
+    ("weakL", {}, seq((), (A0,)), AX0,
+     [("schema", "weakening must append one antecedent formula")]),
+    ("weakL", {"pf": A0}, seq((A0, A1), (A0,)), AX0,
+     [("params", "declared formula differs from the weakened one")]),
+    ("weakL", {}, seq((A0, A1), (A0,)), AX0, []),
+    ("weakR", {"pf": A1}, seq((A0,), (A0, A1)), AX0,
+     [("schema", "weakening must prepend one succedent formula")]),
+    ("weakR", {"pf": A0}, seq((A0,), (A1, A0)), AX0,
+     [("params", "declared formula differs from the weakened one")]),
+    ("contrR", {}, seq((A0,), (A1,)), TWO_R,
+     [("schema", "contraction must merge the first two succedent formulas")]),
+    ("contrR", {}, seq((A0,), (A1,)), SAME_R,
+     [("schema", "contraction must merge the first two succedent formulas")]),
+    ("contrR", {"at": 0}, seq((A0,), (A0,)), SAME_R,
+     [("params", "rule contrR takes no parameter at")]),
+    ("excR", {"at": 0}, TWO_R.conclusion, TWO_R,
+     [("schema", "conclusion is not the declared adjacent swap")]),
+    ("excR", {"at": 1}, seq((A0,), (A0, A1)), TWO_R,
+     [("params", "exchange index out of range")]),
+    ("excR", {"at": "0"}, seq((A0,), (A0, A1)), TWO_R,
+     [("params", "exchange index out of range")]),
+    ("excR", {}, seq((A0,), (A0, A1)), TWO_R,
+     [("params", "exchange index out of range")]),
+    ("excL", {"at": 0, "pf": A0}, seq((A1, A0), (A0,)), TWO_L,
+     [("params", "rule excL takes no parameter pf")]),
+])
+def test_structural_rule_diagnostics(rule, params, conclusion, premise, want):
+    n = node(rule, params, conclusion, (premise,))
+    assert [(v.condition, v.message) for v in check_rule_instance(n, SystemId.K)] == want
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: contr_left(TWO_L), "contrL: last two antecedent formulas must agree"),
+    (lambda: contr_right(TWO_R), "contrR: first two succedent formulas must agree"),
+    (lambda: contr_right(AX0), "contrR: first two succedent formulas must agree"),
+    (lambda: exc_left(TWO_L, 1), "excL: index out of range"),
+    (lambda: exc_right(TWO_R, 1), "excR: index out of range"),
+    (lambda: exc_right(TWO_R, -1), "excR: index out of range"),
+])
+def test_structural_constructor_errors(build, message):
+    with pytest.raises(TwoseqError) as e:
+        build()
+    assert str(e.value) == message
 
 
 def test_eigen_condition_is_positional():
@@ -232,3 +291,39 @@ def test_expand_rejects_impossible_bridge():
     with pytest.raises(BridgeError) as e:
         expand_double_lines(parse_proof(text))
     assert "root" in str(e.value)
+
+
+@st.composite
+def bridge_ends(draw):
+    """Two sequents over a small shared pool of formulas; about half of
+    them can be bridged (every formula of the first occurs in the second)."""
+    pool = draw(st.lists(pformula_st(), min_size=1, max_size=4))
+    side = st.lists(st.sampled_from(pool), max_size=5)
+    frm = seq(draw(side), draw(side))
+    ant, suc = draw(side), draw(side)
+    if draw(st.booleans()):
+        ant += list(dict.fromkeys(frm.ant))
+        suc += list(dict.fromkeys(frm.suc))
+    return frm, seq(draw(st.permutations(ant)), draw(st.permutations(suc)))
+
+
+@given(bridge_ends())
+@settings(max_examples=150, deadline=None)
+def test_bridge_plan_is_the_chain_bridge_proof_builds(ends):
+    frm, to = ends
+    leaf = ProofNode("leaf", (), frm)
+    try:
+        steps = structural_bridge(frm, to)
+    except BridgeError as e:
+        with pytest.raises(BridgeError) as again:
+            bridge_proof(leaf, to)
+        assert (again.value.missing, again.value.side) == (e.missing, e.side)
+        return
+    out = bridge_proof(leaf, to)
+    assert out.conclusion == to
+    chain = []
+    while out is not leaf:
+        assert check_rule_instance(out, SystemId.S4) == [], out.rule
+        chain.append((out.rule, dict(out.params)))
+        out, = out.premises
+    assert tuple(reversed(chain)) == steps
