@@ -16,7 +16,12 @@ constructor (``apply_rule``, behind the named wrappers), the checker
 (``_check_schema``) and the mix step of cut elimination (``reapply``).
 A new rule is one entry here, its name in ``RULES_BY_SYSTEM`` and, for
 building proofs by hand, a wrapper; a new side condition is a hook.
-Induction, the axioms and the structural rules are written out.
+
+The six structural rules share one step function, ``structural`` (a
+rule's conclusion from its premise), and a row each in ``STRUCTURAL``
+(parameter, constructor error, checker message); their constructors, the
+checker and bridge synthesis all go through it.  Induction and the
+axioms are written out.
 """
 
 from __future__ import annotations
@@ -92,7 +97,30 @@ TABLE: dict[SystemId, ConstraintTable] = {
     SystemId.LTLP: ConstraintTable(PastPos, "any", False, False, True, True, "rule"),
 }
 
-STRUCTURAL_RULES = ("weakL", "weakR", "contrL", "contrR", "excL", "excR")
+
+@dataclass(frozen=True)
+class StructuralRule:
+    param: str          # pf (the formula weakened in), at (the swap index) or ""
+    error: str          # why the constructor refuses a premise
+    message: str        # the checker's schema violation
+
+
+STRUCTURAL: dict[str, StructuralRule] = {
+    "weakL": StructuralRule("pf", "missing weakening formula",
+                            "weakening must append one antecedent formula"),
+    "weakR": StructuralRule("pf", "missing weakening formula",
+                            "weakening must prepend one succedent formula"),
+    "contrL": StructuralRule("", "last two antecedent formulas must agree",
+                             "contraction must merge the last two antecedent formulas"),
+    "contrR": StructuralRule("", "first two succedent formulas must agree",
+                             "contraction must merge the first two succedent formulas"),
+    "excL": StructuralRule("at", "index out of range",
+                           "conclusion is not the declared adjacent swap"),
+    "excR": StructuralRule("at", "index out of range",
+                           "conclusion is not the declared adjacent swap"),
+}
+
+STRUCTURAL_RULES = tuple(STRUCTURAL)
 
 _COMMON = ("ax", "cut") + STRUCTURAL_RULES + (
     "negL", "negR", "andL1", "andL2", "andR", "orL", "orR1", "orR2",
@@ -535,46 +563,59 @@ def cut(p1: ProofNode, p2: ProofNode, cutf: PFormula) -> ProofNode:
     return apply_rule("cut", (p1, p2), cutf=cutf)
 
 
+def structural(rule: str, s: Sequent, value=None) -> Optional[Sequent]:
+    """The conclusion a structural rule draws from the premise ``s``, or
+    None where it does not apply; ``value`` is the formula weakened in or
+    the index of the exchanged pair."""
+    left = rule[-1] == "L"
+    xs = s.ant if left else s.suc
+    if rule.startswith("weak"):
+        if not isinstance(value, PFormula):
+            return None
+        xs = xs + (value,) if left else (value,) + xs
+    elif rule.startswith("contr"):
+        pair = xs[-2:] if left else xs[:2]
+        if len(pair) < 2 or pair[0] != pair[1]:
+            return None
+        xs = xs[:-1] if left else xs[1:]
+    else:
+        if not (isinstance(value, int) and 0 <= value < len(xs) - 1):
+            return None
+        xs = xs[:value] + (xs[value + 1], xs[value]) + xs[value + 2:]
+    return Sequent(xs, s.suc) if left else Sequent(s.ant, xs)
+
+
+def apply_structural(rule: str, p: ProofNode, value=None) -> ProofNode:
+    """Forward application of a structural rule."""
+    r = STRUCTURAL[rule]
+    s = structural(rule, p.conclusion, value)
+    if s is None:
+        raise TwoseqError(f"{rule}: {r.error}")
+    return ProofNode(rule, ((r.param, value),) if r.param else (), s, (p,))
+
+
 def weak_left(p: ProofNode, extra: PFormula) -> ProofNode:
-    s = p.conclusion
-    return node("weakL", {"pf": extra}, seq(s.ant + (extra,), s.suc), (p,))
+    return apply_structural("weakL", p, extra)
 
 
 def weak_right(p: ProofNode, extra: PFormula) -> ProofNode:
-    s = p.conclusion
-    return node("weakR", {"pf": extra}, seq(s.ant, (extra,) + s.suc), (p,))
+    return apply_structural("weakR", p, extra)
 
 
 def contr_left(p: ProofNode) -> ProofNode:
-    s = p.conclusion
-    if len(s.ant) < 2 or s.ant[-1] != s.ant[-2]:
-        raise TwoseqError("contrL: last two antecedent formulas must agree")
-    return node("contrL", {}, seq(s.ant[:-1], s.suc), (p,))
+    return apply_structural("contrL", p)
 
 
 def contr_right(p: ProofNode) -> ProofNode:
-    s = p.conclusion
-    if len(s.suc) < 2 or s.suc[0] != s.suc[1]:
-        raise TwoseqError("contrR: first two succedent formulas must agree")
-    return node("contrR", {}, seq(s.ant, s.suc[1:]), (p,))
+    return apply_structural("contrR", p)
 
 
 def exc_left(p: ProofNode, at: int) -> ProofNode:
-    s = p.conclusion
-    if not (0 <= at < len(s.ant) - 1):
-        raise TwoseqError("excL: index out of range")
-    ant = list(s.ant)
-    ant[at], ant[at + 1] = ant[at + 1], ant[at]
-    return node("excL", {"at": at}, seq(tuple(ant), s.suc), (p,))
+    return apply_structural("excL", p, at)
 
 
 def exc_right(p: ProofNode, at: int) -> ProofNode:
-    s = p.conclusion
-    if not (0 <= at < len(s.suc) - 1):
-        raise TwoseqError("excR: index out of range")
-    suc = list(s.suc)
-    suc[at], suc[at + 1] = suc[at + 1], suc[at]
-    return node("excR", {"at": at}, seq(s.ant, tuple(suc)), (p,))
+    return apply_structural("excR", p, at)
 
 
 def neg_left(p: ProofNode) -> ProofNode:
@@ -635,19 +676,6 @@ def dia_right(p: ProofNode, beta, alpha=None) -> ProofNode:
     return apply_rule("diaR", (p,), step=beta, alpha=alpha)
 
 
-def box_left_at(p: ProofNode, s_pos, t: LtlPos) -> ProofNode:
-    """Box-left with an explicit base position (the split is ambiguous)."""
-    return box_left(p, t, alpha=s_pos)
-
-
-def dia_right_at(p: ProofNode, s_pos, t: LtlPos) -> ProofNode:
-    return dia_right(p, t, alpha=s_pos)
-
-
-def hist_left(p: ProofNode, s_pos: PastPos, t: LtlPos) -> ProofNode:
-    return apply_rule("histL", (p,), step=t, alpha=s_pos)
-
-
 def once_right(p: ProofNode, s_pos: PastPos, t: LtlPos) -> ProofNode:
     return apply_rule("onceR", (p,), step=t, alpha=s_pos)
 
@@ -656,20 +684,12 @@ def hist_right(p: ProofNode, x: Token) -> ProofNode:
     return apply_rule("histR", (p,), x=x)
 
 
-def once_left(p: ProofNode, x: Token) -> ProofNode:
-    return apply_rule("onceL", (p,), x=x)
-
-
 def next_left(p: ProofNode) -> ProofNode:
     return apply_rule("nextL", (p,))
 
 
 def next_right(p: ProofNode) -> ProofNode:
     return apply_rule("nextR", (p,))
-
-
-def prev_left(p: ProofNode) -> ProofNode:
-    return apply_rule("prevL", (p,))
 
 
 def prev_right(p: ProofNode) -> ProofNode:
@@ -781,9 +801,8 @@ _HOOKS = {"beta-shape": _beta_shape, "context-demand": _context_demand,
 _KEY_NAMES = {"step": ("beta", "t"), "x": ("x",), "cutf": ("cutf",)}
 _TAKES = {r: frozenset(("alpha",) * s.based + sum((_KEY_NAMES[k] for k in s.params), ()))
           for r, s in SCHEMAS.items()}
-_TAKES.update((r, frozenset(keys)) for r, keys in (
-    ("weakL", ("pf",)), ("weakR", ("pf",)), ("excL", ("at",)), ("excR", ("at",)),
-    ("ind", ("alpha", "x", "t")), ("pind", ("alpha", "x", "t"))))
+_TAKES.update((r, frozenset((s.param,) if s.param else ())) for r, s in STRUCTURAL.items())
+_TAKES.update((r, frozenset(("alpha", "x", "t"))) for r in ("ind", "pind"))
 
 _PARAM_KINDS = {"step": ((SeqPos, SetPos, LtlPos, PastPos), "missing step parameter"),
                 "x": (str, "missing eigen token"),
@@ -885,52 +904,18 @@ def check_rule_instance(n: ProofNode, sys: SystemId) -> list[Violation]:
         expect(len(c.ant) == 1 and len(c.suc) == 1 and c.ant[0] == c.suc[0],
                "schema", "axiom must be of shape A at p |- A at p")
 
-    elif n.rule == "weakL":
-        p1, = prems
-        ok = expect(len(c.ant) == len(p1.ant) + 1 and c.ant[:-1] == p1.ant
-                    and c.suc == p1.suc,
-                    "schema", "weakening must append one antecedent formula")
-        declared = n.param("pf")
-        if ok and declared is not None:
-            expect(declared == c.ant[-1], "params",
+    elif n.rule in STRUCTURAL:
+        # recompute the conclusion: a weakening's formula is read off the
+        # conclusion (a declared one must agree), an exchange index is declared
+        r = STRUCTURAL[n.rule]
+        value = edge(c, n.rule[-1]) if r.param == "pf" else n.param(r.param)
+        got = structural(n.rule, prems[0], value)
+        if got is None and r.param == "at":
+            bad("params", "exchange index out of range")
+        elif expect(got == c, "schema", r.message) and r.param == "pf":
+            declared = n.param("pf")
+            expect(declared is None or declared == value, "params",
                    "declared formula differs from the weakened one")
-    elif n.rule == "weakR":
-        p1, = prems
-        ok = expect(len(c.suc) == len(p1.suc) + 1 and c.suc[1:] == p1.suc
-                    and c.ant == p1.ant,
-                    "schema", "weakening must prepend one succedent formula")
-        declared = n.param("pf")
-        if ok and declared is not None:
-            expect(declared == c.suc[0], "params",
-                   "declared formula differs from the weakened one")
-    elif n.rule == "contrL":
-        p1, = prems
-        expect(bool(c.ant) and p1.ant == c.ant + (c.ant[-1],)
-               and c.suc == p1.suc,
-               "schema", "contraction must merge the last two antecedent formulas")
-    elif n.rule == "contrR":
-        p1, = prems
-        expect(bool(c.suc) and p1.suc == (c.suc[0],) + c.suc
-               and c.ant == p1.ant,
-               "schema", "contraction must merge the first two succedent formulas")
-    elif n.rule == "excL":
-        p1, = prems
-        at = n.param("at")
-        if expect(isinstance(at, int) and 0 <= at < len(p1.ant) - 1,
-                  "params", "exchange index out of range"):
-            ant = list(p1.ant)
-            ant[at], ant[at + 1] = ant[at + 1], ant[at]
-            expect(c == seq(tuple(ant), p1.suc), "schema",
-                   "conclusion is not the declared adjacent swap")
-    elif n.rule == "excR":
-        p1, = prems
-        at = n.param("at")
-        if expect(isinstance(at, int) and 0 <= at < len(p1.suc) - 1,
-                  "params", "exchange index out of range"):
-            suc = list(p1.suc)
-            suc[at], suc[at + 1] = suc[at + 1], suc[at]
-            expect(c == seq(p1.ant, tuple(suc)), "schema",
-                   "conclusion is not the declared adjacent swap")
 
     elif n.rule in ("ind", "pind"):
         p1, = prems
@@ -983,6 +968,9 @@ def check_rule_instance(n: ProofNode, sys: SystemId) -> list[Violation]:
         if principal is not None and principal.pos != alpha:
             bad("params", "declared base position differs from the conclusion")
     takes = _TAKES.get(n.rule, frozenset())
+    if "beta" in takes and n.param("beta") is not None and n.param("t") is not None:
+        # a step rule naming its step twice: only the family's name is read
+        takes = takes - {"beta", "t"} | {_STEP_KEY.get(TABLE[sys].family, "beta")}
     for key, _ in n.params:
         if key not in takes:
             bad("params", f"rule {n.rule} takes no parameter {key}")
@@ -1050,103 +1038,65 @@ def check_proof(p: ProofNode, sys: SystemId) -> CheckReport:
 
 # --- structural bridges (the double-deduction-line convention) ---
 
-def _count(xs, x) -> int:
-    return sum(1 for y in xs if y == x)
-
-
 class _BridgeBuilder:
-    """Step-by-step application of structural rules onto a proof."""
+    """Extends a proof one structural step at a time, reading the sequent
+    it has reached off the proof."""
 
-    def __init__(self, proof: Optional[ProofNode], frm: Sequent):
+    def __init__(self, proof: ProofNode):
         self.proof = proof
-        self.ant = list(frm.ant)
-        self.suc = list(frm.suc)
-        self.steps: list[tuple[str, dict]] = []
 
-    def _emit(self, rule: str, params: dict):
-        self.steps.append((rule, params))
-        if self.proof is None:
-            return
-        fn = {"weakL": weak_left, "weakR": weak_right,
-              "contrL": lambda p: contr_left(p), "contrR": lambda p: contr_right(p),
-              "excL": exc_left, "excR": exc_right}[rule]
-        if rule in ("weakL", "weakR"):
-            self.proof = fn(self.proof, params["pf"])
-        elif rule in ("excL", "excR"):
-            self.proof = fn(self.proof, params["at"])
-        else:
-            self.proof = fn(self.proof)
-
-    def _swap(self, side: str, i: int):
-        xs = self.ant if side == "L" else self.suc
-        xs[i], xs[i + 1] = xs[i + 1], xs[i]
-        self._emit("excL" if side == "L" else "excR", {"at": i})
+    def _side(self, side: str) -> tuple[PFormula, ...]:
+        s = self.proof.conclusion
+        return s.ant if side == "L" else s.suc
 
     def _move(self, side: str, i: int, j: int):
-        while i < j:
-            self._swap(side, i)
-            i += 1
-        while i > j:
-            self._swap(side, i - 1)
-            i -= 1
+        """Carry the formula at index i to index j by adjacent swaps."""
+        for k in (range(i, j) if i < j else range(i - 1, j - 1, -1)):
+            self.proof = apply_structural("exc" + side, self.proof, k)
 
-    def run_side(self, side: str, target: list[PFormula]):
-        xs = self.ant if side == "L" else self.suc
-        for q in xs:
-            if _count(target, q) == 0:
-                raise BridgeError(q, "antecedent" if side == "L" else "succedent")
-        # contract surplus occurrences
-        for q in list(dict.fromkeys(xs)):
-            while _count(xs, q) > max(_count(target, q), 1):
-                idxs = [i for i, y in enumerate(xs) if y == q]
-                if side == "L":
-                    self._move(side, idxs[-1], len(xs) - 1)
-                    idxs = [i for i, y in enumerate(xs) if y == q]
-                    self._move(side, idxs[-2], len(xs) - 2)
-                    self._emit("contrL", {})
-                    xs.pop()
-                else:
-                    self._move(side, idxs[0], 0)
-                    idxs = [i for i, y in enumerate(xs) if y == q]
-                    self._move(side, idxs[1], 1)
-                    self._emit("contrR", {})
-                    xs.pop(0)
-        # weaken in what is missing
-        for q in list(dict.fromkeys(target)):
-            while _count(xs, q) < _count(target, q):
-                if side == "L":
-                    xs.append(q)
-                    self._emit("weakL", {"pf": q})
-                else:
-                    xs.insert(0, q)
-                    self._emit("weakR", {"pf": q})
-        # sort into the target order by adjacent swaps
-        for k in range(len(target)):
-            if xs[k] == target[k]:
-                continue
-            j = next(i for i in range(k + 1, len(xs)) if xs[i] == target[k])
-            self._move(side, j, k)
-        assert xs == target
+    def run(self, to: Sequent) -> ProofNode:
+        for side, target in (("L", to.ant), ("R", to.suc)):
+            for q in self._side(side):
+                if q not in target:
+                    raise BridgeError(q, "antecedent" if side == "L" else "succedent")
+            # contract surplus occurrences: carry the two nearest the rule's
+            # edge (the end of the antecedent, the head of the succedent) there
+            for q in dict.fromkeys(self._side(side)):
+                while self._side(side).count(q) > max(target.count(q), 1):
+                    for k in (0, 1):
+                        xs = self._side(side)
+                        at = [i for i, y in enumerate(xs) if y == q]
+                        self._move(side, *((at[-1 - k], len(xs) - 1 - k)
+                                           if side == "L" else (at[k], k)))
+                    self.proof = apply_structural("contr" + side, self.proof)
+            # weaken in what is missing
+            for q in dict.fromkeys(target):
+                for _ in range(target.count(q) - self._side(side).count(q)):
+                    self.proof = apply_structural("weak" + side, self.proof, q)
+            # sort into the target order by adjacent swaps
+            for k, q in enumerate(target):
+                xs = self._side(side)
+                if xs[k] != q:
+                    self._move(side, xs.index(q, k + 1), k)
+        assert self.proof.conclusion == to
+        return self.proof
 
 
 def structural_bridge(frm: Sequent, to: Sequent) -> tuple[tuple[str, dict], ...]:
     """Plan an explicit weakening/contraction/exchange chain from one sequent
-    to another; fails if a formula would have to be deleted."""
-    b = _BridgeBuilder(None, frm)
-    b.run_side("L", list(to.ant))
-    b.run_side("R", list(to.suc))
-    return tuple(b.steps)
+    to another, as (rule, parameters) steps from the premise down; fails
+    if a formula would have to be deleted."""
+    leaf = ProofNode("premise", (), frm)
+    p, steps = _BridgeBuilder(leaf).run(to), []
+    while p is not leaf:
+        steps.append((p.rule, dict(p.params)))
+        p = p.premises[0]
+    return tuple(reversed(steps))
 
 
 def bridge_proof(p: ProofNode, to: Sequent) -> ProofNode:
     """Extend a proof by a structural chain up to the requested sequent."""
-    if p.conclusion == to:
-        return p
-    b = _BridgeBuilder(p, p.conclusion)
-    b.run_side("L", list(to.ant))
-    b.run_side("R", list(to.suc))
-    assert b.proof is not None and b.proof.conclusion == to
-    return b.proof
+    return p if p.conclusion == to else _BridgeBuilder(p).run(to)
 
 
 def expand_double_lines(script: ProofScript) -> ProofNode:

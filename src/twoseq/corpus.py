@@ -12,9 +12,8 @@ from __future__ import annotations
 from typing import Callable
 
 from .calculus import (ProofNode, SystemId, and_left1, and_left2, and_right,
-                       ax, box_left, box_left_at, box_right, bridge_proof,
-                       contr_left, cut, dia_left, dia_right, dia_right_at,
-                       exc_left, hist_right, imp_left, imp_right, ind, indax,
+                       ax, box_left, box_right, bridge_proof, contr_left,
+                       cut, dia_left, dia_right, exc_left, hist_right, imp_left, imp_right, ind, indax,
                        neg_left, neg_right, next_left, next_right, once_right,
                        prev_right, seq)
 from .positions import LtlPos, ltl_token, pastpos, seqpos, setpos
@@ -130,9 +129,9 @@ def ltl_a3(a: Formula = P0, b: Formula = P1) -> ProofNode:
     """|- box(A -> B) -> (box A -> box B)."""
     sx = _l(0, "x")
     n = imp_left(ax(pf(b, sx)), ax(pf(a, sx)))
-    n = box_left_at(n, L0, ltl_token("x"))
+    n = box_left(n, ltl_token("x"), alpha=L0)
     n = bridge_proof(n, seq((pf(Box(Imp(a, b)), L0), pf(a, sx)), (pf(b, sx),)))
-    n = box_left_at(n, L0, ltl_token("x"))
+    n = box_left(n, ltl_token("x"), alpha=L0)
     n = bridge_proof(n, seq((pf(Box(a), L0), pf(Box(Imp(a, b)), L0)),
                             (pf(b, sx),)))
     n = box_right(n, "x")
@@ -143,14 +142,14 @@ def ltl_a3(a: Formula = P0, b: Formula = P1) -> ProofNode:
 
 def ltl_a4(a: Formula = P0) -> ProofNode:
     """|- box A -> A, with a zero step."""
-    n = box_left_at(ax(pf(a, L0)), L0, _l(0))
+    n = box_left(ax(pf(a, L0)), _l(0), alpha=L0)
     return imp_right(n)
 
 
 def ltl_a5(a: Formula = P0) -> ProofNode:
     """|- box A -> box box A."""
     syx = _l(0, "y", "x")
-    n = box_left_at(ax(pf(a, syx)), L0, syx)
+    n = box_left(ax(pf(a, syx)), syx, alpha=L0)
     n = box_right(n, "x")                       # box A |- box A at (0;{y})
     n = box_right(n, "y")
     return imp_right(n)
@@ -159,14 +158,14 @@ def ltl_a5(a: Formula = P0) -> ProofNode:
 def ltl_a6(a: Formula = P0) -> ProofNode:
     """|- box A -> X A."""
     n = next_right(ax(pf(a, _l(1))))
-    n = box_left_at(n, L0, _l(1))
+    n = box_left(n, _l(1), alpha=L0)
     return imp_right(n)
 
 
 def ltl_a7(a: Formula = P0) -> ProofNode:
     """|- box A -> X box A."""
     sx1 = _l(1, "x")
-    n = box_left_at(ax(pf(a, sx1)), L0, sx1)    # box A |- A at (1;{x})
+    n = box_left(ax(pf(a, sx1)), sx1, alpha=L0)  # box A |- A at (1;{x})
     n = box_right(n, "x")                       # box A |- box A at (1;{})
     n = next_right(n)
     return imp_right(n)
@@ -179,7 +178,7 @@ def ltl_a8(a: Formula = P0) -> ProofNode:
     step = Box(Imp(a, Next(a)))
     n = next_left(ax(pf(a, sx1)))               # X A at s+x |- A at s+x+1
     n = imp_left(n, ax(pf(a, sx)))              # A, A -> X A |- A at s+x+1
-    n = box_left_at(n, L0, ltl_token("x"))      # A, box(A -> X A) |- ...
+    n = box_left(n, ltl_token("x"), alpha=L0)  # A, box(A -> X A) |- ...
     n = bridge_proof(n, seq((pf(step, L0), pf(a, sx)), (pf(a, sx1),)))
     n = ind(n, "x", ltl_token("z"))             # box(...), A |- A at (0;{z})
     n = and_left1(n, step)
@@ -213,7 +212,7 @@ def ltl_blocked_cut() -> ProofNode:
     n = and_right(ax(pf(p, x1)), n)             # ... |- p & X p at s+x+1
     n = bridge_proof(n, seq((pf(p, x0), pf(p, x1), pf(stepf, x0)),
                             (pf(pxp, x1),)))
-    n = box_left_at(n, L0, ltl_token("x"))
+    n = box_left(n, ltl_token("x"), alpha=L0)
     n = bridge_proof(n, seq((pf(p, x0), pf(Box(stepf), L0), pf(p, x1)),
                             (pf(pxp, x1),)))
     n = next_left(n)                            # ..., X p at s+x |- ...
@@ -236,7 +235,7 @@ def ltl_blocked_cut() -> ProofNode:
 def tense_hist_dia(a: Formula = P0) -> ProofNode:
     """|- A -> H dia A."""
     base = pastpos()
-    n = dia_right_at(ax(pf(a, base)), pastpos(0, ("x",)), ltl_token("x"))
+    n = dia_right(ax(pf(a, base)), ltl_token("x"), alpha=pastpos(0, ("x",)))
     n = hist_right(n, "x")
     return imp_right(n)
 

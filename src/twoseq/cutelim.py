@@ -231,26 +231,17 @@ class _Mixer:
             m2 = to(m2, left2 + (b_pf,), strip(d1) + pb.conclusion.suc)
             return bridge_proof(cut(k1, m2, b_pf), E)
 
-        if isinstance(f, Box):
-            x = p1.param("x")
-            up = pf(f.sub, p2.premises[0].conclusion.ant[-1].pos)
-            shifted = _map_positions(p1.premises[0], lambda q: prefix_replace(
-                q, SeqPos(alpha.items + (x,)), up.pos))
-            m1 = self.run(shifted, ren(p2), measure)
-            m2 = self.run(ren(p1), ren(p2.premises[0]), measure)
-            left = p1.conclusion.ant + strip(p2.conclusion.ant[:-1])
-            m1 = to(m1, left, (up,) + strip(p1.conclusion.suc[1:]) + p2.conclusion.suc)
-            m2 = to(m2, left + (up,),
-                    strip(p1.conclusion.suc[1:]) + p2.conclusion.suc)
-            return bridge_proof(cut(m1, m2, up), E)
-
-        if isinstance(f, Dia):
-            x = p2.param("x")
-            up = pf(f.sub, p1.premises[0].conclusion.suc[0].pos)
-            shifted = _map_positions(p2.premises[0], lambda q: prefix_replace(
-                q, SeqPos(alpha.items + (x,)), up.pos))
-            m1 = self.run(p1.premises[0], ren(p2), measure)
-            m2 = self.run(ren(p1), ren(shifted), measure)
+        if isinstance(f, (Box, Dia)):
+            # the eigen side (boxR, diaL) is moved to the position where the
+            # other side (boxL, diaR) reads the operand
+            box = isinstance(f, Box)
+            eigen, other = (p1, p2) if box else (p2, p1)
+            up = pf(f.sub, edge(other.premises[0].conclusion, "L" if box else "R").pos)
+            shifted = _map_positions(eigen.premises[0], lambda q: prefix_replace(
+                q, SeqPos(alpha.items + (eigen.param("x"),)), up.pos))
+            q1, q2 = (shifted, p2.premises[0]) if box else (p1.premises[0], shifted)
+            m1 = self.run(q1, ren(p2), measure)
+            m2 = self.run(ren(p1), ren(q2), measure)
             left = p1.conclusion.ant + strip(p2.conclusion.ant[:-1])
             m1 = to(m1, left, (up,) + strip(p1.conclusion.suc[1:]) + p2.conclusion.suc)
             m2 = to(m2, left + (up,),

@@ -368,10 +368,6 @@ def render_formula(f: Formula, prec: int = 0) -> str:
     return "(" + s + ")" if mine < prec else s
 
 
-def render_position(p: Position) -> str:
-    return str(p)
-
-
 def render_pformula(p: PFormula) -> str:
     f = render_formula(p.formula)
     if isinstance(p.formula, (And, Or, Imp)):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from .calculus import (SCHEMAS, OccurrenceIndex, ProofNode, SystemId, TABLE,
-                       ax, and_right, box_left_at, box_right, bridge_proof,
+                       ax, and_right, box_left, box_right, bridge_proof,
                        check_proof, cut, edge, eigen_token, imp_left,
                        imp_right, indax, next_right, node, proof_tokens, seq)
 from .errors import TransformError
@@ -291,7 +291,7 @@ def ind_to_axiom(p: ProofNode) -> ProofNode:
         g3 = cut(leaf, g2, leaf.conclusion.suc[0])
         c1 = cut(n3, g3, pf(box_step, s_pos))  # Gamma, A at s |- Delta, box A at s
         c1 = bridge_proof(c1, seq(gamma + (a_pf,), (pf(Box(a_f), s_pos),) + delta))
-        g4 = box_left_at(ax(pf(a_f, ltl_add(s_pos, t))), s_pos, t)
+        g4 = box_left(ax(pf(a_f, ltl_add(s_pos, t))), t, alpha=s_pos)
         c2 = cut(c1, g4, pf(Box(a_f), s_pos))
         return bridge_proof(c2, concl)
 

@@ -147,6 +147,29 @@ def test_structural_constructor_errors(build, message):
     assert str(e.value) == message
 
 
+def test_step_named_twice_is_read_under_the_family_name_only():
+    text = ("(proof LTL (rule boxL (alpha (0;{{}})) (beta [x]) (t (1;{{}}))"
+            " (concl box p0 @ (0;{{}}) |- p0 @ (1;{{}})){}"
+            " (rule ax (concl p0 @ (1;{{}}) |- p0 @ (1;{{}})))))")
+    script = parse_proof(text.format(""))
+    rep = check_proof(expand_double_lines(script), script.system)
+    assert [(v.path, v.rule, v.condition, v.message) for v in rep.failures] == [
+        ((), "boxL", "params", "rule boxL takes no parameter beta")]
+    # one name alone is left as it was: the family's name is read, the
+    # other one is taken but leaves the step missing
+    premise = expand_double_lines(script).premises[0]
+    for drop, want in (("beta", []), ("t", [("params", "missing step parameter")])):
+        single = tuple((k, v) for k, v in script.root.params if k != drop)
+        n = ProofNode("boxL", single, script.root.conclusion, (premise,))
+        assert [(v.condition, v.message) for v in check_rule_instance(n, SystemId.LTL)] \
+            == want, drop
+    boxed = box_left(ax(pf(P0, X)), X)
+    both = node("boxL", dict(boxed.params, t=X), boxed.conclusion, boxed.premises)
+    assert check_rule_instance(boxed, SystemId.K) == []
+    assert [(v.condition, v.message) for v in check_rule_instance(both, SystemId.K)] == \
+        [("params", "rule boxL takes no parameter t")]
+
+
 def test_eigen_condition_is_positional():
     # context formula extending the eigen position blocks the rule
     inner = ax(pf(P0, X))
