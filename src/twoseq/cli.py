@@ -19,7 +19,7 @@ from .calculus import (ProofNode, SystemId, check_proof,
 from .cutelim import eliminate_cuts, is_cut_free, verify_subformula_property
 from .errors import TwoseqError
 from .ltl import (LassoWord, exhaustive_valuations, ltl_soundness_fuzz,
-                  sequent_satisfied)
+                  sequent_checker)
 from .parser import (parse_model, parse_proof, parse_sequent, render_model,
                      render_proof)
 from .semantics import (GraphModel, check_sequent_on_model, soundness_fuzz)
@@ -129,8 +129,9 @@ def cmd_eval(args) -> int:
         return 0 if holds else 1
     assert isinstance(model, LassoWord)
     tokens = tuple(sorted(tokens_of(sequent)))
+    holds = sequent_checker(model, sequent)
     for a in exhaustive_valuations(tokens, args.bound):
-        if not sequent_satisfied(model, a, sequent):
+        if not holds(a):
             _emit(args, {"holds": False, "valuation": a},
                   "fails under the token valuation " + json.dumps(a))
             return 1
@@ -290,6 +291,11 @@ def main(argv=None) -> int:
         return 2
     except OSError as e:
         print(f"error: {e}", file=_sys.stderr)
+        return 2
+    except Exception as e:
+        # exit 1 means rejection or counterexample, so a crash must not
+        # escape as an uncaught exception with that code
+        print(f"internal error: {type(e).__name__}: {e}", file=_sys.stderr)
         return 2
 
 

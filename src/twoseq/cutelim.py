@@ -4,9 +4,10 @@ subformula verification, for the five sequence-position systems.
 The mix of two proofs removes every occurrence of the cut formula from
 the right side of the first and the left side of the second, recursing on
 the lexicographic pair of heights; elimination then inducts on the pair
-of proof degree and height.  Both measures are asserted at runtime.  For
+of proof degree and height.  Both measures are checked at runtime, and a
+failure raises `KernelInvariantError` (also under ``python -O``).  For
 the two restricted systems the mix carries a position hypothesis mirroring
-their cut condition; it is asserted on every entry and a violation is
+their cut condition; it is checked on every entry and a violation is
 reported as an error, never patched over.
 """
 
@@ -18,13 +19,19 @@ from .calculus import (CORE_SYSTEMS, SCHEMAS, STRUCTURAL_RULES, ProofNode,
                        Sequent, SystemId, TABLE, bridge_proof, cut,
                        cut_position_holds, edge, height, iter_nodes, node,
                        proof_tokens, reapply, seq)
-from .errors import (MixHypothesisError, TwoseqError, UnsupportedSystemError)
+from .errors import (KernelInvariantError, MixHypothesisError, TwoseqError,
+                     UnsupportedSystemError)
 from .positions import SeqPos, prefix_replace
 from .syntax import (And, Box, Dia, Imp, Not, Or, PFormula, degree,
                      is_subformula, pf)
 from .transform import FreshTokenSource, _map_positions, _scoped_rename
 
 Trace = Optional[Callable[[str], None]]
+
+
+def _ensure(holds: bool, invariant: str) -> None:
+    if not holds:
+        raise KernelInvariantError(invariant)
 
 
 def proof_degree(p: ProofNode) -> int:
@@ -80,8 +87,8 @@ class _Mixer:
     def run(self, p1: ProofNode, p2: ProofNode,
             parent: Optional[tuple[int, int]]) -> ProofNode:
         measure = (height(p1), height(p2))
-        if parent is not None:
-            assert measure < parent, "mix height measure failed to decrease"
+        _ensure(parent is None or measure < parent,
+                "mix height measure failed to decrease")
         want = _mix_target(p1, p2, self.cutf)
         # when one side carries no occurrence at all, nothing is removed
         # from it and the spliced sequent is reachable by weakening alone;
@@ -97,7 +104,7 @@ class _Mixer:
                 self.trace("mix: no occurrences on the right of the left proof")
             return bridge_proof(p1, want)
         out = self._dispatch(p1, p2, measure)
-        assert out.conclusion == want, "mix produced the wrong sequent"
+        _ensure(out.conclusion == want, "mix produced the wrong sequent")
         return out
 
     def sub(self, a: ProofNode, b: ProofNode,
@@ -268,7 +275,7 @@ def mix(p1: ProofNode, p2: ProofNode, cutf: PFormula, sys: SystemId,
                            | cutf.pos.tokens())
     p1r, p2r = _scoped_rename(p1, src), _scoped_rename(p2, src)
     out = _Mixer(cutf, sys, src, trace).run(p1r, p2r, None)
-    assert proof_degree(out) <= n, "mix exceeded its degree bound"
+    _ensure(proof_degree(out) <= n, "mix exceeded its degree bound")
     return out
 
 
@@ -289,19 +296,18 @@ def eliminate_cuts(p: ProofNode, sys: SystemId, trace: Trace = None) -> ProofNod
     src = FreshTokenSource(proof_tokens(p))
     q = _scoped_rename(p, src)
     out = _eliminate(q, sys, src, trace, None)
-    assert out.conclusion == p.conclusion, "elimination changed the end sequent"
-    assert is_cut_free(out)
-    if out.conclusion.is_empty():
-        raise AssertionError("cut-free proof of the empty sequent; the kernel "
-                             "is inconsistent")
+    _ensure(out.conclusion == p.conclusion, "elimination changed the end sequent")
+    _ensure(is_cut_free(out), "elimination left a cut")
+    _ensure(not out.conclusion.is_empty(),
+            "cut-free proof of the empty sequent; the kernel is inconsistent")
     return out
 
 
 def _eliminate(p: ProofNode, sys: SystemId, src: FreshTokenSource,
                trace: Trace, parent: Optional[tuple[int, int]]) -> ProofNode:
     my = (proof_degree(p), height(p))
-    if parent is not None:
-        assert my < parent, "elimination measure failed to decrease"
+    _ensure(parent is None or my < parent,
+            "elimination measure failed to decrease")
     if my[0] == 0:
         return p
     t = trace or (lambda s: None)

@@ -43,3 +43,7 @@ class MixHypothesisError(TwoseqError):
 
 class UnsupportedSystemError(TwoseqError):
     """Cut elimination requested for a system it does not cover."""
+
+
+class KernelInvariantError(TwoseqError):
+    """A cut-elimination measure or invariant failed (checked under -O too)."""

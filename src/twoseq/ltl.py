@@ -2,21 +2,24 @@
 the checking entry points for the temporal systems.
 
 A lasso word is the finite stand-in for an arbitrary valuation of the
-natural numbers: evaluation beyond the prefix is periodic, which makes
-box and diamond decidable by inspecting one loop's worth of offsets.
+natural numbers: evaluation beyond the prefix is periodic.  Time m is
+one of |prefix|+|loop| canonical points (m in the prefix, else
+(m-|prefix|) mod |loop| into the loop; the last point steps back to the
+loop start), and evaluation is labelling: each subformula gets one
+bitmask over those points, in O(|f| * (|prefix|+|loop|)).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .calculus import CheckReport, ProofNode, SystemId, check_proof
 from .errors import TwoseqError
 from .positions import LtlPos, Token
-from .syntax import (And, Box, Dia, Formula, Imp, Next, Not, Or, PAST,
-                     PFormula, Prop, Sequent, sequent_atoms, tokens_of)
+from .syntax import (Box, Dia, Formula, Next, PFormula, Sequent,
+                     compile_formulas, label_program, sequent_atoms, tokens_of)
 
 
 @dataclass(frozen=True)
@@ -35,6 +38,36 @@ class LassoWord:
             return self.prefix[m]
         return self.loop[(m - len(self.prefix)) % len(self.loop)]
 
+    def point(self, m: int) -> int:
+        """The canonical point of time m."""
+        p = len(self.prefix)
+        return m if m < p else p + (m - p) % len(self.loop)
+
+    def label(self, code: list[tuple]) -> list[int]:
+        """The mask of canonical points satisfying each instruction of a
+        program; bit i stands for point i."""
+        letters = self.prefix + self.loop
+        p, n = len(self.prefix), len(letters)
+        full = (1 << n) - 1
+        loop = full ^ ((1 << p) - 1)
+        atoms: dict[str, int] = {}
+        for i, letter in enumerate(letters):
+            for a in letter:
+                atoms[a] = atoms.get(a, 0) | 1 << i
+
+        def step(op: type, x: int) -> int:
+            if op is Next:
+                return x >> 1 | (x >> p & 1) << (n - 1)
+            # a loop point sees the whole loop; a prefix point also sees
+            # the rest of the prefix
+            if op is Box:
+                x ^= full
+                return 0 if x & loop else full ^ ((1 << x.bit_length()) - 1)
+            if op is Dia:
+                return full if x & loop else (1 << x.bit_length()) - 1
+            raise TwoseqError("the natural-number semantics has no past")
+        return label_program(code, full, atoms, step)
+
 
 TokenValuation = dict[Token, int]
 
@@ -45,32 +78,9 @@ def a_value(a: TokenValuation, s: LtlPos) -> int:
 
 
 def eval_at(w: LassoWord, m: int, f: Formula) -> bool:
-    """Satisfaction at time m.
-
-    Box at m is decided by checking every offset up to one loop beyond
-    max(m, prefix end): suffixes of the word repeat with the loop period
-    from the prefix end on, so those offsets cover all later behaviour.
-    """
-    if isinstance(f, PAST):
-        raise TwoseqError("the natural-number semantics has no past")
-    if isinstance(f, Prop):
-        return f.name in w.letter(m)
-    if isinstance(f, Not):
-        return not eval_at(w, m, f.sub)
-    if isinstance(f, And):
-        return eval_at(w, m, f.left) and eval_at(w, m, f.right)
-    if isinstance(f, Or):
-        return eval_at(w, m, f.left) or eval_at(w, m, f.right)
-    if isinstance(f, Imp):
-        return (not eval_at(w, m, f.left)) or eval_at(w, m, f.right)
-    if isinstance(f, Next):
-        return eval_at(w, m + 1, f.sub)
-    hi = max(len(w.prefix), m) + len(w.loop) - 1
-    if isinstance(f, Box):
-        return all(eval_at(w, n, f.sub) for n in range(m, hi + 1))
-    if isinstance(f, Dia):
-        return any(eval_at(w, n, f.sub) for n in range(m, hi + 1))
-    raise TwoseqError(f"unknown formula {f!r}")
+    """Satisfaction at time m."""
+    code, (root,) = compile_formulas((f,))
+    return bool(w.label(code)[root] >> w.point(m) & 1)
 
 
 def pformula_satisfied(w: LassoWord, a: TokenValuation, q: PFormula) -> bool:
@@ -79,10 +89,25 @@ def pformula_satisfied(w: LassoWord, a: TokenValuation, q: PFormula) -> bool:
     return eval_at(w, a_value(a, q.pos), q.formula)
 
 
+def sequent_checker(w: LassoWord,
+                    s: Sequent) -> Callable[[TokenValuation], bool]:
+    """Whether s holds on w under a token valuation; w is labelled once."""
+    if not all(isinstance(q.pos, LtlPos) for q in s.pformulas()):
+        raise TwoseqError("lasso semantics needs step/token-set positions")
+    code, roots = s.program
+    truth = w.label(code)
+    marked = [(q.pos, truth[r]) for q, r in zip(s.pformulas(), roots)]
+    ant, suc = marked[:len(s.ant)], marked[len(s.ant):]
+
+    def holds(a: TokenValuation) -> bool:
+        def sat(pos: LtlPos, mask: int) -> bool:
+            return bool(mask >> w.point(a_value(a, pos)) & 1)
+        return not all(sat(*x) for x in ant) or any(sat(*x) for x in suc)
+    return holds
+
+
 def sequent_satisfied(w: LassoWord, a: TokenValuation, s: Sequent) -> bool:
-    if all(pformula_satisfied(w, a, q) for q in s.ant):
-        return any(pformula_satisfied(w, a, q) for q in s.suc)
-    return True
+    return sequent_checker(w, s)(a)
 
 
 def check_ltl_proof(p: ProofNode, variant: str = "ind") -> CheckReport:

@@ -5,6 +5,11 @@ obtained by unfolding it from any node, which is faithful because forcing
 is invariant under bisimulation and the serial systems need infinite
 trees.  A position assignment maps sequence positions to graph nodes so
 that consecutive positions step along the system's accessibility flavour.
+
+Forcing is labelling: node i is bit i, each node's successors are one
+mask (closed by Warshall's algorithm for K4/S4, reflexive for T/S4), and
+each subformula of a compiled program (`Sequent.program`) gets the mask
+of the nodes forcing it.  The assignment search reads those masks.
 """
 
 from __future__ import annotations
@@ -13,11 +18,11 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .calculus import SystemId
+from .calculus import CORE_SYSTEMS, SystemId
 from .errors import TwoseqError
 from .positions import SeqPos, initials
-from .syntax import (And, Box, Dia, Formula, Imp, Not, Or, PFormula, Prop,
-                     Sequent, TEMPORAL, sequent_atoms)
+from .syntax import (Box, Dia, Formula, PFormula, Sequent, compile_formulas,
+                     label_program, positions_of, sequent_atoms)
 
 
 @dataclass
@@ -29,43 +34,56 @@ class GraphModel:
     root: str
     valuation: dict[str, frozenset[str]]
 
-    def successors(self, n: str) -> tuple[str, ...]:
-        return tuple(b for a, b in sorted(self.edges) if a == n)
-
 
 def is_serial(m: GraphModel) -> bool:
     return all(any(a == n for a, _ in m.edges) for n in m.nodes)
 
 
-def _reach(m: GraphModel, start: str, reflexive: bool) -> frozenset[str]:
-    seen: set[str] = set()
-    frontier = [b for a, b in m.edges if a == start]
-    while frontier:
-        n = frontier.pop()
-        if n in seen:
-            continue
-        seen.add(n)
-        frontier.extend(b for a, b in m.edges if a == n)
-    if reflexive:
-        seen.add(start)
-    return frozenset(seen)
+class _Frame:
+    """A model under one system, as node masks: ``succ[i]`` for the nodes
+    accessible from node i, ``atoms[a]`` for the nodes where a holds."""
+
+    def __init__(self, m: GraphModel, sys: SystemId):
+        if sys not in CORE_SYSTEMS:
+            raise TwoseqError(f"no graph semantics for system {sys.value}")
+        self.names = names = tuple(dict.fromkeys(m.nodes))
+        self.index = {n: i for i, n in enumerate(names)}
+        self.full = (1 << len(names)) - 1
+        self.atoms: dict[str, int] = {}
+        for i, n in enumerate(names):
+            for a in m.valuation[n]:
+                self.atoms[a] = self.atoms.get(a, 0) | 1 << i
+        succ = [0] * len(names)
+        for a, b in m.edges:
+            succ[self.index[a]] |= 1 << self.index[b]
+        if sys in (SystemId.K4, SystemId.S4):
+            for k in range(len(succ)):
+                for i, s in enumerate(succ):
+                    if s >> k & 1:
+                        succ[i] = s | succ[k]
+        if sys in (SystemId.T, SystemId.S4):
+            succ = [s | 1 << i for i, s in enumerate(succ)]
+        self.succ = succ
+
+    def _step(self, op: type, x: int) -> int:
+        if op is Box:
+            x ^= self.full
+            return sum(1 << i for i, s in enumerate(self.succ) if not s & x)
+        if op is Dia:
+            return sum(1 << i for i, s in enumerate(self.succ) if s & x)
+        raise TwoseqError("graph forcing covers only the box/dia fragment")
+
+    def truth_sets(self, code: list[tuple], roots: list[int]) -> list[int]:
+        """The mask of nodes forcing each root of a program."""
+        masks = label_program(code, self.full, self.atoms, self._step)
+        return [masks[r] for r in roots]
 
 
 def accessibility(m: GraphModel, sys: SystemId) -> dict[str, frozenset[str]]:
     """Successor sets under the system's closure of the edge relation."""
-    out: dict[str, frozenset[str]] = {}
-    for n in m.nodes:
-        if sys in (SystemId.K, SystemId.D):
-            out[n] = frozenset(b for a, b in m.edges if a == n)
-        elif sys is SystemId.T:
-            out[n] = frozenset(b for a, b in m.edges if a == n) | {n}
-        elif sys is SystemId.K4:
-            out[n] = _reach(m, n, reflexive=False)
-        elif sys is SystemId.S4:
-            out[n] = _reach(m, n, reflexive=True)
-        else:
-            raise TwoseqError(f"no graph semantics for system {sys.value}")
-    return out
+    f = _Frame(m, sys)
+    return {n: frozenset(x for j, x in enumerate(f.names) if s >> j & 1)
+            for n, s in zip(f.names, f.succ)}
 
 
 def step_targets(m: GraphModel, sys: SystemId, n: str) -> frozenset[str]:
@@ -73,103 +91,100 @@ def step_targets(m: GraphModel, sys: SystemId, n: str) -> frozenset[str]:
     return accessibility(m, sys)[n]
 
 
-def forces(m: GraphModel, sys: SystemId, n: str, f: Formula,
-           _acc: Optional[dict] = None, _memo: Optional[dict] = None) -> bool:
+def forces(m: GraphModel, sys: SystemId, n: str, f: Formula) -> bool:
     """Standard forcing with the system-specific accessibility."""
-    if isinstance(f, TEMPORAL):
-        raise TwoseqError("graph forcing covers only the box/dia fragment")
-    acc = _acc if _acc is not None else accessibility(m, sys)
-    memo = _memo if _memo is not None else {}
-    key = (n, f)
-    if key in memo:
-        return memo[key]
-    if isinstance(f, Prop):
-        out = f.name in m.valuation[n]
-    elif isinstance(f, Not):
-        out = not forces(m, sys, n, f.sub, acc, memo)
-    elif isinstance(f, And):
-        out = forces(m, sys, n, f.left, acc, memo) and forces(m, sys, n, f.right, acc, memo)
-    elif isinstance(f, Or):
-        out = forces(m, sys, n, f.left, acc, memo) or forces(m, sys, n, f.right, acc, memo)
-    elif isinstance(f, Imp):
-        out = (not forces(m, sys, n, f.left, acc, memo)) or forces(m, sys, n, f.right, acc, memo)
-    elif isinstance(f, Box):
-        out = all(forces(m, sys, t, f.sub, acc, memo) for t in acc[n])
-    elif isinstance(f, Dia):
-        out = any(forces(m, sys, t, f.sub, acc, memo) for t in acc[n])
-    else:
-        raise TwoseqError(f"unknown formula {f!r}")
-    memo[key] = out
-    return out
+    frame = _Frame(m, sys)
+    (mask,) = frame.truth_sets(*compile_formulas((f,)))
+    return bool(mask >> frame.index[n] & 1)
 
 
 Rho = dict[SeqPos, str]
 
 
-def satisfies_left(m: GraphModel, sys: SystemId, rho: Rho, q: PFormula,
-                   _acc=None, _memo=None) -> bool:
+def satisfies_left(m: GraphModel, sys: SystemId, rho: Rho,
+                   q: PFormula) -> bool:
     """Left satisfaction: the position must be assigned and the node forced."""
     n = rho.get(q.pos)
-    return n is not None and forces(m, sys, n, q.formula, _acc, _memo)
+    return n is not None and forces(m, sys, n, q.formula)
 
 
-def satisfies_right(m: GraphModel, sys: SystemId, rho: Rho, q: PFormula,
-                    _acc=None, _memo=None) -> bool:
+def satisfies_right(m: GraphModel, sys: SystemId, rho: Rho,
+                    q: PFormula) -> bool:
     """Right satisfaction: forcing is only demanded where the map is defined."""
     n = rho.get(q.pos)
-    return n is None or forces(m, sys, n, q.formula, _acc, _memo)
+    return n is None or forces(m, sys, n, q.formula)
 
 
-def sequent_holds(m: GraphModel, sys: SystemId, rho: Rho, s: Sequent,
-                  _acc=None, _memo=None) -> bool:
-    acc = _acc if _acc is not None else accessibility(m, sys)
-    memo = _memo if _memo is not None else {}
-    if all(satisfies_left(m, sys, rho, q, acc, memo) for q in s.ant):
-        return any(satisfies_right(m, sys, rho, q, acc, memo) for q in s.suc)
-    return True
+def sequent_holds(m: GraphModel, sys: SystemId, rho: Rho, s: Sequent) -> bool:
+    frame, k = _Frame(m, sys), len(s.ant)
+    at = [rho.get(q.pos) for q in s.pformulas()]
+    forced = [n is not None and mask >> frame.index[n] & 1
+              for n, mask in zip(at, frame.truth_sets(*s.program))]
+    return not all(forced[:k]) or any(f or n is None
+                                      for f, n in zip(forced[k:], at[k:]))
 
 
 def admissible_assignments(m: GraphModel, sys: SystemId,
-                           positions: Iterable[SeqPos]) -> Iterator[Rho]:
+                           positions: Iterable[SeqPos], *,
+                           falsifying: Optional[Sequent] = None
+                           ) -> Iterator[Rho]:
     """Enumerate the position-to-node maps the system's table row allows.
 
     The serial systems require total maps; the subset systems also allow
     partial maps with downward-closed domains.  Consecutive assigned
-    positions must step along the closure matching the system.
+    positions must step along the closure matching the system.  Shorter
+    positions are decided first, each left undefined (where allowed)
+    before it takes any node, or for a nonempty one each successor of its
+    parent's node in name order.  With ``falsifying``, the search also
+    covers that sequent's positions and yields only the maps falsifying
+    it: a branch is cut where a position fails one of its antecedent
+    formulas, forces a succedent one, or stays undefined but carries one.
     """
-    req = sorted(initials(positions), key=lambda p: (len(p.items), p.items))
-    if sys is SystemId.D and not is_serial(m):
+    frame = _Frame(m, sys)
+    if sys is SystemId.D and not all(frame.succ):
         return
-    total = sys in (SystemId.D, SystemId.T, SystemId.S4)
-    acc = accessibility(m, sys)
+    positions = list(positions)
+    if falsifying is not None:
+        positions += positions_of(falsifying)
+    if not all(isinstance(p, SeqPos) for p in positions):
+        raise TwoseqError("graph semantics needs sequence positions")
+    req = sorted(initials(positions), key=lambda p: (len(p.items), p.items))
+    slot = {p: i for i, p in enumerate(req)}
+    parent = [slot[SeqPos(p.items[:-1])] if p.items else -1 for p in req]
+    allowed = [frame.full] * len(req)   # the nodes each position may take
+    blank = [sys in (SystemId.K, SystemId.K4)] * len(req)  # may stay undefined
+    if falsifying is not None:
+        masks = frame.truth_sets(*falsifying.program)
+        for k, (q, mask) in enumerate(zip(falsifying.pformulas(), masks)):
+            blank[slot[q.pos]] = False
+            allowed[slot[q.pos]] &= mask if k < len(falsifying.ant) else ~mask
+    by_name = sorted(range(len(frame.names)), key=frame.names.__getitem__)
+    node = [-1] * len(req)              # the node taken, -1 if undefined
 
-    def rec(i: int, rho: Rho) -> Iterator[Rho]:
-        if i == len(req):
-            yield dict(rho)
-            return
-        pos = req[i]
-        if not pos.items:
-            parent_val: Optional[str] = None
-            parent_defined = True
-        else:
-            parent = SeqPos(pos.items[:-1])
-            parent_defined = parent in rho
-            parent_val = rho.get(parent)
-        if not total:
-            # leaving the position undefined keeps the domain downward closed
-            yield from rec(i + 1, rho)
-        if not parent_defined:
-            return
-        if parent_val is None:
-            choices: Iterable[str] = m.nodes
-        else:
-            choices = sorted(acc[parent_val])
-        for n in choices:
-            rho[pos] = n
-            yield from rec(i + 1, rho)
-            del rho[pos]
+    def options(i: int) -> Iterator[int]:
+        p, out = parent[i], [-1] if blank[i] else []
+        if p < 0:
+            out += [j for j in range(len(frame.names)) if allowed[i] >> j & 1]
+        elif node[p] >= 0:
+            mask = allowed[i] & frame.succ[node[p]]
+            out += [j for j in by_name if mask >> j & 1]
+        return iter(out)
 
-    yield from rec(0, {})
+    if not req:
+        yield {}
+        return
+    stack = [options(0)]
+    while stack:
+        i = len(stack) - 1
+        j = next(stack[i], None)
+        if j is None:
+            stack.pop()
+            continue
+        node[i] = j
+        if i + 1 < len(req):
+            stack.append(options(i + 1))
+        else:
+            yield {req[k]: frame.names[n] for k, n in enumerate(node) if n >= 0}
 
 
 @dataclass
@@ -205,14 +220,7 @@ def random_model(rng: random.Random, sys: SystemId,
 def check_sequent_on_model(m: GraphModel, sys: SystemId,
                            s: Sequent) -> Optional[Rho]:
     """First admissible assignment falsifying the sequent, if any."""
-    if sys is SystemId.D and not is_serial(m):
-        return None
-    acc = accessibility(m, sys)
-    memo: dict = {}
-    for rho in admissible_assignments(m, sys, [q.pos for q in s.pformulas()]):
-        if not sequent_holds(m, sys, rho, s, acc, memo):
-            return rho
-    return None
+    return next(admissible_assignments(m, sys, (), falsifying=s), None)
 
 
 def soundness_fuzz(target, sys: SystemId, budget: int,

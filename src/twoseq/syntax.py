@@ -9,7 +9,8 @@ system a proof is checked against, not of formula construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property
+from typing import Callable, Iterable, Union
 
 from .errors import DegreeUndefinedError, TwoseqError
 from .positions import Position, SeqPos, Token
@@ -106,6 +107,11 @@ class Sequent:
     def is_empty(self) -> bool:
         return not self.ant and not self.suc
 
+    @cached_property
+    def program(self) -> tuple[list[tuple], list[int]]:
+        """`compile_formulas` of the formulas, antecedent first, cached."""
+        return compile_formulas(q.formula for q in self.pformulas())
+
 
 def pf(formula: Formula, pos: Position) -> PFormula:
     return PFormula(formula, pos)
@@ -126,6 +132,68 @@ def subformula_trees(f: Formula):
         elif isinstance(g, BINARY):
             stack.append(g.left)
             stack.append(g.right)
+
+
+def compile_formulas(roots: Iterable[Formula]) -> tuple[list[tuple], list[int]]:
+    """One post-order program for the formulas, and each root's index.
+
+    Instruction i is ``(class, a, b)``: a ``Prop``'s name twice, else the
+    indices of the (earlier) operand instructions, the same one twice for
+    a unary connective.  Shared subformula objects get one instruction,
+    memoised by identity, so nothing is hashed or compared; the walk
+    keeps its own stack, so depth costs no recursion.
+    """
+    roots = list(roots)
+    code: list[tuple] = []
+    slot: dict[int, int] = {}
+    for root in roots:
+        stack = [root]
+        while stack:
+            f = stack[-1]
+            if id(f) in slot:
+                stack.pop()
+                continue
+            if isinstance(f, UNARY):
+                kids: tuple = (f.sub,)
+            elif isinstance(f, BINARY):
+                kids = (f.left, f.right)
+            elif isinstance(f, Prop):
+                kids = ()
+            else:
+                raise TwoseqError(f"unknown formula {f!r}")
+            todo = [k for k in kids if id(k) not in slot]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            slot[id(f)] = len(code)
+            ops = [slot[id(k)] for k in kids] or [f.name]
+            code.append((type(f), ops[0], ops[-1]))
+    return code, [slot[id(r)] for r in roots]
+
+
+def label_program(code: list[tuple], full: int, atoms: dict[str, int],
+                  step: Callable[[type, int], int]) -> list[int]:
+    """The truth set of each instruction, as a bitmask over the points of
+    one structure (``full`` is all of them): ``atoms`` gives those of the
+    propositions, ``step(class, x)`` that of a modal or temporal
+    connective whose operand's is x."""
+    out: list[int] = []
+    for op, a, b in code:
+        if op is Prop:
+            v = atoms.get(a, 0)
+        elif op is Not:
+            v = full ^ out[a]
+        elif op is And:
+            v = out[a] & out[b]
+        elif op is Or:
+            v = out[a] | out[b]
+        elif op is Imp:
+            v = (full ^ out[a]) | out[b]
+        else:
+            v = step(op, out[a])
+        out.append(v)
+    return out
 
 
 def atoms(f: Formula) -> frozenset[str]:

@@ -1,9 +1,14 @@
 """Command-line driver: exit codes and the stable JSON schema."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twoseq
 from twoseq.calculus import SystemId
 from twoseq.cli import main
 from twoseq.parser import parse_proof, render_proof
@@ -228,3 +233,23 @@ def test_golden_json_outputs(files, capsys, tmp_path):
         code, out = _run_capture(argv, capsys)
         assert code == want_code, name
         assert out == (GOLDEN / name).read_text(), name
+
+
+def _run_cli(*argv):
+    """The CLI in a fresh interpreter, so stderr shows any traceback."""
+    src = str(Path(twoseq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "twoseq.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_unexpected_exception_exits_2_without_traceback(files):
+    model = files("m.2sm", "nodes: n0\nval: n0 {p0}\n")
+    deep = files("deep.2sq", "|- " + "(" * 50_000 + "p0" + ")" * 50_000
+                 + " @ []\n")
+    out = _run_cli("eval", "--model", model, "--sequent", deep,
+                   "--system", "K")
+    assert out.returncode == 2
+    assert out.stderr.startswith("internal error: RecursionError")
+    assert "Traceback" not in out.stderr

@@ -1,6 +1,10 @@
 """Degree bookkeeping, mix cases, elimination, subformula property."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,7 @@ from twoseq.errors import TwoseqError, UnsupportedSystemError
 from twoseq.positions import seqpos
 from twoseq.syntax import And, Box, Dia, Imp, Not, Or, Prop, degree, pf
 import twoseq.corpus as corpus
+import twoseq.cutelim as cutelim
 
 P0, P1 = Prop("p0"), Prop("p1")
 E = seqpos()
@@ -339,3 +344,35 @@ def test_eliminate_randomized_forward_proofs():
                 assert verify_subformula_property(out)
                 tested += 1
     assert tested > 200
+
+
+_BROKEN_DEGREE = """
+import sys
+from twoseq import corpus, cutelim
+from twoseq.calculus import SystemId, iter_nodes
+from twoseq.errors import KernelInvariantError
+
+if __debug__:
+    sys.exit("not running under python -O")
+proof = dict(corpus.entries(SystemId.D))["diamond-taut-cut"]
+c = next(n for _, n in iter_nodes(proof) if n.rule == "cut")
+p1, p2 = c.premises
+real = cutelim.proof_degree
+# the inputs read their true degree, the mix output one past any bound
+cutelim.proof_degree = lambda p: real(p) if p is p1 or p is p2 else 99
+try:
+    cutelim.mix(p1, p2, c.param("cutf"), SystemId.D)
+except KernelInvariantError as e:
+    print(e)
+    sys.exit(0)
+sys.exit("the broken degree bound went unnoticed")
+"""
+
+
+def test_degree_bound_is_checked_under_python_O():
+    src = str(Path(cutelim.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", _BROKEN_DEGREE],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "mix exceeded its degree bound"

@@ -18,7 +18,7 @@ from twoseq.positions import SeqPos, initials
 from twoseq.semantics import (GraphModel, admissible_assignments,
                               check_sequent_on_model, forces, random_model,
                               sequent_holds)
-from twoseq.syntax import PFormula, Sequent
+from twoseq.syntax import Box, Dia, Next, Not, PFormula, Prop, Sequent
 
 ATOMS = ("p0", "p1")
 PROPERTY = settings(max_examples=150, deadline=None,
@@ -104,6 +104,31 @@ lasso_st = st.builds(lambda p, l: LassoWord(tuple(p), tuple(l)),
 def test_eval_at_matches_oracle_at_times_0_to_12(w, f):
     for t in range(13):
         assert eval_at(w, t, f) == oracle.eval_at(w, t, f), t
+
+
+def _tower(ops, depth: int):
+    """``depth`` unary connectives over p0, built without the parser."""
+    f = Prop("p0")
+    for i in range(depth):
+        f = ops[i % len(ops)](f)
+    return f
+
+
+def test_forces_and_eval_at_return_at_depth_100000():
+    # such formulas are never compared or hashed here: both would recurse
+    double_neg = lambda g: Not(Not(g))
+    f = _tower((Box, Dia, double_neg), 100_000)
+    # n1 sees only itself and forces p0, so it forces every such tower;
+    # n0 sees only n1 and the top connective is a box
+    m = GraphModel(("n0", "n1"), frozenset({("n0", "n1"), ("n1", "n1")}),
+                   "n0", {"n0": frozenset(), "n1": frozenset({"p0"})})
+    assert forces(m, SystemId.K, "n0", f) is True
+    assert forces(m, SystemId.D, "n1", Not(f)) is False
+    # p0 holds from time 1 on, and so does every tower over it
+    g = _tower((Box, Next, Dia, double_neg), 100_000)
+    w = LassoWord((frozenset(),), (frozenset({"p0"}),))
+    assert eval_at(w, 1, g) is True
+    assert eval_at(w, 7, Not(g)) is False
 
 
 def test_fuzz_verdicts_match_golden():

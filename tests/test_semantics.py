@@ -291,3 +291,12 @@ def test_partial_assignment_extension_stays_undefined():
     for rho2 in admissible_assignments(CHAIN, SystemId.K, [X]):
         if rho2.get(E) is None:
             assert rho2.get(X) is None
+
+
+def test_graph_semantics_refuses_other_position_families():
+    from twoseq.positions import LtlPos
+    s = seq((), (pf(P, LtlPos()),))
+    with pytest.raises(TwoseqError, match="sequence positions"):
+        check_sequent_on_model(CHAIN, SystemId.K, s)
+    with pytest.raises(TwoseqError, match="no graph semantics"):
+        check_sequent_on_model(CHAIN, SystemId.LTL, seq((), (pf(P, E),)))
