@@ -116,12 +116,9 @@ def satisfies_right(m: GraphModel, sys: SystemId, rho: Rho,
 
 
 def sequent_holds(m: GraphModel, sys: SystemId, rho: Rho, s: Sequent) -> bool:
-    frame, k = _Frame(m, sys), len(s.ant)
-    at = [rho.get(q.pos) for q in s.pformulas()]
-    forced = [n is not None and mask >> frame.index[n] & 1
-              for n, mask in zip(at, frame.truth_sets(*s.program))]
-    return not all(forced[:k]) or any(f or n is None
-                                      for f, n in zip(forced[k:], at[k:]))
+    if all(satisfies_left(m, sys, rho, q) for q in s.ant):
+        return any(satisfies_right(m, sys, rho, q) for q in s.suc)
+    return True
 
 
 def admissible_assignments(m: GraphModel, sys: SystemId,
