@@ -1,5 +1,6 @@
 """Degree bookkeeping, mix cases, elimination, subformula property."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -376,3 +377,130 @@ def test_degree_bound_is_checked_under_python_O():
                          env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "mix exceeded its degree bound"
+
+
+# -- pinned output: trace text and one principal case per connective --
+
+def _digest(chunks) -> str:
+    h = hashlib.sha256()
+    for c in chunks:
+        h.update(c.encode())
+        h.update(b"\n")
+    return h.hexdigest()[:16]
+
+
+# sha256 prefix of every trace line of eliminate_cuts over the seed-2026
+# acceptance suite, then the system's corpus entries, in order
+_TRACE_DIGESTS = {
+    SystemId.K: "233691597fcb9a27",
+    SystemId.D: "63332930e727f067",
+    SystemId.T: "93c5ddda2fb8ea3a",
+    SystemId.K4: "1febeaad9627055b",
+    SystemId.S4: "129ad505cff9e560",
+}
+
+
+def _trace_lines(sysid):
+    lines = []
+    proofs = list(generate_suite(sysid, 100, seed=2026))
+    proofs += [p for _, p in corpus.entries(sysid)]
+    for p in proofs:
+        eliminate_cuts(p, sysid, lines.append)
+    return lines
+
+
+@pytest.mark.parametrize("sysid", CORE, ids=lambda s: s.value)
+def test_trace_text_is_pinned(sysid):
+    assert _digest(_trace_lines(sysid)) == _TRACE_DIGESTS[sysid]
+
+
+def _boxed(atom, at, x):
+    """box atom @ at |- box atom @ at, by boxL then boxR with eigen x."""
+    inner = seqpos(*at, x)
+    return box_right(box_left(ax(pf(atom, inner)), seqpos(x), seqpos(*at)), x)
+
+
+def _principal_pairs():
+    """Per connective, a proof introducing the cut formula on the right,
+    one introducing it on the left, and the cut formula; every premise
+    carries an eigen token, so a change in renaming order shows."""
+    from twoseq.calculus import (and_left1, and_left2, and_right, dia_left,
+                                 dia_right, imp_left, imp_right, neg_left,
+                                 neg_right)
+    bb = Box(P0)
+    out = {
+        "not": (neg_right(_boxed(P0, (), "x")), neg_left(_boxed(P0, (), "y")),
+                pf(Not(bb), E)),
+        "andL1": (and_right(_boxed(P0, (), "x"), _boxed(P0, (), "y")),
+                  and_left1(_boxed(P0, (), "z"), bb), pf(And(bb, bb), E)),
+        "andL2": (and_right(_boxed(P0, (), "x"), _boxed(P0, (), "y")),
+                  and_left2(_boxed(P0, (), "z"), bb), pf(And(bb, bb), E)),
+        "imp": (imp_right(_boxed(P0, (), "x")),
+                imp_left(_boxed(P0, (), "y"), _boxed(P0, (), "z")),
+                pf(Imp(bb, bb), E)),
+        # box p0 |- box box p0 against box box p0 |- box p0 @ [z]
+        "box": (box_right(box_right(box_left(ax(pf(P0, seqpos("x", "y"))),
+                                             seqpos("x", "y")), "y"), "x"),
+                box_left(_boxed(P0, ("z",), "w"), seqpos("z")),
+                pf(Box(bb), E)),
+    }
+    # dia p0 @ [z] |- dia dia p0 against dia dia p0 |- dia p0
+    inner = dia_left(dia_right(ax(pf(P0, seqpos("z", "w"))), seqpos("w"),
+                               seqpos("z")), "w")
+    eig = dia_left(dia_right(ax(pf(P0, seqpos("x", "y"))), seqpos("x", "y")), "y")
+    out["dia"] = (dia_right(inner, seqpos("z")), dia_left(eig, "x"),
+                  pf(Dia(Dia(P0)), E))
+    return out
+
+
+# sha256 prefix of the rendered mix output, per system and case
+_PRINCIPAL_DIGESTS = {
+    (SystemId.S4, "not"): "de4e93dd4c62e575",
+    (SystemId.S4, "andL1"): "ff225acb6d55f764",
+    (SystemId.S4, "andL2"): "15e4c836ff3fb606",
+    (SystemId.S4, "imp"): "e28aa6e37dea4920",
+    (SystemId.S4, "box"): "99374f5ad9f7464d",
+    (SystemId.S4, "dia"): "25e8ee4106345b56",
+    (SystemId.K4, "not"): "841192ace5af74fa",
+    (SystemId.K4, "andL1"): "e4dcb747c12cc5fc",
+    (SystemId.K4, "andL2"): "d46b5635d03264e3",
+    (SystemId.K4, "imp"): "70d01a7b301300fd",
+    (SystemId.K4, "box"): "dfa1832357acf087",
+    (SystemId.K4, "dia"): "852f59c30fe7ae8a",
+}
+
+
+@pytest.mark.parametrize("sysid,case", list(_PRINCIPAL_DIGESTS),
+                         ids=lambda v: getattr(v, "value", v))
+def test_principal_mix_output_is_pinned(sysid, case):
+    from twoseq.parser import render_proof
+    p1, p2, cutf = _principal_pairs()[case]
+    for p in (p1, p2):
+        assert check_proof(p, sysid).accepted
+    lines = []
+    out = mix(p1, p2, cutf, sysid, lines.append)
+    assert lines[0].startswith("mix: principal case")
+    assert check_proof(out, sysid).accepted
+    assert _digest([render_proof(sysid, out)]) == _PRINCIPAL_DIGESTS[sysid, case]
+
+
+def _or_pair():
+    """box p0 |- box p0 | p1 against p2, box p0 | p1 |- box p0, p1."""
+    from twoseq.calculus import exc_left, or_left, or_right1
+    p1 = or_right1(_boxed(P0, (), "x"), P1)
+    p2 = or_left(ax(pf(Box(P0), E)),
+                 exc_left(weak_left(ax(pf(P1, E)), pf(Prop("p2"), E)), 0))
+    return p1, p2, pf(Or(Box(P0), P1), E)
+
+
+@pytest.mark.parametrize("sysid", (SystemId.S4, SystemId.K4), ids=lambda s: s.value)
+def test_principal_or_mix(sysid):
+    p1, p2, cutf = _or_pair()
+    for p in (p1, p2):
+        assert check_proof(p, sysid).accepted
+    lines = []
+    out = mix(p1, p2, cutf, sysid, lines.append)
+    assert lines[0] == "mix: principal case on Or"
+    b = pf(Box(P0), E)
+    assert out.conclusion == seq((b, pf(Prop("p2"), E)), (b, pf(P1, E)))
+    assert check_proof(out, sysid).accepted
