@@ -13,7 +13,8 @@ formulas at each premise's edges (the operand each carries and the map
 from the principal position to its own), its parameter kinds and its
 hooks into the constraint table.  That entry drives the forward
 constructor (``apply_rule``, behind the named wrappers), the checker
-(``_check_schema``) and the mix step of cut elimination (``reapply``).
+(``_check_schema``) and both mix steps of cut elimination (``reapply``,
+and the principal reduction, which cuts the operands ``Active`` names).
 A new rule is one entry here, its name in ``RULES_BY_SYSTEM`` and, for
 building proofs by hand, a wrapper; a new side condition is a hook.
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .errors import BridgeError, TwoseqError
+from .errors import BridgeError, KernelInvariantError, TwoseqError
 from .positions import (LtlPos, PastPos, Position, SeqPos, SetPos, Token,
                         concat, initials, ltl_add, ltl_step, ltl_token,
                         past_add, past_sub, related, seqpos)
@@ -1078,7 +1079,8 @@ class _BridgeBuilder:
                 xs = self._side(side)
                 if xs[k] != q:
                     self._move(side, xs.index(q, k + 1), k)
-        assert self.proof.conclusion == to
+        if self.proof.conclusion != to:
+            raise KernelInvariantError("bridge did not reach the requested sequent")
         return self.proof
 
 

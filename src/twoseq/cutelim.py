@@ -9,6 +9,11 @@ failure raises `KernelInvariantError` (also under ``python -O``).  For
 the two restricted systems the mix carries a position hypothesis mirroring
 their cut condition; it is checked on every entry and a violation is
 reported as an error, never patched over.
+
+The mix reads rule shapes only from `calculus.SCHEMAS`: one step mixes a
+premise of either proof with the other proof, both to re-apply a rule
+that does not introduce the cut formula and to reduce a principal pair,
+which cuts each operand both schemas expose.
 """
 
 from __future__ import annotations
@@ -22,8 +27,7 @@ from .calculus import (CORE_SYSTEMS, SCHEMAS, STRUCTURAL_RULES, ProofNode,
 from .errors import (KernelInvariantError, MixHypothesisError, TwoseqError,
                      UnsupportedSystemError)
 from .positions import SeqPos, prefix_replace
-from .syntax import (And, Box, Dia, Imp, Not, Or, PFormula, degree,
-                     is_subformula, pf)
+from .syntax import PFormula, degree, is_subformula
 from .transform import FreshTokenSource, _map_positions, _scoped_rename
 
 Trace = Optional[Callable[[str], None]]
@@ -61,15 +65,26 @@ def _removed(xs: tuple[PFormula, ...], cutf: PFormula) -> tuple[PFormula, ...]:
     return tuple(q for q in xs if q != cutf)
 
 
-def _mix_target(p1: ProofNode, p2: ProofNode, cutf: PFormula) -> Sequent:
-    return seq(p1.conclusion.ant + _removed(p2.conclusion.ant, cutf),
-               _removed(p1.conclusion.suc, cutf) + p2.conclusion.suc)
+def _mix_target(s1: Sequent, s2: Sequent, cutf: PFormula) -> Sequent:
+    return seq(s1.ant + _removed(s2.ant, cutf), _removed(s1.suc, cutf) + s2.suc)
 
 
-def _introduces(p: ProofNode, cutf: PFormula, side: str) -> bool:
-    """Whether p's rule is a logical one making cutf its principal on side."""
-    s = SCHEMAS.get(p.rule)
-    return s is not None and s.side == side and edge(p.conclusion, side) == cutf
+# the two proofs of a cut or a mix, by index k: the left one (0) carries
+# the cut formula in its succedent (side R), the right one (1) in its
+# antecedent (side L)
+_NAMES = ("left", "right")
+
+
+def _cut_side(s: Sequent, k: int) -> tuple[PFormula, ...]:
+    return s.ant if k else s.suc
+
+
+def _gathered(p: ProofNode, f: PFormula, side: str) -> ProofNode:
+    """p with every copy of f contracted into one at its edge on side."""
+    s = p.conclusion
+    if side == "L":
+        return bridge_proof(p, seq(_removed(s.ant, f) + (f,), s.suc))
+    return bridge_proof(p, seq(s.ant, (f,) + _removed(s.suc, f)))
 
 
 class _Mixer:
@@ -79,183 +94,126 @@ class _Mixer:
         self.sys = sys
         self.src = src
         self.trace = trace
-        self.degree = degree(cutf.formula)
-
-    def strip(self, xs) -> tuple[PFormula, ...]:
-        return _removed(tuple(xs), self.cutf)
 
     def run(self, p1: ProofNode, p2: ProofNode,
             parent: Optional[tuple[int, int]]) -> ProofNode:
         measure = (height(p1), height(p2))
         _ensure(parent is None or measure < parent,
                 "mix height measure failed to decrease")
-        want = _mix_target(p1, p2, self.cutf)
+        want = _mix_target(p1.conclusion, p2.conclusion, self.cutf)
         # when one side carries no occurrence at all, nothing is removed
         # from it and the spliced sequent is reachable by weakening alone;
         # recursion below a two-premise rule can land here with the other
         # premise holding the only position witness, where the restricted
         # hypothesis is silent
-        if self.cutf not in p2.conclusion.ant:
-            if self.trace:
-                self.trace("mix: no occurrences on the left of the right proof")
-            return bridge_proof(p2, want)
-        if self.cutf not in p1.conclusion.suc:
-            if self.trace:
-                self.trace("mix: no occurrences on the right of the left proof")
-            return bridge_proof(p1, want)
-        out = self._dispatch(p1, p2, measure)
+        pair = (p1, p2)
+        for k in (1, 0):
+            if self.cutf not in _cut_side(pair[k].conclusion, k):
+                if self.trace:
+                    self.trace(f"mix: no occurrences on the {_NAMES[1 - k]} "
+                               f"of the {_NAMES[k]} proof")
+                return bridge_proof(pair[k], want)
+        out = self._dispatch(pair, want, measure)
         _ensure(out.conclusion == want, "mix produced the wrong sequent")
         return out
 
-    def sub(self, a: ProofNode, b: ProofNode,
-            measure: tuple[int, int]) -> ProofNode:
-        # fresh copies keep every eigen token unique across duplicated sides
-        return self.run(_scoped_rename(a, self.src),
-                        _scoped_rename(b, self.src), measure)
-
-    def _dispatch(self, p1: ProofNode, p2: ProofNode, measure) -> ProofNode:
+    def _dispatch(self, pair: tuple[ProofNode, ProofNode], E: Sequent,
+                  measure) -> ProofNode:
         cutf = self.cutf
-        E = _mix_target(p1, p2, cutf)
-        r, rp = p1.rule, p2.rule
         t = self.trace or (lambda s: None)
 
-        if r == "ax":
-            t("mix: left axiom")
-            base = p2 if p1.conclusion.ant[0] == cutf else p1
-            return bridge_proof(base, E)
-        if rp == "ax":
-            t("mix: right axiom")
-            base = p1 if p2.conclusion.ant[0] == cutf else p2
-            return bridge_proof(base, E)
-        if r in STRUCTURAL_RULES:
-            t(f"mix: left structural {r}")
-            return bridge_proof(self.sub(p1.premises[0], p2, measure), E)
-        if rp in STRUCTURAL_RULES:
-            t(f"mix: right structural {rp}")
-            return bridge_proof(self.sub(p1, p2.premises[0], measure), E)
+        for k, p in enumerate(pair):
+            if p.rule == "ax":
+                t(f"mix: {_NAMES[k]} axiom")
+                base = pair[1 - k] if p.conclusion.ant[0] == cutf else p
+                return bridge_proof(base, E)
+        for k, p in enumerate(pair):
+            if p.rule in STRUCTURAL_RULES:
+                t(f"mix: {_NAMES[k]} structural {p.rule}")
+                args = list(pair)
+                args[k] = p.premises[0]
+                return bridge_proof(self._sub(args, measure), E)
         # from here on rules are rebuilt over removal-damaged contexts,
         # which is where the restricted systems' position hypothesis does
         # its work; the axiom and structural cases above never consume it
         if TABLE[self.sys].cut_guard and \
-                not cut_position_holds(cutf, p1.conclusion, p2.conclusion):
+                not cut_position_holds(cutf, pair[0].conclusion, pair[1].conclusion):
             raise MixHypothesisError(
                 f"mix position {cutf.pos} is not an initial segment of either "
                 f"cut-free context")
-        c1, c2, strip = p1.conclusion, p2.conclusion, self.strip
-        if r == "cut" or not _introduces(p1, cutf, "R"):
-            t(f"mix: left rule {r} does not introduce the cut formula")
-            return self._reapply(p1, lambda c: self.sub(c, p2, measure),
-                                 lambda ant, suc: (ant + strip(c2.ant), strip(suc) + c2.suc), E)
-        if rp == "cut" or not _introduces(p2, cutf, "L"):
-            t(f"mix: right rule {rp} does not introduce the cut formula")
-            return self._reapply(p2, lambda c: self.sub(p1, c, measure),
-                                 lambda ant, suc: (c1.ant + strip(ant), strip(c1.suc) + suc), E)
+        for k, p in enumerate(pair):
+            # a logical rule introduces cutf when it is its principal formula
+            s = SCHEMAS.get(p.rule)
+            if s is None or s.side != "RL"[k] or edge(p.conclusion, s.side) != cutf:
+                t(f"mix: {_NAMES[k]} rule {p.rule} does not introduce the cut formula")
+                if s is None:
+                    raise TwoseqError(f"mix: unexpected rule {p.rule}")
+                prems = [self._premise(pair, k, i, measure)
+                         for i in range(len(p.premises))]
+                return bridge_proof(reapply(p, prems), E)
         t(f"mix: principal case on {type(cutf.formula).__name__}")
-        return self._case_principal(p1, p2, E, measure)
+        return bridge_proof(self._principal(pair, measure), E)
 
-    # -- a non-principal rule is reapplied over its mixed premises --
+    def _sub(self, args, measure, keep_left: bool = False) -> ProofNode:
+        # fresh copies keep every eigen token unique across duplicated sides
+        a, b = args
+        return self.run(a if keep_left else _scoped_rename(a, self.src),
+                        _scoped_rename(b, self.src), measure)
 
-    def _reapply(self, p: ProofNode, mixed, widen, E) -> ProofNode:
-        """Mix each premise of p (``mixed``), bridge the result to the
-        premise's shape around the same active formulas, with the contexts
-        ``widen`` gives, then rebuild p's rule and bridge to E."""
-        s = SCHEMAS.get(p.rule)
-        if s is None:
-            raise TwoseqError(f"mix: unexpected rule {p.rule}")
-        prems = []
-        for c, shape in zip(p.premises, s.premises):
-            q = c.conclusion
-            ant, suc = widen(q.ant[:-1] if shape.left else q.ant,
-                             q.suc[1:] if shape.right else q.suc)
-            target = seq(ant + q.ant[-1:] if shape.left else ant,
-                         q.suc[:1] + suc if shape.right else suc)
-            prems.append(bridge_proof(mixed(c), target))
-        return bridge_proof(reapply(p, prems), E)
+    def _premise(self, pair, k: int, i: int, measure, prem=None,
+                 keep_left: bool = False) -> ProofNode:
+        """Mix premise i of pair[k] (or ``prem`` standing in for it) with
+        the whole other proof, then bridge the result so that the
+        premise's active formulas stay at its edges, around the contexts
+        the mix splices."""
+        shape = SCHEMAS[pair[k].rule].premises[i]
+        prem = prem or pair[k].premises[i]
+        q = prem.conclusion
+        args = list(pair)
+        args[k] = prem
+        ends = [r.conclusion for r in pair]
+        ends[k] = seq(q.ant[:-1] if shape.left else q.ant,
+                      q.suc[1:] if shape.right else q.suc)
+        w = _mix_target(*ends, self.cutf)
+        target = seq(w.ant + q.ant[-1:] if shape.left else w.ant,
+                     q.suc[:1] + w.suc if shape.right else w.suc)
+        return bridge_proof(self._sub(args, measure, keep_left), target)
 
-    # -- both rules introduce the cut formula principally --
-
-    def _case_principal(self, p1, p2, E, measure) -> ProofNode:
-        cutf, strip = self.cutf, self.strip
-        f, alpha = cutf.formula, cutf.pos
-
-        def to(m, ant, suc):
-            return bridge_proof(m, seq(tuple(ant), tuple(suc)))
-
-        def ren(q):
-            return _scoped_rename(q, self.src)
-
-        if isinstance(f, Not):
-            sub = pf(f.sub, alpha)
-            g, d1 = p1.premises[0].conclusion.ant[:-1], p1.conclusion.suc[1:]
-            gp, dp = p2.conclusion.ant[:-1], p2.conclusion.suc
-            m1 = self.run(p1, ren(p2.premises[0]), measure)
-            m2 = self.run(ren(p1.premises[0]), ren(p2), measure)
-            left = g + strip(gp)
-            m1 = to(m1, left, (sub,) + strip(d1) + dp)
-            m2 = to(m2, left + (sub,), strip(d1) + dp)
-            return bridge_proof(cut(m1, m2, sub), E)
-
-        if isinstance(f, And):
-            use_left = p2.rule == "andL1"
-            comp = pf(f.left if use_left else f.right, alpha)
-            pc = p1.premises[0] if use_left else p1.premises[1]
-            m1 = self.run(pc, ren(p2), measure)
-            m2 = self.run(ren(p1), ren(p2.premises[0]), measure)
-            m1 = to(m1, pc.conclusion.ant + strip(p2.conclusion.ant[:-1]),
-                    (comp,) + strip(pc.conclusion.suc[1:]) + p2.conclusion.suc)
-            m2 = to(m2, p1.conclusion.ant + strip(p2.conclusion.ant[:-1]) + (comp,),
-                    strip(p1.conclusion.suc[1:]) + p2.conclusion.suc)
-            return bridge_proof(cut(m1, m2, comp), E)
-
-        if isinstance(f, Or):
-            use_left = p1.rule == "orR1"
-            comp = pf(f.left if use_left else f.right, alpha)
-            pc = p2.premises[0] if use_left else p2.premises[1]
-            m1 = self.run(ren(p1.premises[0]), ren(p2), measure)
-            m2 = self.run(p1, ren(pc), measure)
-            m1 = to(m1, p1.conclusion.ant + strip(p2.conclusion.ant[:-1]),
-                    (comp,) + strip(p1.conclusion.suc[1:]) + p2.conclusion.suc)
-            m2 = to(m2, p1.conclusion.ant + strip(p2.conclusion.ant[:-1]) + (comp,),
-                    strip(p1.conclusion.suc[1:]) + pc.conclusion.suc)
-            return bridge_proof(cut(m1, m2, comp), E)
-
-        if isinstance(f, Imp):
-            a_pf, b_pf = pf(f.left, alpha), pf(f.right, alpha)
-            pa, pb = p2.premises[1], p2.premises[0]   # |- A side, B |- side
-            d1 = p1.conclusion.suc[1:]
-            m1 = self.run(p1, ren(pa), measure)
-            m3 = self.run(ren(p1.premises[0]), ren(p2), measure)
-            m2 = self.run(ren(p1), ren(pb), measure)
-            left1 = p1.conclusion.ant + strip(pa.conclusion.ant)
-            m1 = to(m1, left1, (a_pf,) + strip(d1) + pa.conclusion.suc[1:])
-            left3 = p1.conclusion.ant + strip(p2.conclusion.ant[:-1])
-            m3 = to(m3, left3 + (a_pf,),
-                    (b_pf,) + strip(d1) + p2.conclusion.suc)
-            k1 = cut(m1, m3, a_pf)
-            k1 = to(k1, k1.conclusion.ant,
-                    (b_pf,) + tuple(q for q in k1.conclusion.suc if q != b_pf))
-            left2 = p1.conclusion.ant + strip(pb.conclusion.ant[:-1])
-            m2 = to(m2, left2 + (b_pf,), strip(d1) + pb.conclusion.suc)
-            return bridge_proof(cut(k1, m2, b_pf), E)
-
-        if isinstance(f, (Box, Dia)):
-            # the eigen side (boxR, diaL) is moved to the position where the
-            # other side (boxL, diaR) reads the operand
-            box = isinstance(f, Box)
-            eigen, other = (p1, p2) if box else (p2, p1)
-            up = pf(f.sub, edge(other.premises[0].conclusion, "L" if box else "R").pos)
-            shifted = _map_positions(eigen.premises[0], lambda q: prefix_replace(
-                q, SeqPos(alpha.items + (eigen.param("x"),)), up.pos))
-            q1, q2 = (shifted, p2.premises[0]) if box else (p1.premises[0], shifted)
-            m1 = self.run(q1, ren(p2), measure)
-            m2 = self.run(ren(p1), ren(q2), measure)
-            left = p1.conclusion.ant + strip(p2.conclusion.ant[:-1])
-            m1 = to(m1, left, (up,) + strip(p1.conclusion.suc[1:]) + p2.conclusion.suc)
-            m2 = to(m2, left + (up,),
-                    strip(p1.conclusion.suc[1:]) + p2.conclusion.suc)
-            return bridge_proof(cut(m1, m2, up), E)
-
-        raise TwoseqError("mix: principal case on an atomic cut formula")
+    def _principal(self, pair, measure) -> ProofNode:
+        """Both rules introduce the cut formula: cut, once per operand both
+        schemas expose, the premise carrying it on the right against the
+        premise carrying it on the left, each mixed with the other proof.
+        An eigen premise first moves to the position the other side reads
+        the operand at; a premise already cut is reused from that cut."""
+        carriers = {}       # (operand, side) -> (proof k, premise i, its shift)
+        for k, p in enumerate(pair):
+            for i, shape in enumerate(SCHEMAS[p.rule].premises):
+                for side, act in (("L", shape.left), ("R", shape.right)):
+                    if act is not None:
+                        carriers[act.operand, side] = (k, i, act.shift)
+        mixed: set[tuple[int, int]] = set()     # premises already cut into out
+        for operand in ("sub", "left", "right"):
+            ends = [carriers.get((operand, side)) for side in "RL"]
+            if None in ends:
+                continue
+            prems = [pair[k].premises[i] for k, i, _ in ends]
+            eigen = [j for j, (_, _, shift) in enumerate(ends) if shift == "+x"]
+            o = 1 - eigen[0] if eigen else 1     # the carrier the position is read off
+            f = edge(prems[o].conclusion, "RL"[o])
+            for j in eigen:
+                old = SeqPos(self.cutf.pos.items + (pair[ends[j][0]].param("x"),))
+                prems[j] = _map_positions(prems[j], lambda q: prefix_replace(
+                    q, old, f.pos))
+            sides = []
+            for (k, i, _), prem, side in zip(ends, prems, "RL"):
+                if (k, i) in mixed:
+                    sides.append(_gathered(out, f, side))
+                else:
+                    sides.append(self._premise(pair, k, i, measure, prem,
+                                               keep_left=not mixed))
+                    mixed.add((k, i))
+            out = cut(sides[0], sides[1], f)
+        return out
 
 
 def mix(p1: ProofNode, p2: ProofNode, cutf: PFormula, sys: SystemId,
@@ -318,14 +276,11 @@ def _eliminate(p: ProofNode, sys: SystemId, src: FreshTokenSource,
     cutf = p.param("cutf")
     p1, p2 = p.premises
     if TABLE[sys].cut_guard:
-        if cutf in p1.conclusion.suc[1:]:
-            t("eliminate: cut formula recurs on the right, bypassing mix")
-            q1 = _eliminate(p1, sys, src, trace, my)
-            return bridge_proof(q1, p.conclusion)
-        if cutf in p2.conclusion.ant[:-1]:
-            t("eliminate: cut formula recurs on the left, bypassing mix")
-            q2 = _eliminate(p2, sys, src, trace, my)
-            return bridge_proof(q2, p.conclusion)
+        for k, q in enumerate((p1, p2)):
+            # a second copy besides the one at the cut edge
+            if _cut_side(q.conclusion, k).count(cutf) > 1:
+                t(f"eliminate: cut formula recurs on the {_NAMES[1 - k]}, bypassing mix")
+                return bridge_proof(_eliminate(q, sys, src, trace, my), p.conclusion)
     q1 = _eliminate(p1, sys, src, trace, my)
     q2 = _eliminate(p2, sys, src, trace, my)
     t(f"eliminate: mixing on {type(cutf.formula).__name__} at {cutf.pos}")

@@ -46,4 +46,5 @@ class UnsupportedSystemError(TwoseqError):
 
 
 class KernelInvariantError(TwoseqError):
-    """A cut-elimination measure or invariant failed (checked under -O too)."""
+    """A cut-elimination measure or a kernel invariant failed, such as a
+    structural bridge missing its target (checked under -O too)."""

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 from .calculus import CheckReport, ProofNode, SystemId, check_proof
 from .errors import TwoseqError
 from .positions import LtlPos, Token
-from .syntax import (Box, Dia, Formula, Next, PFormula, Sequent,
+from .syntax import (Box, Dia, Formula, Next, Sequent,
                      compile_formulas, label_program, sequent_atoms, tokens_of)
 
 
@@ -81,12 +81,6 @@ def eval_at(w: LassoWord, m: int, f: Formula) -> bool:
     """Satisfaction at time m."""
     code, (root,) = compile_formulas((f,))
     return bool(w.label(code)[root] >> w.point(m) & 1)
-
-
-def pformula_satisfied(w: LassoWord, a: TokenValuation, q: PFormula) -> bool:
-    if not isinstance(q.pos, LtlPos):
-        raise TwoseqError("lasso semantics needs step/token-set positions")
-    return eval_at(w, a_value(a, q.pos), q.formula)
 
 
 def sequent_checker(w: LassoWord,

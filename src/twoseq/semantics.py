@@ -35,10 +35,6 @@ class GraphModel:
     valuation: dict[str, frozenset[str]]
 
 
-def is_serial(m: GraphModel) -> bool:
-    return all(any(a == n for a, _ in m.edges) for n in m.nodes)
-
-
 class _Frame:
     """A model under one system, as node masks: ``succ[i]`` for the nodes
     accessible from node i, ``atoms[a]`` for the nodes where a holds."""
@@ -84,11 +80,6 @@ def accessibility(m: GraphModel, sys: SystemId) -> dict[str, frozenset[str]]:
     f = _Frame(m, sys)
     return {n: frozenset(x for j, x in enumerate(f.names) if s >> j & 1)
             for n, s in zip(f.names, f.succ)}
-
-
-def step_targets(m: GraphModel, sys: SystemId, n: str) -> frozenset[str]:
-    """Nodes one admissible position-step away from n; equals accessibility."""
-    return accessibility(m, sys)[n]
 
 
 def forces(m: GraphModel, sys: SystemId, n: str, f: Formula) -> bool:

@@ -1,5 +1,10 @@
 """Rule engine: local instances, constraint matrix, bridges, token discipline."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +20,7 @@ from twoseq.parser import parse_proof
 from twoseq.positions import seqpos
 from twoseq.syntax import Box, Prop, pf
 from twoseq.transform import canonical_rename
+import twoseq.calculus as calculus
 import twoseq.corpus as corpus
 
 P0, P1 = Prop("p0"), Prop("p1")
@@ -350,3 +356,39 @@ def test_bridge_plan_is_the_chain_bridge_proof_builds(ends):
         chain.append((out.rule, dict(out.params)))
         out, = out.premises
     assert tuple(reversed(chain)) == steps
+
+
+_BROKEN_BRIDGE = """
+import sys
+from twoseq import calculus
+from twoseq.calculus import ProofScript, ScriptNode, SystemId, seq
+from twoseq.errors import KernelInvariantError
+from twoseq.positions import seqpos
+from twoseq.syntax import Prop, pf
+
+if __debug__:
+    sys.exit("not running under python -O")
+a, b = pf(Prop("p0"), seqpos()), pf(Prop("p1"), seqpos())
+leaf = ScriptNode("ax", (), seq((a,), (a,)))
+script = ProofScript(SystemId.S4, ScriptNode("bridge", (), seq((a, b), (a,)), (leaf,)))
+real = calculus.apply_structural
+# each weakening adds its formula twice, so the bridge overshoots its target
+calculus.apply_structural = lambda rule, p, value=None: (
+    real(rule, real(rule, p, value), value) if rule.startswith("weak")
+    else real(rule, p, value))
+try:
+    calculus.expand_double_lines(script)
+except KernelInvariantError as e:
+    print(e)
+    sys.exit(0)
+sys.exit("the bridge that missed its target went unnoticed")
+"""
+
+
+def test_bridge_target_is_checked_under_python_O():
+    src = str(Path(calculus.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", _BROKEN_BRIDGE],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "bridge did not reach the requested sequent"
