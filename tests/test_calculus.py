@@ -322,6 +322,49 @@ def test_expand_rejects_impossible_bridge():
     assert "root" in str(e.value)
 
 
+def _bridge_tree(*children):
+    """A script whose root has the given children; expansion checks no rule."""
+    return calculus.ProofScript(SystemId.K, calculus.ScriptNode(
+        "andR", (), seq((), (pf(P0, E),)), children))
+
+
+def test_expand_reports_the_first_bad_bridge_with_its_path():
+    leaf = calculus.ScriptNode("ax", (), seq((pf(P0, E),), (pf(P0, E),)))
+
+    def bridge(to, *kids):
+        return calculus.ScriptNode("bridge", (), to, kids)
+
+    good = bridge(seq((pf(P0, E), pf(P1, E)), (pf(P0, E),)), leaf)
+    drops = bridge(seq((), (pf(P0, E),)), leaf)        # drops the antecedent
+    twins = bridge(seq((pf(P0, E),), (pf(P0, E),)), leaf, leaf)
+    inner = calculus.ScriptNode("negR", (), seq(), (good, drops))
+    cases = [
+        # children finish left to right, each bridge after its own subtree
+        (_bridge_tree(good, inner, drops), BridgeError,
+         "cannot bridge: antecedent (at 1/1) side would need to drop "
+         "PFormula(formula=Prop(name='p0'), pos=SeqPos(items=()))"),
+        (_bridge_tree(bridge(seq(), good)), BridgeError,
+         "cannot bridge: antecedent (at 0) side would need to drop "
+         "PFormula(formula=Prop(name='p0'), pos=SeqPos(items=()))"),
+        (_bridge_tree(drops, twins), BridgeError,
+         "cannot bridge: antecedent (at 0) side would need to drop "
+         "PFormula(formula=Prop(name='p0'), pos=SeqPos(items=()))"),
+        (_bridge_tree(twins, drops), TwoseqError,
+         "double-line node must have exactly one child"),
+        (_bridge_tree(good, good, inner), BridgeError,
+         "cannot bridge: antecedent (at 2/1) side would need to drop "
+         "PFormula(formula=Prop(name='p0'), pos=SeqPos(items=()))"),
+    ]
+    for script, kind, message in cases:
+        with pytest.raises(kind) as e:
+            expand_double_lines(script)
+        assert str(e.value) == message
+    ok = expand_double_lines(_bridge_tree(good, calculus.ScriptNode(
+        "negR", (), seq(), (good,))))
+    assert [n.rule for n in (ok.premises[0], ok.premises[1].premises[0])] == \
+        ["weakL", "weakL"]
+
+
 @st.composite
 def bridge_ends(draw):
     """Two sequents over a small shared pool of formulas; about half of

@@ -235,21 +235,34 @@ def test_golden_json_outputs(files, capsys, tmp_path):
         assert out == (GOLDEN / name).read_text(), name
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, entry=("-m", "twoseq.cli")):
     """The CLI in a fresh interpreter, so stderr shows any traceback."""
     src = str(Path(twoseq.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run([sys.executable, "-m", "twoseq.cli", *argv],
+    return subprocess.run([sys.executable, *entry, *argv],
                           capture_output=True, text=True, env=env,
                           timeout=120)
 
 
+# the CLI with `eval` replaced by a subcommand that dies of an exception
+# no handler expects
+_CRASHING_EVAL = """
+import sys
+from twoseq import cli
+
+def crash(args):
+    raise RecursionError("maximum recursion depth exceeded")
+
+cli.cmd_eval = crash
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 def test_unexpected_exception_exits_2_without_traceback(files):
     model = files("m.2sm", "nodes: n0\nval: n0 {p0}\n")
-    deep = files("deep.2sq", "|- " + "(" * 50_000 + "p0" + ")" * 50_000
-                 + " @ []\n")
-    out = _run_cli("eval", "--model", model, "--sequent", deep,
-                   "--system", "K")
+    sequent = files("s.2sq", "|- p0 @ []\n")
+    out = _run_cli("eval", "--model", model, "--sequent", sequent,
+                   "--system", "K", entry=("-c", _CRASHING_EVAL))
     assert out.returncode == 2
     assert out.stderr.startswith("internal error: RecursionError")
     assert "Traceback" not in out.stderr

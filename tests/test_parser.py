@@ -4,8 +4,10 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import parser_oracle as oracle
 from corruptions import GOLDEN as PARSE_ERRORS, corruptions, parse_error
 from mutants import corpus_proofs
 from strategies import formula_st, pformula_st, sequent_st
@@ -19,6 +21,10 @@ from twoseq.parser import (parse_formula, parse_model, parse_pformula,
 from twoseq.positions import LtlPos, PastPos, SeqPos, SetPos, seqpos
 from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, Prop, pf)
 import twoseq.corpus as corpus
+import twoseq.parser as parser
+
+PROPERTY = settings(max_examples=300, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
 
 
 def test_formula_grammar_instances():
@@ -162,3 +168,115 @@ def test_model_errors():
         parse_model("prefix: {p0} ; loop:")
     with pytest.raises(ParseError):
         parse_model("nodes: n0\nedges: n0->n9")
+
+
+# --- the parser against the recursive-descent oracle ---
+
+# pieces of text, most of them tokens of some format, some not tokens at all
+FRAGMENTS = ["p0", "q", "box", "dia", "X", "Y", "H", "P", "~", "&", "|", "->",
+             "(", ")", "@", "[", "]", "{", "}", ";", ",", "|-", "x", "y", "0",
+             "2", "-1", "\u22121", "$", "-", ">", "#c\n", "\n", " ", "\t",
+             "proof", "K", "S42", "LTLP", "rule", "bridge", "concl", "ax",
+             "boxR", "alpha", "beta", "t", "at", "pf", "cutf", "int", "ident"]
+ENTRY_POINTS = ("parse_formula", "parse_pformula", "parse_position",
+                "parse_sequent", "parse_proof")
+
+
+def _outcome(parse, text: str):
+    """What parsing ``text`` gives: the value, or the error's type and text
+    (for a ParseError its message, line and column)."""
+    try:
+        return "value", parse(text)
+    except ParseError as e:
+        return "ParseError", e.message, e.line, e.col
+    except Exception as e:      # any other exception must match as well
+        return type(e).__name__, str(e)
+
+
+def _same_as_oracle(text: str, entries=ENTRY_POINTS) -> None:
+    for name in entries:
+        assert _outcome(getattr(parser, name), text) == \
+            _outcome(getattr(oracle, name), text), (name, text)
+
+
+soup_st = st.lists(st.sampled_from(FRAGMENTS), max_size=24).flatmap(
+    lambda xs: st.lists(st.sampled_from(["", " "]), min_size=len(xs),
+                        max_size=len(xs)).map(
+        lambda gaps: "".join(g + x for g, x in zip(gaps, xs))))
+
+
+@st.composite
+def edited_st(draw, texts):
+    """A valid text with one piece deleted, one fragment inserted, or a
+    piece doubled."""
+    text = draw(texts)
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 8)))
+    how = draw(st.sampled_from(("delete", "insert", "double")))
+    if how == "delete":
+        return text[:i] + text[j:]
+    if how == "insert":
+        return text[:i] + draw(st.sampled_from(FRAGMENTS)) + text[i:]
+    return text[:j] + text[i:j] + text[j:]
+
+
+@PROPERTY
+@given(soup_st)
+def test_token_soup_parses_as_the_oracle_does(text):
+    _same_as_oracle(text)
+
+
+@PROPERTY
+@given(edited_st(sequent_st("past", PastPos).map(render_sequent)
+                 | sequent_st("modal", SeqPos).map(render_sequent)
+                 | formula_st("past").map(render_formula)))
+def test_edited_sequents_parse_as_the_oracle_does(text):
+    _same_as_oracle(text)
+
+
+def _script_texts():
+    return [render_proof(home, proof) for home, _, proof in corpus_proofs()]
+
+
+@PROPERTY
+@given(edited_st(st.sampled_from(_script_texts())))
+def test_edited_scripts_parse_as_the_oracle_does(text):
+    _same_as_oracle(text, ("parse_proof",))
+
+
+def test_scripts_and_their_corruptions_parse_as_the_oracle_does():
+    for text in _script_texts():
+        _same_as_oracle(text, ("parse_proof",))
+    for home, name, proof in corpus_proofs():
+        rng = random.Random(f"oracle:{home.value}:{name}")
+        for _, text in corruptions(render_proof(home, proof), rng):
+            _same_as_oracle(text, ("parse_proof",))
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 300 + "p0" + ")" * 300,
+    "(" * 300 + "p0" + ")" * 299,
+    "(" * 300 + "p0" + ")" * 301,
+    "~" * 300 + "box dia X Y H P p0 & q -> q | ~(p0 -> q)",
+    " -> ".join(["p0"] * 300) + " & q",
+    " & ".join(["(p0 | q)"] * 300),
+    "p0 @ [] |- " + ", ".join(["(p0 -> (q & p0)) @ [x, y]"] * 100),
+    "p0 @ [] |- p0 @ [x] # trailing comment",
+    "p0 @ [] |- p0 @ [x]" + " " * 300,
+    "p0 @ (\u22121;{x};{y}) |- q @ (1;{x})",
+    "|- p0 @ (1;{x};{x})",
+    "|- p0 @ (-1;{x})",
+])
+def test_deep_and_wide_inputs_parse_as_the_oracle_does(text):
+    _same_as_oracle(text)
+
+
+def test_nested_scripts_parse_as_the_oracle_does():
+    leaf = "(rule ax (concl p0 @ [] |- p0 @ []))"
+    text = leaf
+    for _ in range(200):
+        text = f"(bridge (concl p0 @ [] |- p0 @ [], p0 @ [])\n  {text})"
+    _same_as_oracle(f"(proof K {text})", ("parse_proof",))
+    _same_as_oracle(f"(proof K {text}", ("parse_proof",))
+    _same_as_oracle(f"(proof K (bridge (concl p0 @ [] |-) {leaf} {leaf}))",
+                    ("parse_proof",))

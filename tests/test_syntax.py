@@ -1,12 +1,15 @@
 """Formula measures: degree, the subformula decision, token extraction."""
 
+import dataclasses
+
 import pytest
 
-from strategies import formula_st, seqpos_st
+from strategies import formula_st, pformula_st, position_st, seqpos_st
 from hypothesis import given
+from hypothesis import strategies as st
 
 from twoseq.errors import DegreeUndefinedError
-from twoseq.positions import LtlPos, SeqPos, concat, seqpos
+from twoseq.positions import LtlPos, PastPos, SeqPos, SetPos, concat, seqpos
 from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, PFormula, Prop,
                            degree, is_subformula, pf, positions_of, seq,
                            tokens_of)
@@ -88,3 +91,12 @@ def test_tokens_and_positions_of():
     assert tokens_of(s2) == frozenset({"x", "y"})
     assert positions_of(s2) == (LtlPos(1, frozenset("x")),
                                 LtlPos(0, frozenset({"x", "y"})))
+
+
+@given(st.one_of(formula_st("past"), pformula_st("past", PastPos),
+                 *[position_st(f) for f in (SeqPos, SetPos, LtlPos, PastPos)]))
+def test_hash_is_the_hash_of_the_field_tuple(x):
+    # what a frozen dataclass hashes, so set and dict orders do not move
+    fields = tuple(getattr(x, f.name) for f in dataclasses.fields(x))
+    assert hash(x) == hash(fields)
+    assert x == dataclasses.replace(x)
