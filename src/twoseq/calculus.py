@@ -1102,19 +1102,45 @@ def bridge_proof(p: ProofNode, to: Sequent) -> ProofNode:
 
 
 def expand_double_lines(script: ProofScript) -> ProofNode:
-    """Replace every double-line node of a script by a primitive chain."""
+    """Replace every double-line node of a script by a primitive chain.
 
-    def rec(sn: ScriptNode, path: tuple[int, ...]) -> ProofNode:
-        if sn.rule == "bridge":
-            if len(sn.children) != 1:
+    The walk keeps its own stack and visits nodes as the recursive
+    definition would: a node, its children left to right, then the node
+    itself is built (a bridge by its chain), so the first bad bridge is
+    the one reported.  The path in its message is read off parent links.
+    """
+    # per node opened, in preorder: the script node, its parent's index,
+    # which child of the parent it is, and its children built so far
+    opened: list[tuple[ScriptNode, int, int, list[ProofNode]]] = []
+
+    def where(i: int) -> str:
+        path = []
+        while i > 0:
+            _, i, k, _ = opened[i]
+            path.append(k)
+        return "/".join(map(str, reversed(path))) or "root"
+
+    # a (node, parent, slot) triple opens a node; its index closes it
+    stack: list = [(script.root, -1, 0)]
+    while True:
+        top = stack.pop()
+        if type(top) is tuple:
+            sn, up, k = top
+            if sn.rule == "bridge" and len(sn.children) != 1:
                 raise TwoseqError("double-line node must have exactly one child")
-            child = rec(sn.children[0], path + (0,))
+            i = len(opened)
+            opened.append((sn, up, k, []))
+            stack.append(i)
+            stack.extend((c, i, j) for j, c in reversed(tuple(enumerate(sn.children))))
+            continue
+        sn, up, _, kids = opened[top]
+        if sn.rule == "bridge":
             try:
-                return bridge_proof(child, sn.conclusion)
+                out = bridge_proof(kids[0], sn.conclusion)
             except BridgeError as e:
-                where = "/".join(map(str, path)) or "root"
-                raise BridgeError(e.missing, f"{e.side} (at {where})") from e
-        return ProofNode(sn.rule, sn.params, sn.conclusion,
-                         tuple(rec(c, path + (i,)) for i, c in enumerate(sn.children)))
-
-    return rec(script.root, ())
+                raise BridgeError(e.missing, f"{e.side} (at {where(top)})") from e
+        else:
+            out = ProofNode(sn.rule, sn.params, sn.conclusion, tuple(kids))
+        if up < 0:
+            return out
+        opened[up][3].append(out)

@@ -21,33 +21,25 @@ from .positions import (LtlPos, PastPos, Position, SeqPos, SetPos)
 from .syntax import (And, Box, Dia, Formula, Hist, Imp, Next, Not, Once, Or,
                      PFormula, Prev, Prop, Sequent)
 
-_UNARY_WORDS = {"box": Box, "dia": Dia, "X": Next, "Y": Prev, "H": Hist, "P": Once}
+_UNARY_WORDS = {"box": Box, "dia": Dia, "X": Next, "Y": Prev, "H": Hist, "P": Once,
+                "~": Not}
 _PARAM_KEYS = ("alpha", "beta", "t", "x", "at", "cutf", "pf")
-
-
-class _Tok:
-    """A token: its kind (punctuation is its own kind), text and offset."""
-
-    __slots__ = ("kind", "value", "offset")
-
-    def __init__(self, kind: str, value: str, offset: int):
-        self.kind = kind
-        self.value = value
-        self.offset = offset
-
+_NODE_KEYS = frozenset(_PARAM_KEYS + ("concl",))
+# binary connectives: precedence (higher binds tighter) and class; all but
+# the implication associate to the left
+_BINARY = {"&": (3, And), "|": (2, Or), "->": (1, Imp)}
+_PREFIX, _OPEN = 4, 0           # precedence slots of the operator stack
 
 # what lies between tokens; a comment runs to the end of its line, so
 # each stretch of whitespace and comments matches in exactly one way
 _SKIP = r"[ \t\r\n]*(?:\#[^\n]*(?:\n[ \t\r\n]*|\Z))*"
 _SKIP_RE = re.compile(_SKIP)
-_TOKEN_RE = re.compile(_SKIP + r"""(?:
-    (?P<turnstile>\|-)
-  | (?P<arrow>->)
-  | (?P<int>-?[0-9]+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[()\[\]{};,@&|~])
-  | (?P<eof>\Z))
-""", re.VERBOSE)
+_TOKEN = r"\|-|->|-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[()\[\]{};,@&|~]"
+# one token and the gap after it, or one character no token starts with
+# (which yields ""); every match ends where the next one must start
+_LEX_RE = re.compile(rf"(?:({_TOKEN})|[^ \t\r\n#]){_SKIP}")
+
+_EOF = ""           # the token past the end (two pad the list)
 
 
 def _error_at(text: str, offset: int, message: str) -> ParseError:
@@ -56,132 +48,152 @@ def _error_at(text: str, offset: int, message: str) -> ParseError:
     return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def _lex(text: str) -> list[_Tok]:
-    """The tokens of ``text``, each match taking the whitespace and comments
-    before its token, padded with two ``eof`` tokens for one-token lookahead."""
-    toks: list[_Tok] = []
-    match = _TOKEN_RE.match
-    i = 0
-    while True:
-        m = match(text, i)
-        if m is None:
-            j = _SKIP_RE.match(text, i).end()
+def _offsets(text: str) -> list[int]:
+    """The start offset of each token, then the end of the text; raises
+    the ParseError of the first character no token starts with."""
+    out: list[int] = []
+    for m in _LEX_RE.finditer(text, _SKIP_RE.match(text).end()):
+        if m.group(1) is None:
+            j = m.start()
             raise _error_at(text, j, f"unexpected character {text[j]!r}")
-        kind = m.lastgroup
-        i = m.end()
-        if kind == "eof":
-            break
-        value = m.group(kind)
-        toks.append(_Tok(value if kind == "punct" else kind, value, i - len(value)))
-    end = _Tok("eof", "", len(text))
-    toks += (end, end)
+        out.append(m.start())
+    return out + [len(text)]
+
+
+def _lex(text: str) -> list[str]:
+    """The tokens of ``text`` as strings, padded with two end tokens for
+    one-token lookahead; offsets are recovered only for an error."""
+    toks = _LEX_RE.findall(text, _SKIP_RE.match(text).end())
+    if _EOF in toks:
+        _offsets(text)                  # raises at the bad character
+    toks += (_EOF, _EOF)
     return toks
 
 
+_NAMED_KINDS = frozenset(("ident", "int", "turnstile", "arrow", "eof"))
+
+
+def _kind(tok: str) -> str:
+    """A token's kind, as error messages name it: punctuation is its own."""
+    if tok.isidentifier():
+        return "ident"
+    if tok[-1:].isdigit():
+        return "int"
+    return {"|-": "turnstile", "->": "arrow", _EOF: "eof"}.get(tok, tok)
+
+
 class _Parser:
+    """Recursive-descent grammar run over explicit stacks: nesting depth
+    costs list entries, not Python frames."""
+
     def __init__(self, text: str):
         self.text = text.replace("\u2212", "-")     # accept the unicode minus sign
         self.toks = _lex(self.text)
         self.i = 0
 
-    def peek(self, ahead: int = 0) -> _Tok:
+    def peek(self, ahead: int = 0) -> str:
         return self.toks[self.i + ahead]
 
-    def next(self) -> _Tok:
+    def next(self) -> str:
         t = self.toks[self.i]
-        if t.kind != "eof":
+        if t != _EOF:
             self.i += 1
         return t
 
-    def error(self, msg: str, tok: Optional[_Tok] = None) -> ParseError:
-        """A ParseError at ``tok``, by default the next token."""
-        return _error_at(self.text, (tok or self.peek()).offset, msg)
+    def error(self, msg: str, at: Optional[int] = None) -> ParseError:
+        """A ParseError at token index ``at``, by default the next token."""
+        k = self.i if at is None else at
+        offsets = _offsets(self.text)
+        return _error_at(self.text, offsets[min(k, len(offsets) - 1)], msg)
 
     def fail(self, msg: str):
         raise self.error(msg)
 
-    def expect(self, kind: str) -> _Tok:
-        t = self.peek()
-        if t.kind != kind:
-            self.fail(f"expected {kind!r}, found {t.value!r}")
-        return self.next()
-
-    def at_end(self) -> bool:
-        return self.peek().kind == "eof"
+    def expect(self, kind: str) -> str:
+        """The next token, which must be of ``kind`` (a punctuation token
+        is its own kind)."""
+        t = self.toks[self.i]
+        if (t != kind or kind in _NAMED_KINDS) and _kind(t) != kind:
+            self.fail(f"expected {kind!r}, found {t!r}")
+        self.i += 1
+        return t
 
     # -- formulas --
 
     def formula(self) -> Formula:
-        left = self.or_formula()
-        if self.peek().kind == "arrow":
-            self.next()
-            return Imp(left, self.formula())
-        return left
-
-    def or_formula(self) -> Formula:
-        left = self.and_formula()
-        while self.peek().kind == "|":
-            self.next()
-            left = Or(left, self.and_formula())
-        return left
-
-    def and_formula(self) -> Formula:
-        left = self.unary_formula()
-        while self.peek().kind == "&":
-            self.next()
-            left = And(left, self.unary_formula())
-        return left
-
-    def unary_formula(self) -> Formula:
-        t = self.peek()
-        if t.kind == "~":
-            self.next()
-            return Not(self.unary_formula())
-        if t.kind == "ident" and t.value in _UNARY_WORDS:
-            self.next()
-            return _UNARY_WORDS[t.value](self.unary_formula())
-        if t.kind == "ident":
-            self.next()
-            return Prop(t.value)
-        if t.kind == "(":
-            self.next()
-            f = self.formula()
-            self.expect(")")
-            return f
-        self.fail(f"expected a formula, found {t.value!r}")
+        """Precedence climbing: ``ops`` holds, innermost last, the prefix
+        connectives and open parentheses not yet closed and the binary
+        connectives still waiting for their right operand (with their left
+        one)."""
+        toks, i = self.toks, self.i
+        ops: list[tuple] = []
+        while True:
+            t = toks[i]
+            while t in _UNARY_WORDS or t == "(":
+                ops.append((_PREFIX, _UNARY_WORDS[t]) if t != "(" else (_OPEN,))
+                i += 1
+                t = toks[i]
+            if not t.isidentifier():
+                raise self.error(f"expected a formula, found {t!r}", i)
+            f = Prop(t)
+            i += 1
+            while True:             # f is a complete operand
+                while ops and ops[-1][0] == _PREFIX:
+                    f = ops.pop()[1](f)
+                t = toks[i]
+                op = _BINARY.get(t)
+                if op is not None:
+                    # fold the waiting connectives that bind tighter, and an
+                    # equal one unless it is the right-associative -> (1)
+                    prec = op[0]
+                    while ops and (ops[-1][0] > prec or ops[-1][0] == prec > 1):
+                        _, cls, left = ops.pop()
+                        f = cls(left, f)
+                    ops.append((prec, op[1], f))
+                    i += 1
+                    break
+                while ops and ops[-1][0] != _OPEN:
+                    _, cls, left = ops.pop()
+                    f = cls(left, f)
+                if not ops:
+                    self.i = i
+                    return f
+                if t != ")":
+                    raise self.error(f"expected ')', found {t!r}", i)
+                ops.pop()
+                i += 1
 
     # -- positions --
 
     def token_name(self) -> str:
-        t = self.expect("ident")
-        return t.value
+        return self.expect("ident")
 
     def token_list(self, closer: str) -> tuple[str, ...]:
         items: list[str] = []
-        if self.peek().kind != closer:
+        if self.peek() != closer:
             items.append(self.token_name())
-            while self.peek().kind == ",":
-                self.next()
+            while self.peek() == ",":
+                self.i += 1
                 items.append(self.token_name())
         self.expect(closer)
         return tuple(items)
 
     def position(self) -> Position:
         t = self.peek()
-        if t.kind == "[":
-            self.next()
+        if t == "[":
+            self.i += 1
             return SeqPos(self.token_list("]"))
-        if t.kind == "{":
-            self.next()
+        if t == "{":
+            self.i += 1
             return SetPos(frozenset(self.token_list("}")))
-        if t.kind == "(":
-            self.next()
-            n = int(self.expect("int").value)
+        if t == "(":
+            self.i += 1
+            n = int(self.expect("int"))
             self.expect(";")
             self.expect("{")
             first = frozenset(self.token_list("}"))
-            if self.peek().kind == ";":
-                self.next()
+            if self.peek() == ";":
+                self.i += 1
                 self.expect("{")
                 second = frozenset(self.token_list("}"))
                 self.expect(")")
@@ -193,7 +205,7 @@ class _Parser:
             if n < 0:
                 self.fail("step count must be a natural number")
             return LtlPos(n, first)
-        self.fail(f"expected a position, found {t.value!r}")
+        self.fail(f"expected a position, found {t!r}")
 
     # -- sequents --
 
@@ -204,18 +216,18 @@ class _Parser:
 
     def pformula_list(self) -> tuple[PFormula, ...]:
         out = [self.pformula()]
-        while self.peek().kind == ",":
-            self.next()
+        while self.peek() == ",":
+            self.i += 1
             out.append(self.pformula())
         return tuple(out)
 
     def sequent(self) -> Sequent:
         ant: tuple[PFormula, ...] = ()
-        if self.peek().kind not in ("turnstile",):
+        if self.peek() != "|-":
             ant = self.pformula_list()
         self.expect("turnstile")
         suc: tuple[PFormula, ...] = ()
-        if self.peek().kind not in (")", "eof"):
+        if self.peek() not in (")", _EOF):
             suc = self.pformula_list()
         return Sequent(ant, suc)
 
@@ -223,41 +235,56 @@ class _Parser:
 
     def script(self) -> ProofScript:
         self.expect("(")
-        head = self.expect("ident")
-        if head.value != "proof":
-            raise self.error("proof file must start with (proof SYSTEM ...)", head)
+        if self.expect("ident") != "proof":
+            raise self.error("proof file must start with (proof SYSTEM ...)", self.i - 1)
         name = self.expect("ident")
         try:
-            sys = SystemId.parse(name.value)
+            sys = SystemId.parse(name)
         except TwoseqError:
-            raise self.error(f"unknown system {name.value!r}", name)
-        root = self.script_node(sys)
+            raise self.error(f"unknown system {name!r}", self.i - 1)
+        root = self.script_tree(sys)
         self.expect(")")
         return ProofScript(sys, root)
 
-    def script_node(self, sys: SystemId) -> ScriptNode:
-        opener = self.expect("(")
-        head = self.expect("ident")
-        if head.value == "bridge":
-            concl = self._concl(sys)
-            children = []
-            while self.peek().kind == "(":
-                children.append(self.script_node(sys))
+    def script_tree(self, sys: SystemId) -> ScriptNode:
+        """The node tree, with the nodes still open on an explicit stack:
+        a node's header is read when it opens, its children while it is
+        on top, and it is built when its ``)`` closes it."""
+        stack = [self._node_header(sys)]
+        while True:
+            if self.peek() == "(":
+                stack.append(self._node_header(sys))
+                continue
             self.expect(")")
-            if len(children) != 1:
-                raise self.error("bridge nodes take exactly one child", opener)
-            return ScriptNode("bridge", (), concl, tuple(children))
-        if head.value != "rule":
-            raise self.error("expected (rule ...) or (bridge ...)", head)
+            opener, rule, params, concl, children = stack.pop()
+            if rule == "bridge":
+                if len(children) != 1:
+                    raise self.error("bridge nodes take exactly one child", opener)
+            else:
+                self._check_family(concl, sys, opener)
+            built = ScriptNode(rule, params, concl, tuple(children))
+            if not stack:
+                return built
+            stack[-1][-1].append(built)
+
+    def _node_header(self, sys: SystemId) -> tuple:
+        """Read ``(rule NAME params (concl ...)`` or ``(bridge (concl ...)``:
+        (opener index, rule, sorted parameters, conclusion, children so far)."""
+        opener = self.i
+        self.expect("(")
+        head = self.expect("ident")
+        if head == "bridge":
+            return opener, "bridge", (), self._concl(sys), []
+        if head != "rule":
+            raise self.error("expected (rule ...) or (bridge ...)", opener + 1)
         name = self.expect("ident")
-        if name.value not in RULES_BY_SYSTEM[sys]:
-            raise self.error(f"unknown rule {name.value!r} for system {sys.value}", name)
+        if name not in RULES_BY_SYSTEM[sys]:
+            raise self.error(f"unknown rule {name!r} for system {sys.value}", self.i - 1)
         params: dict[str, object] = {}
         concl: Optional[Sequent] = None
-        while self.peek().kind == "(" and self.peek(1).kind == "ident" \
-                and self.peek(1).value in _PARAM_KEYS + ("concl",):
-            self.next()
-            key = self.expect("ident").value
+        while self.peek() == "(" and self.peek(1) in _NODE_KEYS:
+            self.i += 1
+            key = self.next()
             if key == "concl":
                 concl = self.sequent()
                 self.expect(")")
@@ -266,18 +293,12 @@ class _Parser:
             self.expect(")")
         if concl is None:
             self.fail("rule node is missing its (concl ...) sequent")
-        children = []
-        while self.peek().kind == "(":
-            children.append(self.script_node(sys))
-        self.expect(")")
-        self._check_family(concl, sys, opener)
-        return ScriptNode(name.value, tuple(sorted(params.items())), concl,
-                          tuple(children))
+        return opener, name, tuple(sorted(params.items())), concl, []
 
     def _concl(self, sys: SystemId) -> Sequent:
         self.expect("(")
-        key = self.expect("ident")
-        if key.value != "concl":
+        key = self.i
+        if self.expect("ident") != "concl":
             raise self.error("bridge nodes start with their (concl ...) sequent", key)
         out = self.sequent()
         self.expect(")")
@@ -288,7 +309,7 @@ class _Parser:
         if key == "x":
             return self.token_name()
         if key == "at":
-            return int(self.expect("int").value)
+            return int(self.expect("int"))
         if key in ("cutf", "pf"):
             return self.pformula()
         if key == "t":
@@ -298,19 +319,17 @@ class _Parser:
             return pos
         return self.position()          # alpha, beta
 
-    def _check_family(self, s: Sequent, sys: SystemId, tok) -> None:
+    def _check_family(self, s: Sequent, sys: SystemId, at: int) -> None:
         fam = TABLE[sys].family
         for q in s.ant + s.suc:
             if not isinstance(q.pos, fam):
                 raise self.error(f"position {q.pos} is not in the {fam.__name__} "
-                                 f"family of system {sys.value}", tok)
-
-    # -- models --
+                                 f"family of system {sys.value}", at)
 
 
 def _finish(p: _Parser, value):
-    if not p.at_end():
-        p.fail(f"trailing input {p.peek().value!r}")
+    if p.peek() != _EOF:
+        p.fail(f"trailing input {p.peek()!r}")
     return value
 
 
@@ -341,31 +360,38 @@ def parse_proof(text: str) -> ProofScript:
 
 # --- rendering (canonical) ---
 
-_PREC = {"imp": 1, "or": 2, "and": 3, "unary": 4}
+# prefix connectives, and each binary one's infix, precedence (it is
+# parenthesised below a higher one) and the precedences of its operands
+_PREFIXES = {Not: "~", Box: "box ", Dia: "dia ", Next: "X ", Prev: "Y ",
+             Hist: "H ", Once: "P "}
+_INFIXES = {And: (" & ", 3, 3, 4), Or: (" | ", 2, 2, 3), Imp: (" -> ", 1, 2, 1)}
 
 
 def render_formula(f: Formula, prec: int = 0) -> str:
-    if isinstance(f, Prop):
-        return f.name
-    if isinstance(f, Not):
-        return "~" + render_formula(f.sub, _PREC["unary"])
-    for cls, word in ((Box, "box"), (Dia, "dia"), (Next, "X"), (Prev, "Y"),
-                      (Hist, "H"), (Once, "P")):
-        if isinstance(f, cls):
-            return word + " " + render_formula(f.sub, _PREC["unary"])
-    if isinstance(f, And):
-        s = render_formula(f.left, _PREC["and"]) + " & " + \
-            render_formula(f.right, _PREC["and"] + 1)
-        mine = _PREC["and"]
-    elif isinstance(f, Or):
-        s = render_formula(f.left, _PREC["or"]) + " | " + \
-            render_formula(f.right, _PREC["or"] + 1)
-        mine = _PREC["or"]
-    else:
-        s = render_formula(f.left, _PREC["imp"] + 1) + " -> " + \
-            render_formula(f.right, _PREC["imp"])
-        mine = _PREC["imp"]
-    return "(" + s + ")" if mine < prec else s
+    """The text of ``f`` where a connective of precedence ``prec`` sits
+    above it, written piece by piece from an explicit stack of subterms
+    (with the precedence above each) and pieces still to write."""
+    out: list[str] = []
+    todo: list = [(f, prec)]
+    while todo:
+        job = todo.pop()
+        if type(job) is str:
+            out.append(job)
+            continue
+        g, above = job
+        word = _PREFIXES.get(type(g))
+        if word is not None:
+            out.append(word)
+            todo.append((g.sub, 4))
+        elif isinstance(g, Prop):
+            out.append(g.name)
+        else:
+            infix, mine, left, right = _INFIXES[type(g)]
+            if mine < above:
+                out.append("(")
+                todo.append(")")
+            todo += ((g.right, right), infix, (g.left, left))
+    return "".join(out)
 
 
 def render_pformula(p: PFormula) -> str:
@@ -394,9 +420,17 @@ def _render_param(key: str, value) -> str:
 
 
 def render_proof(sys: SystemId, p: Union[ProofNode, ScriptNode]) -> str:
+    """One line per node, indented by depth; a node's closing parenthesis
+    ends the line of its last descendant.  The walk keeps its own stack,
+    where None closes a node."""
     lines: list[str] = [f"(proof {sys.value}"]
-
-    def rec(n, depth: int):
+    todo: list = [(p, 1)]
+    while todo:
+        job = todo.pop()
+        if job is None:
+            lines[-1] += ")"
+            continue
+        n, depth = job
         pad = "  " * depth
         if n.rule == "bridge":
             lines.append(f"{pad}(bridge (concl {render_sequent(n.conclusion)})")
@@ -408,11 +442,8 @@ def render_proof(sys: SystemId, p: Union[ProofNode, ScriptNode]) -> str:
                 head += " " + params
             lines.append(head + f" (concl {render_sequent(n.conclusion)})")
         kids = n.premises if isinstance(n, ProofNode) else n.children
-        for c in kids:
-            rec(c, depth + 1)
-        lines[-1] += ")"
-
-    rec(p, 1)
+        todo.append(None)
+        todo += ((c, depth + 1) for c in reversed(kids))
     lines[-1] += ")"
     return "\n".join(lines)
 

@@ -4,23 +4,109 @@ Four families: token sequences (the modal systems), finite token sets
 (the directed extension of S4), step/token-set pairs (linear time), and
 offset/future/past triples (linear time with past operators).  All values
 are immutable and freely shareable.
+
+Positions, like formulas and positioned formulas (``syntax``), are
+hash-consed through ``Interned``: the constructor returns the one live
+object with the given fields, so ``==`` is identity and ``hash`` is a
+value fixed at construction (see the ``syntax`` docstring).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
+from functools import total_ordering
 from typing import Iterable, Union
 
 Token = str
 
 RELATED_MODES = ("one-step", "reflexive-one-step", "strict-prefix", "prefix")
 
+# the intern table: (class, field values or child identities) -> the live
+# term; weak, so a term lives only as long as its last user
+TABLE: "weakref.WeakValueDictionary[tuple, Interned]" = weakref.WeakValueDictionary()
+# its dict of key -> weak reference, read directly on the hit path:
+# ``_LIVE.get(key, _no_term)()`` is the live term under key, or None
+_LIVE = TABLE.data
 
-@dataclass(frozen=True, order=True)
-class SeqPos:
+
+def _no_term() -> None:
+    return None
+
+
+class Interned:
+    """A hash-consed term: built only through its class's ``__new__``,
+    which returns the live term with the same key if there is one.
+
+    Equality is the inherited identity; ``_hash`` is the hash of the
+    tuple of field values, as a frozen dataclass would compute it, stored
+    at construction so that neither ``==`` nor ``hash`` ever recurses.
+    """
+
+    __slots__ = ("_hash", "__weakref__")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    # copies are the term itself, pickles rebuild through the table
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, k) for k in self.__match_args__)
+
+
+_setattr = object.__setattr__
+_MISS = threading.RLock()       # one thread at a time makes a new term
+
+
+def intern(key: tuple, cls: type, values: tuple, **facts) -> Interned:
+    """The live term under ``key``, else a new term of ``cls`` with the
+    field ``values`` and the stored ``facts``, entered in the table.
+
+    Constructors call this after a lock-free lookup missed; the lookup is
+    repeated under the lock, so threads racing to build one term get one.
+    """
+    with _MISS:
+        obj = _LIVE.get(key, _no_term)()
+        if obj is not None:
+            return obj
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__match_args__, values):
+            _setattr(obj, name, value)
+        for name, value in facts.items():
+            _setattr(obj, name, value)
+        _setattr(obj, "_hash", hash(values))
+        TABLE[key] = obj
+        return obj
+
+
+class _Position(Interned):
+    __slots__ = ()
+
+
+@total_ordering
+@dataclass(eq=False, init=False)
+class SeqPos(_Position):
     """An ordered, possibly empty sequence of tokens."""
 
-    items: tuple[Token, ...] = ()
+    __slots__ = ("items",)
+    items: tuple[Token, ...]
+
+    def __new__(cls, items: tuple[Token, ...] = ()):
+        key = (cls, items)
+        self = _LIVE.get(key, _no_term)()
+        return intern(key, cls, (items,)) if self is None else self
 
     def __str__(self) -> str:
         return "[" + ",".join(self.items) + "]"
@@ -31,12 +117,22 @@ class SeqPos:
     def tokens(self) -> frozenset[Token]:
         return frozenset(self.items)
 
+    def __lt__(self, other):
+        # ordered by their token tuples; equal ones are the same object
+        return self.items < other.items if type(other) is type(self) else NotImplemented
 
-@dataclass(frozen=True)
-class SetPos:
+
+@dataclass(eq=False, init=False)
+class SetPos(_Position):
     """A finite set of tokens; duplication and order are quotiented away."""
 
-    items: frozenset[Token] = frozenset()
+    __slots__ = ("items",)
+    items: frozenset[Token]
+
+    def __new__(cls, items: frozenset[Token] = frozenset()):
+        key = (cls, items)
+        self = _LIVE.get(key, _no_term)()
+        return intern(key, cls, (items,)) if self is None else self
 
     def __str__(self) -> str:
         return "{" + ",".join(sorted(self.items)) + "}"
@@ -45,16 +141,22 @@ class SetPos:
         return self.items
 
 
-@dataclass(frozen=True)
-class LtlPos:
+@dataclass(eq=False, init=False)
+class LtlPos(_Position):
     """A pair of a step count and a finite token set."""
 
-    steps: int = 0
-    future: frozenset[Token] = frozenset()
+    __slots__ = ("steps", "future")
+    steps: int
+    future: frozenset[Token]
 
-    def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError("step count must be a natural number")
+    def __new__(cls, steps: int = 0, future: frozenset[Token] = frozenset()):
+        key = (cls, steps, future)
+        self = _LIVE.get(key, _no_term)()
+        if self is None:
+            if steps < 0:
+                raise ValueError("step count must be a natural number")
+            self = intern(key, cls, (steps, future))
+        return self
 
     def __str__(self) -> str:
         return f"({self.steps};{{{','.join(sorted(self.future))}}})"
@@ -63,17 +165,24 @@ class LtlPos:
         return self.future
 
 
-@dataclass(frozen=True)
-class PastPos:
+@dataclass(eq=False, init=False)
+class PastPos(_Position):
     """An integer offset with disjoint future and past token sets."""
 
-    offset: int = 0
-    future: frozenset[Token] = frozenset()
-    past: frozenset[Token] = frozenset()
+    __slots__ = ("offset", "future", "past")
+    offset: int
+    future: frozenset[Token]
+    past: frozenset[Token]
 
-    def __post_init__(self):
-        if self.future & self.past:
-            raise ValueError("future and past token sets must be disjoint")
+    def __new__(cls, offset: int = 0, future: frozenset[Token] = frozenset(),
+                past: frozenset[Token] = frozenset()):
+        key = (cls, offset, future, past)
+        self = _LIVE.get(key, _no_term)()
+        if self is None:
+            if future & past:
+                raise ValueError("future and past token sets must be disjoint")
+            self = intern(key, cls, (offset, future, past))
+        return self
 
     def __str__(self) -> str:
         fut = ",".join(sorted(self.future))

@@ -4,6 +4,30 @@ The formula language covers the propositional connectives, the modal
 operators box/dia, and the temporal operators next/prev and the past
 closures.  Whether a temporal connective is legal is a property of the
 system a proof is checked against, not of formula construction.
+
+Hash-consing.  Formulas, positions and positioned formulas are interned
+(Filliâtre and Conchon, "Type-safe modular hash-consing", 2006): every
+constructor call, wherever it happens (the parser, the rule
+constructors, the transformations, ``dataclasses.replace``), looks its
+key up in one table, ``positions.TABLE``, and returns the live term
+there if there is one.  The key is the class and the identities of the
+children, or the field values for ``Prop`` and the positions.  So:
+
+- ``==`` is identity, and two equal terms are the same object;
+- ``hash(x)`` is the hash of the tuple of its field values, the value a
+  frozen dataclass gives, computed once from the children's stored
+  hashes; neither ever recurses, however deep the term;
+- each formula also stores whether it contains a temporal or a past
+  connective, its degree and its temporal depth, derived from its
+  children at construction, so ``has_temporal``, ``has_past``,
+  ``degree`` and ``temporal_depth`` are O(1) reads;
+- the table is a ``weakref.WeakValueDictionary``: a term leaves it when
+  its last user drops it.
+
+Terms must be built only by calling their class.  ``object.__new__``
+would make a term the table does not know, which compares unequal to
+its interned twin; ``copy.copy``, ``copy.deepcopy`` and pickling return
+or rebuild the interned term.  Attributes cannot be assigned.
 """
 
 from __future__ import annotations
@@ -13,85 +37,151 @@ from functools import cached_property
 from typing import Callable, Iterable, Union
 
 from .errors import DegreeUndefinedError, TwoseqError
-from .positions import Position, SeqPos, Token
+from .positions import (_LIVE, Interned, Position, SeqPos, Token, _no_term,
+                        _Position, intern)
 
 
-@dataclass(frozen=True)
-class Prop:
+class _Formula(Interned):
+    """Stored facts of a formula: whether it contains a temporal or a past
+    connective, its degree (-1 where undefined) and its temporal depth."""
+
+    __slots__ = ("_temporal", "_past", "_degree", "_depth")
+
+
+def _facts(temporal: bool, past: bool, degree: int, depth: int) -> dict:
+    return dict(_temporal=temporal, _past=past, _degree=-1 if temporal else degree,
+                _depth=depth)
+
+
+def _operand(cls: type, x) -> None:
+    if not isinstance(x, _Formula):
+        raise TypeError(f"{cls.__name__} operand must be a formula, not {x!r}")
+
+
+@dataclass(eq=False, init=False)
+class Prop(_Formula):
+    __slots__ = ("name",)
     name: str
 
+    def __new__(cls, name: str):
+        key = (cls, name)
+        self = _LIVE.get(key, _no_term)()
+        if self is None:
+            self = intern(key, cls, (name,), **_facts(False, False, 0, 0))
+        return self
 
-@dataclass(frozen=True)
-class Not:
+
+@dataclass(eq=False, init=False)
+class _Unary(_Formula):
+    """A unary connective; the class says whether it is temporal, past or
+    modal (counts towards the temporal depth)."""
+
+    __slots__ = ("sub",)
     sub: "Formula"
+    IS_TEMPORAL = IS_PAST = False
+    IS_MODAL = True
+
+    def __new__(cls, sub: "Formula"):
+        key = (cls, id(sub))
+        self = _LIVE.get(key, _no_term)()
+        if self is None:
+            _operand(cls, sub)
+            self = intern(key, cls, (sub,), **_facts(
+                cls.IS_TEMPORAL or sub._temporal, cls.IS_PAST or sub._past,
+                sub._degree + 1, sub._depth + cls.IS_MODAL))
+        return self
 
 
-@dataclass(frozen=True)
-class Box:
-    sub: "Formula"
+@dataclass(eq=False, init=False)
+class _Binary(_Formula):
+    __slots__ = ("left", "right")
+    left: "Formula"
+    right: "Formula"
+
+    def __new__(cls, left: "Formula", right: "Formula"):
+        key = (cls, id(left), id(right))
+        self = _LIVE.get(key, _no_term)()
+        if self is None:
+            _operand(cls, left)
+            _operand(cls, right)
+            self = intern(key, cls, (left, right), **_facts(
+                left._temporal or right._temporal, left._past or right._past,
+                max(left._degree, right._degree) + 1, max(left._depth, right._depth)))
+        return self
 
 
-@dataclass(frozen=True)
-class Dia:
-    sub: "Formula"
+class Not(_Unary):
+    __slots__ = ()
+    IS_MODAL = False
 
 
-@dataclass(frozen=True)
-class Next:
-    sub: "Formula"
+class Box(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Prev:
-    sub: "Formula"
+class Dia(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Hist:
+class Next(_Unary):
+    __slots__ = ()
+    IS_TEMPORAL = True
+
+
+class Prev(_Unary):
+    __slots__ = ()
+    IS_TEMPORAL = IS_PAST = True
+
+
+class Hist(_Unary):
     """Always in the past."""
 
-    sub: "Formula"
+    __slots__ = ()
+    IS_TEMPORAL = IS_PAST = True
 
 
-@dataclass(frozen=True)
-class Once:
+class Once(_Unary):
     """Sometime in the past."""
 
-    sub: "Formula"
+    __slots__ = ()
+    IS_TEMPORAL = IS_PAST = True
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Imp:
-    left: "Formula"
-    right: "Formula"
+class Imp(_Binary):
+    __slots__ = ()
 
 
 Formula = Union[Prop, Not, Box, Dia, Next, Prev, Hist, Once, And, Or, Imp]
 
-UNARY = (Not, Box, Dia, Next, Prev, Hist, Once)
-BINARY = (And, Or, Imp)
 TEMPORAL = (Next, Prev, Hist, Once)
 PAST = (Prev, Hist, Once)
 
 
-@dataclass(frozen=True)
-class PFormula:
+@dataclass(eq=False, init=False)
+class PFormula(Interned):
     """A formula paired with the position it is asserted at."""
 
+    __slots__ = ("formula", "pos")
     formula: Formula
     pos: Position
+
+    def __new__(cls, formula: Formula, pos: Position):
+        key = (cls, id(formula), id(pos))
+        self = _LIVE.get(key, _no_term)()
+        if self is None:
+            _operand(cls, formula)
+            if not isinstance(pos, _Position):
+                raise TypeError(f"PFormula position must be a position, not {pos!r}")
+            self = intern(key, cls, (formula, pos))
+        return self
 
 
 @dataclass(frozen=True)
@@ -127,9 +217,9 @@ def subformula_trees(f: Formula):
     while stack:
         g = stack.pop()
         yield g
-        if isinstance(g, UNARY):
+        if isinstance(g, _Unary):
             stack.append(g.sub)
-        elif isinstance(g, BINARY):
+        elif isinstance(g, _Binary):
             stack.append(g.left)
             stack.append(g.right)
 
@@ -153,9 +243,9 @@ def compile_formulas(roots: Iterable[Formula]) -> tuple[list[tuple], list[int]]:
             if id(f) in slot:
                 stack.pop()
                 continue
-            if isinstance(f, UNARY):
+            if isinstance(f, _Unary):
                 kids: tuple = (f.sub,)
-            elif isinstance(f, BINARY):
+            elif isinstance(f, _Binary):
                 kids = (f.left, f.right)
             elif isinstance(f, Prop):
                 kids = ()
@@ -208,22 +298,16 @@ def sequent_atoms(s: Sequent) -> frozenset[str]:
 
 
 def has_temporal(f: Formula) -> bool:
-    return any(isinstance(g, TEMPORAL) for g in subformula_trees(f))
+    return f._temporal
 
 
 def has_past(f: Formula) -> bool:
-    return any(isinstance(g, PAST) for g in subformula_trees(f))
+    return f._past
 
 
 def temporal_depth(f: Formula) -> int:
     """Maximal nesting of box/dia/next along one branch."""
-    if isinstance(f, Prop):
-        return 0
-    if isinstance(f, (Box, Dia, Next, Prev, Hist, Once)):
-        return 1 + temporal_depth(f.sub)
-    if isinstance(f, Not):
-        return temporal_depth(f.sub)
-    return max(temporal_depth(f.left), temporal_depth(f.right))
+    return f._depth
 
 
 def degree(f: Formula) -> int:
@@ -233,13 +317,9 @@ def degree(f: Formula) -> int:
     connectives add one to the larger operand.  The measure is only
     defined on the box/dia fragment.
     """
-    if isinstance(f, TEMPORAL):
+    if f._degree < 0:
         raise DegreeUndefinedError("degree undefined for temporal formula")
-    if isinstance(f, Prop):
-        return 0
-    if isinstance(f, (Not, Box, Dia)):
-        return degree(f.sub) + 1
-    return max(degree(f.left), degree(f.right)) + 1
+    return f._degree
 
 
 def is_subformula(cand: PFormula, root: PFormula) -> bool:

@@ -266,3 +266,57 @@ def test_unexpected_exception_exits_2_without_traceback(files):
     assert out.returncode == 2
     assert out.stderr.startswith("internal error: RecursionError")
     assert "Traceback" not in out.stderr
+
+
+def _deep_ax(depth: int) -> str:
+    f = "box " * depth + "p0"
+    return f"(proof K (rule ax (concl {f} @ [] |- {f} @ [])))"
+
+
+@pytest.mark.parametrize("depth", [20_000, 100_000])
+def test_check_of_a_deep_axiom_exits_0(files, depth):
+    # equal deep formulas are one interned term: comparing them is O(1)
+    out = _run_cli("check", files("deep.2sp", _deep_ax(depth)))
+    assert (out.returncode, out.stdout, out.stderr) == (0, "K: accepted\n", "")
+
+
+def test_cutelim_of_a_deep_axiom_writes_it_back(files):
+    out = _run_cli("cutelim", files("deep.2sp", _deep_ax(100_000)))
+    assert (out.returncode, out.stderr) == (0, "")
+    assert parse_proof(out.stdout) == parse_proof(_deep_ax(100_000))
+
+
+def test_check_of_a_deep_proof_exits_0(files):
+    # 100 000 exchanges over one weakened axiom, written without indentation
+    n = 100_000
+    a, b = "p0 @ [], q @ [] |- p0 @ []", "q @ [], p0 @ [] |- p0 @ []"
+    leaf = f"(rule weakL (concl {a}) (rule ax (concl p0 @ [] |- p0 @ [])))"
+    chain = "".join(f"(rule excL (at 0) (concl {b if (n - i) % 2 else a})\n"
+                    for i in range(n))
+    out = _run_cli("check", files("chain.2sp", f"(proof K\n{chain}{leaf}"
+                                  + ")" * n + ")\n"))
+    assert (out.returncode, out.stdout, out.stderr) == (0, "K: accepted\n", "")
+
+
+def test_eval_of_a_deeply_parenthesised_sequent_exits_0(files):
+    model = files("m.2sm", "nodes: n0\nval: n0 {p0}\n")
+    deep = files("deep.2sq", "|- " + "(" * 50_000 + "p0" + ")" * 50_000
+                 + " @ []\n")
+    out = _run_cli("eval", "--model", model, "--sequent", deep,
+                   "--system", "K")
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == "holds in every admissible assignment\n"
+
+
+def test_deep_unclosed_parentheses_are_parse_errors(files):
+    model = files("m.2sm", "nodes: n0\n")
+    sequent = files("open.2sq", "|- " + "(" * 100_000 + "p0 @ []\n")
+    out = _run_cli("eval", "--model", model, "--sequent", sequent,
+                   "--system", "K")
+    assert out.returncode == 2
+    assert out.stderr == "error: line 1, col 100007: expected ')', found '@'\n"
+    node = "(rule ax (concl p0 @ [] |- p0 @ [])\n"
+    script = files("open.2sp", "(proof K\n" + node * 100_000)
+    out = _run_cli("check", script)
+    assert out.returncode == 2
+    assert out.stderr == "error: line 100002, col 1: expected ')', found ''\n"

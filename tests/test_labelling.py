@@ -115,7 +115,6 @@ def _tower(ops, depth: int):
 
 
 def test_forces_and_eval_at_return_at_depth_100000():
-    # such formulas are never compared or hashed here: both would recurse
     double_neg = lambda g: Not(Not(g))
     f = _tower((Box, Dia, double_neg), 100_000)
     # n1 sees only itself and forces p0, so it forces every such tower;

@@ -19,7 +19,7 @@ from twoseq.parser import (parse_formula, parse_model, parse_pformula,
                            render_formula, render_model, render_pformula,
                            render_proof, render_sequent)
 from twoseq.positions import LtlPos, PastPos, SeqPos, SetPos, seqpos
-from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, Prop, pf)
+from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, Or, Prop, pf)
 import twoseq.corpus as corpus
 import twoseq.parser as parser
 
@@ -269,6 +269,17 @@ def test_scripts_and_their_corruptions_parse_as_the_oracle_does():
 ])
 def test_deep_and_wide_inputs_parse_as_the_oracle_does(text):
     _same_as_oracle(text)
+
+
+def test_render_and_parse_round_trip_at_depth_100000():
+    q = Prop("q")
+    wraps = (Box, Not, lambda g: And(g, q), lambda g: Imp(q, g),
+             lambda g: Or(Dia(g), q), lambda g: Imp(g, q))
+    f = Prop("p0")
+    for i in range(100_000):
+        f = wraps[i % len(wraps)](f)
+    assert parse_formula(render_formula(f)) is f
+    assert parse_pformula(render_pformula(pf(f, seqpos("x")))) is pf(f, seqpos("x"))
 
 
 def test_nested_scripts_parse_as_the_oracle_does():

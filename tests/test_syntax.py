@@ -1,6 +1,11 @@
 """Formula measures: degree, the subformula decision, token extraction."""
 
+import copy
 import dataclasses
+import gc
+import pickle
+import sys
+import threading
 
 import pytest
 
@@ -9,10 +14,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from twoseq.errors import DegreeUndefinedError
-from twoseq.positions import LtlPos, PastPos, SeqPos, SetPos, concat, seqpos
-from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, PFormula, Prop,
-                           degree, is_subformula, pf, positions_of, seq,
-                           tokens_of)
+from twoseq.parser import (parse_formula, parse_pformula, parse_position,
+                           render_formula, render_pformula)
+from twoseq.positions import (TABLE, LtlPos, PastPos, SeqPos, SetPos, concat,
+                              seqpos)
+from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, Once, PFormula, Prop,
+                           degree, has_past, has_temporal, is_subformula, pf,
+                           positions_of, seq, temporal_depth, tokens_of)
 
 P, Q = Prop("p"), Prop("q")
 
@@ -100,3 +108,94 @@ def test_hash_is_the_hash_of_the_field_tuple(x):
     fields = tuple(getattr(x, f.name) for f in dataclasses.fields(x))
     assert hash(x) == hash(fields)
     assert x == dataclasses.replace(x)
+
+
+# --- hash-consing ---
+
+def test_equal_terms_parsed_apart_are_one_object():
+    text = "box (p0 -> dia ~q) & X p0"
+    f, g = parse_formula(text), parse_formula("(" + text + ")")
+    assert f is g
+    assert f.left is parse_formula("box (p0 -> dia ~q)")
+    assert parse_position("[x,y]") is seqpos("x", "y")
+    assert parse_position("(2;{y,x})") is LtlPos(2, frozenset("xy"))
+    assert parse_position("(-1;{x};{})") is PastPos(-1, frozenset("x"))
+    assert parse_position("{y,x}") is SetPos(frozenset("xy"))
+    assert parse_pformula("p0 @ [x]") is pf(Prop("p0"), seqpos("x"))
+
+
+def test_copies_and_pickles_are_the_term_itself():
+    f = pf(Box(And(Prop("p0"), Once(Prop("q")))), seqpos("x"))
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.pos = seqpos()
+    assert f.pos is seqpos("x")
+
+
+def test_the_table_forgets_dropped_terms():
+    gc.collect()
+    before = len(TABLE)
+    f = parse_pformula("box (fresh0 -> fresh1) & ~fresh2 @ [fresh_x, fresh_y]")
+    assert len(TABLE) > before
+    del f
+    gc.collect()
+    assert len(TABLE) == before
+
+
+@given(st.one_of(formula_st("past"), pformula_st("past", PastPos),
+                 pformula_st("modal", SeqPos), pformula_st("ltl", LtlPos)))
+def test_parse_of_render_is_the_term_itself(x):
+    if isinstance(x, PFormula):
+        assert parse_pformula(render_pformula(x)) is x
+    else:
+        assert parse_formula(render_formula(x)) is x
+
+
+def test_stored_measures_match_their_definitions():
+    P = Prop("p")
+    f = And(Box(Not(P)), Imp(Dia(Dia(P)), P))
+    assert (degree(f), temporal_depth(f)) == (4, 2)
+    assert not has_temporal(f) and not has_past(f)
+    g = And(f, Next(Not(P)))
+    assert has_temporal(g) and not has_past(g) and temporal_depth(g) == 2
+    with pytest.raises(DegreeUndefinedError):
+        degree(g)
+    h = Not(Once(P))
+    assert has_temporal(h) and has_past(h) and temporal_depth(h) == 1
+
+
+def test_deep_terms_compare_and_hash_in_constant_depth():
+    f = g = Prop("p0")
+    for i in range(100_000):
+        f = (Box, Next, Not)[i % 3](f)
+        g = (Box, Next, Not)[i % 3](g)
+    assert f is g and f == g and hash(f) == hash(g)
+    assert {pf(f, seqpos()): 1}[pf(g, seqpos())] == 1
+    assert temporal_depth(f) == 66_667 and has_temporal(f)
+
+
+def test_threads_racing_to_build_a_term_get_one_object():
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for r in range(40):
+            names = [f"race{r}_{i}" for i in range(40)]
+            built = [None] * 8
+            start = threading.Barrier(len(built))
+
+            def build(k):
+                start.wait()
+                built[k] = [pf(Box(And(Prop(n), Prop(n))), seqpos(n)) for n in names]
+
+            threads = [threading.Thread(target=build, args=(k,))
+                       for k in range(len(built))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            for terms in built[1:]:
+                assert all(a is b for a, b in zip(built[0], terms))
+    finally:
+        sys.setswitchinterval(old)
