@@ -22,7 +22,9 @@ children, or the field values for ``Prop`` and the positions.  So:
   children at construction, so ``has_temporal``, ``has_past``,
   ``degree`` and ``temporal_depth`` are O(1) reads;
 - the table is a ``weakref.WeakValueDictionary``: a term leaves it when
-  its last user drops it.
+  its last user drops it;
+- lookups take no lock, and a new term is made under one, so threads
+  racing to build the same term get one object.
 
 Terms must be built only by calling their class.  ``object.__new__``
 would make a term the table does not know, which compares unequal to
