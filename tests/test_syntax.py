@@ -1,4 +1,5 @@
-"""Formula measures: degree, the subformula decision, token extraction."""
+"""Formula measures: degree, the subformula decision, token extraction;
+the hash-consing of terms."""
 
 import copy
 import dataclasses
