@@ -105,6 +105,19 @@ def test_check_system_override_across_families(files, capsys):
     assert {f["condition"] for f in data["failures"]} <= {"family", "params", "schema"}
 
 
+@pytest.mark.parametrize("command", [["cutelim"], ["subformula"],
+                                     ["fuzz", "--budget", "5"],
+                                     ["cutelim", "--json"]])
+def test_rejected_input_prints_the_report_and_exits_2(files, capsys, command):
+    # the D axiom is not derivable in K: the report goes to stderr, verbatim
+    path = proof_file(files, "d.2sp", SystemId.D, corpus.axiom_d())
+    rep = check_proof(corpus.axiom_d(), SystemId.K)
+    assert not rep.accepted
+    assert main(command + ["--system", "K", path]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", rep.render_text() + "\n")
+
+
 def test_subformula_needs_cut_free(files, capsys):
     path = proof_file(files, "cutty.2sp", SystemId.S4, corpus.diamond_taut_cut())
     assert main(["subformula", path]) == 2

@@ -217,3 +217,42 @@ def test_prefix_replace_inverse_composition_gives_canonical_form():
     there = prefix_replace_proof(p, seqpos("x"), seqpos("y"), SystemId.D)
     back = prefix_replace_proof(there, seqpos("y"), seqpos("x"), SystemId.D)
     assert back == rename_eigen(p, SystemId.D)
+
+
+# -- pinned outputs --
+
+def test_transform_pins():
+    import json
+    import transform_pins
+    want = json.loads(transform_pins.GOLDEN.read_text())
+    got = transform_pins.record()
+    assert len(got) == len(want) == 215
+    for g, w in zip(got, want):
+        assert g == w
+
+
+# sha256 prefix of every rendered output of two scoped renamings in a row,
+# through one fresh-token source per proof, over the seed-2026 suite
+_SCOPED_DIGESTS = {
+    SystemId.K: "ae6e7f3acdb9603d",
+    SystemId.D: "ec5734a721b03afb",
+    SystemId.T: "da38e2f38d5a3e17",
+    SystemId.K4: "68fdb627854a6c5c",
+    SystemId.S4: "d0e0d1cd19d76f79",
+}
+
+
+@pytest.mark.parametrize("sysid", list(_SCOPED_DIGESTS), ids=lambda s: s.value)
+def test_scoped_rename_is_pinned(sysid):
+    from proofgen import generate_suite
+    from transform_pins import digest
+    from twoseq.calculus import proof_tokens
+    from twoseq.parser import render_proof
+    from twoseq.transform import FreshTokenSource, _scoped_rename
+    out = []
+    for p in generate_suite(sysid, 100, seed=2026):
+        source = FreshTokenSource(proof_tokens(p))
+        # the second renaming draws on from where the first stopped
+        for _ in range(2):
+            out.append(render_proof(sysid, _scoped_rename(p, source)))
+    assert digest("\n".join(out)) == _SCOPED_DIGESTS[sysid]
