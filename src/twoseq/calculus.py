@@ -140,8 +140,34 @@ RULES_BY_SYSTEM: dict[SystemId, tuple[str, ...]] = {
 _ARITY = {"ax": 0, "indax": 0}       # rules outside the schema table
 
 
-@dataclass(frozen=True)
-class ProofNode:
+class _RuleTree:
+    """Structural ``==`` over an explicit stack, so comparing deep trees
+    costs no C stack, and a hash of the root alone, which equal trees
+    share; ``_kids`` names the field holding the subtrees."""
+
+    _kids = "premises"
+
+    def _root(self) -> tuple:
+        return self.rule, self.params, self.conclusion, len(getattr(self, self._kids))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is not b:
+                if a._root() != b._root():
+                    return False
+                stack.extend(zip(getattr(a, a._kids), getattr(b, b._kids)))
+        return True
+
+    def __hash__(self):
+        return hash(self._root())
+
+
+@dataclass(frozen=True, eq=False)
+class ProofNode(_RuleTree):
     """A rule instance: identifier, explicit parameters, conclusion, premises."""
 
     rule: str
@@ -162,6 +188,10 @@ class Violation:
     rule: str
     condition: str
     message: str
+
+    def __str__(self) -> str:
+        where = "/".join(map(str, self.path)) or "root"
+        return f"at {where} [{self.rule}] {self.condition}: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -187,9 +217,7 @@ class CheckReport:
         if self.accepted:
             return "accepted"
         lines = [f"rejected: {len(self.failures)} failure(s)"]
-        for v in self.failures:
-            where = "/".join(map(str, v.path)) or "root"
-            lines.append(f"  at {where} [{v.rule}] {v.condition}: {v.message}")
+        lines.extend(f"  {v}" for v in self.failures)
         return "\n".join(lines)
 
 
@@ -200,12 +228,14 @@ def report(failures: Iterable[Violation]) -> CheckReport:
 
 # --- script trees (textual proofs may contain double-line bridge nodes) ---
 
-@dataclass(frozen=True)
-class ScriptNode:
+@dataclass(frozen=True, eq=False)
+class ScriptNode(_RuleTree):
     rule: str                       # a rule name or "bridge"
     params: tuple[tuple[str, object], ...]
     conclusion: Sequent
     children: tuple["ScriptNode", ...] = ()
+
+    _kids = "children"
 
 
 @dataclass(frozen=True)
@@ -241,6 +271,36 @@ def iter_nodes(p: ProofNode):
         yield path, n
         for i, c in enumerate(n.premises):
             stack.append((path + (i,), c))
+
+
+def subproofs(p: ProofNode):
+    """Yield every node of the tree, in the order of ``iter_nodes``."""
+    stack = [p]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(n.premises)
+
+
+def rebuild(root, leave, ctx=None,
+            enter=lambda n, ctx: [(q, None) for q in n.premises]):
+    """``root`` rebuilt bottom-up over an explicit stack, the premises of
+    a node left to right and then the node: ``leave(n, ctx, new_premises)``
+    makes each node.  ``enter(n, ctx)`` lists the (premise, context) pairs
+    to descend into, or gives None to keep the subtree as it is."""
+    done: list = []
+    stack: list = [(root, ctx, None)]
+    while stack:
+        n, c, k = stack.pop()
+        if k is not None:
+            i = len(done) - k
+            done[i:] = [leave(n, c, tuple(done[i:]))]
+        elif (inner := enter(n, c)) is None:
+            done.append(n)
+        else:
+            stack.append((n, c, len(inner)))
+            stack.extend((q, qc, None) for q, qc in reversed(inner))
+    return done[0]
 
 
 class OccurrenceIndex:
@@ -302,10 +362,10 @@ class OccurrenceIndex:
 
 def proof_tokens(p: ProofNode) -> frozenset[Token]:
     out: set[Token] = set()
-    for _, n in iter_nodes(p):
+    for n in subproofs(p):
         out |= tokens_of(n.conclusion)
         for _, v in n.params:
-            if isinstance(v, (SeqPos, SetPos, LtlPos, PastPos)):
+            if isinstance(v, Position):
                 out |= v.tokens()
             elif isinstance(v, PFormula):
                 out |= v.pos.tokens()
@@ -1104,43 +1164,26 @@ def bridge_proof(p: ProofNode, to: Sequent) -> ProofNode:
 def expand_double_lines(script: ProofScript) -> ProofNode:
     """Replace every double-line node of a script by a primitive chain.
 
-    The walk keeps its own stack and visits nodes as the recursive
-    definition would: a node, its children left to right, then the node
-    itself is built (a bridge by its chain), so the first bad bridge is
-    the one reported.  The path in its message is read off parent links.
+    A node is built (a bridge by its chain) after its children, left to
+    right, so the first bad bridge is the one reported; the path in its
+    message is read off the parent links the walk's contexts hold.
     """
-    # per node opened, in preorder: the script node, its parent's index,
-    # which child of the parent it is, and its children built so far
-    opened: list[tuple[ScriptNode, int, int, list[ProofNode]]] = []
+    def enter(sn: ScriptNode, ctx) -> list:
+        if sn.rule == "bridge" and len(sn.children) != 1:
+            raise TwoseqError("double-line node must have exactly one child")
+        return [(c, (ctx, k)) for k, c in enumerate(sn.children)]
 
-    def where(i: int) -> str:
-        path = []
-        while i > 0:
-            _, i, k, _ = opened[i]
-            path.append(k)
-        return "/".join(map(str, reversed(path))) or "root"
+    def leave(sn: ScriptNode, ctx, kids: tuple[ProofNode, ...]) -> ProofNode:
+        if sn.rule != "bridge":
+            return ProofNode(sn.rule, sn.params, sn.conclusion, kids)
+        try:
+            return bridge_proof(kids[0], sn.conclusion)
+        except BridgeError as e:
+            path = []
+            while ctx is not None:
+                ctx, k = ctx
+                path.append(k)
+            where = "/".join(map(str, reversed(path))) or "root"
+            raise BridgeError(e.missing, f"{e.side} (at {where})") from e
 
-    # a (node, parent, slot) triple opens a node; its index closes it
-    stack: list = [(script.root, -1, 0)]
-    while True:
-        top = stack.pop()
-        if type(top) is tuple:
-            sn, up, k = top
-            if sn.rule == "bridge" and len(sn.children) != 1:
-                raise TwoseqError("double-line node must have exactly one child")
-            i = len(opened)
-            opened.append((sn, up, k, []))
-            stack.append(i)
-            stack.extend((c, i, j) for j, c in reversed(tuple(enumerate(sn.children))))
-            continue
-        sn, up, _, kids = opened[top]
-        if sn.rule == "bridge":
-            try:
-                out = bridge_proof(kids[0], sn.conclusion)
-            except BridgeError as e:
-                raise BridgeError(e.missing, f"{e.side} (at {where(top)})") from e
-        else:
-            out = ProofNode(sn.rule, sn.params, sn.conclusion, tuple(kids))
-        if up < 0:
-            return out
-        opened[up][3].append(out)
+    return rebuild(script.root, leave, None, enter)

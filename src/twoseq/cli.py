@@ -54,6 +54,18 @@ def _load_proof(path: str, system: Optional[str],
     return sys_id, expand_double_lines(script)
 
 
+class _Rejected(Exception):
+    """An input proof the kernel rejects; ``main`` prints the report."""
+
+
+def _load_checked(args) -> tuple[SystemId, ProofNode]:
+    sys_id, proof = _load_proof(args.proof, args.system)
+    rep = check_proof(proof, sys_id)
+    if not rep.accepted:
+        raise _Rejected(rep.render_text())
+    return sys_id, proof
+
+
 def _write_checked(args, sys_id: SystemId, out: ProofNode, what: str) -> int:
     """Write a produced proof only once the kernel has re-checked it."""
     rep = check_proof(out, sys_id)
@@ -88,22 +100,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_cutelim(args) -> int:
-    sys_id, proof = _load_proof(args.proof, args.system)
-    rep = check_proof(proof, sys_id)
-    if not rep.accepted:
-        print(rep.render_text(), file=_sys.stderr)
-        return 2
+    sys_id, proof = _load_checked(args)
     trace = (lambda s: print(s, file=_sys.stderr)) if args.trace else None
     return _write_checked(args, sys_id, eliminate_cuts(proof, sys_id, trace),
                           "cut-free")
 
 
 def cmd_subformula(args) -> int:
-    sys_id, proof = _load_proof(args.proof, args.system)
-    rep = check_proof(proof, sys_id)
-    if not rep.accepted:
-        print(rep.render_text(), file=_sys.stderr)
-        return 2
+    sys_id, proof = _load_checked(args)
     if not is_cut_free(proof):
         print("subformula verification needs a cut-free proof", file=_sys.stderr)
         return 2
@@ -141,11 +145,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    sys_id, proof = _load_proof(args.proof, args.system)
-    rep = check_proof(proof, sys_id)
-    if not rep.accepted:
-        print(rep.render_text(), file=_sys.stderr)
-        return 2
+    sys_id, proof = _load_checked(args)
     seed = _seed(args)
     if sys_id in (SystemId.LTL, SystemId.LTL_INDAX):
         verdict = ltl_soundness_fuzz(proof.conclusion, args.budget, seed,
@@ -286,6 +286,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except _Rejected as e:
+        print(e, file=_sys.stderr)
+        return 2
     except TwoseqError as e:
         print(f"error: {e}", file=_sys.stderr)
         return 2

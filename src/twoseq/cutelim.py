@@ -21,9 +21,9 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .calculus import (CORE_SYSTEMS, SCHEMAS, STRUCTURAL_RULES, ProofNode,
-                       Sequent, SystemId, TABLE, bridge_proof, cut,
-                       cut_position_holds, edge, height, iter_nodes, node,
-                       proof_tokens, reapply, seq)
+                       Sequent, SystemId, TABLE, bridge_proof, check_proof,
+                       cut, cut_position_holds, edge, height, node,
+                       proof_tokens, reapply, seq, subproofs)
 from .errors import (KernelInvariantError, MixHypothesisError, TwoseqError,
                      UnsupportedSystemError)
 from .positions import SeqPos, prefix_replace
@@ -41,24 +41,30 @@ def _ensure(holds: bool, invariant: str) -> None:
 def proof_degree(p: ProofNode) -> int:
     """Zero for cut-free proofs, else one past the largest cut-formula degree."""
     best = 0
-    for _, n in iter_nodes(p):
+    for n in subproofs(p):
         if n.rule == "cut":
             best = max(best, degree(n.param("cutf").formula) + 1)
     return best
 
 
 def is_cut_free(p: ProofNode) -> bool:
-    return all(n.rule != "cut" for _, n in iter_nodes(p))
+    return all(n.rule != "cut" for n in subproofs(p))
 
 
 def verify_subformula_property(p: ProofNode) -> bool:
     """Every formula anywhere in the proof is a subformula of the conclusion."""
     ends = p.conclusion.pformulas()
-    for _, n in iter_nodes(p):
+    for n in subproofs(p):
         for q in n.conclusion.pformulas():
             if not any(is_subformula(q, e) for e in ends):
                 return False
     return True
+
+
+def _check_input(p: ProofNode, sys: SystemId, what: str) -> None:
+    rep = check_proof(p, sys)
+    if not rep.accepted:
+        raise TwoseqError(f"{what} is rejected in {sys.value}: {rep.failures[0]}")
 
 
 def _removed(xs: tuple[PFormula, ...], cutf: PFormula) -> tuple[PFormula, ...]:
@@ -226,6 +232,8 @@ def mix(p1: ProofNode, p2: ProofNode, cutf: PFormula, sys: SystemId,
     if sys not in CORE_SYSTEMS:
         raise UnsupportedSystemError(
             f"mix is defined for the five core modal systems, not {sys.value}")
+    for k, p in enumerate((p1, p2)):
+        _check_input(p, sys, f"mix: the {_NAMES[k]} proof")
     n = degree(cutf.formula)
     if proof_degree(p1) > n or proof_degree(p2) > n:
         raise TwoseqError("mix: input proof degrees exceed the cut formula degree")
@@ -249,6 +257,7 @@ def eliminate_cuts(p: ProofNode, sys: SystemId, trace: Trace = None) -> ProofNod
             extra = ": cuts against the induction rule cannot be permuted away"
         raise UnsupportedSystemError(
             f"cut elimination unsupported for this system ({sys.value}){extra}")
+    _check_input(p, sys, "cut elimination: the input proof")
     if is_cut_free(p):
         return p
     src = FreshTokenSource(proof_tokens(p))

@@ -329,10 +329,10 @@ def is_subformula(cand: PFormula, root: PFormula) -> bool:
 
     The subformula set of a boxed or diamonded formula closes the operand
     over every position extension, so the set itself is infinite; the
-    decision procedure instead recurses structurally and, at each box/dia
-    step, lets the tracked position grow by any prefix of the candidate's
-    position.  Only the box/dia fragment over sequence positions is
-    supported, which is all cut elimination needs.
+    decision procedure instead walks the formula over an explicit stack
+    and, at each box/dia step, lets the tracked position grow by any
+    prefix of the candidate's position.  Only the box/dia fragment over
+    sequence positions is supported, which is all cut elimination needs.
     """
     for p in (cand, root):
         if not isinstance(p.pos, SeqPos):
@@ -340,26 +340,23 @@ def is_subformula(cand: PFormula, root: PFormula) -> bool:
         if has_temporal(p.formula):
             raise TwoseqError("subformula decision requires the box/dia fragment")
 
-    def rec(f: Formula, alpha: SeqPos) -> bool:
-        if cand == PFormula(f, alpha):
+    cpos: SeqPos = cand.pos  # type: ignore[assignment]
+    stack: list[tuple[Formula, SeqPos]] = [(root.formula, root.pos)]
+    while stack:
+        f, alpha = stack.pop()
+        if cand.formula is f and cand.pos is alpha:
             return True
-        if isinstance(f, Prop):
-            return False
         if isinstance(f, Not):
-            return rec(f.sub, alpha)
-        if isinstance(f, (And, Or, Imp)):
-            return rec(f.left, alpha) or rec(f.right, alpha)
-        # box/dia: the operand may sit at any extension of alpha, and any
-        # extension relevant to cand is a prefix of cand's position
-        cpos: SeqPos = cand.pos  # type: ignore[assignment]
-        if cpos.items[:len(alpha.items)] != alpha.items:
-            return False
-        for i in range(len(alpha.items), len(cpos.items) + 1):
-            if rec(f.sub, SeqPos(cpos.items[:i])):
-                return True
-        return False
-
-    return rec(root.formula, root.pos)
+            stack.append((f.sub, alpha))
+        elif isinstance(f, (And, Or, Imp)):
+            stack += ((f.right, alpha), (f.left, alpha))
+        elif not isinstance(f, Prop) and \
+                cpos.items[:len(alpha.items)] == alpha.items:
+            # box/dia: the operand may sit at any extension of alpha, and
+            # any extension relevant to cand is a prefix of cand's position
+            stack += ((f.sub, SeqPos(cpos.items[:i]))
+                      for i in range(len(cpos.items), len(alpha.items) - 1, -1))
+    return False
 
 
 def tokens_of(s: Sequent) -> frozenset[Token]:

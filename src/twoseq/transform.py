@@ -5,16 +5,24 @@ the induction rule into its axiom form.
 Every transformation returns a proof that re-checks in the target system;
 eigen tokens are renamed apart first whenever a construction could make
 two scopes collide.
+
+Each rewrite is one ``calculus.rebuild`` walk (premises left to right,
+then the node, over an explicit stack) with one per-node map,
+``_map_node``.  Scoped renaming takes fresh names in that children-first
+order; the eigen rules of each subtree are counted first, so a rule's
+name is known when its premises are entered.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from itertools import accumulate
+from typing import Callable, Iterable, Optional
 
 from .calculus import (SCHEMAS, OccurrenceIndex, ProofNode, SystemId, TABLE,
                        ax, and_right, box_left, box_right, bridge_proof,
                        check_proof, cut, edge, eigen_token, imp_left,
-                       imp_right, indax, next_right, node, proof_tokens, seq)
+                       imp_right, indax, next_right, node, proof_tokens,
+                       rebuild, seq)
 from .errors import TransformError
 from .positions import (LtlPos, PastPos, Position, SeqPos, SetPos, Token,
                         concat, ltl_add, prefix_replace, seqpos)
@@ -51,60 +59,66 @@ def _rename_pos(p: Position, mapping: dict[Token, Token]) -> Position:
                    frozenset(mapping.get(t, t) for t in p.past))
 
 
-def _rename_pf(q: PFormula, mapping) -> PFormula:
-    return PFormula(q.formula, _rename_pos(q.pos, mapping))
-
-
-def _rename_seq(s: Sequent, mapping) -> Sequent:
-    return Sequent(tuple(_rename_pf(q, mapping) for q in s.ant),
-                   tuple(_rename_pf(q, mapping) for q in s.suc))
+def _map_node(n: ProofNode, prems: tuple[ProofNode, ...],
+              fn: Optional[Callable[[Position], Position]] = None,
+              tokens: Optional[dict[Token, Token]] = None) -> ProofNode:
+    """``n`` over ``prems`` with ``fn`` applied to every position of its
+    conclusion and parameters.  A renaming (``tokens`` given, which also
+    renames the eigen token ``x``) maps the steps beta and t as well; any
+    other map reads a sequence beta off the new premise and conclusion."""
+    concl, params = n.conclusion, dict(n.params)
+    if fn is not None:
+        concl = Sequent(tuple(PFormula(q.formula, fn(q.pos)) for q in concl.ant),
+                        tuple(PFormula(q.formula, fn(q.pos)) for q in concl.suc))
+        for k, v in n.params:
+            if isinstance(v, PFormula):
+                params[k] = PFormula(v.formula, fn(v.pos))
+            elif isinstance(v, Position) and (tokens is not None or k not in ("beta", "t")):
+                params[k] = fn(v)
+        s = SCHEMAS.get(n.rule) if tokens is None else None
+        if s and "step" in s.params and isinstance(params.get("beta"), SeqPos):
+            side = "L" if s.premises[0].left else "R"
+            pos, pre = edge(prems[0].conclusion, side).pos, edge(concl, s.side).pos
+            if pos.items[:len(pre.items)] != pre.items:
+                raise TransformError(f"{pos} does not extend {pre}")
+            params["beta"] = SeqPos(pos.items[len(pre.items):])
+    if tokens and isinstance(params.get("x"), str):
+        params["x"] = tokens.get(params["x"], params["x"])
+    return node(n.rule, params, concl, prems)
 
 
 def _rename_tree(n: ProofNode, mapping: dict[Token, Token]) -> ProofNode:
-    prems = tuple(_rename_tree(c, mapping) for c in n.premises)
-    params = {}
-    for k, v in n.params:
-        if isinstance(v, (SeqPos, SetPos, LtlPos, PastPos)):
-            params[k] = _rename_pos(v, mapping)
-        elif isinstance(v, PFormula):
-            params[k] = _rename_pf(v, mapping)
-        elif k == "x" and isinstance(v, str):
-            params[k] = mapping.get(v, v)
-        else:
-            params[k] = v
-    return node(n.rule, params, _rename_seq(n.conclusion, mapping), prems)
+    return rebuild(n, lambda m, _, prems: _map_node(
+        m, prems, lambda q: _rename_pos(q, mapping), mapping))
 
 
 def _scoped_rename(n: ProofNode, source: FreshTokenSource) -> ProofNode:
-    """Rename every eigen token to a fresh one within its own scope.
+    """Rename every eigen token to a fresh one within its own scope: a
+    token takes the name of the nearest eigen rule below it that binds
+    it.  A node's context is its scope (each token bound below it, to its
+    name) and the number of eigen rules named before its subtree."""
+    counts: dict[int, int] = {}
+    total = rebuild(n, lambda m, _, sub: counts.setdefault(
+        id(m), sum(sub) + (eigen_token(m) is not None)))
+    names = [source.take() for _ in range(total)]
 
-    Two phases: eigen tokens first move to temporaries no input can
-    contain (children first, so an inner rule that reused an outer token
-    has already stepped aside when the outer scope is rewritten), then one
-    flat bijection takes the temporaries to their allocated names.  Going
-    through temporaries keeps a new name from ever being captured by the
-    rewrite of an enclosing scope that still carries it as its old name.
-    """
-    temps: list[Token] = []
+    def enter(m: ProofNode, ctx) -> Optional[list]:
+        scope, base = ctx
+        if not scope and not counts[id(m)]:
+            return None
+        if (x := eigen_token(m)) is not None:
+            scope = {**scope, x: names[base + counts[id(m)] - 1]}
+        bases = accumulate((counts[id(c)] for c in m.premises), initial=base)
+        return [(c, (scope, b)) for c, b in zip(m.premises, bases)]
 
-    def pass1(m: ProofNode) -> ProofNode:
-        prems = tuple(pass1(c) for c in m.premises)
-        cur = node(m.rule, dict(m.params), m.conclusion, prems)
-        x = eigen_token(cur)
-        if x is None:
-            return cur
-        tmp = f"\x00eig{len(temps)}"
-        temps.append(tmp)
-        mapping = {x: tmp}
-        new_prems = tuple(_rename_tree(c, mapping) for c in cur.premises)
-        params = {k: (tmp if k == "x" else v) for k, v in cur.params}
-        return node(cur.rule, params, cur.conclusion, new_prems)
+    def leave(m: ProofNode, ctx, prems: tuple[ProofNode, ...]) -> ProofNode:
+        scope, base = ctx
+        x = eigen_token(m)
+        own = scope if x is None else {x: names[base + counts[id(m)] - 1]}
+        fn = (lambda q: _rename_pos(q, scope)) if scope else None
+        return _map_node(m, prems, fn, own)
 
-    mid = pass1(n)
-    if not temps:
-        return mid
-    final = {tmp: source.take() for tmp in temps}
-    return _rename_tree(mid, final)
+    return rebuild(n, leave, ({}, 0), enter)
 
 
 def _free_tokens(p: ProofNode) -> frozenset[Token]:
@@ -121,9 +135,15 @@ def _free_tokens(p: ProofNode) -> frozenset[Token]:
 def canonical_rename(p: ProofNode,
                      avoid: Iterable[Token] = ()) -> ProofNode:
     """Scoped renaming into the numbered b-scheme; idempotent."""
-    source = FreshTokenSource(_free_tokens(p))
-    source.reserve(avoid)
-    return _scoped_rename(p, source)
+    return _scoped_rename(p, FreshTokenSource(_free_tokens(p) | set(avoid)))
+
+
+def _repairable(p: ProofNode, sys: SystemId) -> ProofNode:
+    """``p``, once checked to have no defect but eigen-token sharing."""
+    hard = [v for v in check_proof(p, sys).failures if v.condition != "token-condition"]
+    if hard:
+        raise TransformError("ill-formed proof: " + hard[0].message)
+    return p
 
 
 def rename_eigen(p: ProofNode, sys: SystemId) -> ProofNode:
@@ -133,11 +153,7 @@ def rename_eigen(p: ProofNode, sys: SystemId) -> ProofNode:
     only defect is eigen-token sharing is repaired in passing, anything
     else is rejected.
     """
-    rep = check_proof(p, sys)
-    hard = [v for v in rep.failures if v.condition != "token-condition"]
-    if hard:
-        raise TransformError("ill-formed proof: " + hard[0].message)
-    return canonical_rename(p)
+    return canonical_rename(_repairable(p, sys))
 
 
 def rename_apart(proofs: list[ProofNode]) -> list[ProofNode]:
@@ -148,10 +164,11 @@ def rename_apart(proofs: list[ProofNode]) -> list[ProofNode]:
     return [_scoped_rename(q, source) for q in proofs]
 
 
-def _strip_prefix(pos: SeqPos, pre: SeqPos) -> SeqPos:
-    if pos.items[:len(pre.items)] != pre.items:
-        raise TransformError(f"{pos} does not extend {pre}")
-    return SeqPos(pos.items[len(pre.items):])
+def _map_positions(p: ProofNode, fn: Callable[[Position], Position]) -> ProofNode:
+    """Apply ``fn`` to every position of a proof tree (the caller has
+    arranged the eigen side conditions); a sequence step ``beta`` is read
+    off again from the rewritten active and principal formulas."""
+    return rebuild(p, lambda n, _, prems: _map_node(n, prems, fn))
 
 
 def prefix_replace_proof(p: ProofNode, source: SeqPos, target: SeqPos,
@@ -164,43 +181,9 @@ def prefix_replace_proof(p: ProofNode, source: SeqPos, target: SeqPos,
     """
     if not isinstance(source, SeqPos) or not source.items:
         raise TransformError("replacement source must be a nonempty sequence position")
-    renamed = rename_eigen(p, sys)
-    fresh = FreshTokenSource(_free_tokens(renamed))
-    fresh.reserve(source.tokens() | target.tokens())
-    renamed = _scoped_rename(renamed, fresh)
+    renamed = canonical_rename(_repairable(p, sys),
+                               source.tokens() | target.tokens())
     return _map_positions(renamed, lambda q: prefix_replace(q, source, target))
-
-
-def _map_positions(p: ProofNode, fn: Callable[[Position], Position]) -> ProofNode:
-    """Apply ``fn`` to every position of a proof tree (the caller has
-    arranged the eigen side conditions); a sequence step ``beta`` is read
-    off again from the rewritten active and principal formulas."""
-
-    def sub_pf(q: PFormula) -> PFormula:
-        return PFormula(q.formula, fn(q.pos))
-
-    def sub_seq(s: Sequent) -> Sequent:
-        return Sequent(tuple(sub_pf(q) for q in s.ant),
-                       tuple(sub_pf(q) for q in s.suc))
-
-    def rec(n: ProofNode) -> ProofNode:
-        prems = tuple(rec(c) for c in n.premises)
-        concl = sub_seq(n.conclusion)
-        params = dict(n.params)
-        if "alpha" in params:
-            params["alpha"] = fn(params["alpha"])
-        if isinstance(params.get("cutf"), PFormula):
-            params["cutf"] = sub_pf(params["cutf"])
-        if isinstance(params.get("pf"), PFormula):
-            params["pf"] = sub_pf(params["pf"])
-        s = SCHEMAS.get(n.rule)
-        if s and "step" in s.params and isinstance(params.get("beta"), SeqPos):
-            side = "L" if s.premises[0].left else "R"
-            params["beta"] = _strip_prefix(edge(prems[0].conclusion, side).pos,
-                                           edge(concl, s.side).pos)
-        return node(n.rule, params, concl, prems)
-
-    return rec(p)
 
 
 def lift_proof(p: ProofNode, by: Position, sys: SystemId) -> ProofNode:
@@ -222,10 +205,7 @@ def lift_proof(p: ProofNode, by: Position, sys: SystemId) -> ProofNode:
         if not rep.accepted:
             raise TransformError("ill-formed proof: " + rep.failures[0].message)
         return p
-    renamed = rename_eigen(p, sys)
-    fresh = FreshTokenSource(_free_tokens(renamed))
-    fresh.reserve(by.tokens())
-    renamed = _scoped_rename(renamed, fresh)
+    renamed = canonical_rename(_repairable(p, sys), by.tokens())
     if isinstance(by, SeqPos):
         return _map_positions(renamed, lambda q: concat(by, q))
     if isinstance(by, SetPos):
@@ -272,10 +252,9 @@ def compose_mp(pab: ProofNode, pa: ProofNode, sys: SystemId) -> ProofNode:
 def ind_to_axiom(p: ProofNode) -> ProofNode:
     """Replace every induction-rule node by its axiom-form derivation."""
 
-    def rec(n: ProofNode) -> ProofNode:
-        prems = tuple(rec(c) for c in n.premises)
+    def leave(n: ProofNode, _, prems: tuple[ProofNode, ...]) -> ProofNode:
         if n.rule != "ind":
-            return node(n.rule, dict(n.params), n.conclusion, prems)
+            return _map_node(n, prems)
         x, t = n.param("x"), n.param("t")
         concl = n.conclusion
         a_pf = concl.ant[-1]
@@ -295,4 +274,4 @@ def ind_to_axiom(p: ProofNode) -> ProofNode:
         c2 = cut(c1, g4, pf(Box(a_f), s_pos))
         return bridge_proof(c2, concl)
 
-    return rec(p)
+    return rebuild(p, leave)

@@ -92,6 +92,27 @@ def test_mix_degree_precondition():
         mix(deep, ax(pf(P0, E)), pf(P0, E), SystemId.S4)
 
 
+def test_mix_and_eliminate_check_their_inputs():
+    # p0 @ [x] |- box p0 @ []: the boxR eigen position [x] is among the
+    # context initials; unchecked, the principal reduction fails to bridge
+    bad = box_right(ax(pf(P0, seqpos("x"))), "x")
+    right = box_left(ax(pf(P0, seqpos("z"))), seqpos("z"))
+    cutf = pf(Box(P0), E)
+    lines = []
+    with pytest.raises(TwoseqError) as e:
+        mix(bad, right, cutf, SystemId.S4, lines.append)
+    assert type(e.value) is TwoseqError and lines == []
+    assert str(e.value) == ("mix: the left proof is rejected in S4: at root [boxR] "
+                            "eigen-position: eigenposition [x] occurs among the "
+                            "context initials")
+    with pytest.raises(TwoseqError) as e:
+        eliminate_cuts(cut(bad, right, cutf), SystemId.S4, lines.append)
+    assert type(e.value) is TwoseqError and lines == []
+    assert str(e.value) == ("cut elimination: the input proof is rejected in S4: "
+                            "at 0 [boxR] eigen-position: eigenposition [x] occurs "
+                            "among the context initials")
+
+
 def test_mix_refused_outside_core():
     with pytest.raises(UnsupportedSystemError):
         mix(ax(pf(P0, E)), ax(pf(P0, E)), pf(P0, E), SystemId.S42)

@@ -256,3 +256,74 @@ def test_scoped_rename_is_pinned(sysid):
         for _ in range(2):
             out.append(render_proof(sysid, _scoped_rename(p, source)))
     assert digest("\n".join(out)) == _SCOPED_DIGESTS[sysid]
+
+
+# -- depth: every walk keeps its own stack --
+
+_DEEP = """
+import sys
+from twoseq.calculus import (SystemId, ax, box_left, box_right, check_proof,
+                             exc_left, proof_tokens, weak_left)
+from twoseq.cutelim import is_cut_free
+from twoseq.positions import seqpos
+from twoseq.syntax import Not, Prop, is_subformula, pf
+from twoseq.transform import canonical_rename, lift_proof
+
+N = 100_000
+P0, P1, E = Prop("p0"), Prop("p1"), seqpos()
+
+
+def chain(eigen):
+    # box p0 @ [], p1 @ [] |- box p0 @ []: a boxL/boxR leaf, then N exchanges
+    leaf = box_right(box_left(ax(pf(P0, seqpos(eigen))), seqpos(eigen)), eigen)
+    p = weak_left(leaf, pf(P1, E))
+    for _ in range(N):
+        p = exc_left(p, 0)
+    return p
+
+
+def leaf(p):
+    while p.rule != "boxR":
+        p = p.premises[0]
+    return p
+
+
+op = sys.argv[1]
+if op == "is_subformula":
+    f = P0
+    for _ in range(N):
+        f = Not(f)
+    assert is_subformula(pf(P0, E), pf(f, E))
+    assert not is_subformula(pf(P1, E), pf(f, E))
+    sys.exit(0)
+p = chain("x")
+if op == "canonical_rename":
+    out = canonical_rename(p)
+    assert out.conclusion == p.conclusion and leaf(out).param("x") == "b0"
+elif op == "lift_proof":
+    out = lift_proof(p, seqpos("e"), SystemId.S4)
+    assert {q.pos for q in out.conclusion.pformulas()} == {seqpos("e")}
+    assert check_proof(out, SystemId.S4).accepted
+elif op == "ProofNode ==":
+    q = chain("x")
+    assert p is not q and p == q and hash(p) == hash(q)
+    assert p != chain("y")
+elif op == "is_cut_free":
+    assert is_cut_free(p)
+elif op == "proof_tokens":
+    assert proof_tokens(p) == {"x"}
+"""
+
+
+@pytest.mark.parametrize("op", ["canonical_rename", "lift_proof", "ProofNode ==",
+                                "is_subformula", "is_cut_free", "proof_tokens"])
+def test_depth_100k_in_a_fresh_interpreter(op):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    import twoseq
+    src = str(Path(twoseq.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _DEEP, op], capture_output=True,
+                         text=True, timeout=300, env={**os.environ, "PYTHONPATH": src})
+    assert (out.returncode, out.stderr) == (0, "")
