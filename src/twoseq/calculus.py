@@ -143,12 +143,10 @@ _ARITY = {"ax": 0, "indax": 0}       # rules outside the schema table
 class _RuleTree:
     """Structural ``==`` over an explicit stack, so comparing deep trees
     costs no C stack, and a hash of the root alone, which equal trees
-    share; ``_kids`` names the field holding the subtrees."""
-
-    _kids = "premises"
+    share."""
 
     def _root(self) -> tuple:
-        return self.rule, self.params, self.conclusion, len(getattr(self, self._kids))
+        return self.rule, self.params, self.conclusion, len(self.premises)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -159,7 +157,7 @@ class _RuleTree:
             if a is not b:
                 if a._root() != b._root():
                     return False
-                stack.extend(zip(getattr(a, a._kids), getattr(b, b._kids)))
+                stack.extend(zip(a.premises, b.premises))
         return True
 
     def __hash__(self):
@@ -235,7 +233,9 @@ class ScriptNode(_RuleTree):
     conclusion: Sequent
     children: tuple["ScriptNode", ...] = ()
 
-    _kids = "children"
+    @property
+    def premises(self) -> tuple["ScriptNode", ...]:
+        return self.children
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ of proof degree and height.  Both measures are checked at runtime, and a
 failure raises `KernelInvariantError` (also under ``python -O``).  For
 the two restricted systems the mix carries a position hypothesis mirroring
 their cut condition; it is checked on every entry and a violation is
-reported as an error, never patched over.
+reported as an error, never patched over.  Both entry points check
+their input proofs first and refuse a rejected one, naming its first
+failure, since the mix assumes well-formed proofs.
 
 The mix reads rule shapes only from `calculus.SCHEMAS`: one step mixes a
 premise of either proof with the other proof, both to re-apply a rule

@@ -441,9 +441,8 @@ def render_proof(sys: SystemId, p: Union[ProofNode, ScriptNode]) -> str:
             if params:
                 head += " " + params
             lines.append(head + f" (concl {render_sequent(n.conclusion)})")
-        kids = n.premises if isinstance(n, ProofNode) else n.children
         todo.append(None)
-        todo += ((c, depth + 1) for c in reversed(kids))
+        todo += ((c, depth + 1) for c in reversed(n.premises))
     lines[-1] += ")"
     return "\n".join(lines)
 

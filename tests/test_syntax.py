@@ -19,9 +19,9 @@ from twoseq.parser import (parse_formula, parse_pformula, parse_position,
                            render_formula, render_pformula)
 from twoseq.positions import (TABLE, LtlPos, PastPos, SeqPos, SetPos, concat,
                               seqpos)
-from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, Once, PFormula, Prop,
-                           degree, has_past, has_temporal, is_subformula, pf,
-                           positions_of, seq, temporal_depth, tokens_of)
+from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, Once, Or, PFormula,
+                           Prop, degree, has_past, has_temporal, is_subformula,
+                           pf, positions_of, seq, temporal_depth, tokens_of)
 
 P, Q = Prop("p"), Prop("q")
 
@@ -32,7 +32,7 @@ def enumerate_sub(root: PFormula, pool: list[SeqPos]) -> set[PFormula]:
     f, alpha = root.formula, root.pos
     if isinstance(f, Not):
         out |= enumerate_sub(pf(f.sub, alpha), pool)
-    elif isinstance(f, (And, Imp)):
+    elif isinstance(f, (And, Or, Imp)):
         out |= enumerate_sub(pf(f.left, alpha), pool)
         out |= enumerate_sub(pf(f.right, alpha), pool)
     elif isinstance(f, (Box, Dia)):
@@ -80,6 +80,19 @@ def test_subformula_binary_keeps_position():
 @given(formula_st("modal", depth=2), seqpos_st)
 def test_subformula_reflexive(f, pos):
     assert is_subformula(pf(f, pos), pf(f, pos))
+
+
+@given(formula_st("modal", depth=2), seqpos_st, formula_st("modal", depth=1),
+       seqpos_st)
+def test_subformula_decision_matches_the_enumeration(f, alpha, g, cpos):
+    # every box/dia step of a candidate at cpos extends by a segment of cpos
+    items = cpos.items
+    pool = [SeqPos(items[i:j]) for i in range(len(items) + 1)
+            for j in range(i, len(items) + 1)]
+    root = pf(f, alpha)
+    subs = enumerate_sub(root, pool)
+    assert is_subformula(pf(g, cpos), root) == (pf(g, cpos) in subs)
+    assert all(is_subformula(q, root) for q in subs)
 
 
 def test_subformula_transitive_chain():
