@@ -140,7 +140,8 @@ def canonical_rename(p: ProofNode,
 
 def _repairable(p: ProofNode, sys: SystemId) -> ProofNode:
     """``p``, once checked to have no defect but eigen-token sharing."""
-    hard = [v for v in check_proof(p, sys).failures if v.condition != "token-condition"]
+    hard = [v for v in check_proof(p, sys).failures
+            if v.condition != "token-condition"]
     if hard:
         raise TransformError("ill-formed proof: " + hard[0].message)
     return p
