@@ -187,6 +187,23 @@ def test_eigen_condition_is_positional():
 
 # -- whole-proof checking --
 
+_MODAL = ("ax", "cut", "weakL", "weakR", "contrL", "contrR", "excL", "excR",
+          "negL", "negR", "andL1", "andL2", "andR", "orL", "orR1", "orR2",
+          "impL", "impR", "boxL", "boxR", "diaL", "diaR")
+
+
+def test_rules_by_system_are_pinned_in_order():
+    # the parser's "not part of this system" check and every report read
+    # these tuples, so each system's list and its order are fixed
+    want = {sysid: _MODAL for sysid in calculus.CORE_SYSTEMS + (SystemId.S42,)}
+    want[SystemId.LTL] = _MODAL + ("nextL", "nextR", "ind")
+    want[SystemId.LTL_INDAX] = _MODAL + ("nextL", "nextR", "indax")
+    want[SystemId.LTLP] = _MODAL + ("nextL", "nextR", "prevL", "prevR", "histL",
+                                    "histR", "onceL", "onceR", "ind", "pind")
+    assert calculus.RULES_BY_SYSTEM == want
+    assert list(calculus.RULES_BY_SYSTEM) == list(SystemId)
+
+
 def test_corpus_positive_matrix():
     for sysid in SystemId:
         for name, proof in corpus.entries(sysid):

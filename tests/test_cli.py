@@ -105,17 +105,31 @@ def test_check_system_override_across_families(files, capsys):
     assert {f["condition"] for f in data["failures"]} <= {"family", "params", "schema"}
 
 
-@pytest.mark.parametrize("command", [["cutelim"], ["subformula"],
-                                     ["fuzz", "--budget", "5"],
-                                     ["cutelim", "--json"]])
-def test_rejected_input_prints_the_report_and_exits_2(files, capsys, command):
-    # the D axiom is not derivable in K: the report goes to stderr, verbatim
+_CHECKED = [["cutelim"], ["subformula"], ["fuzz", "--budget", "5"],
+            ["cutelim", "--json"]]
+
+
+def _prints_the_report_and_exits_2(files, capsys, command, system):
     path = proof_file(files, "d.2sp", SystemId.D, corpus.axiom_d())
-    rep = check_proof(corpus.axiom_d(), SystemId.K)
+    rep = check_proof(corpus.axiom_d(), SystemId.parse(system))
     assert not rep.accepted
-    assert main(command + ["--system", "K", path]) == 2
+    assert main(command + ["--system", system, path]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", rep.render_text() + "\n")
+
+
+@pytest.mark.parametrize("command", _CHECKED)
+def test_rejected_input_prints_the_report_and_exits_2(files, capsys, command):
+    # the D axiom is not derivable in K: the report goes to stderr, verbatim
+    _prints_the_report_and_exits_2(files, capsys, command, "K")
+
+
+@pytest.mark.parametrize("command", _CHECKED)
+def test_rejected_input_outside_the_core_systems_prints_the_report(files, capsys,
+                                                                 command):
+    # sequence positions are not linear-time ones; the rejection is reported
+    # before cut elimination refuses the system
+    _prints_the_report_and_exits_2(files, capsys, command, "LTL")
 
 
 def test_subformula_needs_cut_free(files, capsys):

@@ -196,6 +196,26 @@ def test_blocked_cut_checks_but_elimination_refused():
         eliminate_cuts(p, SystemId.LTL)
 
 
+def _valuations(tokens, bound):
+    # the first token varies fastest; keys are added last token first
+    if not tokens:
+        yield {}
+        return
+    for a in _valuations(tokens[1:], bound):
+        for v in range(bound + 1):
+            yield {**a, tokens[0]: v}
+
+
+@pytest.mark.parametrize("bound", range(4))
+@pytest.mark.parametrize("n", range(4))
+def test_exhaustive_valuations_order_and_key_order(n, bound):
+    tokens = ("x", "y", "z")[:n]
+    got = list(exhaustive_valuations(tokens, bound))
+    want = list(_valuations(tokens, bound))
+    assert got == want and [list(a) for a in got] == [list(a) for a in want]
+    assert len(got) == (bound + 1) ** n
+
+
 def test_exhaustive_valuations():
     out = list(exhaustive_valuations(("x", "y"), 1))
     assert len(out) == 4
