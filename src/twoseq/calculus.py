@@ -15,8 +15,9 @@ hooks into the constraint table.  That entry drives the forward
 constructor (``apply_rule``, behind the named wrappers), the checker
 (``_check_schema``) and both mix steps of cut elimination (``reapply``,
 and the principal reduction, which cuts the operands ``Active`` names).
-A new rule is one entry here, its name in ``RULES_BY_SYSTEM`` and, for
-building proofs by hand, a wrapper; a new side condition is a hook.
+A new rule is one entry here, its name in the rule lists ``_rules``
+draws from a system's table row and, for building proofs by hand, a
+wrapper; a new side condition is a hook.
 
 The six structural rules share one step function, ``structural`` (a
 rule's conclusion from its premise), and a row each in ``STRUCTURAL``
@@ -28,7 +29,7 @@ axioms are written out.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -37,8 +38,8 @@ from .positions import (LtlPos, PastPos, Position, SeqPos, SetPos, Token,
                         concat, initials, ltl_add, ltl_step, ltl_token,
                         past_add, past_sub, related, seqpos)
 from .syntax import (And, Box, Dia, Formula, Hist, Imp, Next, Not, Once, Or,
-                     PFormula, Prev, Sequent, has_past, has_temporal, pf,
-                     seq, tokens_of)
+                     PFormula, Prev, Sequent, degree, has_past, has_temporal,
+                     pf, seq, tokens_of)
 
 
 class SystemId(Enum):
@@ -127,15 +128,17 @@ _COMMON = ("ax", "cut") + STRUCTURAL_RULES + (
     "negL", "negR", "andL1", "andL2", "andR", "orL", "orR1", "orR2",
     "impL", "impR", "boxL", "boxR", "diaL", "diaR")
 
-RULES_BY_SYSTEM: dict[SystemId, tuple[str, ...]] = {
-    SystemId.K: _COMMON, SystemId.D: _COMMON, SystemId.T: _COMMON,
-    SystemId.K4: _COMMON, SystemId.S4: _COMMON, SystemId.S42: _COMMON,
-    SystemId.LTL: _COMMON + ("nextL", "nextR", "ind"),
-    SystemId.LTL_INDAX: _COMMON + ("nextL", "nextR", "indax"),
-    SystemId.LTLP: _COMMON + ("nextL", "nextR", "prevL", "prevR",
-                              "histL", "histR", "onceL", "onceR",
-                              "ind", "pind"),
-}
+
+def _rules(t: ConstraintTable) -> tuple[str, ...]:
+    """A system's rules, read off its table row."""
+    nxt = ("nextL", "nextR") if t.allow_next else ()
+    past = ("prevL", "prevR", "histL", "histR", "onceL", "onceR") if t.allow_past else ()
+    induction = {"none": (), "axiom": ("indax",),
+                 "rule": ("ind", "pind") if t.allow_past else ("ind",)}
+    return _COMMON + nxt + past + induction[t.induction]
+
+
+RULES_BY_SYSTEM = {sys: _rules(t) for sys, t in TABLE.items()}
 
 _ARITY = {"ax": 0, "indax": 0}       # rules outside the schema table
 
@@ -166,12 +169,31 @@ class _RuleTree:
 
 @dataclass(frozen=True, eq=False)
 class ProofNode(_RuleTree):
-    """A rule instance: identifier, explicit parameters, conclusion, premises."""
+    """A rule instance (identifier, explicit parameters, conclusion, premises)
+    and its tree's height, size, eigen rules and cut rank: 0 if cut-free, else
+    1 + the largest cut-formula degree; -1 if a cut formula is temporal or missing."""
 
     rule: str
     params: tuple[tuple[str, object], ...]
     conclusion: Sequent
     premises: tuple["ProofNode", ...] = ()
+    height: int = field(init=False, repr=False)
+    size: int = field(init=False, repr=False)
+    eigens: int = field(init=False, repr=False)
+    cut_rank: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        h = s = e = rank = 0
+        for q in self.premises:
+            h, s, e = max(h, q.height), s + q.size, e + q.eigens
+            rank = -1 if min(rank, q.cut_rank) < 0 else max(rank, q.cut_rank)
+        if self.rule == "cut" and rank >= 0:
+            f = self.param("cutf")
+            rank = -1 if not isinstance(f, PFormula) or has_temporal(f.formula) \
+                else max(rank, degree(f.formula) + 1)
+        # written once, before the node is shared: frozen from then on
+        self.__dict__.update(height=h + 1, size=s + 1, cut_rank=rank,
+                             eigens=e + (eigen_token(self) is not None))
 
     def param(self, key: str, default=None):
         for k, v in self.params:
@@ -251,16 +273,7 @@ def node(rule: str, params: dict, conclusion: Sequent,
 
 
 def height(p: ProofNode) -> int:
-    best: dict[int, int] = {}
-    stack = [(p, False)]
-    while stack:
-        n, done = stack.pop()
-        if done:
-            best[id(n)] = 1 + max((best[id(c)] for c in n.premises), default=0)
-        else:
-            stack.append((n, True))
-            stack.extend((c, False) for c in n.premises)
-    return best[id(p)]
+    return p.height
 
 
 def iter_nodes(p: ProofNode):
@@ -306,43 +319,38 @@ def rebuild(root, leave, ctx=None,
 class OccurrenceIndex:
     """One preorder pass over a proof, in the order of ``iter_nodes``.
 
-    Node ``i`` in preorder has the strict descendants ``(i, end[i]]``;
-    ``at`` maps each token to the sorted preorder indices of the nodes
-    whose conclusion carries it, and ``eigens`` lists the eigen rules as
-    (index, token).  Paths are rebuilt from parent links on demand.
+    Node ``i`` in preorder has the strict descendants ``(i, end[i]]``, read
+    off its stored ``size``; ``at`` maps each token to the sorted preorder
+    indices of the nodes whose conclusion carries it, and ``eigens`` lists
+    the eigen rules as (index, token).  Paths are rebuilt on demand.
     """
 
     def __init__(self, p: ProofNode):
         self.nodes: list[ProofNode] = []
-        self.parent: list[int] = []
-        self.slot: list[int] = []           # which premise of its parent
         self.at: dict[Token, list[int]] = {}
         self.eigens: list[tuple[int, Token]] = []
-        stack = [(p, -1, 0)]
+        self.end: list[int] = []
+        stack = [p]
         while stack:
-            n, up, k = stack.pop()
+            n = stack.pop()
             i = len(self.nodes)
             self.nodes.append(n)
-            self.parent.append(up)
-            self.slot.append(k)
+            self.end.append(i + n.size - 1)
             for t in tokens_of(n.conclusion):
                 self.at.setdefault(t, []).append(i)
             x = eigen_token(n)
             if x is not None:
                 self.eigens.append((i, x))
-            stack.extend((c, i, k) for k, c in enumerate(n.premises))
-        self.end = list(range(len(self.nodes)))
-        for i in range(len(self.nodes) - 1, 0, -1):
-            up = self.parent[i]
-            if self.end[i] > self.end[up]:
-                self.end[up] = self.end[i]
+            stack.extend(n.premises)
 
     def path(self, i: int) -> tuple[int, ...]:
-        out = []
-        while i > 0:
-            out.append(self.slot[i])
-            i = self.parent[i]
-        return tuple(reversed(out))
+        out, j = [], 0
+        while j < i:    # a node's premises follow it, last first, in size blocks
+            prems, j, k = self.nodes[j].premises, j + 1, -1
+            while i >= j + prems[k].size:
+                j, k = j + prems[k].size, k - 1
+            out.append(len(prems) + k)
+        return tuple(out)
 
     def first_outside(self, token: Token, scopes: Iterable[int]) -> Optional[int]:
         """The first node in preorder whose conclusion carries ``token``
@@ -1018,8 +1026,6 @@ def check_rule_instance(n: ProofNode, sys: SystemId) -> list[Violation]:
                     and f.left.right.sub.left == f.left.left
                     and f.left.right.sub.right.sub == f.left.left)
             expect(good, "schema", "formula is not an induction-axiom instance")
-    else:
-        bad("schema", f"unknown rule {n.rule}")
 
     # declared base positions, when present, must agree with the conclusion
     alpha = n.param("alpha")

@@ -17,7 +17,7 @@ from . import corpus
 from .calculus import (ProofNode, SystemId, check_proof,
                        expand_double_lines)
 from .cutelim import eliminate_cuts, is_cut_free, verify_subformula_property
-from .errors import TwoseqError
+from .errors import RejectedProofError, TwoseqError
 from .ltl import (LassoWord, exhaustive_valuations, ltl_soundness_fuzz,
                   sequent_checker)
 from .parser import (parse_model, parse_proof, parse_sequent, render_model,
@@ -54,15 +54,11 @@ def _load_proof(path: str, system: Optional[str],
     return sys_id, expand_double_lines(script)
 
 
-class _Rejected(Exception):
-    """An input proof the kernel rejects; ``main`` prints the report."""
-
-
 def _load_checked(args) -> tuple[SystemId, ProofNode]:
     sys_id, proof = _load_proof(args.proof, args.system)
     rep = check_proof(proof, sys_id)
     if not rep.accepted:
-        raise _Rejected(rep.render_text())
+        raise RejectedProofError(rep.render_text(), rep)
     return sys_id, proof
 
 
@@ -100,7 +96,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_cutelim(args) -> int:
-    sys_id, proof = _load_checked(args)
+    # eliminate_cuts checks its input and raises the rejection report
+    sys_id, proof = _load_proof(args.proof, args.system)
     trace = (lambda s: print(s, file=_sys.stderr)) if args.trace else None
     return _write_checked(args, sys_id, eliminate_cuts(proof, sys_id, trace),
                           "cut-free")
@@ -223,9 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="verification kernel for 2-sequent modal proof systems")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, proof=True):
-        if proof:
-            p.add_argument("proof", help="proof script (.2sp)")
+    def common(p):
+        p.add_argument("proof", help="proof script (.2sp)")
         p.add_argument("--system", help="override the script's system")
         p.add_argument("--json", action="store_true")
 
@@ -286,13 +282,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _Rejected as e:
-        print(e, file=_sys.stderr)
+    except RejectedProofError as e:
+        print(e.report.render_text(), file=_sys.stderr)
         return 2
-    except TwoseqError as e:
-        print(f"error: {e}", file=_sys.stderr)
-        return 2
-    except OSError as e:
+    except (TwoseqError, OSError) as e:
         print(f"error: {e}", file=_sys.stderr)
         return 2
     except Exception as e:

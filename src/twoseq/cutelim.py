@@ -26,7 +26,8 @@ from .calculus import (CORE_SYSTEMS, SCHEMAS, STRUCTURAL_RULES, ProofNode,
                        Sequent, SystemId, TABLE, bridge_proof, check_proof,
                        cut, cut_position_holds, edge, height, node,
                        proof_tokens, reapply, seq, subproofs)
-from .errors import (KernelInvariantError, MixHypothesisError, TwoseqError,
+from .errors import (DegreeUndefinedError, KernelInvariantError,
+                     MixHypothesisError, RejectedProofError, TwoseqError,
                      UnsupportedSystemError)
 from .positions import SeqPos, prefix_replace
 from .syntax import PFormula, degree, is_subformula
@@ -42,15 +43,13 @@ def _ensure(holds: bool, invariant: str) -> None:
 
 def proof_degree(p: ProofNode) -> int:
     """Zero for cut-free proofs, else one past the largest cut-formula degree."""
-    best = 0
-    for n in subproofs(p):
-        if n.rule == "cut":
-            best = max(best, degree(n.param("cutf").formula) + 1)
-    return best
+    if p.cut_rank < 0:
+        raise DegreeUndefinedError("a cut formula is temporal or missing")
+    return p.cut_rank
 
 
 def is_cut_free(p: ProofNode) -> bool:
-    return all(n.rule != "cut" for n in subproofs(p))
+    return p.cut_rank == 0
 
 
 def verify_subformula_property(p: ProofNode) -> bool:
@@ -66,7 +65,8 @@ def verify_subformula_property(p: ProofNode) -> bool:
 def _check_input(p: ProofNode, sys: SystemId, what: str) -> None:
     rep = check_proof(p, sys)
     if not rep.accepted:
-        raise TwoseqError(f"{what} is rejected in {sys.value}: {rep.failures[0]}")
+        raise RejectedProofError(
+            f"{what} is rejected in {sys.value}: {rep.failures[0]}", rep)
 
 
 def _removed(xs: tuple[PFormula, ...], cutf: PFormula) -> tuple[PFormula, ...]:
@@ -251,15 +251,16 @@ def eliminate_cuts(p: ProofNode, sys: SystemId, trace: Trace = None) -> ProofNod
     """A cut-free proof of the same end sequent, for the five core systems.
 
     Other systems are refused: the temporal induction rule blocks the cut
-    permutations this procedure relies on.
+    permutations this procedure relies on.  The input is checked first,
+    in any system, so a rejected proof is reported as such.
     """
+    _check_input(p, sys, "cut elimination: the input proof")
     if sys not in CORE_SYSTEMS:
         extra = ""
         if sys in (SystemId.LTL, SystemId.LTL_INDAX, SystemId.LTLP):
             extra = ": cuts against the induction rule cannot be permuted away"
         raise UnsupportedSystemError(
             f"cut elimination unsupported for this system ({sys.value}){extra}")
-    _check_input(p, sys, "cut elimination: the input proof")
     if is_cut_free(p):
         return p
     src = FreshTokenSource(proof_tokens(p))

@@ -13,6 +13,14 @@ class ParseError(TwoseqError):
         self.col = col
 
 
+class RejectedProofError(TwoseqError):
+    """An input proof the kernel rejects; carries its ``CheckReport``."""
+
+    def __init__(self, message: str, report):
+        super().__init__(message)
+        self.report = report
+
+
 class DegreeUndefinedError(TwoseqError):
     """Raised when the degree measure is asked of a temporal formula."""
 

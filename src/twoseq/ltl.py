@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Optional
 
 from .calculus import CheckReport, ProofNode, SystemId, check_proof
@@ -153,13 +154,8 @@ def ltl_soundness_fuzz(target, budget: int, seed: int,
 
 
 def exhaustive_valuations(tokens: tuple[Token, ...], bound: int):
-    """Every token valuation with values up to the bound."""
-    if not tokens:
-        yield {}
-        return
-    first, rest = tokens[0], tokens[1:]
-    for a in exhaustive_valuations(rest, bound):
-        for v in range(bound + 1):
-            out = dict(a)
-            out[first] = v
-            yield out
+    """Every token valuation with values up to the bound, the first token
+    varying fastest."""
+    keys = tuple(reversed(tokens))
+    for values in product(range(bound + 1), repeat=len(keys)):
+        yield dict(zip(keys, values))

@@ -268,13 +268,6 @@ def ltl_token(x: Token) -> LtlPos:
     return LtlPos(0, frozenset((x,)))
 
 
-def ltl_subst(s: LtlPos, t: LtlPos, x: Token) -> LtlPos:
-    """Substitute t for the token x in s; s is unchanged when x is absent."""
-    if x in s.future:
-        return LtlPos(s.steps + t.steps, (s.future - {x}) | t.future)
-    return s
-
-
 def past_add(s: PastPos, m: int, toks: Iterable[Token]) -> PastPos:
     """Forward shift of a past/future position.
 

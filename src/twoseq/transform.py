@@ -9,8 +9,8 @@ two scopes collide.
 Each rewrite is one ``calculus.rebuild`` walk (premises left to right,
 then the node, over an explicit stack) with one per-node map,
 ``_map_node``.  Scoped renaming takes fresh names in that children-first
-order; the eigen rules of each subtree are counted first, so a rule's
-name is known when its premises are entered.
+order; each node stores its count of eigen rules, so a rule's name is
+known when its premises are entered.
 """
 
 from __future__ import annotations
@@ -97,24 +97,21 @@ def _scoped_rename(n: ProofNode, source: FreshTokenSource) -> ProofNode:
     token takes the name of the nearest eigen rule below it that binds
     it.  A node's context is its scope (each token bound below it, to its
     name) and the number of eigen rules named before its subtree."""
-    counts: dict[int, int] = {}
-    total = rebuild(n, lambda m, _, sub: counts.setdefault(
-        id(m), sum(sub) + (eigen_token(m) is not None)))
-    names = [source.take() for _ in range(total)]
+    names = [source.take() for _ in range(n.eigens)]
 
     def enter(m: ProofNode, ctx) -> Optional[list]:
         scope, base = ctx
-        if not scope and not counts[id(m)]:
+        if not scope and not m.eigens:
             return None
         if (x := eigen_token(m)) is not None:
-            scope = {**scope, x: names[base + counts[id(m)] - 1]}
-        bases = accumulate((counts[id(c)] for c in m.premises), initial=base)
+            scope = {**scope, x: names[base + m.eigens - 1]}
+        bases = accumulate((c.eigens for c in m.premises), initial=base)
         return [(c, (scope, b)) for c, b in zip(m.premises, bases)]
 
     def leave(m: ProofNode, ctx, prems: tuple[ProofNode, ...]) -> ProofNode:
         scope, base = ctx
         x = eigen_token(m)
-        own = scope if x is None else {x: names[base + counts[id(m)] - 1]}
+        own = scope if x is None else {x: names[base + m.eigens - 1]}
         fn = (lambda q: _rename_pos(q, scope)) if scope else None
         return _map_node(m, prems, fn, own)
 
@@ -180,6 +177,8 @@ def prefix_replace_proof(p: ProofNode, source: SeqPos, target: SeqPos,
     first renamed away from both the source and the target so the
     replacement commutes with every rule.
     """
+    if TABLE[sys].family is not SeqPos:
+        raise TransformError("prefix replacement is defined for the sequence-position systems")
     if not isinstance(source, SeqPos) or not source.items:
         raise TransformError("replacement source must be a nonempty sequence position")
     renamed = canonical_rename(_repairable(p, sys),

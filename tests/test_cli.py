@@ -132,6 +132,22 @@ def test_rejected_input_outside_the_core_systems_prints_the_report(files, capsys
     _prints_the_report_and_exits_2(files, capsys, command, "LTL")
 
 
+def test_cutelim_checks_its_input_once(files, capsys, monkeypatch):
+    # one check of the input (inside eliminate_cuts) and one of the output
+    from twoseq import calculus
+    from twoseq.calculus import iter_nodes
+    p = corpus.mp_example(SystemId.S4)
+    path = proof_file(files, "mp.2sp", SystemId.S4, p)
+    calls = []
+    real = calculus.check_rule_instance
+    monkeypatch.setattr(calculus, "check_rule_instance",
+                        lambda n, sys: calls.append(n) or real(n, sys))
+    assert main(["cutelim", path]) == 0
+    out = expand_double_lines(parse_proof(capsys.readouterr().out))
+    size = lambda q: sum(1 for _ in iter_nodes(q))
+    assert len(calls) == size(p) + size(out)
+
+
 def test_subformula_needs_cut_free(files, capsys):
     path = proof_file(files, "cutty.2sp", SystemId.S4, corpus.diamond_taut_cut())
     assert main(["subformula", path]) == 2

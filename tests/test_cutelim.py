@@ -14,7 +14,8 @@ from twoseq.calculus import (SystemId, ax, box_left, box_right, check_proof,
                              cut, height, seq, weak_left, weak_right)
 from twoseq.cutelim import (eliminate_cuts, is_cut_free, mix, proof_degree,
                             verify_subformula_property)
-from twoseq.errors import TwoseqError, UnsupportedSystemError
+from twoseq.errors import (RejectedProofError, TwoseqError,
+                           UnsupportedSystemError)
 from twoseq.positions import seqpos
 from twoseq.syntax import And, Box, Dia, Imp, Not, Or, Prop, degree, pf
 import twoseq.corpus as corpus
@@ -101,16 +102,17 @@ def test_mix_and_eliminate_check_their_inputs():
     lines = []
     with pytest.raises(TwoseqError) as e:
         mix(bad, right, cutf, SystemId.S4, lines.append)
-    assert type(e.value) is TwoseqError and lines == []
+    assert type(e.value) is RejectedProofError and lines == []
     assert str(e.value) == ("mix: the left proof is rejected in S4: at root [boxR] "
                             "eigen-position: eigenposition [x] occurs among the "
                             "context initials")
     with pytest.raises(TwoseqError) as e:
         eliminate_cuts(cut(bad, right, cutf), SystemId.S4, lines.append)
-    assert type(e.value) is TwoseqError and lines == []
+    assert type(e.value) is RejectedProofError and lines == []
     assert str(e.value) == ("cut elimination: the input proof is rejected in S4: "
                             "at 0 [boxR] eigen-position: eigenposition [x] occurs "
                             "among the context initials")
+    assert e.value.report == check_proof(cut(bad, right, cutf), SystemId.S4)
 
 
 def test_mix_refused_outside_core():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from strategies import ltlpos_st, pastpos_st, seqpos_st, token_names
 from twoseq.positions import (LtlPos, PastPos, SeqPos, concat, initials,
-                              ltl_add, ltl_subst, past_add, past_sub,
+                              ltl_add, past_add, past_sub,
                               prefix_replace, related, seqpos, setpos)
 
 
@@ -85,12 +85,6 @@ def test_ltl_add_examples():
     assert ltl_add(a, a) == LtlPos(0, frozenset("x") | frozenset("x"))
 
 
-def test_ltl_subst_examples():
-    assert ltl_subst(LtlPos(1, frozenset({"x", "y"})), LtlPos(2, frozenset("z")),
-                     "x") == LtlPos(3, frozenset({"y", "z"}))
-    s = LtlPos(1, frozenset("y"))
-    assert ltl_subst(s, LtlPos(2, frozenset("z")), "x") == s
-    assert ltl_subst(LtlPos(0, frozenset("x")), LtlPos(), "x") == LtlPos()
 
 
 def test_past_add_sub_examples():

@@ -93,6 +93,15 @@ def test_prefix_replace_needs_nonempty_source():
         prefix_replace_proof(corpus.axiom_d(), seqpos(), seqpos("y"), SystemId.D)
 
 
+@pytest.mark.parametrize("sysid,build", [(SystemId.S42, corpus.s42_axiom),
+                                         (SystemId.LTL, corpus.ltl_a2),
+                                         (SystemId.LTLP, corpus.tense_hist_dia)],
+                         ids=["S42", "LTL", "LTLP"])
+def test_prefix_replace_refuses_non_sequence_systems(sysid, build):
+    with pytest.raises(TransformError, match="sequence-position systems"):
+        prefix_replace_proof(build(), seqpos("e"), seqpos("f", "g"), sysid)
+
+
 # -- lifting --
 
 def test_lift_modal_example():
