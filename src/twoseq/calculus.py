@@ -138,7 +138,7 @@ def _rules(t: ConstraintTable) -> tuple[str, ...]:
     return _COMMON + nxt + past + induction[t.induction]
 
 
-RULES_BY_SYSTEM = {sys: _rules(t) for sys, t in TABLE.items()}
+RULES_BY_SYSTEM: dict[SystemId, tuple[str, ...]] = {k: _rules(t) for k, t in TABLE.items()}
 
 _ARITY = {"ax": 0, "indax": 0}       # rules outside the schema table
 

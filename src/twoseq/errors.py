@@ -22,7 +22,8 @@ class RejectedProofError(TwoseqError):
 
 
 class DegreeUndefinedError(TwoseqError):
-    """Raised when the degree measure is asked of a temporal formula."""
+    """Raised when the degree measure is asked of a temporal formula, or the
+    proof degree of a proof whose cut formula is temporal or missing."""
 
 
 class BridgeError(TwoseqError):
