@@ -1,16 +1,20 @@
 """Reference copies of the recursive, memoised Kripke forcing, assignment
-enumeration and lasso evaluation that the labelling kernel replaced.
+enumeration and lasso evaluation that the labelling kernel replaced, and
+of the model sampler that drew names, edge pairs and valuation sets.
 
 The bodies are kept verbatim from the last recursive version of
-``twoseq.semantics`` and ``twoseq.ltl``; only the imports differ.  The
+``twoseq.semantics`` and ``twoseq.ltl`` (and from the last sampler that
+built a ``GraphModel`` directly); only the imports differ.  The
 property tests compare the kernel with them: the same forcing verdicts,
 the same admissible assignments in the same order, the same first
-falsifying assignment, and the same lasso truth values.  They are slow
+falsifying assignment, the same lasso truth values, and the same drawn
+model from the same random numbers.  They are slow
 (``eval_at`` is exponential in box/dia nesting), so keep inputs small.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Iterable, Iterator, Optional
 
 from twoseq.calculus import SystemId
@@ -154,6 +158,24 @@ def admissible_assignments(m: GraphModel, sys: SystemId,
             del rho[pos]
 
     yield from rec(0, {})
+
+
+def random_model(rng: random.Random, sys: SystemId,
+                 atoms: frozenset[str]) -> GraphModel:
+    """Edge sampling at density 0.4 over 2..6 nodes; seriality is repaired
+    for the serial system by adding one outgoing edge where missing."""
+    size = rng.randint(2, 6)
+    nodes = tuple(f"n{i}" for i in range(size))
+    edges = {(a, b) for a in nodes for b in nodes if rng.random() < 0.4}
+    if sys is SystemId.D:
+        for n in nodes:
+            if not any(a == n for a, _ in edges):
+                edges.add((n, rng.choice(nodes)))
+    pool = sorted(atoms) or ["p0"]
+    valuation = {
+        n: frozenset(a for a in pool if rng.random() < 0.5) for n in nodes
+    }
+    return GraphModel(nodes, frozenset(edges), nodes[0], valuation)
 
 
 def check_sequent_on_model(m: GraphModel, sys: SystemId,

@@ -1,6 +1,7 @@
-"""The Kripke forcing, assignment search and lasso evaluation of the
-kernel against the recursive reference copies in ``semantics_oracle``,
-and the fuzzer verdicts against ``tests/golden/fuzz_verdicts.json``."""
+"""The Kripke forcing, assignment search, lasso evaluation and model
+sampler of the kernel against the reference copies in
+``semantics_oracle``, and the fuzzer verdicts against
+``tests/golden/fuzz_verdicts.json``."""
 
 import itertools
 import json
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import fuzz_verdicts
 import semantics_oracle as oracle
 from strategies import formula_st, prop_names
+from twoseq import semantics
 from twoseq.calculus import CORE_SYSTEMS, SystemId
 from twoseq.ltl import LassoWord, eval_at
 from twoseq.positions import SeqPos, initials
@@ -136,3 +138,42 @@ def test_fuzz_verdicts_match_golden():
     assert len(got) == len(want) == 249
     for g, w in zip(got, want):
         assert g == w
+
+
+def test_random_model_matches_the_reference_sampler():
+    # the same model from the same random numbers, and none drawn beyond
+    for sys in SystemId:
+        for atoms in (frozenset(), frozenset({"p0"}),
+                      frozenset({"p1", "p3", "q"})):
+            for seed in range(300):
+                rng, ref = random.Random(seed), random.Random(seed)
+                assert random_model(rng, sys, atoms) == \
+                    oracle.random_model(ref, sys, atoms), (sys, atoms, seed)
+                assert rng.getstate() == ref.getstate(), (sys, atoms, seed)
+
+
+def test_modal_fuzz_work_over_the_verdict_subjects(monkeypatch):
+    """Models checked and assignments yielded over every modal record of
+    the verdict golden, counted through module attributes as the
+    benchmark's tracer counts them."""
+    counts = {"models": 0, "assignments": 0}
+    check = semantics.check_sequent_on_model
+    search = semantics.admissible_assignments
+
+    def counted_check(*args, **kwargs):
+        counts["models"] += 1
+        return check(*args, **kwargs)
+
+    def counted_search(*args, **kwargs):
+        for rho in search(*args, **kwargs):
+            counts["assignments"] += 1
+            yield rho
+
+    monkeypatch.setattr(semantics, "check_sequent_on_model", counted_check)
+    monkeypatch.setattr(semantics, "admissible_assignments", counted_search)
+    for _, family, s in fuzz_verdicts.subjects():
+        if family is SeqPos:
+            for sys in CORE_SYSTEMS:
+                for seed in fuzz_verdicts.SEEDS:
+                    fuzz_verdicts.verdict(s, sys, seed)
+    assert counts == {"models": 6532, "assignments": 108}
