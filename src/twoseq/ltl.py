@@ -141,6 +141,10 @@ def ltl_soundness_fuzz(target, budget: int, seed: int,
                        bound: int = 4) -> LtlVerdict:
     """Random lassos and token valuations against a proof's end sequent
     (or a bare sequent)."""
+    if budget < 1:
+        raise TwoseqError(f"fuzz budget must be at least 1, not {budget}")
+    if bound < 0:
+        raise TwoseqError(f"token bound must be at least 0, not {bound}")
     end_sequent = target if isinstance(target, Sequent) else target.conclusion
     rng = random.Random(seed)
     atoms = tuple(sorted(sequent_atoms(end_sequent))) or ("p0",)
@@ -156,6 +160,8 @@ def ltl_soundness_fuzz(target, budget: int, seed: int,
 def exhaustive_valuations(tokens: tuple[Token, ...], bound: int):
     """Every token valuation with values up to the bound, the first token
     varying fastest."""
+    if bound < 0:
+        raise TwoseqError(f"token bound must be at least 0, not {bound}")
     keys = tuple(reversed(tokens))
     for values in product(range(bound + 1), repeat=len(keys)):
         yield dict(zip(keys, values))

@@ -9,7 +9,9 @@ that consecutive positions step along the system's accessibility flavour.
 Forcing is labelling: node i is bit i, each node's successors are one
 mask (closed by Warshall's algorithm for K4/S4, reflexive for T/S4), and
 each subformula of a compiled program (`Sequent.program`) gets the mask
-of the nodes forcing it.  The assignment search reads those masks.
+of the nodes forcing it.  The assignment search reads those masks in an
+order planned once per sequent (`Sequent.segments`).  The fuzzer draws
+each model straight into masks, building a `GraphModel` only to report.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from typing import Iterable, Iterator, Optional
 
 from .calculus import CORE_SYSTEMS, SystemId
 from .errors import TwoseqError
-from .positions import SeqPos, initials
+from .positions import SeqPos
 from .syntax import (Box, Dia, Formula, PFormula, Sequent, compile_formulas,
-                     label_program, positions_of, sequent_atoms)
+                     label_program, positions_of, segment_plan, sequent_atoms)
 
 
 @dataclass
@@ -36,22 +38,15 @@ class GraphModel:
 
 
 class _Frame:
-    """A model under one system, as node masks: ``succ[i]`` for the nodes
-    accessible from node i, ``atoms[a]`` for the nodes where a holds."""
+    """A model under one system, as node masks: ``edges[i]`` and ``succ[i]``
+    for node i's successors as drawn and as closed for the system,
+    ``atoms[a]`` for the nodes where a holds."""
 
-    def __init__(self, m: GraphModel, sys: SystemId):
-        if sys not in CORE_SYSTEMS:
-            raise TwoseqError(f"no graph semantics for system {sys.value}")
-        self.names = names = tuple(dict.fromkeys(m.nodes))
-        self.index = {n: i for i, n in enumerate(names)}
+    def __init__(self, sys: SystemId, names: tuple[str, ...],
+                 edges: list[int], atoms: dict[str, int]):
+        self.sys, self.names, self.edges, self.atoms = sys, names, edges, atoms
         self.full = (1 << len(names)) - 1
-        self.atoms: dict[str, int] = {}
-        for i, n in enumerate(names):
-            for a in m.valuation[n]:
-                self.atoms[a] = self.atoms.get(a, 0) | 1 << i
-        succ = [0] * len(names)
-        for a, b in m.edges:
-            succ[self.index[a]] |= 1 << self.index[b]
+        succ = list(edges)
         if sys in (SystemId.K4, SystemId.S4):
             for k in range(len(succ)):
                 for i, s in enumerate(succ):
@@ -60,6 +55,33 @@ class _Frame:
         if sys in (SystemId.T, SystemId.S4):
             succ = [s | 1 << i for i, s in enumerate(succ)]
         self.succ = succ
+
+    @classmethod
+    def draw(cls, rng: random.Random, sys: SystemId,
+             atoms: frozenset[str]) -> _Frame:
+        """The model `random_model` describes, drawn straight into masks."""
+        size, coin = rng.randint(2, 6), rng.random
+        edges = [0] * size
+        for i in range(size):
+            for j in range(size):
+                if coin() < 0.4:
+                    edges[i] |= 1 << j
+        if sys is SystemId.D:
+            edges = [s or 1 << rng.randrange(size) for s in edges]
+        masks = dict.fromkeys(sorted(atoms) or ["p0"], 0)
+        for i in range(size):
+            for a in masks:
+                if coin() < 0.5:
+                    masks[a] |= 1 << i
+        return cls(sys, tuple(f"n{i}" for i in range(size)), edges, masks)
+
+    def model(self) -> GraphModel:
+        """The drawn edges and valuation as a model rooted at node 0."""
+        ns, bits = self.names, list(enumerate(self.names))
+        edges = frozenset((a, b) for a, s in zip(ns, self.edges)
+                          for j, b in bits if s >> j & 1)
+        return GraphModel(ns, edges, ns[0], {n: frozenset(
+            a for a, x in self.atoms.items() if x >> i & 1) for i, n in bits})
 
     def _step(self, op: type, x: int) -> int:
         if op is Box:
@@ -75,18 +97,38 @@ class _Frame:
         return [masks[r] for r in roots]
 
 
-def accessibility(m: GraphModel, sys: SystemId) -> dict[str, frozenset[str]]:
+def _frame(m: GraphModel | _Frame, sys: SystemId) -> _Frame:
+    """A model as a frame under the system; a frame must be drawn for it."""
+    if sys not in CORE_SYSTEMS:
+        raise TwoseqError(f"no graph semantics for system {sys.value}")
+    if isinstance(m, _Frame) and m.sys is not sys:
+        raise TwoseqError(f"a frame drawn for {m.sys.value} cannot be read under {sys.value}")
+    if isinstance(m, _Frame):
+        return m
+    names = tuple(dict.fromkeys(m.nodes))
+    index = {n: i for i, n in enumerate(names)}
+    atoms: dict[str, int] = {}
+    for i, n in enumerate(names):
+        for a in m.valuation[n]:
+            atoms[a] = atoms.get(a, 0) | 1 << i
+    edges = [0] * len(names)
+    for a, b in m.edges:
+        edges[index[a]] |= 1 << index[b]
+    return _Frame(sys, names, edges, atoms)
+
+
+def accessibility(m: GraphModel | _Frame, sys: SystemId) -> dict[str, frozenset[str]]:
     """Successor sets under the system's closure of the edge relation."""
-    f = _Frame(m, sys)
+    f = _frame(m, sys)
     return {n: frozenset(x for j, x in enumerate(f.names) if s >> j & 1)
             for n, s in zip(f.names, f.succ)}
 
 
-def forces(m: GraphModel, sys: SystemId, n: str, f: Formula) -> bool:
+def forces(m: GraphModel | _Frame, sys: SystemId, n: str, f: Formula) -> bool:
     """Standard forcing with the system-specific accessibility."""
-    frame = _Frame(m, sys)
+    frame = _frame(m, sys)
     (mask,) = frame.truth_sets(*compile_formulas((f,)))
-    return bool(mask >> frame.index[n] & 1)
+    return bool(mask >> frame.names.index(n) & 1)
 
 
 Rho = dict[SeqPos, str]
@@ -112,7 +154,7 @@ def sequent_holds(m: GraphModel, sys: SystemId, rho: Rho, s: Sequent) -> bool:
     return True
 
 
-def admissible_assignments(m: GraphModel, sys: SystemId,
+def admissible_assignments(m: GraphModel | _Frame, sys: SystemId,
                            positions: Iterable[SeqPos], *,
                            falsifying: Optional[Sequent] = None
                            ) -> Iterator[Rho]:
@@ -128,24 +170,23 @@ def admissible_assignments(m: GraphModel, sys: SystemId,
     it: a branch is cut where a position fails one of its antecedent
     formulas, forces a succedent one, or stays undefined but carries one.
     """
-    frame = _Frame(m, sys)
+    frame = _frame(m, sys)
     if sys is SystemId.D and not all(frame.succ):
         return
     positions = list(positions)
-    if falsifying is not None:
-        positions += positions_of(falsifying)
-    if not all(isinstance(p, SeqPos) for p in positions):
-        raise TwoseqError("graph semantics needs sequence positions")
-    req = sorted(initials(positions), key=lambda p: (len(p.items), p.items))
-    slot = {p: i for i, p in enumerate(req)}
-    parent = [slot[SeqPos(p.items[:-1])] if p.items else -1 for p in req]
+    if falsifying is None:
+        req, parent, slots = segment_plan(positions)
+    elif positions:
+        req, parent, slots = segment_plan(positions + list(positions_of(falsifying)))
+    else:
+        req, parent, slots = falsifying.segments
     allowed = [frame.full] * len(req)   # the nodes each position may take
     blank = [sys in (SystemId.K, SystemId.K4)] * len(req)  # may stay undefined
     if falsifying is not None:
         masks = frame.truth_sets(*falsifying.program)
-        for k, (q, mask) in enumerate(zip(falsifying.pformulas(), masks)):
-            blank[slot[q.pos]] = False
-            allowed[slot[q.pos]] &= mask if k < len(falsifying.ant) else ~mask
+        for k, (i, mask) in enumerate(zip(slots[len(positions):], masks)):
+            blank[i] = False
+            allowed[i] &= mask if k < len(falsifying.ant) else ~mask
     by_name = sorted(range(len(frame.names)), key=frame.names.__getitem__)
     node = [-1] * len(req)              # the node taken, -1 if undefined
 
@@ -191,21 +232,10 @@ def random_model(rng: random.Random, sys: SystemId,
                  atoms: frozenset[str]) -> GraphModel:
     """Edge sampling at density 0.4 over 2..6 nodes; seriality is repaired
     for the serial system by adding one outgoing edge where missing."""
-    size = rng.randint(2, 6)
-    nodes = tuple(f"n{i}" for i in range(size))
-    edges = {(a, b) for a in nodes for b in nodes if rng.random() < 0.4}
-    if sys is SystemId.D:
-        for n in nodes:
-            if not any(a == n for a, _ in edges):
-                edges.add((n, rng.choice(nodes)))
-    pool = sorted(atoms) or ["p0"]
-    valuation = {
-        n: frozenset(a for a in pool if rng.random() < 0.5) for n in nodes
-    }
-    return GraphModel(nodes, frozenset(edges), nodes[0], valuation)
+    return _Frame.draw(rng, sys, atoms).model()
 
 
-def check_sequent_on_model(m: GraphModel, sys: SystemId,
+def check_sequent_on_model(m: GraphModel | _Frame, sys: SystemId,
                            s: Sequent) -> Optional[Rho]:
     """First admissible assignment falsifying the sequent, if any."""
     return next(admissible_assignments(m, sys, (), falsifying=s), None)
@@ -220,12 +250,14 @@ def soundness_fuzz(target, sys: SystemId, budget: int,
     witnesses a kernel bug (or an unprovable sequent, when one is passed
     directly).
     """
+    if budget < 1:
+        raise TwoseqError(f"fuzz budget must be at least 1, not {budget}")
     end_sequent = target if isinstance(target, Sequent) else target.conclusion
     rng = random.Random(seed)
     atoms = sequent_atoms(end_sequent)
     for i in range(budget):
-        m = random_model(rng, sys, atoms)
-        rho = check_sequent_on_model(m, sys, end_sequent)
+        frame = _Frame.draw(rng, sys, atoms)
+        rho = check_sequent_on_model(frame, sys, end_sequent)
         if rho is not None:
-            return Verdict(False, i + 1, m, rho)
+            return Verdict(False, i + 1, frame.model(), rho)
     return Verdict(True, budget)

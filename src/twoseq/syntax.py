@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Union
 
 from .errors import DegreeUndefinedError, TwoseqError
 from .positions import (_LIVE, Interned, Position, SeqPos, Token, _no_term,
-                        _Position, intern)
+                        _Position, initials, intern)
 
 
 class _Formula(Interned):
@@ -188,7 +188,8 @@ class PFormula(Interned):
 
 @dataclass(frozen=True)
 class Sequent:
-    """Ordered antecedent and succedent lists of positioned formulas."""
+    """Ordered antecedent and succedent lists of positioned formulas;
+    `program` and `segments` are cached, as fuzzers read them per model."""
 
     ant: tuple[PFormula, ...] = ()
     suc: tuple[PFormula, ...] = ()
@@ -203,6 +204,22 @@ class Sequent:
     def program(self) -> tuple[list[tuple], list[int]]:
         """`compile_formulas` of the formulas, antecedent first, cached."""
         return compile_formulas(q.formula for q in self.pformulas())
+
+    @cached_property
+    def segments(self) -> tuple[tuple, tuple, tuple]:
+        """`segment_plan` of the positions, antecedent first, cached."""
+        return segment_plan([q.pos for q in self.pformulas()])
+
+
+def segment_plan(positions: list[Position]) -> tuple[tuple, tuple, tuple]:
+    """The initial segments of sequence positions, shortest first, with each
+    one's parent slot (-1 for the empty one), and each position's slot."""
+    if not all(isinstance(p, SeqPos) for p in positions):
+        raise TwoseqError("graph semantics needs sequence positions")
+    req = sorted(initials(positions), key=lambda p: (len(p.items), p.items))
+    slot = {p: i for i, p in enumerate(req)}
+    parent = tuple(slot[SeqPos(p.items[:-1])] if p.items else -1 for p in req)
+    return tuple(req), parent, tuple(slot[p] for p in positions)
 
 
 def pf(formula: Formula, pos: Position) -> PFormula:

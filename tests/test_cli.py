@@ -244,6 +244,25 @@ def test_axioms_emits_scripts(tmp_path, capsys):
     assert main(["check", str(tmp_path / "emitted" / "axiom-4.2sp")]) == 0
 
 
+@pytest.mark.parametrize("case", ["modal-budget", "eval-bound", "ltl-bound"])
+def test_meaningless_budgets_and_bounds_exit_2(files, capsys, case):
+    if case == "eval-bound":
+        argv = ["eval", "--system", "LTL", "--bound", "-1",
+                "--model", files("w.2sm", "prefix: {} ; loop: {p0}"),
+                "--sequent", files("s.2sq", "|- box p0 -> X p0 @ (0;{x})")]
+    elif case == "ltl-bound":
+        p = proof_file(files, "a6.2sp", SystemId.LTL, corpus.ltl_a6())
+        argv = ["fuzz", "--bound", "-3", p]
+    else:
+        p = proof_file(files, "ax.2sp", SystemId.K, corpus.axiom_k())
+        argv = ["fuzz", "--budget", "-5", p]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "must be at least" in err
+    assert "Traceback" not in err
+
+
 def test_fuzz_has_no_semantics_for_past(files, capsys):
     p = proof_file(files, "tense.2sp", SystemId.LTLP, corpus.tense_next_prev())
     assert main(["fuzz", "--budget", "5", p]) == 2

@@ -15,9 +15,13 @@ import semantics_oracle as oracle
 from strategies import formula_st, prop_names
 from twoseq import semantics
 from twoseq.calculus import CORE_SYSTEMS, SystemId
+import pytest
+
+from twoseq.errors import TwoseqError
 from twoseq.ltl import LassoWord, eval_at
-from twoseq.positions import SeqPos, initials
-from twoseq.semantics import (GraphModel, admissible_assignments,
+from twoseq.parser import parse_sequent
+from twoseq.positions import SeqPos, initials, seqpos
+from twoseq.semantics import (GraphModel, _Frame, admissible_assignments,
                               check_sequent_on_model, forces, random_model,
                               sequent_holds)
 from twoseq.syntax import Box, Dia, Next, Not, PFormula, Prop, Sequent
@@ -177,3 +181,51 @@ def test_modal_fuzz_work_over_the_verdict_subjects(monkeypatch):
                 for seed in fuzz_verdicts.SEEDS:
                     fuzz_verdicts.verdict(s, sys, seed)
     assert counts == {"models": 6532, "assignments": 108}
+
+
+# sequents whose positions, with FRAME_EXTRA, have at most four initial
+# segments, so the unpruned reference stays quick on six nodes
+FRAME_SEQUENTS = [parse_sequent(t) for t in (
+    "|- dia (p0 -> p0) @ []",
+    "box p0 @ [] |- box box p0 @ []",
+    "p0 @ [x] |- p0 @ [y]",
+    "box p0 @ [] |- p0 @ [x]",
+    "p0 @ [x], box p1 @ [] |- dia p1 @ [x, y]",
+)]
+FRAME_EXTRA = [seqpos("x", "y"), seqpos("z")]
+
+
+def _items(rhos) -> list:
+    return [list(r.items()) for r in rhos]
+
+
+@pytest.mark.parametrize("sys", CORE_SYSTEMS, ids=lambda s: s.value)
+def test_drawn_frames_search_like_their_models_and_the_reference(sys):
+    """The search on a drawn frame, on the model it builds, and by the
+    reference: over the given positions, and falsifying a sequent both
+    through its cached plan (no other positions) and past it (extra
+    positions)."""
+    rng = random.Random(17)
+    for _ in range(8):
+        frame = _Frame.draw(rng, sys, frozenset(ATOMS))
+        m = frame.model()
+        for s in FRAME_SEQUENTS:
+            for extra in ([], FRAME_EXTRA):
+                everything = extra + [q.pos for q in s.pformulas()]
+                every = list(oracle.admissible_assignments(m, sys, everything))
+                falsifying = [r for r in every
+                              if not oracle.sequent_holds(m, sys, r, s)]
+                for args, kwargs, want in (
+                        ((everything,), {}, every),
+                        ((extra,), {"falsifying": s}, falsifying)):
+                    got = list(admissible_assignments(frame, sys, *args,
+                                                      **kwargs))
+                    assert _items(got) == _items(want)
+                    assert _items(got) == _items(
+                        admissible_assignments(m, sys, *args, **kwargs))
+
+
+def test_a_frame_is_read_only_under_the_system_it_was_drawn_for():
+    frame = _Frame.draw(random.Random(3), SystemId.K, frozenset(ATOMS))
+    with pytest.raises(TwoseqError, match="drawn for K cannot be read under S4"):
+        check_sequent_on_model(frame, SystemId.S4, FRAME_SEQUENTS[0])

@@ -10,6 +10,7 @@ from semantics_oracle import is_serial
 from strategies import random_formula
 from twoseq.calculus import SystemId
 from twoseq.errors import TwoseqError
+from twoseq.ltl import exhaustive_valuations, ltl_soundness_fuzz
 from twoseq.positions import SeqPos, concat, initials, seqpos
 from twoseq.semantics import (GraphModel, accessibility,
                               admissible_assignments, check_sequent_on_model,
@@ -301,3 +302,17 @@ def test_graph_semantics_refuses_other_position_families():
         check_sequent_on_model(CHAIN, SystemId.K, s)
     with pytest.raises(TwoseqError, match="no graph semantics"):
         check_sequent_on_model(CHAIN, SystemId.LTL, seq((), (pf(P, E),)))
+
+
+def test_fuzzers_refuse_budgets_below_1_and_bounds_below_0():
+    from twoseq.positions import LtlPos
+    modal, linear = seq((), (pf(P, E),)), seq((), (pf(P, LtlPos()),))
+    for budget in (0, -5):
+        with pytest.raises(TwoseqError, match="budget must be at least 1"):
+            soundness_fuzz(modal, SystemId.K, budget, 1)
+        with pytest.raises(TwoseqError, match="budget must be at least 1"):
+            ltl_soundness_fuzz(linear, budget, 1)
+    with pytest.raises(TwoseqError, match="bound must be at least 0"):
+        ltl_soundness_fuzz(linear, 10, 1, -1)
+    with pytest.raises(TwoseqError, match="bound must be at least 0"):
+        list(exhaustive_valuations((), -1))
