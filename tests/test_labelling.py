@@ -7,6 +7,7 @@ import itertools
 import json
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -15,8 +16,6 @@ import semantics_oracle as oracle
 from strategies import formula_st, prop_names
 from twoseq import semantics
 from twoseq.calculus import CORE_SYSTEMS, SystemId
-import pytest
-
 from twoseq.errors import TwoseqError
 from twoseq.ltl import LassoWord, eval_at
 from twoseq.parser import parse_sequent

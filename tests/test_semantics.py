@@ -11,7 +11,7 @@ from strategies import random_formula
 from twoseq.calculus import SystemId
 from twoseq.errors import TwoseqError
 from twoseq.ltl import exhaustive_valuations, ltl_soundness_fuzz
-from twoseq.positions import SeqPos, concat, initials, seqpos
+from twoseq.positions import LtlPos, SeqPos, concat, initials, seqpos
 from twoseq.semantics import (GraphModel, accessibility,
                               admissible_assignments, check_sequent_on_model,
                               forces, random_model,
@@ -305,7 +305,6 @@ def test_graph_semantics_refuses_other_position_families():
 
 
 def test_fuzzers_refuse_budgets_below_1_and_bounds_below_0():
-    from twoseq.positions import LtlPos
     modal, linear = seq((), (pf(P, E),)), seq((), (pf(P, LtlPos()),))
     for budget in (0, -5):
         with pytest.raises(TwoseqError, match="budget must be at least 1"):
