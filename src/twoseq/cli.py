@@ -281,6 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "bound", 0) < 0:
+            raise TwoseqError(f"token bound must be at least 0, not {args.bound}")
         return args.fn(args)
     except RejectedProofError as e:
         print(e.report.render_text(), file=_sys.stderr)

@@ -31,7 +31,8 @@ from .errors import (DegreeUndefinedError, KernelInvariantError,
                      UnsupportedSystemError)
 from .positions import SeqPos, prefix_replace
 from .syntax import PFormula, degree, is_subformula
-from .transform import FreshTokenSource, _map_positions, _scoped_rename
+from .transform import (FreshTokenSource, _map_positions, _scoped_rename,
+                        materialise)
 
 Trace = Optional[Callable[[str], None]]
 
@@ -120,7 +121,7 @@ class _Mixer:
                 if self.trace:
                     self.trace(f"mix: no occurrences on the {_NAMES[1 - k]} "
                                f"of the {_NAMES[k]} proof")
-                return bridge_proof(pair[k], want)
+                return bridge_proof(materialise(pair[k]), want)
         out = self._dispatch(pair, want, measure)
         _ensure(out.conclusion == want, "mix produced the wrong sequent")
         return out
@@ -134,7 +135,7 @@ class _Mixer:
             if p.rule == "ax":
                 t(f"mix: {_NAMES[k]} axiom")
                 base = pair[1 - k] if p.conclusion.ant[0] == cutf else p
-                return bridge_proof(base, E)
+                return bridge_proof(materialise(base), E)
         for k, p in enumerate(pair):
             if p.rule in STRUCTURAL_RULES:
                 t(f"mix: {_NAMES[k]} structural {p.rule}")
@@ -165,8 +166,8 @@ class _Mixer:
     def _sub(self, args, measure, keep_left: bool = False) -> ProofNode:
         # fresh copies keep every eigen token unique across duplicated sides
         a, b = args
-        return self.run(a if keep_left else _scoped_rename(a, self.src),
-                        _scoped_rename(b, self.src), measure)
+        return self.run(a if keep_left else _scoped_rename(a, self.src, True),
+                        _scoped_rename(b, self.src, True), measure)
 
     def _premise(self, pair, k: int, i: int, measure, prem=None,
                  keep_left: bool = False) -> ProofNode:
@@ -210,8 +211,8 @@ class _Mixer:
             f = edge(prems[o].conclusion, "RL"[o])
             for j in eigen:
                 old = SeqPos(self.cutf.pos.items + (pair[ends[j][0]].param("x"),))
-                prems[j] = _map_positions(prems[j], lambda q: prefix_replace(
-                    q, old, f.pos))
+                prems[j] = _map_positions(materialise(prems[j]), lambda q:
+                                          prefix_replace(q, old, f.pos))
             sides = []
             for (k, i, _), prem, side in zip(ends, prems, "RL"):
                 if (k, i) in mixed:
@@ -241,7 +242,7 @@ def mix(p1: ProofNode, p2: ProofNode, cutf: PFormula, sys: SystemId,
         raise TwoseqError("mix: input proof degrees exceed the cut formula degree")
     src = FreshTokenSource(proof_tokens(p1) | proof_tokens(p2)
                            | cutf.pos.tokens())
-    p1r, p2r = _scoped_rename(p1, src), _scoped_rename(p2, src)
+    p1r, p2r = _scoped_rename(p1, src, True), _scoped_rename(p2, src, True)
     out = _Mixer(cutf, sys, src, trace).run(p1r, p2r, None)
     _ensure(proof_degree(out) <= n, "mix exceeded its degree bound")
     return out
@@ -264,7 +265,7 @@ def eliminate_cuts(p: ProofNode, sys: SystemId, trace: Trace = None) -> ProofNod
     if is_cut_free(p):
         return p
     src = FreshTokenSource(proof_tokens(p))
-    q = _scoped_rename(p, src)
+    q = _scoped_rename(p, src, True)
     out = _eliminate(q, sys, src, trace, None)
     _ensure(out.conclusion == p.conclusion, "elimination changed the end sequent")
     _ensure(is_cut_free(out), "elimination left a cut")
@@ -279,7 +280,7 @@ def _eliminate(p: ProofNode, sys: SystemId, src: FreshTokenSource,
     _ensure(parent is None or my < parent,
             "elimination measure failed to decrease")
     if my[0] == 0:
-        return p
+        return materialise(p)
     t = trace or (lambda s: None)
     if p.rule != "cut":
         prems = tuple(_eliminate(c, sys, src, trace, my) for c in p.premises)

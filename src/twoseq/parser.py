@@ -360,6 +360,8 @@ def parse_proof(text: str) -> ProofScript:
 
 # --- rendering (canonical) ---
 
+MAX_INDENT = 64     # deeper proof nodes are rendered at this indentation
+
 # prefix connectives, and each binary one's infix, precedence (it is
 # parenthesised below a higher one) and the precedences of its operands
 _PREFIXES = {Not: "~", Box: "box ", Dia: "dia ", Next: "X ", Prev: "Y ",
@@ -420,31 +422,32 @@ def _render_param(key: str, value) -> str:
 
 
 def render_proof(sys: SystemId, p: Union[ProofNode, ScriptNode]) -> str:
-    """One line per node, indented by depth; a node's closing parenthesis
-    ends the line of its last descendant.  The walk keeps its own stack,
-    where None closes a node."""
-    lines: list[str] = [f"(proof {sys.value}"]
+    """One line per node, indented by depth up to `MAX_INDENT` levels (so
+    the text grows linearly with depth); a node's closing parenthesis ends
+    the line of its last descendant.  The walk keeps its own stack, where
+    None closes a node."""
+    out: list[str] = [f"(proof {sys.value}"]
     todo: list = [(p, 1)]
     while todo:
         job = todo.pop()
         if job is None:
-            lines[-1] += ")"
+            out.append(")")
             continue
         n, depth = job
-        pad = "  " * depth
+        pad = "  " * min(depth, MAX_INDENT)
         if n.rule == "bridge":
-            lines.append(f"{pad}(bridge (concl {render_sequent(n.conclusion)})")
+            out.append(f"\n{pad}(bridge (concl {render_sequent(n.conclusion)})")
         else:
             params = " ".join(_render_param(k, v) for k, v in
                               sorted(n.params, key=lambda kv: _PARAM_KEYS.index(kv[0])))
-            head = f"{pad}(rule {n.rule}"
+            head = f"\n{pad}(rule {n.rule}"
             if params:
                 head += " " + params
-            lines.append(head + f" (concl {render_sequent(n.conclusion)})")
+            out.append(head + f" (concl {render_sequent(n.conclusion)})")
         todo.append(None)
         todo += ((c, depth + 1) for c in reversed(n.premises))
-    lines[-1] += ")"
-    return "\n".join(lines)
+    out.append(")")
+    return "".join(out)
 
 
 # --- model files ---

@@ -10,11 +10,14 @@ Each rewrite is one ``calculus.rebuild`` walk (premises left to right,
 then the node, over an explicit stack) with one per-node map,
 ``_map_node``.  Scoped renaming takes fresh names in that children-first
 order; each node stores its count of eigen rules, so a rule's name is
-known when its premises are entered.
+known when its premises are entered.  Cut elimination leaves a scoped
+renaming pending, as a view renamed where it is read and materialised by
+one such walk (explicit substitutions: Abadi, Cardelli, Curien and Levy).
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterable, Optional
 
@@ -35,9 +38,6 @@ class FreshTokenSource:
     def __init__(self, avoid: Iterable[Token] = ()):
         self._avoid = set(avoid)
         self._n = 0
-
-    def reserve(self, tokens: Iterable[Token]) -> None:
-        self._avoid |= set(tokens)
 
     def take(self) -> Token:
         while True:
@@ -87,35 +87,61 @@ def _map_node(n: ProofNode, prems: tuple[ProofNode, ...],
     return node(n.rule, params, concl, prems)
 
 
-def _rename_tree(n: ProofNode, mapping: dict[Token, Token]) -> ProofNode:
-    return rebuild(n, lambda m, _, prems: _map_node(
-        m, prems, lambda q: _rename_pos(q, mapping), mapping))
+class _Renamed:
+    """``node`` under a pending scoped renaming: ``scope`` maps the tokens
+    bound below it, and its eigen rules take ``names`` from ``base`` on.
+    Only what is read is renamed: this node, and premises as views."""
 
+    def __init__(self, node: ProofNode, names: list[Token],
+                 scope: dict[Token, Token], base: int):
+        self.node, self.names, self.scope, self.base = node, names, scope, base
+        self.rule, self.height, self.size = node.rule, node.height, node.size
+        self.eigens, self.cut_rank = node.eigens, node.cut_rank
 
-def _scoped_rename(n: ProofNode, source: FreshTokenSource) -> ProofNode:
-    """Rename every eigen token to a fresh one within its own scope: a
-    token takes the name of the nearest eigen rule below it that binds
-    it.  A node's context is its scope (each token bound below it, to its
-    name) and the number of eigen rules named before its subtree."""
-    names = [source.take() for _ in range(n.eigens)]
-
-    def enter(m: ProofNode, ctx) -> Optional[list]:
-        scope, base = ctx
-        if not scope and not m.eigens:
-            return None
-        if (x := eigen_token(m)) is not None:
-            scope = {**scope, x: names[base + m.eigens - 1]}
-        bases = accumulate((c.eigens for c in m.premises), initial=base)
-        return [(c, (scope, b)) for c, b in zip(m.premises, bases)]
-
-    def leave(m: ProofNode, ctx, prems: tuple[ProofNode, ...]) -> ProofNode:
-        scope, base = ctx
+    def step(self, prems: tuple[ProofNode, ...]) -> ProofNode:
+        """This node renamed, over ``prems``."""
+        m, scope = self.node, self.scope
         x = eigen_token(m)
-        own = scope if x is None else {x: names[base + m.eigens - 1]}
+        own = scope if x is None else {x: self.names[self.base + m.eigens - 1]}
         fn = (lambda q: _rename_pos(q, scope)) if scope else None
         return _map_node(m, prems, fn, own)
 
-    return rebuild(n, leave, ({}, 0), enter)
+    head = cached_property(lambda v: v.step(()))
+    conclusion = property(lambda v: v.head.conclusion)
+    params = property(lambda v: v.head.params)
+    param = ProofNode.param
+
+    @cached_property
+    def premises(self) -> tuple:
+        m, scope = self.node, self.scope
+        if (x := eigen_token(m)) is not None:
+            scope = {**scope, x: self.names[self.base + m.eigens - 1]}
+        bases = accumulate((c.eigens for c in m.premises), initial=self.base)
+        return tuple(_pending(c, self.names, scope, b)
+                     for c, b in zip(m.premises, bases))
+
+
+def _pending(n: ProofNode, names: list[Token], scope: dict, base: int):
+    # a subtree with nothing to rename is read as it is
+    return n if not scope and not n.eigens else _Renamed(n, names, scope, base)
+
+
+def materialise(p) -> ProofNode:
+    """The proof a pending renaming stands for, built in one rebuild pass."""
+    return p if type(p) is not _Renamed else rebuild(
+        p, lambda v, _, prems: v.step(prems), None, lambda v, _: (
+            [(c, None) for c in v.premises] if type(v) is _Renamed else None))
+
+
+def _scoped_rename(n, source: FreshTokenSource, pending: bool = False):
+    """Rename every eigen token to a fresh one within its own scope: a
+    token takes the name of the nearest eigen rule below it that binds
+    it.  The names are drawn now; with ``pending`` the renaming is left
+    as a view, and renaming a view only draws new names for its node."""
+    names = [source.take() for _ in range(n.eigens)]
+    n, scope = (n.node, n.scope) if type(n) is _Renamed else (n, {})
+    v = _pending(n, names, scope, 0)
+    return v if pending else materialise(v)
 
 
 def _free_tokens(p: ProofNode) -> frozenset[Token]:
@@ -156,9 +182,7 @@ def rename_eigen(p: ProofNode, sys: SystemId) -> ProofNode:
 
 def rename_apart(proofs: list[ProofNode]) -> list[ProofNode]:
     """Rename the eigen tokens of several proofs into disjoint fresh sets."""
-    source = FreshTokenSource()
-    for q in proofs:
-        source.reserve(proof_tokens(q))
+    source = FreshTokenSource(set().union(*map(proof_tokens, proofs)))
     return [_scoped_rename(q, source) for q in proofs]
 
 

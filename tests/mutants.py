@@ -31,10 +31,10 @@ from typing import Iterator
 
 from twoseq import corpus
 from twoseq.calculus import (TABLE, ProofNode, SystemId, check_proof,
-                             eigen_token, iter_nodes)
+                             eigen_token, iter_nodes, rebuild)
 from twoseq.positions import LtlPos, SeqPos, SetPos, Token
 from twoseq.syntax import And, Box, Dia, Or, PFormula, Sequent, tokens_of
-from twoseq.transform import _rename_tree, lift_proof
+from twoseq.transform import _map_node, _rename_pos, lift_proof
 
 GOLDEN = Path(__file__).parent / "golden" / "diagnostics.json"
 
@@ -61,6 +61,11 @@ def node_at(p: ProofNode, path: tuple[int, ...]) -> ProofNode:
     for i in path:
         p = p.premises[i]
     return p
+
+
+def _rename_tree(n: ProofNode, mapping: dict[Token, Token]) -> ProofNode:
+    return rebuild(n, lambda m, _, prems: _map_node(
+        m, prems, lambda q: _rename_pos(q, mapping), mapping))
 
 
 def rename_eigen_at(p: ProofNode, path: tuple[int, ...], target: Token) -> ProofNode:

@@ -244,15 +244,23 @@ def test_axioms_emits_scripts(tmp_path, capsys):
     assert main(["check", str(tmp_path / "emitted" / "axiom-4.2sp")]) == 0
 
 
-@pytest.mark.parametrize("case", ["modal-budget", "eval-bound", "ltl-bound"])
+@pytest.mark.parametrize("case", ["modal-budget", "eval-bound", "ltl-bound",
+                                  "graph-eval-bound", "modal-bound"])
 def test_meaningless_budgets_and_bounds_exit_2(files, capsys, case):
     if case == "eval-bound":
         argv = ["eval", "--system", "LTL", "--bound", "-1",
                 "--model", files("w.2sm", "prefix: {} ; loop: {p0}"),
                 "--sequent", files("s.2sq", "|- box p0 -> X p0 @ (0;{x})")]
+    elif case == "graph-eval-bound":
+        argv = ["eval", "--system", "K", "--bound", "-1",
+                "--model", files("m.2sm", "nodes: n0\nroot: n0\nval: n0 {}"),
+                "--sequent", files("s.2sq", "|- p0 -> p0 @ []")]
     elif case == "ltl-bound":
         p = proof_file(files, "a6.2sp", SystemId.LTL, corpus.ltl_a6())
         argv = ["fuzz", "--bound", "-3", p]
+    elif case == "modal-bound":
+        p = proof_file(files, "ax.2sp", SystemId.K, corpus.axiom_k())
+        argv = ["fuzz", "--bound", "-3", "--budget", "5", p]
     else:
         p = proof_file(files, "ax.2sp", SystemId.K, corpus.axiom_k())
         argv = ["fuzz", "--budget", "-5", p]

@@ -190,6 +190,34 @@ def test_trace_reports_cases():
 
 # -- subformula property --
 
+def test_outputs_hold_no_pending_renaming():
+    # ProofNode accepts any premise object, so a view left in the output
+    # would only show here; mix gets every cut of a suite proof whose
+    # premises are within the cut formula's degree
+    from twoseq.calculus import ProofNode, and_right, exc_right, subproofs
+    from twoseq.errors import MixHypothesisError
+    # an eigen rule in a cut-free premise beside a cut, and one in a
+    # bypassed cut (K and K4), reach elimination's cut-free return
+    bb = pf(Box(P0), E)
+    beside = and_right(corpus.mp_example(SystemId.S4), _boxed(P0, (), "x"))
+    bypass = cut(exc_right(weak_right(_boxed(P0, (), "x"), bb), 0), ax(bb), bb)
+    extra = {SystemId.S4: [beside], SystemId.K: [bypass], SystemId.K4: [bypass]}
+    mixed = 0
+    for sysid in CORE:
+        for p in generate_suite(sysid, 100, seed=2026) + extra.get(sysid, []):
+            outs = [eliminate_cuts(p, sysid)]
+            for c in subproofs(p):
+                if c.rule == "cut" and max(q.cut_rank for q in c.premises) \
+                        <= degree(c.param("cutf").formula):
+                    try:
+                        outs.append(mix(*c.premises, c.param("cutf"), sysid))
+                    except MixHypothesisError:
+                        continue
+            mixed += len(outs) - 1
+            assert all(type(n) is ProofNode for out in outs for n in subproofs(out))
+    assert mixed > 800
+
+
 def test_subformula_property_on_cut_free_corpus():
     for sysid in CORE:
         for name, p in corpus.entries(sysid):

@@ -137,6 +137,16 @@ def test_every_corpus_proof_round_trips():
             assert expand_double_lines(parse_proof(text)) == proof, (sysid, name)
 
 
+def test_render_grows_linearly_with_depth():
+    from twoseq.calculus import ax, exc_left, weak_left
+    p = weak_left(ax(pf(Prop("p0"), seqpos())), pf(Prop("p1"), seqpos()))
+    for _ in range(10_000):
+        p = exc_left(p, 0)
+    text = render_proof(SystemId.K, p)
+    assert len(text) < 200 * p.size
+    assert expand_double_lines(parse_proof(text)) == p
+
+
 def test_script_with_double_lines_expands():
     text = """
     (proof D

@@ -267,6 +267,46 @@ def test_scoped_rename_is_pinned(sysid):
     assert digest("\n".join(out)) == _SCOPED_DIGESTS[sysid]
 
 
+@pytest.mark.parametrize("sysid", list(_SCOPED_DIGESTS), ids=lambda s: s.value)
+def test_pending_rename_reads_like_the_eager_one(sysid):
+    """At every node of a pending renaming, what is read, what is
+    materialised and a second renaming equal the eager renaming's, from
+    the same draws; a second renaming keeps the node, so it rebuilt
+    nothing."""
+    import copy
+    from proofgen import generate_suite
+    from twoseq.calculus import ProofNode, proof_tokens
+    from twoseq.transform import FreshTokenSource, _scoped_rename, materialise
+
+    def state(src):
+        return src._n, src._avoid
+
+    nodes = views = 0
+    for p in generate_suite(sysid, 100, seed=2026):
+        lazy = FreshTokenSource(proof_tokens(p))
+        eager = copy.deepcopy(lazy)
+        todo = [(_scoped_rename(p, lazy, True), _scoped_rename(p, eager))]
+        while todo:
+            view, built = todo.pop()
+            assert materialise(view) == built
+            assert (view.rule, view.params, view.conclusion, view.height,
+                    view.size, view.eigens, view.cut_rank) == \
+                (built.rule, built.params, built.conclusion, built.height,
+                 built.size, built.eigens, built.cut_rank)
+            again = _scoped_rename(view, lazy, True)
+            assert materialise(again) == _scoped_rename(built, eager)
+            assert state(lazy) == state(eager)
+            if type(view) is ProofNode:
+                # nothing to rename: the subtree passes through as it is
+                assert view is built and again is view
+            else:
+                assert again.node is view.node and again.scope is view.scope
+                views += 1
+            nodes += 1
+            todo.extend(zip(view.premises, built.premises))
+    assert views > 300 and nodes > views
+
+
 # -- depth: every walk keeps its own stack --
 
 _DEEP = """
