@@ -12,30 +12,33 @@ Every logical rule and the cut is written once, as a ``RuleSchema`` in
 formulas at each premise's edges (the operand each carries and the map
 from the principal position to its own), its parameter kinds and its
 hooks into the constraint table.  That entry drives the forward
-constructor (``apply_rule``, behind the named wrappers), the checker
-(``_check_schema``) and both mix steps of cut elimination (``reapply``,
-and the principal reduction, which cuts the operands ``Active`` names).
-A new rule is one entry here, its name in the rule lists ``_rules``
-draws from a system's table row and, for building proofs by hand, a
-wrapper; a new side condition is a hook.
+constructor (``apply_rule``, behind the named wrappers), the checker and
+both mix steps of cut elimination (``reapply``, and the principal
+reduction, which cuts the operands ``Active`` names).  A new rule is one
+entry here, its name in the rule lists ``_rules`` draws from a system's
+table row and, for building proofs by hand, a wrapper; a new side
+condition is a hook.
 
 The six structural rules share one step function, ``structural`` (a
 rule's conclusion from its premise), and a row each in ``STRUCTURAL``
 (parameter, constructor error, checker message); their constructors, the
 checker and bridge synthesis all go through it.  Induction and the
-axioms are written out.
+axioms are written out.  At import every (system, rule) pair is compiled
+(``_compile``) into one checker with the schema entry and table row read
+once, so checking a rule instance is one dict lookup and one call.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import BridgeError, KernelInvariantError, TwoseqError
-from .positions import (LtlPos, PastPos, Position, SeqPos, SetPos, Token,
-                        concat, initials, ltl_add, ltl_step, ltl_token,
+from .positions import (Interned, LtlPos, PastPos, Position, SeqPos, SetPos,
+                        Token, concat, initials, ltl_add, ltl_step, ltl_token,
                         past_add, past_sub, related, seqpos)
 from .syntax import (And, Box, Dia, Formula, Hist, Imp, Next, Not, Once, Or,
                      PFormula, Prev, Sequent, degree, has_past, has_temporal,
@@ -140,13 +143,14 @@ def _rules(t: ConstraintTable) -> tuple[str, ...]:
 
 RULES_BY_SYSTEM: dict[SystemId, tuple[str, ...]] = {k: _rules(t) for k, t in TABLE.items()}
 
-_ARITY = {"ax": 0, "indax": 0}       # rules outside the schema table
-
 
 class _RuleTree:
     """Structural ``==`` over an explicit stack, so comparing deep trees
     costs no C stack, and a hash of the root alone, which equal trees
-    share."""
+    share.  A node is built as its writable twin (the bare slots), each
+    field written once, then switched to its own class: frozen."""
+
+    __slots__ = ()
 
     def _root(self) -> tuple:
         return self.rule, self.params, self.conclusion, len(self.premises)
@@ -166,40 +170,48 @@ class _RuleTree:
     def __hash__(self):
         return hash(self._root())
 
+    __setattr__, __delattr__, __reduce__ = \
+        Interned.__setattr__, Interned.__delattr__, Interned.__reduce__
 
-@dataclass(frozen=True, eq=False)
-class ProofNode(_RuleTree):
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__match_args__)
+        return f"{type(self).__name__}({shown})"
+
+
+class _ProofFields:
+    __slots__ = ("rule", "params", "conclusion", "premises",
+                 "height", "size", "eigens", "cut_rank")
+
+    def param(self, key: str):
+        for k, v in self.params:
+            if k == key:
+                return v
+        return None
+
+
+class ProofNode(_RuleTree, _ProofFields):
     """A rule instance (identifier, explicit parameters, conclusion, premises)
     and its tree's height, size, eigen rules and cut rank: 0 if cut-free, else
     1 + the largest cut-formula degree; -1 if a cut formula is temporal or missing."""
 
-    rule: str
-    params: tuple[tuple[str, object], ...]
-    conclusion: Sequent
-    premises: tuple["ProofNode", ...] = ()
-    height: int = field(init=False, repr=False)
-    size: int = field(init=False, repr=False)
-    eigens: int = field(init=False, repr=False)
-    cut_rank: int = field(init=False, repr=False)
+    __slots__ = ()
+    __match_args__ = _ProofFields.__slots__[:4]
 
-    def __post_init__(self):
+    def __new__(cls, rule: str, params: tuple, conclusion: Sequent, premises: tuple = ()):
+        self = _ProofFields()
+        self.rule, self.params, self.conclusion, self.premises = rule, params, conclusion, premises
         h = s = e = rank = 0
-        for q in self.premises:
+        for q in premises:
             h, s, e = max(h, q.height), s + q.size, e + q.eigens
             rank = -1 if min(rank, q.cut_rank) < 0 else max(rank, q.cut_rank)
-        if self.rule == "cut" and rank >= 0:
+        if rule == "cut" and rank >= 0:
             f = self.param("cutf")
             rank = -1 if not isinstance(f, PFormula) or has_temporal(f.formula) \
                 else max(rank, degree(f.formula) + 1)
-        # written once, before the node is shared: frozen from then on
-        self.__dict__.update(height=h + 1, size=s + 1, cut_rank=rank,
-                             eigens=e + (eigen_token(self) is not None))
-
-    def param(self, key: str, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
+        self.height, self.size, self.cut_rank = h + 1, s + 1, rank
+        self.eigens = e + (eigen_token(self) is not None)
+        self.__class__ = cls
+        return self
 
 
 @dataclass(frozen=True)
@@ -224,14 +236,9 @@ class CheckReport:
         return self.verdict == "accepted"
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "failures": [
-                {"path": list(v.path), "rule": v.rule,
-                 "condition": v.condition, "message": v.message}
-                for v in self.failures
-            ],
-        }
+        return {"verdict": self.verdict,
+                "failures": [{"path": list(v.path), "rule": v.rule, "condition": v.condition,
+                              "message": v.message} for v in self.failures]}
 
     def render_text(self) -> str:
         if self.accepted:
@@ -248,16 +255,22 @@ def report(failures: Iterable[Violation]) -> CheckReport:
 
 # --- script trees (textual proofs may contain double-line bridge nodes) ---
 
-@dataclass(frozen=True, eq=False)
-class ScriptNode(_RuleTree):
-    rule: str                       # a rule name or "bridge"
-    params: tuple[tuple[str, object], ...]
-    conclusion: Sequent
-    children: tuple["ScriptNode", ...] = ()
+class _ScriptFields:
+    __slots__ = ("rule", "params", "conclusion", "children")
 
-    @property
-    def premises(self) -> tuple["ScriptNode", ...]:
-        return self.children
+
+class ScriptNode(_RuleTree, _ScriptFields):
+    """A node of a textual proof, its rule a rule name or "bridge"."""
+
+    __slots__ = ()
+    __match_args__ = _ScriptFields.__slots__
+    premises = property(lambda self: self.children)
+
+    def __new__(cls, rule: str, params: tuple, conclusion: Sequent, children: tuple = ()):
+        self = _ScriptFields()
+        self.rule, self.params, self.conclusion, self.children = rule, params, conclusion, children
+        self.__class__ = cls
+        return self
 
 
 @dataclass(frozen=True)
@@ -268,8 +281,7 @@ class ProofScript:
 
 def node(rule: str, params: dict, conclusion: Sequent,
          premises: Iterable[ProofNode] = ()) -> ProofNode:
-    items = tuple(sorted(params.items()))
-    return ProofNode(rule, items, conclusion, tuple(premises))
+    return ProofNode(rule, tuple(sorted(params.items())), conclusion, tuple(premises))
 
 
 def height(p: ProofNode) -> int:
@@ -282,8 +294,7 @@ def iter_nodes(p: ProofNode):
     while stack:
         path, n = stack.pop()
         yield path, n
-        for i, c in enumerate(n.premises):
-            stack.append((path + (i,), c))
+        stack.extend((path + (i,), c) for i, c in enumerate(n.premises))
 
 
 def subproofs(p: ProofNode):
@@ -338,8 +349,7 @@ class OccurrenceIndex:
             self.end.append(i + n.size - 1)
             for t in tokens_of(n.conclusion):
                 self.at.setdefault(t, []).append(i)
-            x = eigen_token(n)
-            if x is not None:
+            if (x := eigen_token(n)) is not None:
                 self.eigens.append((i, x))
             stack.extend(n.premises)
 
@@ -383,9 +393,7 @@ def proof_tokens(p: ProofNode) -> frozenset[Token]:
 
 
 def eigen_token(n: ProofNode) -> Optional[Token]:
-    if n.rule in EIGEN_RULES:
-        return n.param("x")
-    return None
+    return n.param("x") if n.rule in _BINDERS else None
 
 
 # --- position plumbing shared by the rule schemas ---
@@ -515,22 +523,21 @@ SCHEMAS: dict[str, RuleSchema] = {
 }
 
 EIGEN_RULES = tuple(r for r, s in SCHEMAS.items() if "x" in s.params) + ("ind", "pind")
+_BINDERS = frozenset(EIGEN_RULES)
 
 
 # the name the declared step goes by: t over linear time, beta otherwise
 _STEP_KEY = {LtlPos: "t", PastPos: "t"}
 
 
-def _step(what: str, values: dict, family: type):
-    """The step a position map moves by: the declared one, one tick, or
-    the eigen token as a step of the position family."""
+def _stepper(what: str, family: type):
+    """The step a position map moves by, made from the rule's parameter: the
+    declared step, one tick, or the eigen token as a step of the family."""
     if what == "step":
-        return values["step"]
+        return lambda v: v
     if what == "1":
-        return ltl_step(1)
-    if family is SeqPos:
-        return seqpos(values["x"])
-    return SetPos(frozenset((values["x"],))) if family is SetPos else ltl_token(values["x"])
+        return lambda v, tick=ltl_step(1): tick
+    return {SeqPos: seqpos, SetPos: lambda x: SetPos(frozenset((x,)))}.get(family, ltl_token)
 
 
 def edge(s: Sequent, side: str) -> Optional[PFormula]:
@@ -543,16 +550,9 @@ def edge(s: Sequent, side: str) -> Optional[PFormula]:
 def _splice(s: RuleSchema, prems: Sequence[Sequent],
             principal: Optional[PFormula]) -> Sequent:
     """The conclusion: the premise contexts in order around the principal."""
-    ant: tuple[PFormula, ...] = ()
-    suc: tuple[PFormula, ...] = ()
-    for q, shape in zip(prems, s.premises):
-        ant += q.ant[:-1] if shape.left else q.ant
-        suc += q.suc[1:] if shape.right else q.suc
-    if s.side == "L":
-        ant += (principal,)
-    elif s.side == "R":
-        suc = (principal,) + suc
-    return Sequent(ant, suc)
+    ant = sum((q.ant[:-1] if shape.left else q.ant for q, shape in zip(prems, s.premises)), ())
+    suc = sum((q.suc[1:] if shape.right else q.suc for q, shape in zip(prems, s.premises)), ())
+    return Sequent(ant + (principal,) * (s.side == "L"), (principal,) * (s.side == "R") + suc)
 
 
 def _base(rule: str, pos: Position, act: Active, values: dict,
@@ -561,7 +561,7 @@ def _base(rule: str, pos: Position, act: Active, values: dict,
     if not act.shift:
         return pos
     sign, what = act.shift[0], act.shift[1:]
-    step = _step(what, values, type(pos))
+    step = _stepper(what, type(pos))(values.get(what))
     if alpha is None:
         if what == "step" and not isinstance(pos, SeqPos):
             raise TwoseqError(f"{rule} off sequence positions needs an explicit alpha")
@@ -789,11 +789,14 @@ def _induction(rule: str, sign: str, p: ProofNode, x: Token, t: LtlPos) -> Proof
 
 
 def indax(formula: Formula, s_pos: LtlPos) -> ProofNode:
-    shape = Imp(And(formula, Box(Imp(formula, Next(formula)))), Box(formula))
-    return node("indax", {}, seq((), (pf(shape, s_pos),)))
+    return node("indax", {}, seq((), (pf(_induction_axiom(formula), s_pos),)))
 
 
-# --- local rule checking ---
+def _induction_axiom(a: Formula) -> Formula:
+    return Imp(And(a, Box(Imp(a, Next(a)))), Box(a))
+
+
+# --- local rule checking: one checker per (system, rule), compiled at import ---
 
 def _seq_positions(pfs: Iterable[PFormula]) -> list[SeqPos]:
     # positions of another family are reported by the family check; they
@@ -806,27 +809,20 @@ _SHAPES = {"any": lambda k: True, "singleton": lambda k: k == 1,
            "empty-or-singleton": lambda k: k <= 1, "nonempty": lambda k: k >= 1}
 
 
-# constraint-table hooks: (table row, node, principal, parameters, context
-# of the principal) -> the violation message, if any
-def _beta_shape(table, n, a, values, ctx) -> Optional[str]:
-    beta = values["step"]
-    if table.family is not SeqPos:
-        return None
+# constraint-table hooks: (table row, node, principal, the rule's parameter,
+# context of the principal) -> the violation message, if any
+def _beta_shape(table, n, a, beta, ctx) -> Optional[str]:
     k = len(beta.items) if isinstance(beta, SeqPos) else len(beta.tokens())
     if _SHAPES[table.box_left_shape](k):
         return None
     return f"step {beta} violates the '{table.box_left_shape}' shape"
 
 
-def _context_demand(table, n, a, values, ctx) -> Optional[str]:
+def _context_demand(table, n, a, beta, ctx) -> Optional[str]:
     """K/K4: some context formula sits at or below alpha+beta."""
-    if table.family is not SeqPos or not table.context_demand:
+    ab = shift(a.pos, "+", beta)
+    if isinstance(ab, SeqPos) and any(related(ab, q, "prefix") for q in _seq_positions(ctx)):
         return None
-    ab = shift(a.pos, "+", values["step"])
-    if isinstance(ab, SeqPos):
-        for q in _seq_positions(ctx):
-            if related(ab, q, "prefix"):
-                return None
     return f"no context formula has a position starting with {ab}"
 
 
@@ -840,30 +836,31 @@ def cut_position_holds(cutf: PFormula, s1: Sequent, s2: Sequent) -> bool:
         cutf.pos in initials(_seq_positions(right))
 
 
-def _eigen_position(table, n, a, values, ctx) -> Optional[str]:
-    x, base = values["x"], a.pos
+def _eigen_position(table, n, a, x, ctx) -> Optional[str]:
     if table.family is SeqPos:
-        eig = concat(base, seqpos(x))
-        if eig in initials(_seq_positions(ctx)):
-            return f"eigenposition {eig} occurs among the context initials"
+        # the eigenposition is an initial of the context if it begins a position there
+        eig = a.pos.items + (x,)
+        if any(p.items[:len(eig)] == eig for p in _seq_positions(ctx)):
+            return f"eigenposition {SeqPos(eig)} occurs among the context initials"
         return None
-    if x in base.tokens():
+    if x in a.pos.tokens():
         return f"eigen token {x} occurs in the base position"
     if any(x in q.pos.tokens() for q in ctx):
         return f"eigen token {x} occurs in a context position"
     return None
 
 
-def _cut_position(table, n, a, values, ctx) -> Optional[str]:
-    cutf = values["cutf"]
-    p1, p2 = (q.conclusion for q in n.premises)
-    if not table.cut_guard or cut_position_holds(cutf, p1, p2):
+def _cut_position(table, n, a, cutf, ctx) -> Optional[str]:
+    if cut_position_holds(cutf, *(q.conclusion for q in n.premises)):
         return None
     return f"cut position {cutf.pos} is not an initial of either context"
 
 
-_HOOKS = {"beta-shape": _beta_shape, "context-demand": _context_demand,
-          "eigen-position": _eigen_position, "cut-position": _cut_position}
+# each hook, and the table rows where it can fail
+_HOOKS = {"beta-shape": (_beta_shape, lambda t: t.family is SeqPos),
+          "context-demand": (_context_demand, lambda t: t.family is SeqPos and t.context_demand),
+          "eigen-position": (_eigen_position, lambda t: True),
+          "cut-position": (_cut_position, lambda t: t.cut_guard)}
 
 # the parameter keys each rule takes: a schema rule its base position
 # (alpha) if it declares one and its parameters, a step under either name
@@ -877,192 +874,185 @@ _PARAM_KINDS = {"step": ((SeqPos, SetPos, LtlPos, PastPos), "missing step parame
                 "x": (str, "missing eigen token"),
                 "cutf": (PFormula, "missing cut formula")}
 
+# the part of a sequent side a rule keeps: all, all but the last or all but the first formula
+_ALL, _BUT_LAST, _BUT_FIRST = slice(None), slice(None, -1), slice(1, None)
 
-def _check_schema(n: ProofNode, s: RuleSchema, sys: SystemId,
-                  prems: list[Sequent], expect) -> None:
-    """The generic check: principal formula, parameters, the expected
-    active formulas of each premise, the context splice, then the hooks."""
-    table = TABLE[sys]
-    family = table.family
-    c = n.conclusion
-    a = edge(c, s.side) if s.side else None
-    # messages are formatted only on failure: this runs once per node
-    ok = s.connective is None or (a is not None and isinstance(a.formula, s.connective))
-    if not ok:
-        expect(False, "schema", f"principal formula must be {s.kind}")
-    values = {}
-    for kind in s.params:
-        values[kind] = v = n.param(_STEP_KEY.get(family, "beta") if kind == "step" else kind)
-        types, message = _PARAM_KINDS[kind]
-        ok &= expect(isinstance(v, types), "params", message)
-    if not ok:
-        return
 
-    exposed = []
-    for q, shape in zip(prems, s.premises):
-        shown = True
-        for side, act in (("L", shape.left), ("R", shape.right)):
-            if act is None:
-                continue
-            if act.operand == "cutf":
-                want = values["cutf"]
-            else:
-                pos = a.pos
-                if act.shift:
-                    sign, what = act.shift[0], act.shift[1:]
-                    step = _step(what, values, family)
-                    pos = shift(a.pos, sign, step)
-                    if pos is None:
-                        expect(False, "params" if what == "step" else "family",
-                               f"step {step} does not apply to position {a.pos}")
-                        return
-                want = pf(getattr(a.formula, act.operand), pos)
-            shown = shown and edge(q, side) == want
-        exposed.append(shown)
-    if len(prems) == 1:
-        ok = exposed[0] and c == _splice(s, prems, a)
+def _bad(rule: str, condition: str, message: str) -> Violation:
+    return Violation((), rule, condition, message)
+
+
+def _schema_checker(rule: str, table: ConstraintTable):
+    """Principal formula, parameter, the active formulas each premise
+    exposes, the context splice, then the hooks the table row can fail."""
+    s = SCHEMAS[rule]
+    side, conn, kind = s.side, s.connective, s.params[0] if s.params else None
+    key = _STEP_KEY.get(table.family, "beta") if kind == "step" else kind
+    types, missing = _PARAM_KINDS.get(kind, (object, ""))
+    # per premise: the part of each side the conclusion keeps, and each
+    # active formula as (side, operand getter or False for the cut formula,
+    # shift sign, step maker, the condition a step that does not apply fails)
+    shapes = [(_BUT_LAST if p.left else _ALL, _BUT_FIRST if p.right else _ALL, [
+        (at, act.operand != "cutf" and attrgetter(act.operand), act.shift[:1],
+         act.shift and _stepper(act.shift[1:], table.family),
+         "params" if act.shift[1:] == "step" else "family")
+        for at, act in (("L", p.left), ("R", p.right)) if act]) for p in s.premises]
+    keep = _BUT_LAST if side == "L" else _ALL, _BUT_FIRST if side == "R" else _ALL
+    hooks = [(h, fn) for h in s.hooks for fn, fails in [_HOOKS[h]] if fails(table)]
+    unary = len(s.premises) == 1
+    expose = (f"premise does not match the {s.noun} schema",) if unary else s.expose
+
+    def check(n: ProofNode) -> list[Violation]:
+        c, out = n.conclusion, []
+        a = edge(c, side) if side else None
+        ok = conn is None or (a is not None and isinstance(a.formula, conn))
         if not ok:
-            expect(False, "schema", f"premise does not match the {s.noun} schema")
-    else:
-        checks = zip(exposed, s.expose) if len(s.expose) > 1 else \
-            [(all(exposed), s.expose[0])]
-        for shown, message in checks:
-            ok &= expect(shown, "schema", message)
-        if ok:
-            expect(c == _splice(s, prems, a), "schema",
-                   "conclusion does not splice the premise contexts")
-    if ok and s.hooks:
-        ctx = list(c.ant[:-1]) + list(c.suc) if s.side == "L" else \
-            list(c.ant) + list(c.suc[1:])
-        for condition in s.hooks:
-            message = _HOOKS[condition](table, n, a, values, ctx)
-            expect(message is None, condition, message or "")
+            out.append(_bad(rule, "schema", f"principal formula must be {s.kind}"))
+        v = n.param(key) if key else None
+        if not isinstance(v, types):
+            out.append(_bad(rule, "params", missing))
+        if out:
+            return out
+        exposed, ant, suc = [], (), ()
+        for p, (pa, ps, acts) in zip(n.premises, shapes):
+            q = p.conclusion
+            ant, suc, shown = ant + q.ant[pa], suc + q.suc[ps], True
+            for at, operand, sign, step, fails in acts:
+                f, pos = (operand(a.formula), a.pos) if operand else (v.formula, v.pos)
+                if sign and (pos := shift(pos, sign, step := step(v))) is None:
+                    return [_bad(rule, fails, f"step {step} does not apply to position {a.pos}")]
+                e = edge(q, at)
+                shown = shown and e is not None and e.formula is f and e.pos is pos
+            exposed.append(shown)
+        spliced = c.ant[keep[0]] == ant and c.suc[keep[1]] == suc
+        if len(expose) == 1:    # one message for the exposure, and a unary rule's splice
+            exposed = [all(exposed) and (spliced or not unary)]
+        out = [_bad(rule, "schema", m) for shown, m in zip(exposed, expose) if not shown]
+        if out:
+            return out
+        if not spliced:
+            out.append(_bad(rule, "schema", "conclusion does not splice the premise contexts"))
+        ctx = hooks and c.ant[keep[0]] + c.suc[keep[1]]
+        return out + [_bad(rule, h, m) for h, hook in hooks
+                      if (m := hook(table, n, a, v, ctx)) is not None]
+    return check
+
+
+def _structural_checker(rule: str, table: ConstraintTable):
+    """The conclusion recomputed from the premise: a weakening's formula is read
+    off the conclusion (a declared one must agree), an exchange index is declared."""
+    r = STRUCTURAL[rule]
+
+    def check(n: ProofNode) -> list[Violation]:
+        c = n.conclusion
+        value = edge(c, rule[-1]) if r.param == "pf" else n.param(r.param)
+        got = structural(rule, n.premises[0].conclusion, value)
+        if got is None and r.param == "at":
+            return [_bad(rule, "params", "exchange index out of range")]
+        if got != c:
+            return [_bad(rule, "schema", r.message)]
+        if r.param == "pf" and n.param("pf") not in (None, value):
+            return [_bad(rule, "params", "declared formula differs from the weakened one")]
+        return []
+    return check
+
+
+def _induction_checker(rule: str, table: ConstraintTable):
+    sign, noun = ("+", "induction") if rule == "ind" else ("-", "past-induction")
+
+    def check(n: ProofNode) -> list[Violation]:
+        c, out = n.conclusion, []
+        x, t = n.param("x"), n.param("t")
+        if not (isinstance(x, str) and t is not None):
+            out.append(_bad(rule, "params", "induction needs an eigen token and a target step"))
+        if not (c.ant and c.suc):
+            out.append(_bad(rule, "schema",
+                            "induction conclusion needs principal formulas on both sides"))
+        if out:
+            return out
+        a, b = c.ant[-1], c.suc[0]
+        if a.formula != b.formula:
+            return [_bad(rule, "schema", "left and right principal formulas differ")]
+        if shift(a.pos, sign, t) != b.pos:
+            return [_bad(rule, "schema", "right principal is not at the declared target step")]
+        down = shift(a.pos, sign, ltl_token(x))
+        if n.premises[0].conclusion != seq(c.ant[:-1] + (pf(a.formula, down),), (
+                pf(a.formula, shift(down, sign, ltl_step(1))),) + c.suc[1:]):
+            return [_bad(rule, "schema", f"premise does not match the {noun} schema")]
+        m = _eigen_position(table, n, a, x, c.ant[:-1] + c.suc[1:])
+        return [] if m is None else [_bad(rule, "eigen-position", m)]
+    return check
+
+
+def _axiom_checker(rule: str, table: ConstraintTable):
+    """``ax``: A at p |- A at p; ``indax``: an induction-axiom instance."""
+    def check(n: ProofNode) -> list[Violation]:
+        c = n.conclusion
+        if rule == "ax":
+            ok = len(c.ant) == len(c.suc) == 1 and c.ant[0] == c.suc[0]
+            return [] if ok else [_bad(rule, "schema", "axiom must be of shape A at p |- A at p")]
+        if c.ant or len(c.suc) != 1:
+            return [_bad(rule, "schema",
+                         "induction axiom must conclude a single succedent formula")]
+        f = c.suc[0].formula
+        if isinstance(f, Imp) and isinstance(f.right, Box) and f == _induction_axiom(f.right.sub):
+            return []
+        return [_bad(rule, "schema", "formula is not an induction-axiom instance")]
+    return check
+
+
+def _compile(rule: str, table: ConstraintTable):
+    """The checker of one rule under one table row: the arity, the rule's
+    own conditions, then a declared base position against the principal
+    formula (once nothing else failed) and the parameter keys; a step
+    rule naming its step twice is read under the family's name alone."""
+    s = SCHEMAS.get(rule)
+    arity = len(s.premises) if s else 0 if rule in ("ax", "indax") else 1
+    body = (_schema_checker if s else _structural_checker if rule in STRUCTURAL else
+            _induction_checker if rule in ("ind", "pind") else _axiom_checker)(rule, table)
+    side = "L" if rule in ("ind", "pind") else s.side if s and s.based else ""
+    takes = _TAKES.get(rule, frozenset())
+    both = takes - {"beta", "t"} | {_STEP_KEY.get(table.family, "beta")}
+
+    def check(n: ProofNode) -> list[Violation]:
+        if len(n.premises) != arity:
+            return [_bad(rule, "arity", f"expected {arity} premise(s), found {len(n.premises)}")]
+        out, params = body(n), n.params
+        if not params:
+            return out
+        principal = edge(n.conclusion, side) if side and not out else None
+        if principal is not None and n.param("alpha") not in (None, principal.pos):
+            out.append(_bad(rule, "params", "declared base position differs from the conclusion"))
+        named = both if "beta" in takes and n.param("beta") is not None \
+            and n.param("t") is not None else takes
+        return out + [_bad(rule, "params", f"rule {rule} takes no parameter {k}")
+                      for k, _ in params if k not in named]
+    return check
+
+
+# system -> rule name -> its checker
+_CHECKERS = {sys: {r: _compile(r, TABLE[sys]) for r in rules} | {
+    "bridge": lambda n: [_bad("bridge", "schema", "unexpanded double-line node")]}
+    for sys, rules in RULES_BY_SYSTEM.items()}
 
 
 def check_rule_instance(n: ProofNode, sys: SystemId) -> list[Violation]:
     """Local validity of one rule instance against the system's table row."""
-    out: list[Violation] = []
-
-    def bad(condition: str, message: str):
-        out.append(Violation((), n.rule, condition, message))
-
-    if n.rule == "bridge":
-        bad("schema", "unexpanded double-line node")
-        return out
-    if n.rule not in RULES_BY_SYSTEM[sys]:
-        bad("schema", f"rule {n.rule} is not part of this system")
-        return out
-    s = SCHEMAS.get(n.rule)
-    want = len(s.premises) if s is not None else _ARITY.get(n.rule, 1)
-    if len(n.premises) != want:
-        bad("arity", f"expected {want} premise(s), found {len(n.premises)}")
-        return out
-
-    c = n.conclusion
-    prems = [q.conclusion for q in n.premises]
-
-    def expect(cond: bool, condition: str, message: str) -> bool:
-        if not cond:
-            bad(condition, message)
-        return cond
-
-    if s is not None:
-        _check_schema(n, s, sys, prems, expect)
-
-    elif n.rule == "ax":
-        expect(len(c.ant) == 1 and len(c.suc) == 1 and c.ant[0] == c.suc[0],
-               "schema", "axiom must be of shape A at p |- A at p")
-
-    elif n.rule in STRUCTURAL:
-        # recompute the conclusion: a weakening's formula is read off the
-        # conclusion (a declared one must agree), an exchange index is declared
-        r = STRUCTURAL[n.rule]
-        value = edge(c, n.rule[-1]) if r.param == "pf" else n.param(r.param)
-        got = structural(n.rule, prems[0], value)
-        if got is None and r.param == "at":
-            bad("params", "exchange index out of range")
-        elif expect(got == c, "schema", r.message) and r.param == "pf":
-            declared = n.param("pf")
-            expect(declared is None or declared == value, "params",
-                   "declared formula differs from the weakened one")
-
-    elif n.rule in ("ind", "pind"):
-        p1, = prems
-        sign = "+" if n.rule == "ind" else "-"
-        x, t = n.param("x"), n.param("t")
-        ok = expect(isinstance(x, str) and t is not None, "params",
-                    "induction needs an eigen token and a target step")
-        ok &= expect(bool(c.ant) and bool(c.suc), "schema",
-                     "induction conclusion needs principal formulas on both sides")
-        if ok:
-            a, b = c.ant[-1], c.suc[0]
-            ok = expect(a.formula == b.formula, "schema",
-                        "left and right principal formulas differ")
-        if ok:
-            ok = expect(shift(a.pos, sign, t) == b.pos, "schema",
-                        "right principal is not at the declared target step")
-        if ok:
-            down = shift(a.pos, sign, ltl_token(x))
-            up_l = pf(a.formula, down)
-            up_r = pf(a.formula, shift(down, sign, ltl_step(1)))
-            noun = "induction" if sign == "+" else "past-induction"
-            ok = expect(p1 == seq(c.ant[:-1] + (up_l,), (up_r,) + c.suc[1:]),
-                        "schema", f"premise does not match the {noun} schema")
-        if ok:
-            msg = _eigen_position(TABLE[sys], n, a, {"x": x},
-                                  list(c.ant[:-1]) + list(c.suc[1:]))
-            expect(msg is None, "eigen-position", msg or "")
-    elif n.rule == "indax":
-        ok = expect(not c.ant and len(c.suc) == 1, "schema",
-                    "induction axiom must conclude a single succedent formula")
-        if ok:
-            f = c.suc[0].formula
-            good = (isinstance(f, Imp) and isinstance(f.left, And)
-                    and isinstance(f.right, Box)
-                    and isinstance(f.left.right, Box)
-                    and isinstance(f.left.right.sub, Imp)
-                    and isinstance(f.left.right.sub.right, Next)
-                    and f.left.left == f.right.sub
-                    and f.left.right.sub.left == f.left.left
-                    and f.left.right.sub.right.sub == f.left.left)
-            expect(good, "schema", "formula is not an induction-axiom instance")
-
-    # declared base positions, when present, must agree with the conclusion
-    alpha = n.param("alpha")
-    side = "L" if n.rule in ("ind", "pind") else s.side if s and s.based else ""
-    if side and alpha is not None and not out:
-        principal = edge(c, side)
-        if principal is not None and principal.pos != alpha:
-            bad("params", "declared base position differs from the conclusion")
-    takes = _TAKES.get(n.rule, frozenset())
-    if "beta" in takes and n.param("beta") is not None and n.param("t") is not None:
-        # a step rule naming its step twice: only the family's name is read
-        takes = takes - {"beta", "t"} | {_STEP_KEY.get(TABLE[sys].family, "beta")}
-    for key, _ in n.params:
-        if key not in takes:
-            bad("params", f"rule {n.rule} takes no parameter {key}")
-    return out
-
+    if check := _CHECKERS[sys].get(n.rule):
+        return check(n)
+    return [_bad(n.rule, "schema", f"rule {n.rule} is not part of this system")]
 
 
 def _family_violations(n: ProofNode, sys: SystemId) -> list[Violation]:
-    table = TABLE[sys]
-    out = []
-    for q in n.conclusion.pformulas():
-        if not isinstance(q.pos, table.family):
-            out.append(Violation((), n.rule, "family",
-                                 f"position {q.pos} is not in the {table.family.__name__} family"))
-            break
-    for q in n.conclusion.pformulas():
-        f = q.formula
-        if not table.allow_next and has_temporal(f):
-            out.append(Violation((), n.rule, "connective",
-                                 "temporal connectives are not part of this system"))
-            break
-        if table.allow_next and not table.allow_past and has_past(f):
-            out.append(Violation((), n.rule, "connective",
-                                 "past connectives are not part of this system"))
-            break
+    table, pfs, out = TABLE[sys], n.conclusion.pformulas(), []
+    wrong = [q.pos for q in pfs if not isinstance(q.pos, table.family)]
+    if wrong:
+        out.append(_bad(n.rule, "family",
+                        f"position {wrong[0]} is not in the {table.family.__name__} family"))
+    if not table.allow_next and any(has_temporal(q.formula) for q in pfs):
+        out.append(_bad(n.rule, "connective", "temporal connectives are not part of this system"))
+    elif table.allow_next and not table.allow_past and any(has_past(q.formula) for q in pfs):
+        out.append(_bad(n.rule, "connective", "past connectives are not part of this system"))
     return out
 
 

@@ -11,8 +11,9 @@ then the node, over an explicit stack) with one per-node map,
 ``_map_node``.  Scoped renaming takes fresh names in that children-first
 order; each node stores its count of eigen rules, so a rule's name is
 known when its premises are entered.  Cut elimination leaves a scoped
-renaming pending, as a view renamed where it is read and materialised by
-one such walk (explicit substitutions: Abadi, Cardelli, Curien and Levy).
+renaming pending, as a view renamed where it is read; materialising it is
+one such walk over plain (scope, base) contexts, each node made by the
+step a view reads (explicit substitutions: Abadi, Cardelli, Curien and Levy).
 """
 
 from __future__ import annotations
@@ -87,38 +88,46 @@ def _map_node(n: ProofNode, prems: tuple[ProofNode, ...],
     return node(n.rule, params, concl, prems)
 
 
+def _renamed(m: ProofNode, names: list, scope: dict, base: int, prems: tuple) -> ProofNode:
+    """``m`` over ``prems`` under a scoped renaming (see ``_Renamed``)."""
+    own = scope if (x := eigen_token(m)) is None else {x: names[base + m.eigens - 1]}
+    return _map_node(m, prems, (lambda q: _rename_pos(q, scope)) if scope else None, own)
+
+
+def _inner(m: ProofNode, names: list[Token], scope: dict, base: int) -> list:
+    """The premises of ``m``, each with its (scope, base)."""
+    if (x := eigen_token(m)) is not None:
+        scope = {**scope, x: names[base + m.eigens - 1]}
+    bases = accumulate((c.eigens for c in m.premises), initial=base)
+    return [(c, (scope, b)) for c, b in zip(m.premises, bases)]
+
+
 class _Renamed:
     """``node`` under a pending scoped renaming: ``scope`` maps the tokens
     bound below it, and its eigen rules take ``names`` from ``base`` on.
     Only what is read is renamed: this node, and premises as views."""
 
-    def __init__(self, node: ProofNode, names: list[Token],
-                 scope: dict[Token, Token], base: int):
+    def __init__(self, node: ProofNode, names: list[Token], scope: dict, base: int):
         self.node, self.names, self.scope, self.base = node, names, scope, base
         self.rule, self.height, self.size = node.rule, node.height, node.size
         self.eigens, self.cut_rank = node.eigens, node.cut_rank
 
-    def step(self, prems: tuple[ProofNode, ...]) -> ProofNode:
-        """This node renamed, over ``prems``."""
-        m, scope = self.node, self.scope
-        x = eigen_token(m)
-        own = scope if x is None else {x: self.names[self.base + m.eigens - 1]}
-        fn = (lambda q: _rename_pos(q, scope)) if scope else None
-        return _map_node(m, prems, fn, own)
+    @cached_property
+    def head(self) -> ProofNode:
+        """This node renamed, without premises; the node itself where the
+        view renames nothing at it (an empty scope, no eigen rule)."""
+        m = self.node
+        return m if not self.scope and eigen_token(m) is None else \
+            _renamed(m, self.names, self.scope, self.base, ())
 
-    head = cached_property(lambda v: v.step(()))
     conclusion = property(lambda v: v.head.conclusion)
     params = property(lambda v: v.head.params)
     param = ProofNode.param
 
     @cached_property
     def premises(self) -> tuple:
-        m, scope = self.node, self.scope
-        if (x := eigen_token(m)) is not None:
-            scope = {**scope, x: self.names[self.base + m.eigens - 1]}
-        bases = accumulate((c.eigens for c in m.premises), initial=self.base)
-        return tuple(_pending(c, self.names, scope, b)
-                     for c, b in zip(m.premises, bases))
+        return tuple(_pending(c, self.names, *ctx)
+                     for c, ctx in _inner(self.node, self.names, self.scope, self.base))
 
 
 def _pending(n: ProofNode, names: list[Token], scope: dict, base: int):
@@ -127,10 +136,11 @@ def _pending(n: ProofNode, names: list[Token], scope: dict, base: int):
 
 
 def materialise(p) -> ProofNode:
-    """The proof a pending renaming stands for, built in one rebuild pass."""
+    """The proof a pending renaming stands for, built in one rebuild pass
+    over plain (scope, base) contexts, each node by the step a view reads."""
     return p if type(p) is not _Renamed else rebuild(
-        p, lambda v, _, prems: v.step(prems), None, lambda v, _: (
-            [(c, None) for c in v.premises] if type(v) is _Renamed else None))
+        p.node, lambda m, ctx, prems: _renamed(m, p.names, *ctx, prems), (p.scope, p.base),
+        lambda m, ctx: _inner(m, p.names, *ctx) if ctx[0] or m.eigens else None)
 
 
 def _scoped_rename(n, source: FreshTokenSource, pending: bool = False):

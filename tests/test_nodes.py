@@ -6,7 +6,9 @@ The one-node reports are pinned in ``tests/golden/one_node.json``; run
 ``PYTHONPATH=src python tests/test_nodes.py`` to rewrite it.
 """
 
+import copy
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -139,6 +141,15 @@ def test_equality_and_hash_read_the_tree():
     assert s1 == ScriptNode("ax", (), a.conclusion)
     assert hash(s1) == hash(("ax", (), a.conclusion, 0))
     assert len({a, b, other}) == 2
+
+
+def test_copies_and_pickles_rebuild_the_node():
+    a = cut(_boxed(), ax(pf(Box(P0), E)), pf(Box(P0), E))
+    s = ScriptNode("bridge", (), a.conclusion, (ScriptNode("ax", (), a.conclusion),))
+    for n in (a, s):
+        for b in (copy.copy(n), copy.deepcopy(n), pickle.loads(pickle.dumps(n))):
+            assert type(b) is type(n) and b == n
+    assert _measures(pickle.loads(pickle.dumps(a))) == _measures(a)
 
 
 def test_repr_of_a_small_node():
