@@ -917,9 +917,9 @@ def _schema_checker(rule: str, table: ConstraintTable):
         for p, (pa, ps, acts) in zip(n.premises, shapes):
             q = p.conclusion
             ant, suc, shown = ant + q.ant[pa], suc + q.suc[ps], True
-            for at, operand, sign, step, fails in acts:
+            for at, operand, sign, make, fails in acts:
                 f, pos = (operand(a.formula), a.pos) if operand else (v.formula, v.pos)
-                if sign and (pos := shift(pos, sign, step := step(v))) is None:
+                if sign and (pos := shift(pos, sign, step := make(v))) is None:
                     return [_bad(rule, fails, f"step {step} does not apply to position {a.pos}")]
                 e = edge(q, at)
                 shown = shown and e is not None and e.formula is f and e.pos is pos
