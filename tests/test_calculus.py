@@ -204,6 +204,11 @@ def test_rules_by_system_are_pinned_in_order():
     assert list(calculus.RULES_BY_SYSTEM) == list(SystemId)
 
 
+def test_core_systems_are_pinned_in_order():
+    assert calculus.CORE_SYSTEMS == (SystemId.K, SystemId.D, SystemId.T,
+                                     SystemId.K4, SystemId.S4)
+
+
 def test_corpus_positive_matrix():
     for sysid in SystemId:
         for name, proof in corpus.entries(sysid):

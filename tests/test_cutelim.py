@@ -11,11 +11,11 @@ import pytest
 
 from proofgen import generate_suite
 from twoseq.calculus import (SystemId, ax, box_left, box_right, check_proof,
-                             cut, height, seq, weak_left, weak_right)
+                             cut, dia_right, height, seq, weak_left, weak_right)
 from twoseq.cutelim import (eliminate_cuts, is_cut_free, mix, proof_degree,
                             verify_subformula_property)
-from twoseq.errors import (RejectedProofError, TwoseqError,
-                           UnsupportedSystemError)
+from twoseq.errors import (MixHypothesisError, RejectedProofError,
+                           TwoseqError, UnsupportedSystemError)
 from twoseq.positions import seqpos
 from twoseq.syntax import And, Box, Dia, Imp, Not, Or, Prop, degree, pf
 import twoseq.corpus as corpus
@@ -120,6 +120,43 @@ def test_mix_refused_outside_core():
         mix(ax(pf(P0, E)), ax(pf(P0, E)), pf(P0, E), SystemId.S42)
 
 
+# an accepted proof of each system outside the core
+_NON_CORE = ((SystemId.S42, corpus.s42_axiom), (SystemId.LTL, corpus.ltl_a1),
+             (SystemId.LTL_INDAX, corpus.indax_instance),
+             (SystemId.LTLP, corpus.tense_hist_dia))
+
+
+@pytest.mark.parametrize("sysid, build", _NON_CORE, ids=[s.value for s, _ in _NON_CORE])
+def test_refusal_texts_outside_core(sysid, build):
+    p = build()
+    assert check_proof(p, sysid).accepted
+    with pytest.raises(UnsupportedSystemError) as e:
+        mix(p, p, pf(P0, E), sysid)
+    assert str(e.value) == f"mix is defined for the five core modal systems, not {sysid.value}"
+    with pytest.raises(UnsupportedSystemError) as e:
+        eliminate_cuts(p, sysid)
+    extra = "" if sysid is SystemId.S42 else \
+        ": cuts against the induction rule cannot be permuted away"
+    assert str(e.value) == \
+        f"cut elimination unsupported for this system ({sysid.value}){extra}"
+
+
+def test_mix_position_hypothesis_in_the_restricted_systems():
+    # the premises of diamond-taut-cut: the cut position [x] is an initial
+    # of neither cut-free context, which only K and K4 demand
+    x = seqpos("x")
+    aa = pf(Imp(P0, P0), x)
+    left, right = corpus.taut(P0, x), dia_right(ax(aa), x)
+    for sysid in (SystemId.K, SystemId.K4):
+        with pytest.raises(MixHypothesisError) as e:
+            mix(left, right, aa, sysid)
+        assert str(e.value) == ("mix position [x] is not an initial segment of "
+                                "either cut-free context")
+    out = mix(left, right, aa, SystemId.D)
+    assert out.conclusion == seq((), (pf(Dia(Imp(P0, P0)), E),))
+    assert check_proof(out, SystemId.D).accepted
+
+
 # -- elimination --
 
 def test_eliminate_cut_free_is_identity():
@@ -195,7 +232,6 @@ def test_outputs_hold_no_pending_renaming():
     # would only show here; mix gets every cut of a suite proof whose
     # premises are within the cut formula's degree
     from twoseq.calculus import ProofNode, and_right, exc_right, subproofs
-    from twoseq.errors import MixHypothesisError
     # an eigen rule in a cut-free premise beside a cut, and one in a
     # bypassed cut (K and K4), reach elimination's cut-free return
     bb = pf(Box(P0), E)

@@ -5,13 +5,14 @@ import random
 import pytest
 
 from strategies import random_ltl_formula
-from twoseq.calculus import SystemId, seq, weak_left
+from twoseq.calculus import (ProofNode, SystemId, check_proof, check_rule_instance,
+                             pind, seq, weak_left)
 from twoseq.cutelim import eliminate_cuts
 from twoseq.errors import TwoseqError, UnsupportedSystemError
 from twoseq.ltl import (LassoWord, a_value, check_ltl_proof, check_past_proof,
                         eval_at, exhaustive_valuations, ltl_soundness_fuzz,
                         random_lasso, sequent_satisfied)
-from twoseq.positions import LtlPos, pastpos
+from twoseq.positions import LtlPos, ltl_token, pastpos
 from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, Once, Prop, pf,
                            temporal_depth)
 import twoseq.corpus as corpus
@@ -112,6 +113,20 @@ def test_check_ltl_a2_and_friends():
 def test_check_past_proofs():
     for name, proof in corpus.entries(SystemId.LTLP):
         assert check_past_proof(proof).accepted, name
+
+
+def test_pind_constructor_builds_a_past_induction_instance():
+    # A at s-x |- A at s-x-1 over one node: pind reads s off the premise
+    # and concludes A at s |- A at s-t
+    a, down = Prop("p0"), pastpos(0, ("x",))
+    prem = ProofNode("premise", (), seq((pf(a, down),), (pf(a, pastpos(-1, ("x",))),)))
+    n = pind(prem, "x", ltl_token("z"))
+    assert n.conclusion == seq((pf(a, pastpos()),), (pf(a, pastpos(0, ("z",))),))
+    assert dict(n.params) == {"alpha": pastpos(), "x": "x", "t": ltl_token("z")}
+    assert check_rule_instance(n, SystemId.LTLP) == []
+    rep = check_proof(n, SystemId.LTL)
+    assert [v.message for v in rep.failures if v.path == () and v.condition == "schema"] \
+        == ["rule pind is not part of this system"]
 
 
 def test_past_proof_with_reused_eigen_token_rejected():
