@@ -74,33 +74,40 @@ class SystemId(Enum):
         return aliases[key]
 
 
-CORE_SYSTEMS = (SystemId.K, SystemId.D, SystemId.T, SystemId.K4, SystemId.S4)
+# the box-left step sizes each shape admits
+_SHAPES = {"any": lambda k: True, "singleton": lambda k: k == 1,
+           "empty-or-singleton": lambda k: k <= 1, "nonempty": lambda k: k >= 1}
 
 
 @dataclass(frozen=True)
 class ConstraintTable:
-    """One row of the per-system constraint table."""
+    """One row of the constraint table: the four parameters the systems differ in.
+    The family admits the temporal and past rules; the context demand (K, K4) guards the cut too."""
 
     family: type
     box_left_shape: str        # any | empty-or-singleton | singleton | nonempty
     context_demand: bool       # boxL/diaR need a context formula below the step
-    cut_guard: bool            # cut position must be an initial of a context
-    allow_next: bool
-    allow_past: bool
     induction: str             # none | rule | axiom
+
+    def admits(self, k: int) -> bool:      # a box-left step of k tokens
+        return _SHAPES[self.box_left_shape](k)
 
 
 TABLE: dict[SystemId, ConstraintTable] = {
-    SystemId.K: ConstraintTable(SeqPos, "singleton", True, True, False, False, "none"),
-    SystemId.D: ConstraintTable(SeqPos, "singleton", False, False, False, False, "none"),
-    SystemId.T: ConstraintTable(SeqPos, "empty-or-singleton", False, False, False, False, "none"),
-    SystemId.K4: ConstraintTable(SeqPos, "nonempty", True, True, False, False, "none"),
-    SystemId.S4: ConstraintTable(SeqPos, "any", False, False, False, False, "none"),
-    SystemId.S42: ConstraintTable(SetPos, "any", False, False, False, False, "none"),
-    SystemId.LTL: ConstraintTable(LtlPos, "any", False, False, True, False, "rule"),
-    SystemId.LTL_INDAX: ConstraintTable(LtlPos, "any", False, False, True, False, "axiom"),
-    SystemId.LTLP: ConstraintTable(PastPos, "any", False, False, True, True, "rule"),
+    SystemId.K: ConstraintTable(SeqPos, "singleton", True, "none"),
+    SystemId.D: ConstraintTable(SeqPos, "singleton", False, "none"),
+    SystemId.T: ConstraintTable(SeqPos, "empty-or-singleton", False, "none"),
+    SystemId.K4: ConstraintTable(SeqPos, "nonempty", True, "none"),
+    SystemId.S4: ConstraintTable(SeqPos, "any", False, "none"),
+    SystemId.S42: ConstraintTable(SetPos, "any", False, "none"),
+    SystemId.LTL: ConstraintTable(LtlPos, "any", False, "rule"),
+    SystemId.LTL_INDAX: ConstraintTable(LtlPos, "any", False, "axiom"),
+    SystemId.LTLP: ConstraintTable(PastPos, "any", False, "rule"),
 }
+
+CORE_SYSTEMS = tuple(sys for sys, t in TABLE.items() if t.family is SeqPos)
+_LINEAR_TIME = (LtlPos, PastPos)        # the families admitting temporal connectives
+_STEP_KEY = dict.fromkeys(_LINEAR_TIME, "t")    # the declared step's name there, else beta
 
 
 @dataclass(frozen=True)
@@ -134,10 +141,9 @@ _COMMON = ("ax", "cut") + STRUCTURAL_RULES + (
 
 def _rules(t: ConstraintTable) -> tuple[str, ...]:
     """A system's rules, read off its table row."""
-    nxt = ("nextL", "nextR") if t.allow_next else ()
-    past = ("prevL", "prevR", "histL", "histR", "onceL", "onceR") if t.allow_past else ()
-    induction = {"none": (), "axiom": ("indax",),
-                 "rule": ("ind", "pind") if t.allow_past else ("ind",)}
+    nxt = ("nextL", "nextR") if t.family in _LINEAR_TIME else ()
+    past = ("prevL", "prevR", "histL", "histR", "onceL", "onceR") if t.family is PastPos else ()
+    induction = {"none": (), "axiom": ("indax",), "rule": ("ind", "pind") if past else ("ind",)}
     return _COMMON + nxt + past + induction[t.induction]
 
 
@@ -526,10 +532,6 @@ EIGEN_RULES = tuple(r for r, s in SCHEMAS.items() if "x" in s.params) + ("ind", 
 _BINDERS = frozenset(EIGEN_RULES)
 
 
-# the name the declared step goes by: t over linear time, beta otherwise
-_STEP_KEY = {LtlPos: "t", PastPos: "t"}
-
-
 def _stepper(what: str, family: type):
     """The step a position map moves by, made from the rule's parameter: the
     declared step, one tick, or the eigen token as a step of the family."""
@@ -804,16 +806,11 @@ def _seq_positions(pfs: Iterable[PFormula]) -> list[SeqPos]:
     return [q.pos for q in pfs if isinstance(q.pos, SeqPos)]
 
 
-# the box-left step sizes each shape admits
-_SHAPES = {"any": lambda k: True, "singleton": lambda k: k == 1,
-           "empty-or-singleton": lambda k: k <= 1, "nonempty": lambda k: k >= 1}
-
-
 # constraint-table hooks: (table row, node, principal, the rule's parameter,
 # context of the principal) -> the violation message, if any
 def _beta_shape(table, n, a, beta, ctx) -> Optional[str]:
     k = len(beta.items) if isinstance(beta, SeqPos) else len(beta.tokens())
-    if _SHAPES[table.box_left_shape](k):
+    if table.admits(k):
         return None
     return f"step {beta} violates the '{table.box_left_shape}' shape"
 
@@ -857,10 +854,10 @@ def _cut_position(table, n, a, cutf, ctx) -> Optional[str]:
 
 
 # each hook, and the table rows where it can fail
-_HOOKS = {"beta-shape": (_beta_shape, lambda t: t.family is SeqPos),
-          "context-demand": (_context_demand, lambda t: t.family is SeqPos and t.context_demand),
+_HOOKS = {"beta-shape": (_beta_shape, lambda t: t.box_left_shape != "any"),
+          "context-demand": (_context_demand, attrgetter("context_demand")),
           "eigen-position": (_eigen_position, lambda t: True),
-          "cut-position": (_cut_position, lambda t: t.cut_guard)}
+          "cut-position": (_cut_position, attrgetter("context_demand"))}
 
 # the parameter keys each rule takes: a schema rule its base position
 # (alpha) if it declares one and its parameters, a step under either name
@@ -975,7 +972,8 @@ def _induction_checker(rule: str, table: ConstraintTable):
             return [_bad(rule, "schema", "left and right principal formulas differ")]
         if shift(a.pos, sign, t) != b.pos:
             return [_bad(rule, "schema", "right principal is not at the declared target step")]
-        down = shift(a.pos, sign, ltl_token(x))
+        if (down := shift(a.pos, sign, step := ltl_token(x))) is None:
+            return [_bad(rule, "family", f"step {step} does not apply to position {a.pos}")]
         if n.premises[0].conclusion != seq(c.ant[:-1] + (pf(a.formula, down),), (
                 pf(a.formula, shift(down, sign, ltl_step(1))),) + c.suc[1:]):
             return [_bad(rule, "schema", f"premise does not match the {noun} schema")]
@@ -1049,9 +1047,9 @@ def _family_violations(n: ProofNode, sys: SystemId) -> list[Violation]:
     if wrong:
         out.append(_bad(n.rule, "family",
                         f"position {wrong[0]} is not in the {table.family.__name__} family"))
-    if not table.allow_next and any(has_temporal(q.formula) for q in pfs):
+    if table.family not in _LINEAR_TIME and any(has_temporal(q.formula) for q in pfs):
         out.append(_bad(n.rule, "connective", "temporal connectives are not part of this system"))
-    elif table.allow_next and not table.allow_past and any(has_past(q.formula) for q in pfs):
+    elif table.family is LtlPos and any(has_past(q.formula) for q in pfs):
         out.append(_bad(n.rule, "connective", "past connectives are not part of this system"))
     return out
 

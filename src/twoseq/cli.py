@@ -14,7 +14,7 @@ import sys as _sys
 from typing import Optional
 
 from . import corpus
-from .calculus import (ProofNode, SystemId, check_proof,
+from .calculus import (TABLE, LtlPos, ProofNode, SystemId, check_proof,
                        expand_double_lines)
 from .cutelim import eliminate_cuts, is_cut_free, verify_subformula_property
 from .errors import RejectedProofError, TwoseqError
@@ -144,7 +144,7 @@ def cmd_eval(args) -> int:
 def cmd_fuzz(args) -> int:
     sys_id, proof = _load_checked(args)
     seed = _seed(args)
-    if sys_id in (SystemId.LTL, SystemId.LTL_INDAX):
+    if TABLE[sys_id].family is LtlPos:
         verdict = ltl_soundness_fuzz(proof.conclusion, args.budget, seed,
                                      args.bound)
         payload = {"verdict": verdict.kind, "models": verdict.words_tried,

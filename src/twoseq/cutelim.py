@@ -145,7 +145,7 @@ class _Mixer:
         # from here on rules are rebuilt over removal-damaged contexts,
         # which is where the restricted systems' position hypothesis does
         # its work; the axiom and structural cases above never consume it
-        if TABLE[self.sys].cut_guard and \
+        if TABLE[self.sys].context_demand and \
                 not cut_position_holds(cutf, pair[0].conclusion, pair[1].conclusion):
             raise MixHypothesisError(
                 f"mix position {cutf.pos} is not an initial segment of either "
@@ -257,9 +257,8 @@ def eliminate_cuts(p: ProofNode, sys: SystemId, trace: Trace = None) -> ProofNod
     """
     _check_input(p, sys, "cut elimination: the input proof")
     if sys not in CORE_SYSTEMS:
-        extra = ""
-        if sys in (SystemId.LTL, SystemId.LTL_INDAX, SystemId.LTLP):
-            extra = ": cuts against the induction rule cannot be permuted away"
+        extra = ": cuts against the induction rule cannot be permuted away" \
+            if TABLE[sys].induction != "none" else ""
         raise UnsupportedSystemError(
             f"cut elimination unsupported for this system ({sys.value}){extra}")
     if is_cut_free(p):
@@ -288,7 +287,7 @@ def _eliminate(p: ProofNode, sys: SystemId, src: FreshTokenSource,
 
     cutf = p.param("cutf")
     p1, p2 = p.premises
-    if TABLE[sys].cut_guard:
+    if TABLE[sys].context_demand:
         for k, q in enumerate((p1, p2)):
             # a second copy besides the one at the cut edge
             if _cut_side(q.conclusion, k).count(cutf) > 1:

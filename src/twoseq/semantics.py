@@ -4,14 +4,17 @@ The intended models are trees; a finite graph stands in for the tree
 obtained by unfolding it from any node, which is faithful because forcing
 is invariant under bisimulation and the serial systems need infinite
 trees.  A position assignment maps sequence positions to graph nodes so
-that consecutive positions step along the system's accessibility flavour.
+that consecutive positions step along the accessibility relation, whose
+class the system's table row gives: reflexive where box-left admits an
+empty step (T, S4), transitive where it admits two tokens (K4, S4), and
+serial, with total maps, where there is no context demand (not K, K4).
 
 Forcing is labelling: node i is bit i, each node's successors are one
-mask (closed by Warshall's algorithm for K4/S4, reflexive for T/S4), and
-each subformula of a compiled program (`Sequent.program`) gets the mask
-of the nodes forcing it.  The assignment search reads those masks in an
-order planned once per sequent (`Sequent.segments`).  The fuzzer draws
-each model straight into masks, building a `GraphModel` only to report.
+mask (closed as the frame class asks), and each subformula of a compiled
+program (`Sequent.program`) gets the mask of the nodes forcing it.  The
+assignment search reads those masks in an order planned once per
+sequent (`Sequent.segments`).  The fuzzer draws each model straight into
+masks, building a `GraphModel` only to report.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .calculus import CORE_SYSTEMS, SystemId
+from .calculus import CORE_SYSTEMS, TABLE, SystemId
 from .errors import TwoseqError
 from .positions import SeqPos
 from .syntax import (Box, Dia, Formula, PFormula, Sequent, compile_formulas,
@@ -46,13 +49,13 @@ class _Frame:
                  edges: list[int], atoms: dict[str, int]):
         self.sys, self.names, self.edges, self.atoms = sys, names, edges, atoms
         self.full = (1 << len(names)) - 1
-        succ = list(edges)
-        if sys in (SystemId.K4, SystemId.S4):
+        succ, row = list(edges), TABLE[sys]
+        if row.admits(2):
             for k in range(len(succ)):
                 for i, s in enumerate(succ):
                     if s >> k & 1:
                         succ[i] = s | succ[k]
-        if sys in (SystemId.T, SystemId.S4):
+        if row.admits(0):
             succ = [s | 1 << i for i, s in enumerate(succ)]
         self.succ = succ
 
@@ -66,7 +69,7 @@ class _Frame:
             for j in range(size):
                 if coin() < 0.4:
                     edges[i] |= 1 << j
-        if sys is SystemId.D:
+        if not (TABLE[sys].context_demand or TABLE[sys].admits(0)):  # D: serial, not reflexive
             edges = [s or 1 << rng.randrange(size) for s in edges]
         masks = dict.fromkeys(sorted(atoms) or ["p0"], 0)
         for i in range(size):
@@ -160,9 +163,9 @@ def admissible_assignments(m: GraphModel | _Frame, sys: SystemId,
                            ) -> Iterator[Rho]:
     """Enumerate the position-to-node maps the system's table row allows.
 
-    The serial systems require total maps; the subset systems also allow
-    partial maps with downward-closed domains.  Consecutive assigned
-    positions must step along the closure matching the system.  Shorter
+    The serial systems require total maps, which a dead end admits none
+    of; the others also allow partial maps with downward-closed domains.
+    Consecutive assigned positions step along the system's closure.  Shorter
     positions are decided first, each left undefined (where allowed)
     before it takes any node, or for a nonempty one each successor of its
     parent's node in name order.  With ``falsifying``, the search also
@@ -170,8 +173,8 @@ def admissible_assignments(m: GraphModel | _Frame, sys: SystemId,
     it: a branch is cut where a position fails one of its antecedent
     formulas, forces a succedent one, or stays undefined but carries one.
     """
-    frame = _frame(m, sys)
-    if sys is SystemId.D and not all(frame.succ):
+    frame, partial = _frame(m, sys), TABLE[sys].context_demand
+    if not (partial or all(frame.succ)):
         return
     positions = list(positions)
     if falsifying is None:
@@ -181,7 +184,7 @@ def admissible_assignments(m: GraphModel | _Frame, sys: SystemId,
     else:
         req, parent, slots = falsifying.segments
     allowed = [frame.full] * len(req)   # the nodes each position may take
-    blank = [sys in (SystemId.K, SystemId.K4)] * len(req)  # may stay undefined
+    blank = [partial] * len(req)        # may stay undefined
     if falsifying is not None:
         masks = frame.truth_sets(*falsifying.program)
         for k, (i, mask) in enumerate(zip(slots[len(positions):], masks)):
@@ -230,8 +233,8 @@ class Verdict:
 
 def random_model(rng: random.Random, sys: SystemId,
                  atoms: frozenset[str]) -> GraphModel:
-    """Edge sampling at density 0.4 over 2..6 nodes; seriality is repaired
-    for the serial system by adding one outgoing edge where missing."""
+    """Edge sampling at density 0.4 over 2..6 nodes; a serial frame that is
+    not reflexive (D) is repaired by adding one outgoing edge where missing."""
     return _Frame.draw(rng, sys, atoms).model()
 
 

@@ -1,6 +1,10 @@
 """Rule engine: local instances, constraint matrix, bridges, token discipline."""
 
+import ast
+import dataclasses
+import inspect
 import os
+import textwrap
 import subprocess
 import sys
 from pathlib import Path
@@ -17,10 +21,13 @@ from twoseq.calculus import (ProofNode, SystemId, ax, box_left, box_right,
                              structural_bridge, weak_left, weak_right)
 from twoseq.errors import BridgeError, TwoseqError
 from twoseq.parser import parse_proof
-from twoseq.positions import seqpos
+from twoseq.positions import seqpos, setpos
 from twoseq.syntax import Box, Prop, pf
 from twoseq.transform import canonical_rename
 import twoseq.calculus as calculus
+import twoseq.cli as cli
+import twoseq.cutelim as cutelim
+import twoseq.semantics as semantics
 import twoseq.corpus as corpus
 
 P0, P1 = Prop("p0"), Prop("p1")
@@ -209,6 +216,44 @@ def test_core_systems_are_pinned_in_order():
                                      SystemId.K4, SystemId.S4)
 
 
+# each column of the table, a pair of systems whose rows differ in it
+# alone, a corpus proof the first accepts, and what the second rejects it for
+_COLUMNS = [
+    ("family", SystemId.S4, SystemId.S42, corpus.axiom_k, "family"),
+    ("box_left_shape", SystemId.T, SystemId.D, corpus.axiom_t, "beta-shape"),
+    ("context_demand", SystemId.D, SystemId.K, corpus.diamond_taut_cut, "cut-position"),
+    ("induction", SystemId.LTL, SystemId.LTL_INDAX, corpus.ltl_a8, "schema"),
+]
+
+
+def test_the_table_has_the_four_columns():
+    assert [f.name for f in dataclasses.fields(calculus.ConstraintTable)] == \
+        [column for column, *_ in _COLUMNS]
+
+
+@pytest.mark.parametrize("column, accepts, rejects, build, condition", _COLUMNS,
+                         ids=[c[0] for c in _COLUMNS])
+def test_each_column_is_load_bearing(column, accepts, rejects, build, condition):
+    rows = calculus.TABLE[accepts], calculus.TABLE[rejects]
+    assert [f.name for f in dataclasses.fields(calculus.ConstraintTable)
+            if getattr(rows[0], f.name) != getattr(rows[1], f.name)] == [column]
+    p = build()
+    assert check_proof(p, accepts).accepted
+    assert {v.condition for v in check_proof(p, rejects).failures} == {condition}
+
+
+def test_per_system_decisions_name_no_system():
+    # semantics, cut elimination and the fuzz dispatch read the table row
+    members = set(SystemId.__members__)
+    sources = [Path(m.__file__).read_text() for m in (semantics, cutelim)]
+    sources.append(textwrap.dedent(inspect.getsource(cli.cmd_fuzz)))
+    for text in sources:
+        named = [n.attr for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Attribute)
+                 and isinstance(n.value, ast.Name) and n.value.id == "SystemId"
+                 and n.attr in members]
+        assert named == []
+
+
 def test_corpus_positive_matrix():
     for sysid in SystemId:
         for name, proof in corpus.entries(sysid):
@@ -283,6 +328,19 @@ def test_past_connectives_rejected_in_plain_ltl():
     from twoseq.positions import PastPos
     n2 = node("ax", {}, seq((pf(Prev(P0), PastPos()),), (pf(Prev(P0), PastPos()),)))
     assert check_proof(n2, SystemId.LTLP).accepted
+
+
+@pytest.mark.parametrize("base, t", [(seqpos(), seqpos("z")), (setpos(), setpos("z"))],
+                         ids=["sequence", "set"])
+def test_ind_off_linear_time_positions_is_a_family_violation(base, t):
+    # the target step applies to these positions, the eigen step does not
+    up = calculus.shift(base, "+", t)
+    s = seq((pf(P0, base),), (pf(P0, up),))
+    n = node("ind", {"alpha": base, "x": "a", "t": t}, s, (ProofNode("premise", (), s),))
+    at_root = [(v.condition, v.message) for v in check_proof(n, SystemId.LTL).failures
+               if v.path == ()]
+    assert at_root == [("family", f"position {base} is not in the LtlPos family"),
+                       ("family", f"step (0;{{a}}) does not apply to position {base}")]
 
 
 def test_arity_violation():
