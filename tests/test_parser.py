@@ -187,7 +187,11 @@ FRAGMENTS = ["p0", "q", "box", "dia", "X", "Y", "H", "P", "~", "&", "|", "->",
              "(", ")", "@", "[", "]", "{", "}", ";", ",", "|-", "x", "y", "0",
              "2", "-1", "\u22121", "$", "-", ">", "#c\n", "\n", " ", "\t",
              "proof", "K", "S42", "LTLP", "rule", "bridge", "concl", "ax",
-             "boxR", "alpha", "beta", "t", "at", "pf", "cutf", "int", "ident"]
+             "boxR", "alpha", "beta", "t", "at", "pf", "cutf", "int", "ident",
+             # whitespace to str.split() but not to the lexer, non-ASCII in
+             # and out of a comment, and tokens glued without a gap
+             "\x0b", "\x0c", "\x1c", "\xa0", "\u00e9", "#\u00e9\n", "p0->q",
+             "|-p0", "[x]"]
 ENTRY_POINTS = ("parse_formula", "parse_pformula", "parse_position",
                 "parse_sequent", "parse_proof")
 
@@ -234,6 +238,17 @@ def edited_st(draw, texts):
 @given(soup_st)
 def test_token_soup_parses_as_the_oracle_does(text):
     _same_as_oracle(text)
+
+
+def _oracle_lex(text: str) -> list[str]:
+    return [t.value for t in oracle._lex(text)]
+
+
+@PROPERTY
+@given(soup_st)
+def test_lexer_gives_the_oracles_tokens(text):
+    # the token values, or the same ParseError at the same line and column
+    assert _outcome(parser._lex, text) == _outcome(_oracle_lex, text)
 
 
 @PROPERTY
