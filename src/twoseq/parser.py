@@ -38,6 +38,9 @@ _TOKEN = r"\|-|->|-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[()\[\]{};,@&|~]"
 # one token and the gap after it, or one character no token starts with
 # (which yields ""); every match ends where the next one must start
 _LEX_RE = re.compile(rf"(?:({_TOKEN})|[^ \t\r\n#]){_SKIP}")
+_COMMENT_RE = re.compile(r"#[^\n]*")
+# one-character tokens no other token holds; what only str.split() skips
+_PUNCT, _ODD_SPACE = "()[]{};,@&~", "\x0b\x0c\x1c\x1d\x1e\x1f"
 
 _EOF = ""           # the token past the end (two pad the list)
 
@@ -62,10 +65,21 @@ def _offsets(text: str) -> list[int]:
 
 def _lex(text: str) -> list[str]:
     """The tokens of ``text`` as strings, padded with two end tokens for
-    one-token lookahead; offsets are recovered only for an error."""
-    toks = _LEX_RE.findall(text, _SKIP_RE.match(text).end())
-    if _EOF in toks:
-        _offsets(text)                  # raises at the bad character
+    one-token lookahead.  Comments dropped and punctuation padded, the text
+    is cut by ``str.split()``; the token regex splits only the distinct
+    chunks that are not identifiers (``p0->q``).  `_offsets` lexes ``text``
+    itself to raise where a character is bad or ``split()`` would skip it."""
+    s = _COMMENT_RE.sub("", text) if "#" in text else text
+    if not s.isascii() or any(c in s for c in _ODD_SPACE):
+        _offsets(text)
+    for c in _PUNCT:
+        s = s.replace(c, f" {c} ")
+    toks = s.split()
+    glued = {c: _LEX_RE.findall(c) for c in set(toks) if not c.isidentifier()}
+    if any(_EOF in parts for parts in glued.values()):
+        _offsets(text)
+    if any(parts != [c] for c, parts in glued.items()):
+        toks = [t for c in toks for t in glued.get(c, (c,))]
     toks += (_EOF, _EOF)
     return toks
 
@@ -84,7 +98,8 @@ def _kind(tok: str) -> str:
 
 class _Parser:
     """Recursive-descent grammar run over explicit stacks: nesting depth
-    costs list entries, not Python frames."""
+    costs list entries, not Python frames.  A sequent's ``@``, one-token
+    ``[x]``, ``,`` and ``|-`` are read by indexing the token list."""
 
     def __init__(self, text: str):
         self.text = text.replace("\u2212", "-")     # accept the unicode minus sign
@@ -211,24 +226,30 @@ class _Parser:
 
     def pformula(self) -> PFormula:
         f = self.formula()
-        self.expect("@")
+        toks, i = self.toks, self.i
+        if toks[i] != "@":
+            self.fail(f"expected '@', found {toks[i]!r}")
+        if toks[i + 1] == "[" and toks[i + 3] == "]" and toks[i + 2].isidentifier():
+            self.i = i + 4              # the one-token [x], read in place
+            return PFormula(f, SeqPos((toks[i + 2],)))
+        self.i = i + 1
         return PFormula(f, self.position())
 
     def pformula_list(self) -> tuple[PFormula, ...]:
         out = [self.pformula()]
-        while self.peek() == ",":
+        toks = self.toks
+        while toks[self.i] == ",":
             self.i += 1
             out.append(self.pformula())
         return tuple(out)
 
     def sequent(self) -> Sequent:
-        ant: tuple[PFormula, ...] = ()
-        if self.peek() != "|-":
-            ant = self.pformula_list()
-        self.expect("turnstile")
-        suc: tuple[PFormula, ...] = ()
-        if self.peek() not in (")", _EOF):
-            suc = self.pformula_list()
+        toks = self.toks
+        ant = () if toks[self.i] == "|-" else self.pformula_list()
+        if toks[self.i] != "|-":
+            self.fail(f"expected 'turnstile', found {toks[self.i]!r}")
+        self.i += 1
+        suc = () if toks[self.i] in (")", _EOF) else self.pformula_list()
         return Sequent(ant, suc)
 
     # -- proof scripts --
