@@ -310,6 +310,8 @@ class _Parser:
                 concl = self.sequent()
                 self.expect(")")
                 break
+            if key in params:
+                raise self.error(f"parameter {key!r} given twice", self.i - 1)
             params[key] = self._param_value(key, sys)
             self.expect(")")
         if concl is None:

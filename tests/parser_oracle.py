@@ -253,11 +253,14 @@ class _Parser:
         while self.peek().kind == "(" and self.peek(1).kind == "ident" \
                 and self.peek(1).value in _PARAM_KEYS + ("concl",):
             self.next()
-            key = self.expect("ident").value
+            key_tok = self.expect("ident")
+            key = key_tok.value
             if key == "concl":
                 concl = self.sequent()
                 self.expect(")")
                 break
+            if key in params:
+                raise self.error(f"parameter {key!r} given twice", key_tok)
             params[key] = self._param_value(key, sys)
             self.expect(")")
         if concl is None:

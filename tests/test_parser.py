@@ -102,6 +102,17 @@ def test_family_mismatch_is_a_parse_error():
         parse_proof("(proof LTL (rule ax (concl p0 @ [x] |- p0 @ [x])))")
 
 
+def test_parameter_given_twice_is_a_parse_error():
+    # reported at the second key, whatever the two values
+    text = ("(proof K (rule boxR (x a)\n  (x b) (concl |- box p0 @ [])\n"
+            "  (rule ax (concl p0 @ [a] |- p0 @ [a]))))")
+    for parse in (parse_proof, oracle.parse_proof):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert (e.value.message, e.value.line, e.value.col) == \
+            ("parameter 'x' given twice", 2, 4)
+
+
 @given(formula_st("past"))
 def test_formula_round_trip(f):
     assert parse_formula(render_formula(f)) == f
