@@ -251,14 +251,15 @@ def mix(p1: ProofNode, p2: ProofNode, cutf: PFormula, sys: SystemId,
 def eliminate_cuts(p: ProofNode, sys: SystemId, trace: Trace = None) -> ProofNode:
     """A cut-free proof of the same end sequent, for the five core systems.
 
-    Other systems are refused: the temporal induction rule blocks the cut
-    permutations this procedure relies on.  The input is checked first,
-    in any system, so a rejected proof is reported as such.
+    Other systems are refused; in the temporal ones the induction rule or
+    axiom blocks the cut permutations this procedure relies on.  The input
+    is checked first, in any system, so a rejected proof is reported as such.
     """
     _check_input(p, sys, "cut elimination: the input proof")
     if sys not in CORE_SYSTEMS:
-        extra = ": cuts against the induction rule cannot be permuted away" \
-            if TABLE[sys].induction != "none" else ""
+        ind = TABLE[sys].induction
+        extra = f": cuts against the induction {ind} cannot be permuted away" \
+            if ind != "none" else ""
         raise UnsupportedSystemError(
             f"cut elimination unsupported for this system ({sys.value}){extra}")
     if is_cut_free(p):

@@ -135,8 +135,9 @@ def test_refusal_texts_outside_core(sysid, build):
     assert str(e.value) == f"mix is defined for the five core modal systems, not {sysid.value}"
     with pytest.raises(UnsupportedSystemError) as e:
         eliminate_cuts(p, sysid)
-    extra = "" if sysid is SystemId.S42 else \
-        ": cuts against the induction rule cannot be permuted away"
+    extra = {SystemId.S42: "",
+             SystemId.LTL_INDAX: ": cuts against the induction axiom cannot be permuted away",
+             }.get(sysid, ": cuts against the induction rule cannot be permuted away")
     assert str(e.value) == \
         f"cut elimination unsupported for this system ({sysid.value}){extra}"
 
