@@ -216,6 +216,19 @@ def test_core_systems_are_pinned_in_order():
                                      SystemId.K4, SystemId.S4)
 
 
+@pytest.mark.parametrize("text, want", [
+    *((m.value, m) for m in SystemId), *((m.value.lower(), m) for m in SystemId),
+    (" S4.2 ", SystemId.S42), ("LTL-IndAx", SystemId.LTL_INDAX),
+    ("LTLI", SystemId.LTL_INDAX), ("ltl_p", SystemId.LTLP)])
+def test_system_spellings_are_pinned(text, want):
+    assert SystemId.parse(text) is want
+
+
+def test_unknown_system_spelling_is_refused():
+    with pytest.raises(TwoseqError, match="^unknown system: 'K5'$"):
+        SystemId.parse("K5")
+
+
 # each column of the table, a pair of systems whose rows differ in it
 # alone, a corpus proof the first accepts, and what the second rejects it for
 _COLUMNS = [

@@ -2,10 +2,12 @@
 
 import pytest
 
-from twoseq.calculus import (SystemId, and_right, ax, box_left, box_right,
-                             check_proof, eigen_token, iter_nodes, seq)
+from twoseq.calculus import (ProofNode, SystemId, and_right, ax, box_left,
+                             box_right, check_proof, eigen_token, iter_nodes,
+                             seq)
 from twoseq.errors import TransformError
-from twoseq.positions import LtlPos, prefix_replace, seqpos
+from twoseq.positions import (LtlPos, PastPos, SetPos, prefix_replace,
+                              seqpos)
 from twoseq.syntax import Box, Imp, Prop, Sequent, pf
 from twoseq.transform import (canonical_rename, compose_mp, ind_to_axiom,
                               lift_proof, necessitate, prefix_replace_proof,
@@ -114,6 +116,33 @@ def test_lift_modal_example():
 def test_lift_by_empty_is_identity():
     p = corpus.axiom_k()
     assert lift_proof(p, seqpos(), SystemId.K) == p
+
+
+_UNITS = [(SystemId.K, seqpos(), corpus.axiom_k),
+          (SystemId.S42, SetPos(), corpus.s42_axiom),
+          (SystemId.LTL, LtlPos(), corpus.ltl_a8)]
+
+
+def _bad_axiom(pos) -> ProofNode:
+    # an axiom whose two sides differ
+    return ProofNode("ax", (), seq((pf(P0, pos),), (pf(P1, pos),)), ())
+
+
+@pytest.mark.parametrize("sysid, unit, build", _UNITS, ids=[s.value for s, *_ in _UNITS])
+def test_lift_by_the_unit_returns_the_proof_itself(sysid, unit, build):
+    p = build()
+    assert lift_proof(p, unit, sysid) is p
+    with pytest.raises(TransformError, match="^ill-formed proof"):
+        lift_proof(_bad_axiom(unit), unit, sysid)
+
+
+@pytest.mark.parametrize("by", [PastPos(), PastPos(1, frozenset("x"))])
+def test_lift_in_ltlp_is_refused_after_the_repair_check(by):
+    with pytest.raises(TransformError, match="^ill-formed proof"):
+        lift_proof(_bad_axiom(PastPos()), by, SystemId.LTLP)
+    with pytest.raises(TransformError,
+                       match="^lifting is not defined for past positions$"):
+        lift_proof(corpus.tense_next_prev(), by, SystemId.LTLP)
 
 
 def test_lift_ltl_example():
