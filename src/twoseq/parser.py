@@ -17,7 +17,9 @@ from typing import Optional, Union
 from .calculus import (ProofNode, ProofScript, RULES_BY_SYSTEM, ScriptNode,
                        SystemId, TABLE)
 from .errors import ParseError, TwoseqError
+from .ltl import LassoWord
 from .positions import (LtlPos, PastPos, Position, SeqPos, SetPos)
+from .semantics import GraphModel
 from .syntax import (And, Box, Dia, Formula, Hist, Imp, Next, Not, Once, Or,
                      PFormula, Prev, Prop, Sequent)
 
@@ -34,12 +36,12 @@ _PREFIX, _OPEN = 4, 0           # precedence slots of the operator stack
 # each stretch of whitespace and comments matches in exactly one way
 _SKIP = r"[ \t\r\n]*(?:\#[^\n]*(?:\n[ \t\r\n]*|\Z))*"
 _SKIP_RE = re.compile(_SKIP)
-_TOKEN = r"\|-|->|-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[()\[\]{};,@&|~]"
+_TOKEN = r"\|-|->|-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[()\[\]{};:,@&|~]"
 # one token and the gap after it, or one character no token starts with
 # (which yields ""); every match ends where the next one must start
 _LEX_RE = re.compile(rf"(?:({_TOKEN})|[^ \t\r\n#]){_SKIP}")
 _COMMENT_RE = re.compile(r"#[^\n]*")
-# one-character tokens no other token holds; what only str.split() skips
+# one-character tokens no other token holds, bar ':'; what only str.split() skips
 _PUNCT, _ODD_SPACE = "()[]{};,@&~", "\x0b\x0c\x1c\x1d\x1e\x1f"
 
 _EOF = ""           # the token past the end (two pad the list)
@@ -199,18 +201,15 @@ class _Parser:
             self.i += 1
             return SeqPos(self.token_list("]"))
         if t == "{":
-            self.i += 1
-            return SetPos(frozenset(self.token_list("}")))
+            return SetPos(self._set())
         if t == "(":
             self.i += 1
             n = int(self.expect("int"))
             self.expect(";")
-            self.expect("{")
-            first = frozenset(self.token_list("}"))
+            first = self._set()
             if self.peek() == ";":
                 self.i += 1
-                self.expect("{")
-                second = frozenset(self.token_list("}"))
+                second = self._set()
                 self.expect(")")
                 try:
                     return PastPos(n, first, second)
@@ -342,6 +341,61 @@ class _Parser:
             return pos
         return self.position()          # alpha, beta
 
+    # -- models --
+
+    def model(self) -> Union[GraphModel, LassoWord]:
+        """A lasso word, ``prefix: SET* ; loop: SET+``, or a graph model:
+        ``nodes: NAME+``, then ``root: NAME``, ``edges: (NAME -> NAME)*``
+        and ``val: NAME SET`` sections, each naming only listed nodes."""
+        if self._label("prefix", "nodes") == "prefix":
+            prefix = self._sets()
+            self.expect(";")
+            self._label("loop")
+            return LassoWord(prefix, (self._set(),) + self._sets())
+        nodes = [self.token_name()]
+        while self.peek(1) != ":" and self.peek() != _EOF:
+            nodes.append(self._node(nodes, listed=False))
+        root, edges, val = nodes[0], set(), dict.fromkeys(nodes, frozenset())
+        while self.peek() != _EOF:
+            label = self._label("root", "edges", "val")
+            if label == "root":
+                root = self._node(nodes)
+            while label == "edges" and self.peek(1) != ":" and self.peek() != _EOF:
+                a = self._node(nodes)
+                self.expect("->")
+                edges.add((a, self._node(nodes)))
+            if label == "val":
+                n = self._node(nodes)
+                val[n] = self._set()
+        return GraphModel(tuple(nodes), frozenset(edges), root, val)
+
+    def _label(self, *words: str) -> str:
+        """A section label: ``WORD :`` for one of ``words``."""
+        t = self.peek()
+        if t not in words:
+            self.fail(f"expected {' or '.join(repr(w + ':') for w in words)}, found {t!r}")
+        self.i += 1
+        self.expect(":")
+        return t
+
+    def _node(self, nodes: list[str], listed: bool = True) -> str:
+        """A node name, listed already (or if not ``listed``, not yet)."""
+        name = self.token_name()
+        if (name in nodes) != listed:
+            raise self.error(f"unknown node {name!r}" if listed else
+                             f"node {name!r} listed twice", self.i - 1)
+        return name
+
+    def _set(self) -> frozenset[str]:
+        self.expect("{")
+        return frozenset(self.token_list("}"))
+
+    def _sets(self) -> tuple[frozenset[str], ...]:
+        out = []
+        while self.peek() == "{":
+            out.append(self._set())
+        return tuple(out)
+
     def _check_family(self, s: Sequent, sys: SystemId, at: int) -> None:
         fam = TABLE[sys].family
         for q in s.ant + s.suc:
@@ -379,6 +433,12 @@ def parse_sequent(text: str) -> Sequent:
 def parse_proof(text: str) -> ProofScript:
     p = _Parser(text)
     return _finish(p, p.script())
+
+
+def parse_model(text: str) -> Union[GraphModel, LassoWord]:
+    """Parse a `.2sm` file into a graph model or a lasso word."""
+    p = _Parser(text)
+    return _finish(p, p.model())
 
 
 # --- rendering (canonical) ---
@@ -475,79 +535,8 @@ def render_proof(sys: SystemId, p: Union[ProofNode, ScriptNode]) -> str:
 
 # --- model files ---
 
-_PROPSET_RE = re.compile(r"\{[^}]*\}")
-
-
-def _parse_propset(text: str, line_no: int) -> frozenset[str]:
-    body = text.strip()
-    if not (body.startswith("{") and body.endswith("}")):
-        raise ParseError("expected a {..} proposition set", line_no, 1)
-    inner = body[1:-1].strip()
-    if not inner:
-        return frozenset()
-    return frozenset(x.strip() for x in inner.split(",") if x.strip())
-
-
-def parse_model(text: str):
-    """Parse a `.2sm` file into a graph model or a lasso word."""
-    from .ltl import LassoWord
-    from .semantics import GraphModel
-
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
-    lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise ParseError("empty model file", 1, 1)
-
-    if lines[0][1].startswith("prefix:"):
-        no, ln = lines[0]
-        m = re.match(r"prefix:(.*);\s*loop:(.*)$", ln)
-        if not m:
-            raise ParseError("lasso line must be 'prefix: ... ; loop: ...'", no, 1)
-        prefix = tuple(_parse_propset(x, no) for x in _PROPSET_RE.findall(m.group(1)))
-        loop = tuple(_parse_propset(x, no) for x in _PROPSET_RE.findall(m.group(2)))
-        if not loop:
-            raise ParseError("lasso loop must be nonempty", no, 1)
-        return LassoWord(prefix, loop)
-
-    nodes: tuple[str, ...] = ()
-    root: Optional[str] = None
-    edges: set[tuple[str, str]] = set()
-    valuation: dict[str, frozenset[str]] = {}
-    for no, ln in lines:
-        if ln.startswith("nodes:"):
-            nodes = tuple(ln[len("nodes:"):].split())
-        elif ln.startswith("root:"):
-            root = ln[len("root:"):].strip()
-        elif ln.startswith("edges:"):
-            for part in ln[len("edges:"):].split():
-                if "->" not in part:
-                    raise ParseError(f"bad edge {part!r}", no, 1)
-                a, b = part.split("->", 1)
-                edges.add((a, b))
-        elif ln.startswith("val:"):
-            rest = ln[len("val:"):].strip()
-            name, _, setpart = rest.partition(" ")
-            valuation[name] = _parse_propset(setpart, no)
-        else:
-            raise ParseError(f"unknown model line {ln!r}", no, 1)
-    if not nodes:
-        raise ParseError("graph model needs a nodes: line", lines[0][0], 1)
-    if root is None:
-        root = nodes[0]
-    if root not in nodes:
-        raise ParseError(f"root {root!r} is not a node", lines[0][0], 1)
-    for a, b in edges:
-        if a not in nodes or b not in nodes:
-            raise ParseError(f"edge {a}->{b} mentions unknown nodes", lines[0][0], 1)
-    for n in nodes:
-        valuation.setdefault(n, frozenset())
-    return GraphModel(nodes, frozenset(edges), root, valuation)
-
 
 def render_model(model) -> str:
-    from .ltl import LassoWord
-    from .semantics import GraphModel
-
     def propset(s) -> str:
         return "{" + ",".join(sorted(s)) + "}"
 

@@ -41,7 +41,7 @@ _TOKEN_RE = re.compile(_SKIP + r"""(?:
   | (?P<arrow>->)
   | (?P<int>-?[0-9]+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[()\[\]{};,@&|~])
+  | (?P<punct>[()\[\]{};:,@&|~])
   | (?P<eof>\Z))
 """, re.VERBOSE)
 

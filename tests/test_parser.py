@@ -19,6 +19,7 @@ from twoseq.parser import (parse_formula, parse_model, parse_pformula,
                            render_formula, render_model, render_pformula,
                            render_proof, render_sequent)
 from twoseq.positions import LtlPos, PastPos, SeqPos, SetPos, seqpos
+from twoseq.semantics import GraphModel
 from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, Or, Prop, pf)
 import twoseq.corpus as corpus
 import twoseq.parser as parser
@@ -191,11 +192,41 @@ def test_model_errors():
         parse_model("nodes: n0\nedges: n0->n9")
 
 
+@pytest.mark.parametrize("text, message, line, col", [
+    ("prefix: {p0} junk ; loop: {p1}", "expected ';', found 'junk'", 1, 14),
+    ("prefix: ; loop: {p1}\nnodes: n0 n1", "trailing input 'nodes'", 2, 1),
+    ("nodes: n0\nval: n9 {p}", "unknown node 'n9'", 2, 6),
+    ("nodes: n0 n0", "node 'n0' listed twice", 1, 11),
+    ("prefix: {p0 p1} ; loop: {p1}", "expected '}', found 'p1'", 1, 13),
+    ("nodes: n0 n1\n  root: n2", "unknown node 'n2'", 2, 9),
+    ("nodes: n0\nedges: n0->n0 n0 n0", "expected '->', found 'n0'", 2, 18),
+    ("nodes: n0\nval: n0 {p0} {p1}", "expected 'root:' or 'edges:' or 'val:', found '{'", 2, 14),
+    ("# a comment\nnodes:\n", "expected 'ident', found ''", 3, 1),
+    ("edges: n0->n0", "expected 'prefix:' or 'nodes:', found 'edges'", 1, 1),
+])
+def test_malformed_models_are_refused_at_the_token(text, message, line, col):
+    with pytest.raises(ParseError) as e:
+        parse_model(text)
+    assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+
+def test_models_follow_the_common_lexical_rules():
+    # comments anywhere, free whitespace, and a node may be named like a label
+    text = ("# a model\nnodes: n0 val # two nodes\n  root : val\n"
+            "edges: n0 -> val val->n0\nval: val {p1 , p0} # two atoms")
+    want = GraphModel(("n0", "val"), frozenset({("n0", "val"), ("val", "n0")}),
+                      "val", {"n0": frozenset(), "val": frozenset({"p0", "p1"})})
+    assert parse_model(text) == want
+    assert parse_model(render_model(want)) == want
+    assert parse_model("prefix:;loop:{}# empty letters") == \
+        LassoWord((), (frozenset(),))
+
+
 # --- the parser against the recursive-descent oracle ---
 
 # pieces of text, most of them tokens of some format, some not tokens at all
 FRAGMENTS = ["p0", "q", "box", "dia", "X", "Y", "H", "P", "~", "&", "|", "->",
-             "(", ")", "@", "[", "]", "{", "}", ";", ",", "|-", "x", "y", "0",
+             "(", ")", "@", "[", "]", "{", "}", ";", ":", ",", "|-", "x", "y", "0",
              "2", "-1", "\u22121", "$", "-", ">", "#c\n", "\n", " ", "\t",
              "proof", "K", "S42", "LTLP", "rule", "bridge", "concl", "ax",
              "boxR", "alpha", "beta", "t", "at", "pf", "cutf", "int", "ident",
