@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .calculus import (CORE_SYSTEMS, SCHEMAS, STRUCTURAL_RULES, ProofNode,
-                       Sequent, SystemId, TABLE, bridge_proof, check_proof,
-                       cut, cut_position_holds, edge, height, node,
-                       proof_tokens, reapply, seq, subproofs)
+from .calculus import (CORE_SYSTEMS, SCHEMAS, STRUCTURAL_RULES, Premise,
+                       ProofNode, Sequent, SystemId, TABLE, bridge_proof,
+                       check_proof, cut, cut_position_holds, edge, height,
+                       node, proof_tokens, reapply, seq, subproofs)
 from .errors import (DegreeUndefinedError, KernelInvariantError,
                      MixHypothesisError, RejectedProofError, TwoseqError,
                      UnsupportedSystemError)
@@ -134,14 +134,11 @@ class _Mixer:
         for k, p in enumerate(pair):
             if p.rule == "ax":
                 t(f"mix: {_NAMES[k]} axiom")
-                base = pair[1 - k] if p.conclusion.ant[0] == cutf else p
-                return bridge_proof(materialise(base), E)
+                return bridge_proof(materialise(pair[1 - k]), E)
         for k, p in enumerate(pair):
             if p.rule in STRUCTURAL_RULES:
                 t(f"mix: {_NAMES[k]} structural {p.rule}")
-                args = list(pair)
-                args[k] = p.premises[0]
-                return bridge_proof(self._sub(args, measure), E)
+                return bridge_proof(self._premise(pair, k, 0, measure), E)
         # from here on rules are rebuilt over removal-damaged contexts,
         # which is where the restricted systems' position hypothesis does
         # its work; the axiom and structural cases above never consume it
@@ -163,30 +160,28 @@ class _Mixer:
         t(f"mix: principal case on {type(cutf.formula).__name__}")
         return bridge_proof(self._principal(pair, measure), E)
 
-    def _sub(self, args, measure, keep_left: bool = False) -> ProofNode:
-        # fresh copies keep every eigen token unique across duplicated sides
-        a, b = args
-        return self.run(a if keep_left else _scoped_rename(a, self.src, True),
-                        _scoped_rename(b, self.src, True), measure)
-
     def _premise(self, pair, k: int, i: int, measure, prem=None,
                  keep_left: bool = False) -> ProofNode:
         """Mix premise i of pair[k] (or ``prem`` standing in for it) with
-        the whole other proof, then bridge the result so that the
-        premise's active formulas stay at its edges, around the contexts
-        the mix splices."""
-        shape = SCHEMAS[pair[k].rule].premises[i]
+        the whole other proof, both fresh copies (bar the left one under
+        ``keep_left``) so that eigen tokens stay unique across duplicated
+        sides; then bridge the result so that the premise's active formulas
+        (a structural rule's have none) stay at its edges, around the
+        contexts the mix splices."""
+        s = SCHEMAS.get(pair[k].rule)
+        shape = s.premises[i] if s else Premise()
         prem = prem or pair[k].premises[i]
         q = prem.conclusion
-        args = list(pair)
-        args[k] = prem
+        a, b = (prem, pair[1]) if k == 0 else (pair[0], prem)
         ends = [r.conclusion for r in pair]
         ends[k] = seq(q.ant[:-1] if shape.left else q.ant,
                       q.suc[1:] if shape.right else q.suc)
         w = _mix_target(*ends, self.cutf)
         target = seq(w.ant + q.ant[-1:] if shape.left else w.ant,
                      q.suc[:1] + w.suc if shape.right else w.suc)
-        return bridge_proof(self._sub(args, measure, keep_left), target)
+        mixed = self.run(a if keep_left else _scoped_rename(a, self.src, True),
+                         _scoped_rename(b, self.src, True), measure)
+        return bridge_proof(mixed, target)
 
     def _principal(self, pair, measure) -> ProofNode:
         """Both rules introduce the cut formula: cut, once per operand both
