@@ -63,12 +63,8 @@ class SystemId(Enum):
     @classmethod
     def parse(cls, text: str) -> "SystemId":
         key = text.strip().upper().replace(".", "").replace("-", "_")
-        aliases = {
-            "K": cls.K, "D": cls.D, "T": cls.T, "K4": cls.K4, "S4": cls.S4,
-            "S42": cls.S42, "LTL": cls.LTL,
-            "LTL_INDAX": cls.LTL_INDAX, "LTLI": cls.LTL_INDAX,
-            "LTLP": cls.LTLP, "LTL_P": cls.LTLP,
-        }
+        aliases = {m.value.upper(): m for m in cls} | {"LTLI": cls.LTL_INDAX,
+                                                      "LTL_P": cls.LTLP}
         if key not in aliases:
             raise TwoseqError(f"unknown system: {text!r}")
         return aliases[key]
@@ -1023,8 +1019,10 @@ def _compile(rule: str, table: ConstraintTable):
             out.append(_bad(rule, "params", "declared base position differs from the conclusion"))
         named = both if "beta" in takes and n.param("beta") is not None \
             and n.param("t") is not None else takes
-        return out + [_bad(rule, "params", f"rule {rule} takes no parameter {k}")
-                      for k, _ in params if k not in named]
+        keys = [k for k, _ in params]
+        return out + [_bad(rule, "params", f"parameter {k!r} given twice" if k in keys[:i]
+                           else f"rule {rule} takes no parameter {k}")
+                      for i, k in enumerate(keys) if k in keys[:i] or k not in named]
     return check
 
 

@@ -26,10 +26,10 @@ from .calculus import (SCHEMAS, OccurrenceIndex, ProofNode, SystemId, TABLE,
                        ax, and_right, box_left, box_right, bridge_proof,
                        check_proof, cut, edge, eigen_token, imp_left,
                        imp_right, indax, next_right, node, proof_tokens,
-                       rebuild, seq)
+                       rebuild, seq, shift)
 from .errors import TransformError
 from .positions import (LtlPos, PastPos, Position, SeqPos, SetPos, Token,
-                        concat, ltl_add, prefix_replace, seqpos)
+                        ltl_add, prefix_replace, seqpos)
 from .syntax import Box, Imp, Next, PFormula, Sequent, pf
 
 
@@ -223,30 +223,24 @@ def prefix_replace_proof(p: ProofNode, source: SeqPos, target: SeqPos,
 def lift_proof(p: ProofNode, by: Position, sys: SystemId) -> ProofNode:
     """Shift every position of an accepted proof by a fixed amount.
 
-    Sequence positions are prefixed, set positions are united, and linear
-    time positions are added; the rule constraints survive because the
-    shift commutes with every step operation.
+    Each position moves by the rule engine's step, ``calculus.shift``:
+    sequence positions are prefixed, set positions united, linear time
+    positions added.  The rule constraints survive because the shift
+    commutes with every step operation.
     """
     family = TABLE[sys].family
     if not isinstance(by, family):
         raise TransformError(
             f"lift position {by} is not in the {family.__name__} family of {sys.value}")
-    identity = (isinstance(by, SeqPos) and not by.items) or \
-        (isinstance(by, SetPos) and not by.items) or \
-        (isinstance(by, LtlPos) and by.steps == 0 and not by.future)
-    if identity:
+    if by is type(by)() and type(by) is not PastPos:    # the unit, by interning
         rep = check_proof(p, sys)
         if not rep.accepted:
             raise TransformError("ill-formed proof: " + rep.failures[0].message)
         return p
     renamed = canonical_rename(_repairable(p, sys), by.tokens())
-    if isinstance(by, SeqPos):
-        return _map_positions(renamed, lambda q: concat(by, q))
-    if isinstance(by, SetPos):
-        return _map_positions(renamed, lambda q: SetPos(q.items | by.items))
-    if isinstance(by, LtlPos):
-        return _map_positions(renamed, lambda q: ltl_add(q, by))
-    raise TransformError("lifting is not defined for past positions")
+    if type(by) is PastPos:
+        raise TransformError("lifting is not defined for past positions")
+    return _map_positions(renamed, lambda q: shift(by, "+", q))
 
 
 def necessitate(p: ProofNode, sys: SystemId) -> ProofNode:

@@ -15,7 +15,8 @@ import pytest
 
 from twoseq.calculus import (RULES_BY_SYSTEM, TABLE, ProofNode, ScriptNode,
                              SystemId, ax, box_right, check_proof,
-                             check_rule_instance, cut, exc_left, weak_left)
+                             check_rule_instance, cut, exc_left, imp_right,
+                             weak_left)
 from twoseq.positions import LtlPos, PastPos, SeqPos, SetPos, seqpos
 from twoseq.syntax import Box, Next, Prop, Sequent, pf, seq
 
@@ -94,6 +95,17 @@ def test_duplicate_eigen_key_reads_the_first():
     assert _measures(first) == (3, 3, 1, 0)
     second = ProofNode("boxR", (("x", None), ("x", "x")), concl, prem)
     assert _measures(second) == (3, 3, 0, 0)
+
+
+def test_parameter_given_twice_is_a_params_violation():
+    # |- box (p0 -> p0) at [] by boxR over a valid premise, with a second x
+    prem = imp_right(ax(pf(P0, X)))
+    assert check_proof(box_right(prem, "x"), SystemId.K).accepted
+    n = ProofNode("boxR", (("x", "x"), ("x", "y")), box_right(prem, "x").conclusion,
+                  (prem,))
+    assert [(v.condition, v.message) for v in check_rule_instance(n, SystemId.K)] \
+        == [("params", "parameter 'x' given twice")]
+    assert not check_proof(n, SystemId.K).accepted
 
 
 def test_missing_eigen_token_counts_no_eigen_rule():
