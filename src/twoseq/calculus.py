@@ -63,11 +63,10 @@ class SystemId(Enum):
     @classmethod
     def parse(cls, text: str) -> "SystemId":
         key = text.strip().upper().replace(".", "").replace("-", "_")
-        aliases = {m.value.upper(): m for m in cls} | {"LTLI": cls.LTL_INDAX,
-                                                      "LTL_P": cls.LTLP}
-        if key not in aliases:
+        key = {"LTLI": "LTL_INDAX", "LTL_P": "LTLP"}.get(key, key)
+        if key not in cls.__members__:      # each member's name is its value, upper-cased
             raise TwoseqError(f"unknown system: {text!r}")
-        return aliases[key]
+        return cls[key]
 
 
 # the box-left step sizes each shape admits
@@ -1019,10 +1018,10 @@ def _compile(rule: str, table: ConstraintTable):
             out.append(_bad(rule, "params", "declared base position differs from the conclusion"))
         named = both if "beta" in takes and n.param("beta") is not None \
             and n.param("t") is not None else takes
-        keys = [k for k, _ in params]
-        return out + [_bad(rule, "params", f"parameter {k!r} given twice" if k in keys[:i]
+        seen: set = set()       # the keys taken so far; seen.add returns None
+        return out + [_bad(rule, "params", f"parameter {k!r} given twice" if k in seen
                            else f"rule {rule} takes no parameter {k}")
-                      for i, k in enumerate(keys) if k in keys[:i] or k not in named]
+                      for k, _ in params if k in seen or k not in named or seen.add(k)]
     return check
 
 

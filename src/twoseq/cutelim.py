@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .calculus import (CORE_SYSTEMS, SCHEMAS, STRUCTURAL_RULES, Premise,
-                       ProofNode, Sequent, SystemId, TABLE, bridge_proof,
-                       check_proof, cut, cut_position_holds, edge, height,
-                       node, proof_tokens, reapply, seq, subproofs)
+from .calculus import (CORE_SYSTEMS, SCHEMAS, STRUCTURAL_RULES, ProofNode,
+                       Sequent, SystemId, TABLE, bridge_proof, check_proof,
+                       cut, cut_position_holds, edge, height, node,
+                       proof_tokens, reapply, seq, subproofs)
 from .errors import (DegreeUndefinedError, KernelInvariantError,
                      MixHypothesisError, RejectedProofError, TwoseqError,
                      UnsupportedSystemError)
@@ -166,21 +166,21 @@ class _Mixer:
         the whole other proof, both fresh copies (bar the left one under
         ``keep_left``) so that eigen tokens stay unique across duplicated
         sides; then bridge the result so that the premise's active formulas
-        (a structural rule's have none) stay at its edges, around the
-        contexts the mix splices."""
+        stay at its edges, around the contexts the mix splices."""
         s = SCHEMAS.get(pair[k].rule)
-        shape = s.premises[i] if s else Premise()
         prem = prem or pair[k].premises[i]
-        q = prem.conclusion
         a, b = (prem, pair[1]) if k == 0 else (pair[0], prem)
+        mixed = self.run(a if keep_left else _scoped_rename(a, self.src, True),
+                         _scoped_rename(b, self.src, True), measure)
+        if s is None:       # a structural rule's premise has no active formulas
+            return mixed
+        shape, q = s.premises[i], prem.conclusion
         ends = [r.conclusion for r in pair]
         ends[k] = seq(q.ant[:-1] if shape.left else q.ant,
                       q.suc[1:] if shape.right else q.suc)
         w = _mix_target(*ends, self.cutf)
         target = seq(w.ant + q.ant[-1:] if shape.left else w.ant,
                      q.suc[:1] + w.suc if shape.right else w.suc)
-        mixed = self.run(a if keep_left else _scoped_rename(a, self.src, True),
-                         _scoped_rename(b, self.src, True), measure)
         return bridge_proof(mixed, target)
 
     def _principal(self, pair, measure) -> ProofNode:
