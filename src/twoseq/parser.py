@@ -346,18 +346,21 @@ class _Parser:
     def model(self) -> Union[GraphModel, LassoWord]:
         """A lasso word, ``prefix: SET* ; loop: SET+``, or a graph model:
         ``nodes: NAME+``, then ``root: NAME``, ``edges: (NAME -> NAME)*``
-        and ``val: NAME SET`` sections, each naming only listed nodes."""
+        and ``val: NAME SET`` sections, naming listed nodes, one root and
+        one valuation per node at most."""
         if self._label("prefix", "nodes") == "prefix":
             prefix = self._sets()
             self.expect(";")
             self._label("loop")
-            return LassoWord(prefix, (self._set(),) + self._sets())
+            return LassoWord(prefix, (self._set(True),) + self._sets())
         nodes = [self.token_name()]
         while self.peek(1) != ":" and self.peek() != _EOF:
             nodes.append(self._node(nodes, listed=False))
-        root, edges, val = nodes[0], set(), dict.fromkeys(nodes, frozenset())
+        root, edges, val = None, set(), {}
         while self.peek() != _EOF:
             label = self._label("root", "edges", "val")
+            if label == "root" and root is not None:
+                raise self.error("root given twice", self.i - 2)
             if label == "root":
                 root = self._node(nodes)
             while label == "edges" and self.peek(1) != ":" and self.peek() != _EOF:
@@ -366,8 +369,11 @@ class _Parser:
                 edges.add((a, self._node(nodes)))
             if label == "val":
                 n = self._node(nodes)
-                val[n] = self._set()
-        return GraphModel(tuple(nodes), frozenset(edges), root, val)
+                if n in val:
+                    raise self.error(f"valuation of node {n!r} given twice", self.i - 1)
+                val[n] = self._set(True)
+        return GraphModel(tuple(nodes), frozenset(edges), root or nodes[0],
+                          {n: val.get(n, frozenset()) for n in nodes})
 
     def _label(self, *words: str) -> str:
         """A section label: ``WORD :`` for one of ``words``."""
@@ -386,14 +392,19 @@ class _Parser:
                              f"node {name!r} listed twice", self.i - 1)
         return name
 
-    def _set(self) -> frozenset[str]:
+    def _set(self, props: bool = False) -> frozenset[str]:
+        """A token set; with ``props``, a model's, which may name no connective."""
         self.expect("{")
-        return frozenset(self.token_list("}"))
+        start, names = self.i, self.token_list("}")
+        for k in range(start, self.i):
+            if props and self.toks[k] in _UNARY_WORDS:
+                raise self.error(f"{self.toks[k]!r} is a connective, not a proposition", k)
+        return frozenset(names)
 
     def _sets(self) -> tuple[frozenset[str], ...]:
         out = []
         while self.peek() == "{":
-            out.append(self._set())
+            out.append(self._set(True))
         return tuple(out)
 
     def _check_family(self, s: Sequent, sys: SystemId, at: int) -> None:

@@ -9,12 +9,14 @@ class the system's table row gives: reflexive where box-left admits an
 empty step (T, S4), transitive where it admits two tokens (K4, S4), and
 serial, with total maps, where there is no context demand (not K, K4).
 
-Forcing is labelling: node i is bit i, each node's successors are one
-mask (closed as the frame class asks), and each subformula of a compiled
-program (`Sequent.program`) gets the mask of the nodes forcing it.  The
-assignment search reads those masks in an order planned once per
-sequent (`Sequent.segments`).  The fuzzer draws each model straight into
-masks, building a `GraphModel` only to report.
+Forcing is labelling over a pack of models in integer masks: model k's
+node i is bit ``k*W + i``, W being one more than the most nodes a model
+of the pack may have, so each block ends in a guard bit.  Each subformula
+of a compiled program (`Sequent.program`) gets the mask of the nodes
+forcing it, and each model's falsifiability is decided for the whole pack,
+bottom-up over the sequent's positions (`Sequent.segments`).  A
+`GraphModel` is a pack of one.  The fuzzer draws packs and searches for a
+witness assignment only on the first falsified model.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .positions import SeqPos
 from .syntax import (Box, Dia, Formula, PFormula, Sequent, compile_formulas,
                      label_program, positions_of, segment_plan, sequent_atoms)
 
+_FIRST_PACK, _PACK_CAP = 16, 256    # the fuzzer's pack sizes double between these
+
 
 @dataclass
 class GraphModel:
@@ -41,90 +45,121 @@ class GraphModel:
 
 
 class _Frame:
-    """A model under one system, as node masks: ``edges[i]`` and ``succ[i]``
-    for node i's successors as drawn and as closed for the system,
-    ``atoms[a]`` for the nodes where a holds."""
+    """Models under one system as a pack: ``edges[i]`` and ``rows[i]``
+    hold node i's successors in every block, as drawn and as closed for
+    the system, ``atoms[a]`` the nodes where a holds, ``full`` all nodes,
+    ``low`` bit 0 of each block and ``ones`` all bits but the guard."""
 
-    def __init__(self, sys: SystemId, names: tuple[str, ...],
-                 edges: list[int], atoms: dict[str, int]):
-        self.sys, self.names, self.edges, self.atoms = sys, names, edges, atoms
-        self.full = (1 << len(names)) - 1
-        succ, row = list(edges), TABLE[sys]
-        if row.admits(2):
-            for k in range(len(succ)):
-                for i, s in enumerate(succ):
-                    if s >> k & 1:
-                        succ[i] = s | succ[k]
+    def __init__(self, sys: SystemId, names: tuple[str, ...], width: int,
+                 full: int, edges: list[int], atoms: dict[str, int]):
+        self.sys, self.names, self.width, self.full = sys, names, width, full
+        self.edges, self.atoms = edges, atoms
+        low, data = sum(1 << b for b in range(0, full.bit_length(), width)), (1 << width - 1) - 1
+        self.low, self.ones, self.guard = low, low * data, low << width - 1
+        rows, row = list(edges), TABLE[sys]
+        if row.admits(2):       # Warshall: where i sees k, i sees all k sees
+            for k in range(len(rows)):
+                rows = [r | ((r >> k & low) * data & rows[k]) for r in rows]
         if row.admits(0):
-            succ = [s | 1 << i for i, s in enumerate(succ)]
-        self.succ = succ
+            rows = [r | (low << i & full) for i, r in enumerate(rows)]
+        self.rows = rows
+        self.dead_ends = self.some(full & ~self.step(Dia, full))     # per block
 
     @classmethod
-    def draw(cls, rng: random.Random, sys: SystemId,
-             atoms: frozenset[str]) -> _Frame:
-        """The model `random_model` describes, drawn straight into masks."""
-        size, coin = rng.randint(2, 6), rng.random
-        edges = [0] * size
-        for i in range(size):
-            for j in range(size):
-                if coin() < 0.4:
-                    edges[i] |= 1 << j
-        if not (TABLE[sys].context_demand or TABLE[sys].admits(0)):  # D: serial, not reflexive
-            edges = [s or 1 << rng.randrange(size) for s in edges]
+    def draw(cls, rng: random.Random, sys: SystemId, atoms: frozenset[str],
+             count: int = 1) -> _Frame:
+        """``count`` models as `random_model` describes them, drawn in its
+        order of random numbers straight into one pack."""
+        coin, width, full, edges = rng.random, 7, 0, [0] * 6    # up to 6 nodes
+        repair = not (TABLE[sys].context_demand or TABLE[sys].admits(0))
         masks = dict.fromkeys(sorted(atoms) or ["p0"], 0)
-        for i in range(size):
-            for a in masks:
-                if coin() < 0.5:
-                    masks[a] |= 1 << i
-        return cls(sys, tuple(f"n{i}" for i in range(size)), edges, masks)
+        for base in range(0, count * width, width):
+            size = rng.randint(2, 6)
+            full |= (1 << size) - 1 << base
+            for i in range(size):
+                for j in range(size):
+                    if coin() < 0.4:
+                        edges[i] |= 1 << base + j
+            for i in range(size):       # D: serial, not reflexive
+                if repair and not edges[i] >> base:
+                    edges[i] |= 1 << base + rng.randrange(size)
+            for i in range(size):
+                for a in masks:
+                    if coin() < 0.5:
+                        masks[a] |= 1 << base + i
+        return cls(sys, tuple(f"n{i}" for i in range(6)), width, full, edges, masks)
 
-    def model(self) -> GraphModel:
-        """The drawn edges and valuation as a model rooted at node 0."""
-        ns, bits = self.names, list(enumerate(self.names))
-        edges = frozenset((a, b) for a, s in zip(ns, self.edges)
-                          for j, b in bits if s >> j & 1)
-        return GraphModel(ns, edges, ns[0], {n: frozenset(
-            a for a, x in self.atoms.items() if x >> i & 1) for i, n in bits})
+    def model(self, k: int = 0) -> GraphModel:
+        """Model k's drawn edges and valuation, rooted at its node 0."""
+        base = k * self.width
+        ns = self.names[:(self.full >> base & (1 << self.width) - 1).bit_length()]
+        edges = frozenset((a, b) for i, a in enumerate(ns) for j, b in enumerate(ns)
+                          if self.edges[i] >> base + j & 1)
+        val = {n: frozenset(a for a, x in self.atoms.items() if x >> base + i & 1)
+               for i, n in enumerate(ns)}
+        return GraphModel(ns, edges, ns[0], val)
 
-    def _step(self, op: type, x: int) -> int:
+    def some(self, x: int) -> int:
+        """Bit 0 of each block where x (no guard bit set) is nonzero."""
+        return (x + self.ones & self.guard) >> self.width - 1
+
+    def step(self, op: type, x: int) -> int:
+        """The nodes with a successor in x (dia) or none outside it (box)."""
         if op is Box:
             x ^= self.full
-            return sum(1 << i for i, s in enumerate(self.succ) if not s & x)
-        if op is Dia:
-            return sum(1 << i for i, s in enumerate(self.succ) if s & x)
-        raise TwoseqError("graph forcing covers only the box/dia fragment")
+        elif op is not Dia:
+            raise TwoseqError("graph forcing covers only the box/dia fragment")
+        y = sum(self.some(r & x) << i for i, r in enumerate(self.rows))
+        return self.full ^ y if op is Box else y
 
     def truth_sets(self, code: list[tuple], roots: list[int]) -> list[int]:
         """The mask of nodes forcing each root of a program."""
-        masks = label_program(code, self.full, self.atoms, self._step)
+        masks = label_program(code, self.full, self.atoms, self.step)
         return [masks[r] for r in roots]
+
+    def falsified(self, s: Sequent) -> int:
+        """Bit 0 of each block whose model has an admissible assignment
+        falsifying s.  ``ok[i]``, children first, is where position i may go
+        with its subtree below it; each position leads to one with a formula,
+        so none stays undefined (an empty s falls to the empty map)."""
+        req, parent, slots = s.segments
+        ok = [self.full] * len(req)
+        for k, (i, mask) in enumerate(zip(slots, self.truth_sets(*s.program))):
+            ok[i] &= mask if k < len(s.ant) else ~mask
+        for c in range(len(req) - 1, 0, -1):
+            ok[parent[c]] &= self.step(Dia, ok[c])
+        out = self.some(ok[0]) if req else self.low
+        return out if TABLE[self.sys].context_demand else out & ~self.dead_ends
+
+
+def _core(sys: SystemId) -> None:
+    if sys not in CORE_SYSTEMS:
+        raise TwoseqError(f"no graph semantics for system {sys.value}")
 
 
 def _frame(m: GraphModel | _Frame, sys: SystemId) -> _Frame:
-    """A model as a frame under the system; a frame must be drawn for it."""
-    if sys not in CORE_SYSTEMS:
-        raise TwoseqError(f"no graph semantics for system {sys.value}")
-    if isinstance(m, _Frame) and m.sys is not sys:
-        raise TwoseqError(f"a frame drawn for {m.sys.value} cannot be read under {sys.value}")
+    """A model as a pack of one under the system, or a pack drawn for the
+    system; the readers below read a pack's first model."""
+    _core(sys)
     if isinstance(m, _Frame):
+        if m.sys is not sys:
+            raise TwoseqError(f"a frame drawn for {m.sys.value} cannot be read under {sys.value}")
         return m
-    names = tuple(dict.fromkeys(m.nodes))
-    index = {n: i for i, n in enumerate(names)}
-    atoms: dict[str, int] = {}
-    for i, n in enumerate(names):
-        for a in m.valuation[n]:
-            atoms[a] = atoms.get(a, 0) | 1 << i
-    edges = [0] * len(names)
+    bit = {n: 1 << i for i, n in enumerate(dict.fromkeys(m.nodes))}
+    edges, atoms = dict.fromkeys(bit, 0), dict[str, int]()
     for a, b in m.edges:
-        edges[index[a]] |= 1 << index[b]
-    return _Frame(sys, names, edges, atoms)
+        edges[a] |= bit[b]
+    for n in bit:
+        for a in m.valuation[n]:
+            atoms[a] = atoms.get(a, 0) | bit[n]
+    return _Frame(sys, tuple(bit), len(bit) + 1, sum(bit.values()), list(edges.values()), atoms)
 
 
 def accessibility(m: GraphModel | _Frame, sys: SystemId) -> dict[str, frozenset[str]]:
     """Successor sets under the system's closure of the edge relation."""
     f = _frame(m, sys)
     return {n: frozenset(x for j, x in enumerate(f.names) if s >> j & 1)
-            for n, s in zip(f.names, f.succ)}
+            for i, (n, s) in enumerate(zip(f.names, f.rows)) if f.full >> i & 1}
 
 
 def forces(m: GraphModel | _Frame, sys: SystemId, n: str, f: Formula) -> bool:
@@ -174,7 +209,7 @@ def admissible_assignments(m: GraphModel | _Frame, sys: SystemId,
     formulas, forces a succedent one, or stays undefined but carries one.
     """
     frame, partial = _frame(m, sys), TABLE[sys].context_demand
-    if not (partial or all(frame.succ)):
+    if not partial and frame.dead_ends & 1:
         return
     positions = list(positions)
     if falsifying is None:
@@ -198,7 +233,7 @@ def admissible_assignments(m: GraphModel | _Frame, sys: SystemId,
         if p < 0:
             out += [j for j in range(len(frame.names)) if allowed[i] >> j & 1]
         elif node[p] >= 0:
-            mask = allowed[i] & frame.succ[node[p]]
+            mask = allowed[i] & frame.rows[node[p]]
             out += [j for j in by_name if mask >> j & 1]
         return iter(out)
 
@@ -251,16 +286,22 @@ def soundness_fuzz(target, sys: SystemId, budget: int,
     The target is an accepted proof (its end sequent is tested) or a bare
     sequent.  Accepted proofs must survive any budget; a counterexample
     witnesses a kernel bug (or an unprovable sequent, when one is passed
-    directly).
+    directly).  The models are drawn in packs of doubling size, each
+    decided at once; the first falsified one is searched for its witness.
     """
     if budget < 1:
         raise TwoseqError(f"fuzz budget must be at least 1, not {budget}")
+    _core(sys)
     end_sequent = target if isinstance(target, Sequent) else target.conclusion
-    rng = random.Random(seed)
-    atoms = sequent_atoms(end_sequent)
-    for i in range(budget):
-        frame = _Frame.draw(rng, sys, atoms)
-        rho = check_sequent_on_model(frame, sys, end_sequent)
-        if rho is not None:
-            return Verdict(False, i + 1, frame.model(), rho)
+    rng, atoms = random.Random(seed), sequent_atoms(end_sequent)
+    tried, count = 0, _FIRST_PACK
+    while tried < budget:
+        count = min(count, budget - tried)
+        pack = _Frame.draw(rng, sys, atoms, count)
+        hits = pack.falsified(end_sequent)
+        if hits:
+            k = ((hits & -hits).bit_length() - 1) // pack.width
+            m = pack.model(k)
+            return Verdict(False, tried + k + 1, m, check_sequent_on_model(m, sys, end_sequent))
+        tried, count = tried + count, min(2 * count, _PACK_CAP)
     return Verdict(True, budget)

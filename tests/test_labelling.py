@@ -18,12 +18,13 @@ from twoseq import semantics
 from twoseq.calculus import CORE_SYSTEMS, SystemId
 from twoseq.errors import TwoseqError
 from twoseq.ltl import LassoWord, eval_at
-from twoseq.parser import parse_sequent
+from twoseq.parser import parse_model, parse_sequent, render_model
 from twoseq.positions import SeqPos, initials, seqpos
 from twoseq.semantics import (GraphModel, _Frame, admissible_assignments,
                               check_sequent_on_model, forces, random_model,
-                              sequent_holds)
-from twoseq.syntax import Box, Dia, Next, Not, PFormula, Prop, Sequent
+                              sequent_holds, soundness_fuzz)
+from twoseq.syntax import (Box, Dia, Next, Not, PFormula, Prop, Sequent,
+                           sequent_atoms)
 
 ATOMS = ("p0", "p1")
 PROPERTY = settings(max_examples=150, deadline=None,
@@ -156,15 +157,17 @@ def test_random_model_matches_the_reference_sampler():
 
 
 def test_modal_fuzz_work_over_the_verdict_subjects(monkeypatch):
-    """Models checked and assignments yielded over every modal record of
-    the verdict golden, counted through module attributes as the
-    benchmark's tracer counts them."""
-    counts = {"models": 0, "assignments": 0}
+    """Models tried, witness searches and assignments yielded over every
+    modal record of the verdict golden.  The models are read off the
+    verdicts; searches and yields are counted through module attributes
+    as the benchmark's tracer counts them, and a pack searches only its
+    first falsified model, so each counterexample costs one search."""
+    counts = {"models": 0, "searches": 0, "assignments": 0}
     check = semantics.check_sequent_on_model
     search = semantics.admissible_assignments
 
     def counted_check(*args, **kwargs):
-        counts["models"] += 1
+        counts["searches"] += 1
         return check(*args, **kwargs)
 
     def counted_search(*args, **kwargs):
@@ -178,8 +181,135 @@ def test_modal_fuzz_work_over_the_verdict_subjects(monkeypatch):
         if family is SeqPos:
             for sys in CORE_SYSTEMS:
                 for seed in fuzz_verdicts.SEEDS:
-                    fuzz_verdicts.verdict(s, sys, seed)
-    assert counts == {"models": 6532, "assignments": 108}
+                    counts["models"] += fuzz_verdicts.verdict(s, sys, seed)["tried"]
+    assert counts == {"models": 6532, "searches": 108, "assignments": 108}
+
+
+def _decisions(pack: _Frame, s: Sequent, count: int) -> list[bool]:
+    """The pack's verdict for each of its models: falsified or not."""
+    hits = pack.falsified(s)
+    return [bool(hits >> k * pack.width & 1) for k in range(count)]
+
+
+@st.composite
+def pack_case(draw):
+    """A core system, a sequent over up to three positions with at most
+    five initial segments (so the reference stays quick on six nodes),
+    and a pack of drawn models."""
+    sys, _, positions, s = draw(model_case().filter(
+        lambda c: len(initials(c[2])) <= 5))
+    count = draw(st.integers(1, 12))
+    return sys, s, _Frame.draw(random.Random(draw(st.integers(0, 2 ** 32))),
+                               sys, frozenset(ATOMS), count), count
+
+
+@PROPERTY
+@given(pack_case())
+def test_a_pack_decides_each_model_like_the_oracle(case):
+    sys, s, pack, count = case
+    want = [oracle.check_sequent_on_model(pack.model(k), sys, s) is not None
+            for k in range(count)]
+    assert _decisions(pack, s, count) == want
+
+
+# refuted only where a position may stay undefined or where no node is
+# a dead end, by the empty map, or along a chain of three positions
+PACK_SEQUENTS = [parse_sequent(t) for t in (
+    "|-", "p0 @ [x] |- p0 @ [y]", "box p0 @ [] |- p0 @ [x]",
+    "|- dia (p0 -> p0) @ []", "p0 @ [x,y,z], box p1 @ [x] |- p1 @ [x,y,z], p0 @ [y]",
+)]
+
+
+@pytest.mark.parametrize("sys", CORE_SYSTEMS, ids=lambda s: s.value)
+def test_packs_of_64_decide_like_the_oracle_with_dead_ends(sys):
+    """Drawn packs, dead ends included: the serial systems admit no map
+    on a model with one, K and K4 still admit partial ones."""
+    pack = _Frame.draw(random.Random(29), sys, frozenset(ATOMS), 64)
+    dead = [bool(pack.dead_ends >> k * pack.width & 1) for k in range(64)]
+    assert any(dead) == (sys in (SystemId.K, SystemId.K4))
+    for s in PACK_SEQUENTS:
+        want = [oracle.check_sequent_on_model(pack.model(k), sys, s) is not None
+                for k in range(64)]
+        assert _decisions(pack, s, 64) == want, s
+        if sys is SystemId.K and not s.pformulas():
+            assert all(want) and any(dead)
+
+
+@st.composite
+def wide_model(draw):
+    """A parsed graph on 9 to 12 nodes, wider than a drawn block."""
+    nodes = tuple(f"n{i}" for i in range(draw(st.integers(9, 12))))
+    edges = draw(st.sets(st.tuples(st.sampled_from(nodes),
+                                   st.sampled_from(nodes)), max_size=40))
+    val = {n: frozenset(draw(st.sets(st.sampled_from(ATOMS)))) for n in nodes}
+    return parse_model(render_model(GraphModel(nodes, frozenset(edges), nodes[0], val)))
+
+
+@PROPERTY
+@given(st.sampled_from(CORE_SYSTEMS), wide_model(),
+       st.lists(st.builds(PFormula, formula_st("modal"),
+                          st.sampled_from([seqpos(), seqpos("x"), seqpos("y")])),
+                max_size=4))
+def test_a_wide_model_is_a_pack_of_one(sys, m, pfs):
+    s = Sequent(tuple(pfs[:len(pfs) // 2]), tuple(pfs[len(pfs) // 2:]))
+    pack = semantics._frame(m, sys)
+    assert pack.width == len(m.nodes) + 1
+    assert _decisions(pack, s, 1) == [
+        oracle.check_sequent_on_model(m, sys, s) is not None]
+    for q in s.pformulas():
+        for n in m.nodes:
+            assert forces(m, sys, n, q.formula) == \
+                oracle.forces(m, sys, n, q.formula)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(SystemId)), st.integers(0, 2 ** 32),
+       st.integers(1, 40), st.sampled_from([(), ("p0",), ("p1", "p3", "q")]))
+def test_a_drawn_pack_is_its_models_drawn_in_turn(sys, seed, count, atoms):
+    rng, ref = random.Random(seed), random.Random(seed)
+    pack = _Frame.draw(rng, sys, frozenset(atoms), count)
+    want = [oracle.random_model(ref, sys, frozenset(atoms)) for _ in range(count)]
+    assert [pack.model(k) for k in range(count)] == want
+    assert rng.getstate() == ref.getstate()
+
+
+def _reference_fuzz(s: Sequent, sys: SystemId, budget: int, seed: int):
+    rng, atoms = random.Random(seed), sequent_atoms(s)
+    for i in range(budget):
+        m = oracle.random_model(rng, sys, atoms)
+        rho = oracle.check_sequent_on_model(m, sys, s)
+        if rho is not None:
+            return "counterexample", i + 1, render_model(m), list(rho.items())
+    return "valid-so-far", budget, None, None
+
+
+# per core system: a valid sequent, and an invalid one with a seed whose
+# first counterexample lies past the first pack (at 17, 32, 116, 20, 173)
+BOUNDARY_CASES = {
+    SystemId.K: ("box (p0 -> p1) @ [], box p0 @ [] |- box p1 @ []",
+                 "dia dia dia p0 @ [] |- dia dia p0 @ []", 8),
+    SystemId.D: ("|- dia (p0 -> p0) @ []",
+                 "dia box p0 @ [] |- box dia p0 @ [], p0 @ []", 11),
+    SystemId.T: ("box p0 @ [] |- p0 @ []",
+                 "dia dia dia p0 @ [] |- dia dia p0 @ []", 6),
+    SystemId.K4: ("box p0 @ [] |- box box p0 @ []",
+                  "dia box p0 @ [] |- box dia p0 @ [], p0 @ []", 9),
+    SystemId.S4: ("dia dia p0 @ [] |- dia p0 @ []",
+                  "dia box p0 @ [] |- box dia p0 @ [], p0 @ []", 19),
+}
+
+
+@pytest.mark.parametrize("sys", CORE_SYSTEMS, ids=lambda s: s.value)
+def test_pack_boundaries_keep_the_verdict_of_one_model_at_a_time(sys):
+    valid, invalid, seed = BOUNDARY_CASES[sys]
+    for text in (valid, invalid):
+        s = parse_sequent(text)
+        for budget in (1, 15, 16, 17, 60, 200, 1000):
+            v = soundness_fuzz(s, sys, budget, seed)
+            got = (v.kind, v.models_tried, v.model and render_model(v.model),
+                   v.rho and list(v.rho.items()))
+            assert got == _reference_fuzz(s, sys, budget, seed), (text, budget)
+    assert soundness_fuzz(parse_sequent(invalid), sys, 1000, seed).models_tried > 16
 
 
 # sequents whose positions, with FRAME_EXTRA, have at most four initial

@@ -203,11 +203,26 @@ def test_model_errors():
     ("nodes: n0\nval: n0 {p0} {p1}", "expected 'root:' or 'edges:' or 'val:', found '{'", 2, 14),
     ("# a comment\nnodes:\n", "expected 'ident', found ''", 3, 1),
     ("edges: n0->n0", "expected 'prefix:' or 'nodes:', found 'edges'", 1, 1),
+    ("nodes: a b\nroot: a\nroot: b\nval: a {p}\nval: a {q}", "root given twice", 3, 1),
+    ("nodes: a b\nval: a {p}\nroot: b\nval: a {q}",
+     "valuation of node 'a' given twice", 4, 6),
+    ("nodes: a\nval: a {box, X}", "'box' is a connective, not a proposition", 2, 9),
+    ("prefix: {p0} ; loop: {p1, dia}", "'dia' is a connective, not a proposition", 1, 27),
 ])
 def test_malformed_models_are_refused_at_the_token(text, message, line, col):
     with pytest.raises(ParseError) as e:
         parse_model(text)
     assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+
+@pytest.mark.parametrize("word", ["box", "dia", "X", "Y", "H", "P"])
+def test_model_propositions_may_not_be_connective_words(word):
+    for text in (f"nodes: n0\nval: n0 {{p0, {word}}}", f"prefix: ; loop: {{{word}}}"):
+        with pytest.raises(ParseError, match=f"'{word}' is a connective"):
+            parse_model(text)
+    # a node or a position token is never read as a formula, so may be one
+    assert parse_model(f"nodes: {word}\nval: {word} {{p0}}").nodes == (word,)
+    assert parse_position(f"[{word}]") == seqpos(word)
 
 
 def test_models_follow_the_common_lexical_rules():
