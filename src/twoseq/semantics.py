@@ -141,18 +141,20 @@ def _frame(m: GraphModel | _Frame, sys: SystemId) -> _Frame:
     """A model as a pack of one under the system, or a pack drawn for the
     system; the readers below read a pack's first model."""
     _core(sys)
+    if isinstance(m, _Frame) and m.sys is not sys:
+        raise TwoseqError(f"a frame drawn for {m.sys.value} cannot be read under {sys.value}")
     if isinstance(m, _Frame):
-        if m.sys is not sys:
-            raise TwoseqError(f"a frame drawn for {m.sys.value} cannot be read under {sys.value}")
         return m
-    bit = {n: 1 << i for i, n in enumerate(dict.fromkeys(m.nodes))}
-    edges, atoms = dict.fromkeys(bit, 0), dict[str, int]()
-    for a, b in m.edges:
-        edges[a] |= bit[b]
-    for n in bit:
+    names = tuple(dict.fromkeys(m.nodes))
+    index = {n: i for i, n in enumerate(names)}
+    atoms: dict[str, int] = {}
+    for i, n in enumerate(names):
         for a in m.valuation[n]:
-            atoms[a] = atoms.get(a, 0) | bit[n]
-    return _Frame(sys, tuple(bit), len(bit) + 1, sum(bit.values()), list(edges.values()), atoms)
+            atoms[a] = atoms.get(a, 0) | 1 << i
+    edges = [0] * len(names)
+    for a, b in m.edges:
+        edges[index[a]] |= 1 << index[b]
+    return _Frame(sys, names, len(names) + 1, (1 << len(names)) - 1, edges, atoms)
 
 
 def accessibility(m: GraphModel | _Frame, sys: SystemId) -> dict[str, frozenset[str]]:

@@ -212,8 +212,9 @@ def test_a_pack_decides_each_model_like_the_oracle(case):
     assert _decisions(pack, s, count) == want
 
 
-# refuted only where a position may stay undefined or where no node is
-# a dead end, by the empty map, or along a chain of three positions
+# the empty sequent (falsified by the empty map, unless a serial system
+# meets a dead end), sibling and parent-child positions, a formula every
+# serial model forces, and a chain of three positions
 PACK_SEQUENTS = [parse_sequent(t) for t in (
     "|-", "p0 @ [x] |- p0 @ [y]", "box p0 @ [] |- p0 @ [x]",
     "|- dia (p0 -> p0) @ []", "p0 @ [x,y,z], box p1 @ [x] |- p1 @ [x,y,z], p0 @ [y]",
