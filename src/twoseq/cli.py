@@ -18,8 +18,7 @@ from .calculus import (TABLE, LtlPos, ProofNode, SystemId, check_proof,
                        expand_double_lines)
 from .cutelim import eliminate_cuts, is_cut_free, verify_subformula_property
 from .errors import RejectedProofError, TwoseqError
-from .ltl import (LassoWord, exhaustive_valuations, ltl_soundness_fuzz,
-                  sequent_checker)
+from .ltl import exhaustive_valuations, ltl_soundness_fuzz, sequent_checker
 from .parser import (parse_model, parse_proof, parse_sequent, render_model,
                      render_proof)
 from .semantics import (GraphModel, check_sequent_on_model, soundness_fuzz)
@@ -128,7 +127,8 @@ def cmd_eval(args) -> int:
               "holds in every admissible assignment" if holds
               else "fails under the assignment " + json.dumps(detail))
         return 0 if holds else 1
-    assert isinstance(model, LassoWord)
+    if TABLE[sys_id].family is not LtlPos:
+        raise TwoseqError(f"no lasso semantics for system {sys_id.value}")
     tokens = tuple(sorted(tokens_of(sequent)))
     holds = sequent_checker(model, sequent)
     for a in exhaustive_valuations(tokens, args.bound):

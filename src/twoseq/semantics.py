@@ -27,8 +27,8 @@ from typing import Iterable, Iterator, Optional
 
 from .calculus import CORE_SYSTEMS, TABLE, SystemId
 from .errors import TwoseqError
-from .positions import SeqPos
-from .syntax import (Box, Dia, Formula, PFormula, Sequent, compile_formulas,
+from .positions import LtlPos, SeqPos
+from .syntax import (Box, Dia, Formula, Next, PFormula, Sequent, compile_formulas,
                      label_program, positions_of, segment_plan, sequent_atoms)
 
 _FIRST_PACK, _PACK_CAP = 16, 256    # the fuzzer's pack sizes double between these
@@ -104,12 +104,16 @@ class _Frame:
         return (x + self.ones & self.guard) >> self.width - 1
 
     def step(self, op: type, x: int) -> int:
-        """The nodes with a successor in x (dia) or none outside it (box)."""
+        """The nodes with a successor in x (dia) or none outside it (box);
+        on a lasso pack (`ltl`), Next is dia over the drawn edges."""
+        linear = TABLE[self.sys].family is LtlPos
         if op is Box:
             x ^= self.full
-        elif op is not Dia:
-            raise TwoseqError("graph forcing covers only the box/dia fragment")
-        y = sum(self.some(r & x) << i for i, r in enumerate(self.rows))
+        elif op is not Dia and not (op is Next and linear):
+            raise TwoseqError("the natural-number semantics has no past" if linear
+                              else "graph forcing covers only the box/dia fragment")
+        rows = self.edges if op is Next else self.rows
+        y = sum(self.some(r & x) << i for i, r in enumerate(rows))
         return self.full ^ y if op is Box else y
 
     def truth_sets(self, code: list[tuple], roots: list[int]) -> list[int]:

@@ -1,14 +1,15 @@
 """Reference copies of the recursive, memoised Kripke forcing, assignment
 enumeration and lasso evaluation that the labelling kernel replaced, and
-of the model sampler that drew names, edge pairs and valuation sets.
+of the samplers that drew names, edge pairs and valuation sets, and
+lasso letters.
 
 The bodies are kept verbatim from the last recursive version of
-``twoseq.semantics`` and ``twoseq.ltl`` (and from the last sampler that
-built a ``GraphModel`` directly); only the imports differ.  The
-property tests compare the kernel with them: the same forcing verdicts,
-the same admissible assignments in the same order, the same first
-falsifying assignment, the same lasso truth values, and the same drawn
-model from the same random numbers.  They are slow
+``twoseq.semantics`` and ``twoseq.ltl`` (and from the last samplers that
+built a ``GraphModel`` or a ``LassoWord`` directly); only the imports
+differ.  The property tests compare the kernel with them: the same
+forcing verdicts, the same admissible assignments in the same order, the
+same first falsifying assignment, the same lasso truth values, and the
+same drawn model or word from the same random numbers.  They are slow
 (``eval_at`` is exponential in box/dia nesting), so keep inputs small.
 """
 
@@ -176,6 +177,14 @@ def random_model(rng: random.Random, sys: SystemId,
         n: frozenset(a for a in pool if rng.random() < 0.5) for n in nodes
     }
     return GraphModel(nodes, frozenset(edges), nodes[0], valuation)
+
+
+def random_lasso(rng: random.Random, atoms: tuple[str, ...]) -> LassoWord:
+    def letters(k: int) -> tuple[frozenset[str], ...]:
+        return tuple(frozenset(a for a in atoms if rng.random() < 0.5)
+                     for _ in range(k))
+
+    return LassoWord(letters(rng.randint(0, 4)), letters(rng.randint(1, 3)))
 
 
 def check_sequent_on_model(m: GraphModel, sys: SystemId,

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import twoseq
-from twoseq.calculus import SystemId
+from twoseq.calculus import TABLE, SystemId
 from twoseq.cli import main
+from twoseq.positions import LtlPos
 from twoseq.parser import parse_proof, render_proof
 from twoseq.calculus import check_proof, expand_double_lines
 import twoseq.corpus as corpus
@@ -170,6 +171,17 @@ def test_eval_lasso(files, capsys):
     good = files("s2.2sq", "|- box p0 -> X p0 @ (0;{x})")
     assert main(["eval", "--model", model, "--sequent", good,
                  "--system", "LTL"]) == 0
+
+
+@pytest.mark.parametrize("system", [s.value for s in SystemId
+                                    if TABLE[s].family is not LtlPos])
+def test_eval_refuses_a_lasso_under_a_system_without_lasso_semantics(files, capsys, system):
+    model = files("w.2sm", "prefix: {p0} ; loop: {}")
+    sequent = files("s.2sq", "|- p0 @ (0;{})")
+    assert main(["eval", "--model", model, "--sequent", sequent,
+                 "--system", system]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: no lasso semantics for system {system}\n"
 
 
 def test_fuzz_modal_and_json(files, capsys):

@@ -14,17 +14,18 @@ from hypothesis import strategies as st
 import fuzz_verdicts
 import semantics_oracle as oracle
 from strategies import formula_st, prop_names
-from twoseq import semantics
+from twoseq import ltl, semantics
 from twoseq.calculus import CORE_SYSTEMS, SystemId
 from twoseq.errors import TwoseqError
-from twoseq.ltl import LassoWord, eval_at
+from twoseq.ltl import (LassoWord, a_value, eval_at, ltl_soundness_fuzz,
+                        random_lasso, sequent_satisfied)
 from twoseq.parser import parse_model, parse_sequent, render_model
-from twoseq.positions import SeqPos, initials, seqpos
+from twoseq.positions import LtlPos, SeqPos, initials, seqpos
 from twoseq.semantics import (GraphModel, _Frame, admissible_assignments,
                               check_sequent_on_model, forces, random_model,
                               sequent_holds, soundness_fuzz)
 from twoseq.syntax import (Box, Dia, Next, Not, PFormula, Prop, Sequent,
-                           sequent_atoms)
+                           sequent_atoms, tokens_of)
 
 ATOMS = ("p0", "p1")
 PROPERTY = settings(max_examples=150, deadline=None,
@@ -183,6 +184,28 @@ def test_modal_fuzz_work_over_the_verdict_subjects(monkeypatch):
                 for seed in fuzz_verdicts.SEEDS:
                     counts["models"] += fuzz_verdicts.verdict(s, sys, seed)["tried"]
     assert counts == {"models": 6532, "searches": 108, "assignments": 108}
+
+
+def test_linear_time_fuzz_work_over_the_verdict_subjects(monkeypatch):
+    """Words tried, `sequent_satisfied` calls and counterexamples over
+    every linear-time record of the verdict golden.  The words are read
+    off the verdicts; a pack decides its words without that per-word
+    check, so the fuzzer makes none of those calls."""
+    counts = {"words": 0, "satisfied": 0, "counterexamples": 0}
+    satisfied = ltl.sequent_satisfied
+
+    def counted(*args):
+        counts["satisfied"] += 1
+        return satisfied(*args)
+
+    monkeypatch.setattr(ltl, "sequent_satisfied", counted)
+    for _, family, s in fuzz_verdicts.subjects():
+        if family is LtlPos:
+            for seed in fuzz_verdicts.SEEDS:
+                v = fuzz_verdicts.verdict(s, SystemId.LTL, seed)
+                counts["words"] += v["tried"]
+                counts["counterexamples"] += v["kind"] == "counterexample"
+    assert counts == {"words": 4228, "satisfied": 0, "counterexamples": 12}
 
 
 def _decisions(pack: _Frame, s: Sequent, count: int) -> list[bool]:
@@ -359,3 +382,94 @@ def test_a_frame_is_read_only_under_the_system_it_was_drawn_for():
     frame = _Frame.draw(random.Random(3), SystemId.K, frozenset(ATOMS))
     with pytest.raises(TwoseqError, match="drawn for K cannot be read under S4"):
         check_sequent_on_model(frame, SystemId.S4, FRAME_SEQUENTS[0])
+
+
+TOKEN_SETS = [(), ("x",), ("x", "y")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 40),
+       st.sampled_from([("p0",), ("p0", "p1"), ("p1", "p3", "q")]),
+       st.sampled_from(TOKEN_SETS), st.sampled_from([0, 1, 4]))
+def test_a_drawn_lasso_pack_is_its_words_drawn_in_turn(seed, count, atoms, tokens, bound):
+    """The pack's words and valuations are those of ``count`` calls of the
+    sampler, each followed by its valuation's draws, and no number more
+    is drawn."""
+    rng, ref, one = (random.Random(seed) for _ in range(3))
+    pack, shapes = ltl._draw(rng, atoms, count, tokens, bound)
+    want = []
+    for _ in range(count):
+        w = oracle.random_lasso(ref, atoms)
+        want.append((w, {x: ref.randint(0, bound) for x in tokens}))
+        assert random_lasso(one, atoms) == w
+        assert {x: one.randint(0, bound) for x in tokens} == want[-1][1]
+    assert [(ltl._word(pack, shapes, k), shapes[k][2]) for k in range(count)] == want
+    assert rng.getstate() == ref.getstate() == one.getstate()
+
+
+LTL_POSITIONS = [LtlPos(0), LtlPos(1), LtlPos(0, frozenset("x")),
+                 LtlPos(2, frozenset("y")), LtlPos(1, frozenset("xy"))]
+
+
+@st.composite
+def lasso_pack_case(draw):
+    """A sequent over step and token-set positions, a bound and a drawn
+    pack of words with their valuations."""
+    side = st.lists(st.builds(PFormula, formula_st("ltl"),
+                              st.sampled_from(LTL_POSITIONS)), max_size=3)
+    s = Sequent(tuple(draw(side)), tuple(draw(side)))
+    bound, count = draw(st.sampled_from([0, 1, 4])), draw(st.integers(1, 12))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    atoms = tuple(sorted(sequent_atoms(s))) or ("p0",)
+    return s, count, ltl._draw(rng, atoms, count, tuple(sorted(tokens_of(s))), bound)
+
+
+@PROPERTY
+@given(lasso_pack_case())
+def test_a_lasso_pack_decides_each_word_like_the_oracle(case):
+    s, count, (pack, shapes) = case
+    hits = ltl._falsified(pack, pack.truth_sets(*s.program), shapes, s)
+    for k in range(count):
+        w, a = ltl._word(pack, shapes, k), shapes[k][2]
+        sat = [oracle.eval_at(w, a_value(a, q.pos), q.formula) for q in s.pformulas()]
+        holds = not all(sat[:len(s.ant)]) or any(sat[len(s.ant):])
+        assert bool(hits >> k * pack.width & 1) == (not holds) == \
+            (not sequent_satisfied(w, a, s)), k
+
+
+@PROPERTY
+@given(st.lists(letter_st, min_size=6, max_size=6),
+       st.lists(letter_st, min_size=5, max_size=5), formula_st("ltl"))
+def test_a_wide_parsed_word_is_a_pack_of_one(prefix, loop, f):
+    w = parse_model(render_model(LassoWord(tuple(prefix), tuple(loop))))
+    assert ltl._one(w).width == 12
+    for t in range(21):
+        assert eval_at(w, t, f) == oracle.eval_at(w, t, f), t
+
+
+def _reference_lasso_fuzz(s: Sequent, budget: int, seed: int, bound: int = 4):
+    rng = random.Random(seed)
+    atoms, tokens = tuple(sorted(sequent_atoms(s))) or ("p0",), tuple(sorted(tokens_of(s)))
+    for i in range(budget):
+        w, a = random_lasso(rng, atoms), {x: rng.randint(0, bound) for x in tokens}
+        if not sequent_satisfied(w, a, s):
+            return False, i + 1, w, list(a.items())
+    return True, budget, None, None
+
+
+# a valid sequent, and an invalid one whose first counterexample lies in
+# the second pack at seed 18 (word 38) and in the third at seed 47 (word 50)
+LASSO_BOUNDARY = ("box p0 @ (0;{x}) |- p0 @ (1;{x,y})",
+                  "X p0 @ (0;{x}), p0 @ (0;{x}), p1 @ (2;{y}) |- dia (p0 & p1) @ (0;{})")
+
+
+@pytest.mark.parametrize("seed", [18, 47])
+def test_lasso_pack_boundaries_keep_the_verdict_of_one_word_at_a_time(seed):
+    for text in LASSO_BOUNDARY:
+        s = parse_sequent(text)
+        for budget in (1, 15, 16, 17, 48, 49, 500):
+            v = ltl_soundness_fuzz(s, budget, seed)
+            got = (v.ok, v.words_tried, v.word, None if v.ok else list(v.valuation.items()))
+            assert got == _reference_lasso_fuzz(s, budget, seed), (text, budget)
+    assert ltl_soundness_fuzz(parse_sequent(LASSO_BOUNDARY[1]), 500, seed).words_tried \
+        == {18: 38, 47: 50}[seed]
