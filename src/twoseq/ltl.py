@@ -82,8 +82,9 @@ def _one(w: LassoWord) -> _Frame:
 
 def _draw(rng: random.Random, atoms: tuple[str, ...], count: int,
           tokens: tuple[Token, ...] = (), bound: int = 0) -> tuple[_Frame, list]:
-    """A pack of ``count`` words and their shapes, each drawn as `random_lasso`
-    draws it (a coin per point and atom), then its token valuation."""
+    """A pack of ``count`` words and their shapes.  Each word draws its
+    prefix length (0..4), a coin per prefix point and atom, its loop length
+    (1..3) and a coin per loop point and atom, then its token valuation."""
     coin, masks, shapes = rng.random, dict.fromkeys(atoms, 0), []
 
     def letters(lo: int, k: int) -> int:
