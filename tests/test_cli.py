@@ -402,3 +402,62 @@ def test_deep_unclosed_parentheses_are_parse_errors(files):
     out = _run_cli("check", script)
     assert out.returncode == 2
     assert out.stderr == "error: line 100002, col 1: expected ')', found ''\n"
+
+
+# --- stdout and exit codes of eval and fuzz, byte for byte ---
+
+PIN_GRAPH = "nodes: n0 n1\nroot: n0\nedges: n0->n1\nval: n0 {p0}\nval: n1 {}"
+PIN_WORD = "prefix: {p0} {} ; loop: {p0}"
+PIN_EVAL = {        # model, system, sequent
+    "graph-holds": (PIN_GRAPH, "K", "p0 @ [] |- p0 @ []"),
+    "graph-fails": (PIN_GRAPH, "K", "p0 @ [] |- box p0 @ [], p0 @ [x]"),
+    "lasso-holds": (PIN_WORD, "LTL", "|- box p0 -> X p0 @ (0;{x})"),
+    "lasso-fails": (PIN_WORD, "LTL", "|- p0 @ (0;{x,y})"),
+}
+
+
+def _pin_verdict(family: str):
+    """A counterexample verdict no accepted proof yields, readable through
+    every attribute name the CLI has read a verdict by."""
+    from types import SimpleNamespace
+    from twoseq.parser import parse_model
+    from twoseq.positions import seqpos
+    model = parse_model(PIN_WORD if family == "lasso" else PIN_GRAPH)
+    rho = ({"y": 0, "x": 3} if family == "lasso"
+           else {seqpos(): "n0", seqpos("x"): "n1"})
+    return SimpleNamespace(ok=False, kind="counterexample", tried=7,
+                           models_tried=7, words_tried=7, model=model,
+                           word=model, rho=rho, valuation=rho)
+
+
+def _pin_outputs(files, capsys, monkeypatch) -> dict:
+    import twoseq.cli as cli
+    out = {}
+    for name, (model, system, sequent) in PIN_EVAL.items():
+        argv = ["eval", "--model", files("pin.2sm", model), "--sequent",
+                files("pin.2sq", sequent), "--system", system]
+        out[f"eval-{name}"] = _run_capture(argv, capsys)
+        out[f"eval-{name}-json"] = _run_capture(argv + ["--json"], capsys)
+    proofs = {"graph": proof_file(files, "k.2sp", SystemId.K, corpus.axiom_k()),
+              "lasso": proof_file(files, "a6.2sp", SystemId.LTL, corpus.ltl_a6())}
+    for family, path in proofs.items():
+        argv = ["fuzz", "--budget", "80", "--seed", "1", path]
+        out[f"fuzz-{family}"] = _run_capture(argv, capsys)
+        out[f"fuzz-{family}-json"] = _run_capture(argv + ["--json"], capsys)
+    for family, path in proofs.items():
+        fake = lambda *args, _v=_pin_verdict(family), **kwargs: _v
+        monkeypatch.setattr(cli, "soundness_fuzz", fake, raising=False)
+        monkeypatch.setattr(cli, "ltl_soundness_fuzz", fake, raising=False)
+        argv = ["fuzz", "--budget", "80", "--seed", "1", path]
+        out[f"fuzz-{family}-counterexample"] = _run_capture(argv, capsys)
+        out[f"fuzz-{family}-counterexample-json"] = _run_capture(argv + ["--json"], capsys)
+    return {k: list(v) for k, v in out.items()}
+
+
+def test_eval_and_fuzz_print_their_pinned_bytes(files, capsys, monkeypatch):
+    """Exit code and stdout of `eval` on a graph and a word, where the
+    sequent holds and where it fails, and of `fuzz` on a K and an LTL
+    proof, valid and (through a stand-in fuzzer) with a counterexample,
+    each as text and as JSON, against ``golden/cli_pins.json``."""
+    want = json.loads((GOLDEN / "cli_pins.json").read_text())
+    assert _pin_outputs(files, capsys, monkeypatch) == want
