@@ -14,19 +14,25 @@ import sys as _sys
 from typing import Optional
 
 from . import corpus
-from .calculus import (TABLE, LtlPos, ProofNode, SystemId, check_proof,
+from .calculus import (TABLE, LtlPos, ProofNode, SeqPos, SystemId, check_proof,
                        expand_double_lines)
 from .cutelim import eliminate_cuts, is_cut_free, verify_subformula_property
 from .errors import RejectedProofError, TwoseqError
-from .ltl import exhaustive_valuations, ltl_soundness_fuzz, sequent_checker
 from .parser import (parse_model, parse_proof, parse_sequent, render_model,
                      render_proof)
-from .semantics import (GraphModel, check_sequent_on_model, soundness_fuzz)
-from .syntax import tokens_of
+from .semantics import counterexample, soundness_fuzz
 from .transform import (compose_mp, ind_to_axiom, lift_proof, necessitate,
                         rename_eigen)
 
 DEFAULT_SEED = 1
+
+# the output's nouns per position family, a contract: an assignment's key,
+# eval's texts with a counterexample and without, fuzz's noun for a model
+# and a counterexample's key and lines after the verdict
+_NOUNS = {SeqPos: ("assignment", "fails under the assignment ",
+                   "holds in every admissible assignment", "models", "model", "\n{}\n# rho {}"),
+          LtlPos: ("valuation", "fails under the token valuation ",
+                   "holds for every token valuation up to {}", "words", "word", "")}
 
 
 def _read(path: str) -> str:
@@ -73,17 +79,13 @@ def _write_checked(args, sys_id: SystemId, out: ProofNode, what: str) -> int:
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+    print(json.dumps(payload, indent=2) if args.json else text)
 
 
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("TWOSEQ_SEED")
-    return int(env) if env else DEFAULT_SEED
+    return int(os.environ.get("TWOSEQ_SEED") or DEFAULT_SEED)
 
 
 def cmd_check(args) -> int:
@@ -116,56 +118,25 @@ def cmd_subformula(args) -> int:
 def cmd_eval(args) -> int:
     sys_id = SystemId.parse(args.system)
     model = parse_model(_read(args.model))
-    sequent = parse_sequent(_read(args.sequent))
-    if isinstance(model, GraphModel):
-        rho = check_sequent_on_model(model, sys_id, sequent)
-        holds = rho is None
-        detail = None
-        if not holds:
-            detail = {str(k): v for k, v in rho.items()}
-        _emit(args, {"holds": holds, "assignment": detail},
-              "holds in every admissible assignment" if holds
-              else "fails under the assignment " + json.dumps(detail))
-        return 0 if holds else 1
-    if TABLE[sys_id].family is not LtlPos:
-        raise TwoseqError(f"no lasso semantics for system {sys_id.value}")
-    tokens = tuple(sorted(tokens_of(sequent)))
-    holds = sequent_checker(model, sequent)
-    for a in exhaustive_valuations(tokens, args.bound):
-        if not holds(a):
-            _emit(args, {"holds": False, "valuation": a},
-                  "fails under the token valuation " + json.dumps(a))
-            return 1
-    _emit(args, {"holds": True, "valuation": None},
-          f"holds for every token valuation up to {args.bound}")
-    return 0
+    found = counterexample(model, sys_id, parse_sequent(_read(args.sequent)), args.bound)
+    key, fails, holds = _NOUNS[TABLE[sys_id].family][:3]
+    detail = None if found is None else {str(k): v for k, v in found.items()}
+    _emit(args, {"holds": found is None, key: detail},
+          holds.format(args.bound) if found is None else fails + json.dumps(detail))
+    return 0 if found is None else 1
 
 
 def cmd_fuzz(args) -> int:
     sys_id, proof = _load_checked(args)
-    seed = _seed(args)
-    if TABLE[sys_id].family is LtlPos:
-        verdict = ltl_soundness_fuzz(proof.conclusion, args.budget, seed,
-                                     args.bound)
-        payload = {"verdict": verdict.kind, "models": verdict.words_tried,
-                   "counterexample": None}
-        if not verdict.ok:
-            payload["counterexample"] = {
-                "word": render_model(verdict.word),
-                "valuation": verdict.valuation,
-            }
-        _emit(args, payload, f"{verdict.kind} after {verdict.words_tried} words")
-        return 0 if verdict.ok else 1
-    verdict = soundness_fuzz(proof.conclusion, sys_id, args.budget, seed)
-    payload = {"verdict": verdict.kind, "models": verdict.models_tried,
-               "counterexample": None}
-    text = f"{verdict.kind} after {verdict.models_tried} models"
+    verdict = soundness_fuzz(proof.conclusion, sys_id, args.budget, _seed(args), args.bound)
+    key, _, _, noun, model_key, lines = _NOUNS[TABLE[sys_id].family]
+    payload = {"verdict": verdict.kind, "models": verdict.tried, "counterexample": None}
+    text = f"{verdict.kind} after {verdict.tried} {noun}"
     if not verdict.ok:
         rho = {str(k): v for k, v in verdict.rho.items()}
-        payload["counterexample"] = {"model": render_model(verdict.model),
-                                     "assignment": rho}
-        text += "\n" + render_model(verdict.model)
-        text += "\n# rho " + json.dumps(rho)
+        model = render_model(verdict.model)
+        payload["counterexample"] = {model_key: model, key: rho}
+        text += lines.format(model, json.dumps(rho))
     _emit(args, payload, text)
     return 0 if verdict.ok else 1
 

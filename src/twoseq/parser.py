@@ -17,9 +17,8 @@ from typing import Optional, Union
 from .calculus import (ProofNode, ProofScript, RULES_BY_SYSTEM, ScriptNode,
                        SystemId, TABLE)
 from .errors import ParseError, TwoseqError
-from .ltl import LassoWord
 from .positions import (LtlPos, PastPos, Position, SeqPos, SetPos)
-from .semantics import GraphModel
+from .semantics import GraphModel, LassoWord
 from .syntax import (And, Box, Dia, Formula, Hist, Imp, Next, Not, Once, Or,
                      PFormula, Prev, Prop, Sequent)
 

@@ -74,12 +74,12 @@ def verdict(s: Sequent, sys: SystemId, seed: int) -> dict:
         cex = None if v.ok else {
             "word": render_model(v.word),
             "valuation": [[x, n] for x, n in sorted(v.valuation.items())]}
-        return {"kind": v.kind, "tried": v.words_tried, "counterexample": cex}
+        return {"kind": v.kind, "tried": v.tried, "counterexample": cex}
     v = soundness_fuzz(s, sys, MODAL_BUDGET, seed)
     cex = None if v.ok else {
         "model": render_model(v.model),
         "assignment": [[str(k), n] for k, n in v.rho.items()]}
-    return {"kind": v.kind, "tried": v.models_tried, "counterexample": cex}
+    return {"kind": v.kind, "tried": v.tried, "counterexample": cex}
 
 
 def record() -> list[dict]:

@@ -293,7 +293,7 @@ def test_criterion_6_ltl_soundness_fuzz():
     p0 = Prop("p0")
     bad = seq((), (pf(Imp(Next(p0), p0), LtlPos()),))
     v = ltl_soundness_fuzz(bad, 50, 1)
-    assert not v.ok and v.words_tried <= 50
+    assert not v.ok and v.tried <= 50
     assert not sequent_satisfied(v.word, v.valuation, bad)
     elapsed = time.perf_counter() - t0
     print(f"\nACCEPTANCE 6 ltl-soundness-fuzz ({runs} clean runs at budget 500, "

@@ -27,6 +27,7 @@ from twoseq.transform import canonical_rename
 import twoseq.calculus as calculus
 import twoseq.cli as cli
 import twoseq.cutelim as cutelim
+import twoseq.ltl as ltl
 import twoseq.semantics as semantics
 import twoseq.corpus as corpus
 
@@ -259,12 +260,21 @@ def test_per_system_decisions_name_no_system():
     # semantics, cut elimination and the fuzz dispatch read the table row
     members = set(SystemId.__members__)
     sources = [Path(m.__file__).read_text() for m in (semantics, cutelim)]
-    sources.append(textwrap.dedent(inspect.getsource(cli.cmd_fuzz)))
+    sources += [textwrap.dedent(inspect.getsource(f)) for f in (cli.cmd_eval, cli.cmd_fuzz)]
     for text in sources:
         named = [n.attr for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Attribute)
                  and isinstance(n.value, ast.Name) and n.value.id == "SystemId"
                  and n.attr in members]
         assert named == []
+
+
+def test_the_temporal_module_holds_no_pack_and_no_loop():
+    # one fuzz loop and one pack class per family live in `semantics`;
+    # `ltl` only names them for the linear-time systems
+    tree = ast.parse(Path(ltl.__file__).read_text())
+    kinds = (ast.ClassDef, ast.For, ast.While, ast.ListComp, ast.SetComp,
+             ast.DictComp, ast.GeneratorExp)
+    assert [type(n).__name__ for n in ast.walk(tree) if isinstance(n, kinds)] == []
 
 
 def test_corpus_positive_matrix():

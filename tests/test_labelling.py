@@ -21,7 +21,7 @@ from twoseq.ltl import (LassoWord, a_value, eval_at, ltl_soundness_fuzz,
                         random_lasso, sequent_satisfied)
 from twoseq.parser import parse_model, parse_sequent, render_model
 from twoseq.positions import LtlPos, SeqPos, initials, seqpos
-from twoseq.semantics import (GraphModel, _Frame, admissible_assignments,
+from twoseq.semantics import (GraphModel, _Frame, _Lasso, admissible_assignments,
                               check_sequent_on_model, forces, random_model,
                               sequent_holds, soundness_fuzz)
 from twoseq.syntax import (Box, Dia, Next, Not, PFormula, Prop, Sequent,
@@ -330,10 +330,10 @@ def test_pack_boundaries_keep_the_verdict_of_one_model_at_a_time(sys):
         s = parse_sequent(text)
         for budget in (1, 15, 16, 17, 60, 200, 1000):
             v = soundness_fuzz(s, sys, budget, seed)
-            got = (v.kind, v.models_tried, v.model and render_model(v.model),
+            got = (v.kind, v.tried, v.model and render_model(v.model),
                    v.rho and list(v.rho.items()))
             assert got == _reference_fuzz(s, sys, budget, seed), (text, budget)
-    assert soundness_fuzz(parse_sequent(invalid), sys, 1000, seed).models_tried > 16
+    assert soundness_fuzz(parse_sequent(invalid), sys, 1000, seed).tried > 16
 
 
 # sequents whose positions, with FRAME_EXTRA, have at most four initial
@@ -396,14 +396,14 @@ def test_a_drawn_lasso_pack_is_its_words_drawn_in_turn(seed, count, atoms, token
     sampler, each followed by its valuation's draws, and no number more
     is drawn."""
     rng, ref, one = (random.Random(seed) for _ in range(3))
-    pack, shapes = ltl._draw(rng, atoms, count, tokens, bound)
+    pack = _Lasso.draw(rng, SystemId.LTL, atoms, count, tokens, bound)
     want = []
     for _ in range(count):
         w = oracle.random_lasso(ref, atoms)
         want.append((w, {x: ref.randint(0, bound) for x in tokens}))
         assert random_lasso(one, atoms) == w
         assert {x: one.randint(0, bound) for x in tokens} == want[-1][1]
-    assert [(ltl._word(pack, shapes, k), shapes[k][2]) for k in range(count)] == want
+    assert [(pack.model(k), pack.shapes[k][2]) for k in range(count)] == want
     assert rng.getstate() == ref.getstate() == one.getstate()
 
 
@@ -421,16 +421,17 @@ def lasso_pack_case(draw):
     bound, count = draw(st.sampled_from([0, 1, 4])), draw(st.integers(1, 12))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     atoms = tuple(sorted(sequent_atoms(s))) or ("p0",)
-    return s, count, ltl._draw(rng, atoms, count, tuple(sorted(tokens_of(s))), bound)
+    return s, count, _Lasso.draw(rng, SystemId.LTL, atoms, count,
+                                 tuple(sorted(tokens_of(s))), bound)
 
 
 @PROPERTY
 @given(lasso_pack_case())
 def test_a_lasso_pack_decides_each_word_like_the_oracle(case):
-    s, count, (pack, shapes) = case
-    hits = ltl._falsified(pack, pack.truth_sets(*s.program), shapes, s)
+    s, count, pack = case
+    hits = pack.falsified(s)
     for k in range(count):
-        w, a = ltl._word(pack, shapes, k), shapes[k][2]
+        w, a = pack.model(k), pack.witness(k, s)
         sat = [oracle.eval_at(w, a_value(a, q.pos), q.formula) for q in s.pformulas()]
         holds = not all(sat[:len(s.ant)]) or any(sat[len(s.ant):])
         assert bool(hits >> k * pack.width & 1) == (not holds) == \
@@ -442,9 +443,36 @@ def test_a_lasso_pack_decides_each_word_like_the_oracle(case):
        st.lists(letter_st, min_size=5, max_size=5), formula_st("ltl"))
 def test_a_wide_parsed_word_is_a_pack_of_one(prefix, loop, f):
     w = parse_model(render_model(LassoWord(tuple(prefix), tuple(loop))))
-    assert ltl._one(w).width == 12
+    assert semantics._frame(w, SystemId.LTL).width == 12
     for t in range(21):
         assert eval_at(w, t, f) == oracle.eval_at(w, t, f), t
+
+
+def _warshall(pack: _Frame) -> list[int]:
+    """The reflexive-transitive closure of a pack's edges by Warshall's
+    passes: each node sees itself, and where i sees k, i sees all k sees."""
+    data = (1 << pack.width - 1) - 1
+    rows = [e | (pack.low << i & pack.full) for i, e in enumerate(pack.edges)]
+    for k in range(len(rows)):
+        rows = [r | ((r >> k & pack.low) * data & rows[k]) for r in rows]
+    return rows
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 32), st.integers(1, 40),
+       st.sampled_from([SystemId.LTL, SystemId.LTL_INDAX]))
+def test_a_drawn_lasso_pack_closes_its_edges_like_warshall(seed, count, sys):
+    pack = _Lasso.draw(random.Random(seed), sys, ("p0",), count)
+    assert pack.rows == _warshall(pack)
+
+
+@PROPERTY
+@given(st.lists(letter_st, max_size=30), st.lists(letter_st, min_size=1, max_size=30))
+def test_a_parsed_word_closes_its_edges_like_warshall(prefix, loop):
+    w = parse_model(render_model(LassoWord(tuple(prefix), tuple(loop))))
+    pack = semantics._frame(w, SystemId.LTL)
+    assert pack.width == len(prefix) + len(loop) + 1
+    assert pack.rows == _warshall(pack)
 
 
 def _reference_lasso_fuzz(s: Sequent, budget: int, seed: int, bound: int = 4):
@@ -469,7 +497,7 @@ def test_lasso_pack_boundaries_keep_the_verdict_of_one_word_at_a_time(seed):
         s = parse_sequent(text)
         for budget in (1, 15, 16, 17, 48, 49, 500):
             v = ltl_soundness_fuzz(s, budget, seed)
-            got = (v.ok, v.words_tried, v.word, None if v.ok else list(v.valuation.items()))
+            got = (v.ok, v.tried, v.word, None if v.ok else list(v.valuation.items()))
             assert got == _reference_lasso_fuzz(s, budget, seed), (text, budget)
-    assert ltl_soundness_fuzz(parse_sequent(LASSO_BOUNDARY[1]), 500, seed).words_tried \
+    assert ltl_soundness_fuzz(parse_sequent(LASSO_BOUNDARY[1]), 500, seed).tried \
         == {18: 38, 47: 50}[seed]

@@ -68,6 +68,17 @@ def test_eval_at_rejects_past():
         eval_at(LassoWord((), (frozenset(),)), 0, Once(P))
 
 
+def test_negative_times_and_token_values_are_refused():
+    w = LassoWord((frozenset(),), (frozenset({"p0"}),))
+    with pytest.raises(TwoseqError, match="time point must be at least 0, not -1"):
+        eval_at(w, -1, P0)
+    s = seq((), (pf(P0, LtlPos(0, frozenset("x"))),))
+    with pytest.raises(TwoseqError, match="time point must be at least 0, not -1"):
+        sequent_satisfied(w, {"x": -1}, s)
+    with pytest.raises(TwoseqError, match="not -2"):
+        sequent_satisfied(w, {"x": -3}, seq((), (pf(P0, LtlPos(1, frozenset("x"))),)))
+
+
 def test_eval_at_next_shift_law():
     rng = random.Random(9)
     for _ in range(200):
@@ -152,7 +163,7 @@ def test_ltl_fuzz_axioms_clean():
 def test_ltl_fuzz_finds_next_counterexample():
     s = seq((), (pf(Imp(Next(P0), P0), L0),))
     v = ltl_soundness_fuzz(s, 50, 1)
-    assert not v.ok and v.words_tried <= 50
+    assert not v.ok and v.tried <= 50
     assert not sequent_satisfied(v.word, v.valuation, s)
 
 

@@ -12,10 +12,10 @@ from twoseq.calculus import SystemId
 from twoseq.errors import TwoseqError
 from twoseq.ltl import exhaustive_valuations, ltl_soundness_fuzz
 from twoseq.positions import LtlPos, SeqPos, concat, initials, seqpos
-from twoseq.semantics import (GraphModel, accessibility,
+from twoseq.semantics import (GraphModel, LassoWord, accessibility,
                               admissible_assignments, check_sequent_on_model,
                               forces, random_model,
-                              satisfies_left, satisfies_right, sequent_holds,
+                              sequent_holds,
                               soundness_fuzz)
 from twoseq.syntax import (Box, Dia, Imp, Next, Prop, pf, seq)
 import twoseq.corpus as corpus
@@ -54,11 +54,13 @@ def test_forces_rejects_temporal():
 def test_satisfaction_with_partial_assignment():
     q = pf(P, X)
     rho = {}
-    assert not satisfies_left(CHAIN, SystemId.K, rho, q)
-    assert satisfies_right(CHAIN, SystemId.K, rho, q)
+    # on the left a formula must be assigned and forced, on the right
+    # only forced where it is assigned
+    assert sequent_holds(CHAIN, SystemId.K, rho, seq((q,), ()))
+    assert sequent_holds(CHAIN, SystemId.K, rho, seq((), (q,)))
     total = {X: "n1"}
-    assert satisfies_left(CHAIN, SystemId.K, total, q) == \
-        satisfies_right(CHAIN, SystemId.K, total, q) == \
+    assert (not sequent_holds(CHAIN, SystemId.K, total, seq((q,), ()))) == \
+        sequent_holds(CHAIN, SystemId.K, total, seq((), (q,))) == \
         forces(CHAIN, SystemId.K, "n1", P)
 
 
@@ -159,7 +161,7 @@ def test_soundness_fuzz_corpus_clean():
 def test_soundness_fuzz_finds_dia_taut_counterexample():
     s = seq((), (pf(Dia(Imp(P, P)), E),))
     v = soundness_fuzz(s, SystemId.K, 50, 1)
-    assert not v.ok and v.models_tried <= 50
+    assert not v.ok and v.tried <= 50
     # the counterexample replays: some admissible assignment falsifies it
     assert not sequent_holds(v.model, SystemId.K, v.rho, s)
     # and in the restricted system only a successor-free point refutes it
@@ -210,7 +212,7 @@ def sub1_oracle(m, sysid, rho, alpha, x, f):
     for t in accessibility(m, sysid)[node]:
         rho2 = dict(rho)
         rho2[ext] = t
-        out = out and satisfies_right(m, sysid, rho2, pf(f, ext))
+        out = out and sequent_holds(m, sysid, rho2, seq((), (pf(f, ext),)))
     return out
 
 
@@ -227,7 +229,7 @@ def run_sub1_check(iterations, seed) -> int:
         if not rhos:
             continue
         rho = rng.choice(rhos)
-        lhs = satisfies_right(m, sysid, rho, pf(Box(f), alpha))
+        lhs = sequent_holds(m, sysid, rho, seq((), (pf(Box(f), alpha),)))
         assert lhs == sub1_oracle(m, sysid, rho, alpha, "fresh", f)
         ran += 1
     return ran
@@ -254,12 +256,12 @@ def run_sub2_check(iterations, seed) -> int:
         if not rhos:
             continue
         rho = rng.choice(rhos)
-        lhs = satisfies_right(m, sysid, rho, pf(f, full))
+        lhs = sequent_holds(m, sysid, rho, seq((), (pf(f, full),)))
         rho2 = dict(rho)
         ext = concat(alpha, seqpos("fresh"))
         if rho.get(full) is not None:
             rho2[ext] = rho[full]
-        rhs = satisfies_right(m, sysid, rho2, pf(f, ext))
+        rhs = sequent_holds(m, sysid, rho2, seq((), (pf(f, ext),)))
         assert lhs == rhs
         ran += 1
     return ran
@@ -287,9 +289,9 @@ def test_partial_assignment_extension_stays_undefined():
     q_box = pf(Box(P), E)
     q_sub = pf(P, X)
     rho = {}
-    assert satisfies_right(CHAIN, SystemId.K, rho, q_box)
-    assert satisfies_right(CHAIN, SystemId.K, rho, q_sub)
-    assert not satisfies_left(CHAIN, SystemId.K, rho, q_sub)
+    assert sequent_holds(CHAIN, SystemId.K, rho, seq((), (q_box,)))
+    assert sequent_holds(CHAIN, SystemId.K, rho, seq((), (q_sub,)))
+    assert sequent_holds(CHAIN, SystemId.K, rho, seq((q_sub,), ()))
     for rho2 in admissible_assignments(CHAIN, SystemId.K, [X]):
         if rho2.get(E) is None:
             assert rho2.get(X) is None
@@ -302,6 +304,11 @@ def test_graph_semantics_refuses_other_position_families():
         check_sequent_on_model(CHAIN, SystemId.K, s)
     with pytest.raises(TwoseqError, match="no graph semantics"):
         check_sequent_on_model(CHAIN, SystemId.LTL, seq((), (pf(P, E),)))
+    # a word is no graph, even under a system that reads words
+    word = LassoWord((), (frozenset(),))
+    for graph_only in (accessibility, lambda m, sys: list(admissible_assignments(m, sys, []))):
+        with pytest.raises(TwoseqError, match="no graph semantics for system LTL"):
+            graph_only(word, SystemId.LTL)
 
 
 def test_fuzzers_refuse_budgets_below_1_and_bounds_below_0():
