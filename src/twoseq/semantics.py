@@ -19,6 +19,10 @@ Each subformula of a compiled program (`Sequent.program`) gets the mask
 of the points forcing it, and each model's falsifiability is decided for
 the whole pack at once.  A parsed model is a pack of one; the fuzzer
 draws packs of doubling size and reads back the first falsified model.
+It draws only through ``rng.random`` and ``rng.getrandbits``, each integer
+exactly as `random.Random.randint`/``randrange`` would (`_below`), so
+`random_model`, `ltl.random_lasso` and each seed's verdict equal those of
+samplers that call those methods.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from .syntax import (Box, Dia, Formula, Next, Sequent, compile_formulas, label_p
                      positions_of, segment_plan, sequent_atoms, tokens_of)
 
 _FIRST_PACK, _PACK_CAP = 16, 256    # the fuzzer's pack sizes double between these
+_NODES = tuple(f"n{i}" for i in range(6))   # a drawn graph's node names
+_COLUMNS = tuple(1 << j for j in range(6))  # their bits in an adjacency row
 
 
 @dataclass
@@ -68,6 +74,8 @@ TokenValuation = dict[Token, int]
 
 def _point(p: int, loop: int, m: int) -> int:
     """The canonical point of time m on a word with a prefix of p points."""
+    if not isinstance(m, int):
+        raise TwoseqError(f"a time point is a natural number, not {m!r}")
     if m < 0:
         raise TwoseqError(f"time point must be at least 0, not {m}")
     return m if m < p else p + (m - p) % loop
@@ -78,6 +86,15 @@ def a_value(a: TokenValuation, s: LtlPos) -> int:
     if not isinstance(s, LtlPos):
         raise TwoseqError("lasso semantics needs step/token-set positions")
     return s.steps + sum(a.get(x, 0) for x in s.future)
+
+
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """What ``rng.randrange(n)`` draws (n at least 1), from ``bits = rng.getrandbits``."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
 
 
 def _masks(letters: list[frozenset[str]]) -> dict[str, int]:
@@ -98,8 +115,8 @@ class _Frame:
                  full: int, edges: list[int], atoms: dict[str, int]):
         self.sys, self.names, self.width, self.full = sys, names, width, full
         self.edges, self.atoms = edges, atoms
-        low, data = sum(1 << b for b in range(0, full.bit_length(), width)), (1 << width - 1) - 1
-        self.low, self.ones, self.guard = low, low * data, low << width - 1
+        low = ((1 << width * -(-full.bit_length() // width)) - 1) // ((1 << width) - 1)
+        self.low, self.ones, self.guard = low, (low << width - 1) - low, low << width - 1
         row = TABLE[sys]
         rows = self._closed(edges) if row.admits(2) else list(edges)
         if row.admits(0):
@@ -130,24 +147,29 @@ class _Frame:
         """``count`` models as `random_model` describes them, drawn in its
         order of random numbers straight into one pack (a graph draws no
         token values)."""
-        coin, width, full, edges = rng.random, 7, 0, [0] * 6    # up to 6 nodes
+        coin, bits, width, full, edges = rng.random, rng.getrandbits, 7, 0, [0] * 6
         repair = not (TABLE[sys].context_demand or TABLE[sys].admits(0))
-        masks = dict.fromkeys(sorted(atoms) or ["p0"], 0)
+        names = dict.fromkeys(sorted(atoms) or ["p0"])
+        vals, ids = [0] * len(names), range(len(names))
         for base in range(0, count * width, width):
-            size = rng.randint(2, 6)
+            size = 2 + _below(bits, 5)
             full |= (1 << size) - 1 << base
-            for i in range(size):
-                for j in range(size):
+            cols, rows = _COLUMNS[:size], []
+            for _ in cols:
+                r = 0
+                for c in cols:
                     if coin() < 0.4:
-                        edges[i] |= 1 << base + j
-            for i in range(size):       # D: serial, not reflexive
-                if repair and not edges[i] >> base:
-                    edges[i] |= 1 << base + rng.randrange(size)
-            for i in range(size):
-                for a in masks:
+                        r |= c
+                rows.append(r)
+            for i, r in enumerate(rows):
+                if repair and not r:        # D: serial, not reflexive
+                    r = cols[_below(bits, size)]
+                edges[i] |= r << base
+            for i in range(base, base + size):
+                for a in ids:
                     if coin() < 0.5:
-                        masks[a] |= 1 << base + i
-        return cls(sys, tuple(f"n{i}" for i in range(6)), width, full, edges, masks)
+                        vals[a] |= 1 << i
+        return cls(sys, _NODES, width, full, edges, dict(zip(names, vals)))
 
     def model(self, k: int = 0) -> GraphModel:
         """Model k's drawn edges and valuation, rooted at its node 0."""
@@ -168,6 +190,8 @@ class _Frame:
 
     def point(self, n: str) -> int:
         """Node n's bit in the first model."""
+        if n not in self.names[:(self.full & (1 << self.width) - 1).bit_length()]:
+            raise TwoseqError(f"the model has no node {n!r}")
         return self.names.index(n)
 
     def at(self, rho: Rho, pos) -> int:
@@ -258,19 +282,20 @@ class _Lasso(_Frame):
         """``count`` words, each drawing a prefix length (0..4), a coin per prefix
         point and atom, a loop length (1..3), a coin per loop point and atom,
         then a value up to the bound per token."""
-        coin, width, masks, shapes = rng.random, 8, dict.fromkeys(atoms, 0), []
+        coin, bits, width, shapes, names = rng.random, rng.getrandbits, 8, [], dict.fromkeys(atoms)
+        vals, ids = [0] * len(names), range(len(names))
 
         def letters(lo: int, k: int) -> int:
             for i in range(lo, lo + k):
-                for a in masks:
+                for a in ids:
                     if coin() < 0.5:
-                        masks[a] |= 1 << i
+                        vals[a] |= 1 << i
             return k
         for base in range(0, count * width, width):     # up to 4 + 3 points
-            p = letters(base, rng.randint(0, 4))
-            loop = letters(base + p, rng.randint(1, 3))
-            shapes.append((p, loop, {x: rng.randint(0, bound) for x in tokens}))
-        return cls(sys, width, shapes, masks)
+            p = letters(base, _below(bits, 5))
+            loop = letters(base + p, 1 + _below(bits, 3))
+            shapes.append((p, loop, {x: _below(bits, bound + 1) for x in tokens}))
+        return cls(sys, width, shapes, dict(zip(names, vals)))
 
     def model(self, k: int = 0) -> LassoWord:
         (p, loop, _), base = self.shapes[k], k * self.width

@@ -297,6 +297,33 @@ def test_a_drawn_pack_is_its_models_drawn_in_turn(sys, seed, count, atoms):
     assert rng.getstate() == ref.getstate()
 
 
+class _BitsOnly(random.Random):
+    """A generator that refuses the integer draws, so a pack drawn from it
+    draws through ``random`` and ``getrandbits`` alone."""
+
+    def randint(self, *args):
+        raise AssertionError("drawn through randint, randrange or choice")
+
+    randrange = choice = randint
+
+
+def test_packs_draw_from_random_and_getrandbits_alone():
+    for seed, count in ((3, 40), (8, 1), (21, 256)):
+        for sys, atoms in ((SystemId.K, ()), (SystemId.D, ("p0",)), (SystemId.S4, ATOMS)):
+            rng, ref = _BitsOnly(seed), random.Random(seed)
+            pack = _Frame.draw(rng, sys, frozenset(atoms), count)
+            want = [oracle.random_model(ref, sys, frozenset(atoms)) for _ in range(count)]
+            assert [pack.model(k) for k in range(count)] == want
+            assert rng.getstate() == ref.getstate()
+        for tokens, bound in (((), 4), (("x",), 0), (("x", "y"), 4)):
+            rng, ref = _BitsOnly(seed), random.Random(seed)
+            pack = _Lasso.draw(rng, SystemId.LTL, ATOMS, count, tokens, bound)
+            want = [(oracle.random_lasso(ref, ATOMS), {x: ref.randint(0, bound) for x in tokens})
+                    for _ in range(count)]
+            assert [(pack.model(k), pack.shapes[k][2]) for k in range(count)] == want
+            assert rng.getstate() == ref.getstate()
+
+
 def _reference_fuzz(s: Sequent, sys: SystemId, budget: int, seed: int):
     rng, atoms = random.Random(seed), sequent_atoms(s)
     for i in range(budget):
@@ -448,6 +475,38 @@ def test_a_wide_parsed_word_is_a_pack_of_one(prefix, loop, f):
         assert eval_at(w, t, f) == oracle.eval_at(w, t, f), t
 
 
+def _block_sums(pack: _Frame, count: int) -> tuple[int, int, int]:
+    """``low``, ``ones`` and ``guard`` of a pack of ``count`` models, summed
+    block by block."""
+    blocks = range(0, count * pack.width, pack.width)
+    return (sum(1 << b for b in blocks),
+            sum((1 << pack.width - 1) - 1 << b for b in blocks),
+            sum(1 << b + pack.width - 1 for b in blocks))
+
+
+def _layout(pack: _Frame) -> tuple[int, int, int]:
+    return pack.low, pack.ones, pack.guard
+
+
+def test_pack_layouts_equal_their_block_sums():
+    """Drawn packs of every size up to the cap in both families, and parsed
+    graphs and words (packs of one) of 1 to 40 points."""
+    rng = random.Random(20)
+    for count in range(1, 257):
+        for pack in (_Frame.draw(rng, CORE_SYSTEMS[count % 5], frozenset(ATOMS), count),
+                     _Lasso.draw(rng, SystemId.LTL, ATOMS, count)):
+            assert _layout(pack) == _block_sums(pack, count), (pack.noun, count)
+    for n in range(1, 41):
+        nodes = tuple(f"n{i}" for i in range(n))
+        graph = GraphModel(nodes, frozenset(zip(nodes, nodes[1:])), "n0",
+                           {x: frozenset() for x in nodes})
+        word = LassoWord((frozenset(),) * (n // 2), (frozenset({"p0"}),) * (n - n // 2))
+        for m, sys in ((graph, SystemId.S4), (word, SystemId.LTL)):
+            pack = semantics._frame(parse_model(render_model(m)), sys)
+            assert pack.width == n + 1
+            assert _layout(pack) == _block_sums(pack, 1), (pack.noun, n)
+
+
 def _warshall(pack: _Frame) -> list[int]:
     """The reflexive-transitive closure of a pack's edges by Warshall's
     passes: each node sees itself, and where i sees k, i sees all k sees."""
@@ -464,6 +523,7 @@ def _warshall(pack: _Frame) -> list[int]:
 def test_a_drawn_lasso_pack_closes_its_edges_like_warshall(seed, count, sys):
     pack = _Lasso.draw(random.Random(seed), sys, ("p0",), count)
     assert pack.rows == _warshall(pack)
+    assert _layout(pack) == _block_sums(pack, count)
 
 
 @PROPERTY
@@ -473,6 +533,7 @@ def test_a_parsed_word_closes_its_edges_like_warshall(prefix, loop):
     pack = semantics._frame(w, SystemId.LTL)
     assert pack.width == len(prefix) + len(loop) + 1
     assert pack.rows == _warshall(pack)
+    assert _layout(pack) == _block_sums(pack, 1)
 
 
 def _reference_lasso_fuzz(s: Sequent, budget: int, seed: int, bound: int = 4):

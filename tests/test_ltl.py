@@ -13,6 +13,7 @@ from twoseq.ltl import (LassoWord, a_value, check_ltl_proof, check_past_proof,
                         eval_at, exhaustive_valuations, ltl_soundness_fuzz,
                         random_lasso, sequent_satisfied)
 from twoseq.positions import LtlPos, ltl_token, pastpos
+from twoseq.semantics import forces
 from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, Once, Prop, pf,
                            temporal_depth)
 import twoseq.corpus as corpus
@@ -77,6 +78,17 @@ def test_negative_times_and_token_values_are_refused():
         sequent_satisfied(w, {"x": -1}, s)
     with pytest.raises(TwoseqError, match="not -2"):
         sequent_satisfied(w, {"x": -3}, seq((), (pf(P0, LtlPos(1, frozenset("x"))),)))
+
+
+def test_times_that_are_no_natural_numbers_are_refused():
+    w = LassoWord((frozenset(),), (frozenset({"p0"}),))
+    for t in ("n0", 1.5):
+        with pytest.raises(TwoseqError, match=f"time point is a natural number, not {t!r}"):
+            forces(w, SystemId.LTL, t, P0)
+        with pytest.raises(TwoseqError, match=f"not {t!r}"):
+            eval_at(w, t, P0)
+    with pytest.raises(TwoseqError, match="not 1.5"):
+        sequent_satisfied(w, {"x": 0.5}, seq((), (pf(P0, LtlPos(1, frozenset("x"))),)))
 
 
 def test_eval_at_next_shift_law():

@@ -12,7 +12,7 @@ from twoseq.calculus import SystemId
 from twoseq.errors import TwoseqError
 from twoseq.ltl import exhaustive_valuations, ltl_soundness_fuzz
 from twoseq.positions import LtlPos, SeqPos, concat, initials, seqpos
-from twoseq.semantics import (GraphModel, LassoWord, accessibility,
+from twoseq.semantics import (GraphModel, LassoWord, _Frame, accessibility,
                               admissible_assignments, check_sequent_on_model,
                               forces, random_model,
                               sequent_holds,
@@ -309,6 +309,17 @@ def test_graph_semantics_refuses_other_position_families():
     for graph_only in (accessibility, lambda m, sys: list(admissible_assignments(m, sys, []))):
         with pytest.raises(TwoseqError, match="no graph semantics for system LTL"):
             graph_only(word, SystemId.LTL)
+
+
+def test_a_node_outside_the_model_is_refused():
+    # n5 is a node name of the drawn frame, but its first model has 5 nodes
+    frame = _Frame.draw(random.Random(0), SystemId.K, frozenset({"p0"}))
+    assert frame.model().nodes == ("n0", "n1", "n2", "n3", "n4")
+    for m, n in ((CHAIN, "zz"), (CHAIN, 0), (frame, "n5")):
+        with pytest.raises(TwoseqError, match=f"the model has no node {n!r}"):
+            forces(m, SystemId.K, n, P)
+    with pytest.raises(TwoseqError, match="no node 'zz'"):
+        sequent_holds(CHAIN, SystemId.K, {E: "zz"}, seq((pf(P, E),), ()))
 
 
 def test_fuzzers_refuse_budgets_below_1_and_bounds_below_0():
