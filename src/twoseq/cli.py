@@ -48,14 +48,9 @@ def _write(path: Optional[str], text: str) -> None:
             fh.write(text + "\n")
 
 
-def _load_proof(path: str, system: Optional[str],
-                variant: Optional[str] = None) -> tuple[SystemId, ProofNode]:
+def _load_proof(path: str, system: Optional[str]) -> tuple[SystemId, ProofNode]:
     script = parse_proof(_read(path))
     sys_id = SystemId.parse(system) if system else script.system
-    if variant:
-        if sys_id not in (SystemId.LTL, SystemId.LTL_INDAX):
-            raise TwoseqError("--variant only applies to the linear-time systems")
-        sys_id = SystemId.LTL if variant == "ind" else SystemId.LTL_INDAX
     return sys_id, expand_double_lines(script)
 
 
@@ -89,7 +84,7 @@ def _seed(args) -> int:
 
 
 def cmd_check(args) -> int:
-    sys_id, proof = _load_proof(args.proof, args.system, args.variant)
+    sys_id, proof = _load_proof(args.proof, args.system)
     rep = check_proof(proof, sys_id)
     _emit(args, {"system": sys_id.value, **rep.to_json_dict()},
           f"{sys_id.value}: {rep.render_text()}")
@@ -195,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="check a proof script")
     common(p)
-    p.add_argument("--variant", choices=("ind", "indax"),
-                   help="pick the induction-rule or induction-axiom "
-                        "formulation for linear-time proofs")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("cutelim", help="eliminate cuts from a proof")

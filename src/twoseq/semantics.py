@@ -72,12 +72,18 @@ Rho = dict[SeqPos, str]
 TokenValuation = dict[Token, int]
 
 
+def _natural(n: int, what: str) -> int:
+    """n, refused unless it is a natural number (an ``int``, not a ``bool``)."""
+    if type(n) is not int:
+        raise TwoseqError(f"{what} is a natural number, not {n!r}")
+    if n < 0:
+        raise TwoseqError(f"{what} must be at least 0, not {n}")
+    return n
+
+
 def _point(p: int, loop: int, m: int) -> int:
     """The canonical point of time m on a word with a prefix of p points."""
-    if not isinstance(m, int):
-        raise TwoseqError(f"a time point is a natural number, not {m!r}")
-    if m < 0:
-        raise TwoseqError(f"time point must be at least 0, not {m}")
+    m = _natural(m, "a time point")
     return m if m < p else p + (m - p) % loop
 
 
@@ -85,7 +91,7 @@ def a_value(a: TokenValuation, s: LtlPos) -> int:
     """The time point a position denotes under a token valuation."""
     if not isinstance(s, LtlPos):
         raise TwoseqError("lasso semantics needs step/token-set positions")
-    return s.steps + sum(a.get(x, 0) for x in s.future)
+    return s.steps + sum(_natural(a.get(x, 0), "a token value") for x in s.future)
 
 
 def _below(bits: Callable[[int], int], n: int) -> int:
@@ -182,11 +188,13 @@ class _Frame:
         return GraphModel(ns, edges, ns[0], val)
 
     def witness(self, k: int, s: Sequent) -> Optional[Rho]:
-        """The first admissible assignment falsifying s on model k."""
-        return check_sequent_on_model(self.model(k), self.sys, s)
+        """The first admissible assignment falsifying s on model k: the first
+        map of the walk over the masks of `_ok`, which never backtracks, as
+        each mask keeps only the nodes its subtree of positions can follow."""
+        return next(self.walk(k, *s.segments[:2], self._ok(s), False), None)
 
     def counterexample(self, s: Sequent, bound: int) -> Optional[Rho]:
-        return check_sequent_on_model(self, self.sys, s)
+        return self.witness(0, s)
 
     def point(self, n: str) -> int:
         """Node n's bit in the first model."""
@@ -230,19 +238,64 @@ class _Frame:
         return lambda a: not all(self.at(a, q.pos) & (t if j < n else ~t)
                                  for j, (q, t) in enumerate(zip(s.pformulas(), truth)))
 
-    def falsified(self, s: Sequent) -> int:
-        """Bit 0 of each block whose model has an admissible assignment
-        falsifying s.  ``ok[i]``, children first, is where position i may go
-        with its subtree below it; each position leads to one with a formula,
-        so none stays undefined (an empty s falls to the empty map)."""
+    def _ok(self, s: Sequent) -> list[int]:
+        """``ok[i]``, children first, is where position i of s's plan may go
+        with its subtree below it, in every block; each position leads to one
+        with a formula, so none stays undefined."""
         req, parent, slots = s.segments
         ok = [self.full] * len(req)
         for k, (i, mask) in enumerate(zip(slots, self.truth_sets(*s.program))):
             ok[i] &= mask if k < len(s.ant) else ~mask
         for c in range(len(req) - 1, 0, -1):
             ok[parent[c]] &= self.step(Dia, ok[c])
-        out = self.some(ok[0]) if req else self.low
+        return ok
+
+    def falsified(self, s: Sequent) -> int:
+        """Bit 0 of each block whose model has an admissible assignment
+        falsifying s (an empty s falls to the empty map)."""
+        ok = self._ok(s)
+        out = self.some(ok[0]) if ok else self.low
         return out if TABLE[self.sys].context_demand else out & ~self.dead_ends
+
+    def walk(self, k: int, req: tuple, parent: tuple, allowed: list[int],
+             blank: bool) -> Iterator[Rho]:
+        """Model k's maps of the positions ``req`` of a `segment_plan` (with
+        their parent slots) to nodes in ``allowed`` stepping along ``rows``,
+        none on a dead end under a serial system.  Shorter positions are
+        decided first, each left undefined (where ``blank`` allows; always
+        under an undefined parent) before it takes nodes: the empty one by
+        index, another its parent's node's successors by name."""
+        base = k * self.width
+        if not TABLE[self.sys].context_demand and self.dead_ends >> base & 1:
+            return
+        by_name = sorted(range(len(self.names)), key=self.names.__getitem__)
+        node = [-1] * len(req)              # the node taken, -1 if undefined
+
+        def options(i: int) -> Iterator[int]:
+            p, out = parent[i], [-1] if blank else []
+            if p < 0:
+                mask = allowed[i] >> base
+                out += [j for j in range(len(self.names)) if mask >> j & 1]
+            elif node[p] >= 0:
+                mask = (allowed[i] & self.rows[node[p]]) >> base
+                out += [j for j in by_name if mask >> j & 1]
+            return iter(out)
+
+        if not req:
+            yield {}
+            return
+        stack = [options(0)]
+        while stack:
+            i = len(stack) - 1
+            j = next(stack[i], None)
+            if j is None:
+                stack.pop()
+                continue
+            node[i] = j
+            if i + 1 < len(req):
+                stack.append(options(i + 1))
+            else:
+                yield {req[c]: self.names[n] for c, n in enumerate(node) if n >= 0}
 
 
 class _Lasso(_Frame):
@@ -380,71 +433,23 @@ def counterexample(m: GraphModel | LassoWord, sys: SystemId, s: Sequent,
 
 
 def admissible_assignments(m: GraphModel | _Frame, sys: SystemId,
-                           positions: Iterable[SeqPos], *,
-                           falsifying: Optional[Sequent] = None
-                           ) -> Iterator[Rho]:
+                           positions: Iterable[SeqPos]) -> Iterator[Rho]:
     """Enumerate the position-to-node maps the system's table row allows.
 
     The serial systems require total maps, which a dead end admits none
     of; the others also allow partial maps with downward-closed domains.
-    Consecutive assigned positions step along the system's closure.  Shorter
-    positions are decided first, each left undefined (where allowed)
-    before it takes any node, or for a nonempty one each successor of its
-    parent's node in name order.  With ``falsifying``, the search also
-    covers that sequent's positions and yields only the maps falsifying
-    it: a branch is cut where a position fails one of its antecedent
-    formulas, forces a succedent one, or stays undefined but carries one.
+    Consecutive assigned positions step along the system's closure, in the
+    order of `_Frame.walk`.
     """
-    frame, partial = _frame(m, sys, GraphModel), TABLE[sys].context_demand
-    if not partial and frame.dead_ends & 1:
-        return
-    positions = list(positions)
-    if falsifying is None:
-        req, parent, slots = segment_plan(positions)
-    elif positions:
-        req, parent, slots = segment_plan(positions + list(positions_of(falsifying)))
-    else:
-        req, parent, slots = falsifying.segments
-    allowed = [frame.full] * len(req)   # the nodes each position may take
-    blank = [partial] * len(req)        # may stay undefined
-    if falsifying is not None:
-        masks = frame.truth_sets(*falsifying.program)
-        for k, (i, mask) in enumerate(zip(slots[len(positions):], masks)):
-            blank[i] = False
-            allowed[i] &= mask if k < len(falsifying.ant) else ~mask
-    by_name = sorted(range(len(frame.names)), key=frame.names.__getitem__)
-    node = [-1] * len(req)              # the node taken, -1 if undefined
-
-    def options(i: int) -> Iterator[int]:
-        p, out = parent[i], [-1] if blank[i] else []
-        if p < 0:
-            out += [j for j in range(len(frame.names)) if allowed[i] >> j & 1]
-        elif node[p] >= 0:
-            mask = allowed[i] & frame.rows[node[p]]
-            out += [j for j in by_name if mask >> j & 1]
-        return iter(out)
-
-    if not req:
-        yield {}
-        return
-    stack = [options(0)]
-    while stack:
-        i = len(stack) - 1
-        j = next(stack[i], None)
-        if j is None:
-            stack.pop()
-            continue
-        node[i] = j
-        if i + 1 < len(req):
-            stack.append(options(i + 1))
-        else:
-            yield {req[k]: frame.names[n] for k, n in enumerate(node) if n >= 0}
+    frame = _frame(m, sys, GraphModel)
+    req, parent, _ = segment_plan(list(positions))
+    yield from frame.walk(0, req, parent, [frame.full] * len(req), TABLE[sys].context_demand)
 
 
 def check_sequent_on_model(m: GraphModel | _Frame, sys: SystemId,
                            s: Sequent) -> Optional[Rho]:
     """First admissible assignment falsifying the sequent, if any."""
-    return next(admissible_assignments(m, sys, (), falsifying=s), None)
+    return _frame(m, sys, GraphModel).witness(0, s)
 
 
 def random_model(rng: random.Random, sys: SystemId,

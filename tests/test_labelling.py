@@ -8,7 +8,7 @@ import json
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fuzz_verdicts
@@ -40,8 +40,10 @@ positions_st = st.lists(
 
 @st.composite
 def drawn_model(draw, max_nodes: int) -> GraphModel:
-    """Any graph on up to ``max_nodes`` nodes, serial or not."""
-    nodes = tuple(f"n{i}" for i in range(draw(st.integers(1, max_nodes))))
+    """Any graph on up to ``max_nodes`` nodes, serial or not, whose node
+    names are in no particular order: name order is not index order."""
+    names = draw(st.permutations(("b", "a", "n10", "n2")))
+    nodes = tuple(names[:draw(st.integers(1, max_nodes))])
     edges = draw(st.sets(st.tuples(st.sampled_from(nodes),
                                    st.sampled_from(nodes))))
     val = {n: frozenset(draw(st.sets(st.sampled_from(ATOMS)))) for n in nodes}
@@ -68,8 +70,17 @@ def model_case(draw):
     return sys, m, positions, Sequent(tuple(draw(side)), tuple(draw(side)))
 
 
+def _unforced(nodes: tuple, edges: set) -> GraphModel:
+    return GraphModel(nodes, frozenset(edges), nodes[0], {n: frozenset() for n in nodes})
+
+
 @PROPERTY
 @given(model_case())
+# [x] goes to the successor whose name sorts first: a before b, n10 before n2
+@example((SystemId.K, _unforced(("n2", "b", "a", "n10"), {("n2", "b"), ("n2", "a"), ("n2", "n10")}),
+          [seqpos("x")], parse_sequent("|- p0 @ [x]")))
+@example((SystemId.K, _unforced(("b", "n2", "n10"), {("b", "n2"), ("b", "n10")}),
+          [seqpos("x")], parse_sequent("|- p0 @ [x]")))
 def test_first_falsifying_assignment_matches_oracle(case):
     sys, m, _, s = case
     got = check_sequent_on_model(m, sys, s)
@@ -161,8 +172,8 @@ def test_modal_fuzz_work_over_the_verdict_subjects(monkeypatch):
     """Models tried, witness searches and assignments yielded over every
     modal record of the verdict golden.  The models are read off the
     verdicts; searches and yields are counted through module attributes
-    as the benchmark's tracer counts them, and a pack searches only its
-    first falsified model, so each counterexample costs one search."""
+    as the benchmark's tracer counts them, and a pack reads its first
+    falsified model's witness off its masks, so the fuzzer searches none."""
     counts = {"models": 0, "searches": 0, "assignments": 0}
     check = semantics.check_sequent_on_model
     search = semantics.admissible_assignments
@@ -183,7 +194,7 @@ def test_modal_fuzz_work_over_the_verdict_subjects(monkeypatch):
             for sys in CORE_SYSTEMS:
                 for seed in fuzz_verdicts.SEEDS:
                     counts["models"] += fuzz_verdicts.verdict(s, sys, seed)["tried"]
-    assert counts == {"models": 6532, "searches": 108, "assignments": 108}
+    assert counts == {"models": 6532, "searches": 0, "assignments": 0}
 
 
 def test_linear_time_fuzz_work_over_the_verdict_subjects(monkeypatch):
@@ -382,9 +393,9 @@ def _items(rhos) -> list:
 @pytest.mark.parametrize("sys", CORE_SYSTEMS, ids=lambda s: s.value)
 def test_drawn_frames_search_like_their_models_and_the_reference(sys):
     """The search on a drawn frame, on the model it builds, and by the
-    reference: over the given positions, and falsifying a sequent both
-    through its cached plan (no other positions) and past it (extra
-    positions)."""
+    reference, over a sequent's positions with and without extra ones;
+    and the witness of every block of a drawn pack, read off its masks,
+    against the reference's first falsifying assignment on that model."""
     rng = random.Random(17)
     for _ in range(8):
         frame = _Frame.draw(rng, sys, frozenset(ATOMS))
@@ -392,17 +403,17 @@ def test_drawn_frames_search_like_their_models_and_the_reference(sys):
         for s in FRAME_SEQUENTS:
             for extra in ([], FRAME_EXTRA):
                 everything = extra + [q.pos for q in s.pformulas()]
-                every = list(oracle.admissible_assignments(m, sys, everything))
-                falsifying = [r for r in every
-                              if not oracle.sequent_holds(m, sys, r, s)]
-                for args, kwargs, want in (
-                        ((everything,), {}, every),
-                        ((extra,), {"falsifying": s}, falsifying)):
-                    got = list(admissible_assignments(frame, sys, *args,
-                                                      **kwargs))
-                    assert _items(got) == _items(want)
-                    assert _items(got) == _items(
-                        admissible_assignments(m, sys, *args, **kwargs))
+                want = _items(oracle.admissible_assignments(m, sys, everything))
+                assert _items(admissible_assignments(frame, sys, everything)) == want
+                assert _items(admissible_assignments(m, sys, everything)) == want
+    pack = _Frame.draw(rng, sys, frozenset(ATOMS), 40)
+    for s in FRAME_SEQUENTS + PACK_SEQUENTS[:1]:
+        hits = pack.falsified(s)
+        for k in range(40):
+            got = pack.witness(k, s)
+            want = oracle.check_sequent_on_model(pack.model(k), sys, s)
+            assert (got is None) == (want is None) == (not hits >> k * pack.width & 1)
+            assert got is None or list(got.items()) == list(want.items()), (s, k)
 
 
 def test_a_frame_is_read_only_under_the_system_it_was_drawn_for():

@@ -73,22 +73,24 @@ def test_negative_times_and_token_values_are_refused():
     w = LassoWord((frozenset(),), (frozenset({"p0"}),))
     with pytest.raises(TwoseqError, match="time point must be at least 0, not -1"):
         eval_at(w, -1, P0)
-    s = seq((), (pf(P0, LtlPos(0, frozenset("x"))),))
-    with pytest.raises(TwoseqError, match="time point must be at least 0, not -1"):
-        sequent_satisfied(w, {"x": -1}, s)
-    with pytest.raises(TwoseqError, match="not -2"):
-        sequent_satisfied(w, {"x": -3}, seq((), (pf(P0, LtlPos(1, frozenset("x"))),)))
+    # a negative token value is refused, also where the steps would outweigh it
+    for steps, value in ((0, -1), (1, -3), (5, -3)):
+        s = seq((), (pf(P0, LtlPos(steps, frozenset("x"))),))
+        with pytest.raises(TwoseqError, match=f"a token value must be at least 0, not {value}"):
+            sequent_satisfied(w, {"x": value}, s)
 
 
 def test_times_that_are_no_natural_numbers_are_refused():
     w = LassoWord((frozenset(),), (frozenset({"p0"}),))
-    for t in ("n0", 1.5):
+    for t in ("n0", 1.5, True):
         with pytest.raises(TwoseqError, match=f"time point is a natural number, not {t!r}"):
             forces(w, SystemId.LTL, t, P0)
         with pytest.raises(TwoseqError, match=f"not {t!r}"):
             eval_at(w, t, P0)
-    with pytest.raises(TwoseqError, match="not 1.5"):
-        sequent_satisfied(w, {"x": 0.5}, seq((), (pf(P0, LtlPos(1, frozenset("x"))),)))
+    s = seq((), (pf(P0, LtlPos(1, frozenset("x"))),))
+    for v in ("n0", 0.5, True):
+        with pytest.raises(TwoseqError, match=f"a token value is a natural number, not {v!r}"):
+            sequent_satisfied(w, {"x": v}, s)
 
 
 def test_eval_at_next_shift_law():
