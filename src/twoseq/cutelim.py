@@ -54,13 +54,11 @@ def is_cut_free(p: ProofNode) -> bool:
 
 
 def verify_subformula_property(p: ProofNode) -> bool:
-    """Every formula anywhere in the proof is a subformula of the conclusion."""
+    """Every formula anywhere in the proof is a subformula of the conclusion;
+    each distinct (interned) one is decided once, at its first occurrence."""
     ends = p.conclusion.pformulas()
-    for n in subproofs(p):
-        for q in n.conclusion.pformulas():
-            if not any(is_subformula(q, e) for e in ends):
-                return False
-    return True
+    firsts = dict.fromkeys(q for n in subproofs(p) for q in n.conclusion.pformulas())
+    return all(any(is_subformula(q, e) for e in ends) for q in firsts)
 
 
 def _check_input(p: ProofNode, sys: SystemId, what: str) -> None:

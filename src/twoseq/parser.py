@@ -554,7 +554,8 @@ def render_model(model) -> str:
         pre = " ".join(propset(s) for s in model.prefix)
         loop = " ".join(propset(s) for s in model.loop)
         return f"prefix: {pre} ; loop: {loop}".replace("prefix:  ;", "prefix: ;")
-    assert isinstance(model, GraphModel)
+    if not isinstance(model, GraphModel):
+        raise TwoseqError(f"not a model: {model!r}")
     lines = ["nodes: " + " ".join(model.nodes), "root: " + model.root]
     if model.edges:
         lines.append("edges: " + " ".join(

@@ -13,7 +13,6 @@ value fixed at construction (see the ``syntax`` docstring).
 
 from __future__ import annotations
 
-import threading
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from functools import total_ordering
@@ -23,16 +22,22 @@ Token = str
 
 RELATED_MODES = ("one-step", "reflexive-one-step", "strict-prefix", "prefix")
 
-# the intern table: (class, field values or child identities) -> the live
-# term; weak, so a term lives only as long as its last user
-TABLE: "weakref.WeakValueDictionary[tuple, Interned]" = weakref.WeakValueDictionary()
-# its dict of key -> weak reference, read directly on the hit path:
-# ``_LIVE.get(key, _no_term)()`` is the live term under key, or None
-_LIVE = TABLE.data
+# the intern table: (class, field values or child identities) -> a weak
+# reference to the live term, which removes its own entry when the term
+# dies; ``TABLE.get(key, _no_term)()`` is the live term under key, or None
+TABLE: "dict[tuple, _Ref]" = {}
+_no_term = weakref.ref(set())   # a dead reference, so calling it gives None
 
 
-def _no_term() -> None:
-    return None
+class _Ref(weakref.ref):
+    """A weak reference that knows its term's key.  It has no ``__init__``,
+    so ``_Ref(term, _drop)`` runs in C; the key is set after."""
+
+    __slots__ = ("key",)
+
+
+def _drop(ref: _Ref, table=TABLE, remove=weakref._remove_dead_weakref) -> None:
+    remove(table, ref.key)      # only a dead entry: a newer live term stays
 
 
 class Interned:
@@ -45,6 +50,7 @@ class Interned:
     """
 
     __slots__ = ("_hash", "__weakref__")
+    _FACTS: tuple[str, ...] = ()     # the names of the stored facts
 
     def __hash__(self) -> int:
         return self._hash
@@ -66,29 +72,29 @@ class Interned:
         return type(self), tuple(getattr(self, k) for k in self.__match_args__)
 
 
-_setattr = object.__setattr__
-_MISS = threading.RLock()       # one thread at a time makes a new term
+_new, _setattr = object.__new__, object.__setattr__
 
 
-def intern(key: tuple, cls: type, values: tuple, **facts) -> Interned:
+def intern(key: tuple, cls: type, values: tuple, facts: tuple = ()) -> Interned:
     """The live term under ``key``, else a new term of ``cls`` with the
-    field ``values`` and the stored ``facts``, entered in the table.
+    field ``values`` and the stored ``facts`` (named by ``cls._FACTS``).
 
-    Constructors call this after a lock-free lookup missed; the lookup is
-    repeated under the lock, so threads racing to build one term get one.
+    Called after a lookup missed.  The new term is built in full, then
+    published with ``setdefault``, with no lock: threads racing to build
+    one term get the one published first.  A dead reference found there,
+    whose callback has not run yet, is removed and publishing retried.
     """
-    with _MISS:
-        obj = _LIVE.get(key, _no_term)()
-        if obj is not None:
-            return obj
-        obj = object.__new__(cls)
-        for name, value in zip(cls.__match_args__, values):
-            _setattr(obj, name, value)
-        for name, value in facts.items():
-            _setattr(obj, name, value)
-        _setattr(obj, "_hash", hash(values))
-        TABLE[key] = obj
-        return obj
+    obj = _new(cls)
+    for name, value in zip(cls.__match_args__ + cls._FACTS, values + facts):
+        _setattr(obj, name, value)
+    _setattr(obj, "_hash", hash(values))
+    ref = _Ref(obj, _drop)
+    ref.key = key
+    while (old := TABLE.setdefault(key, ref)) is not ref:
+        if (term := old()) is not None:
+            return term
+        weakref._remove_dead_weakref(TABLE, key)
+    return obj
 
 
 class _Position(Interned):
@@ -105,7 +111,7 @@ class SeqPos(_Position):
 
     def __new__(cls, items: tuple[Token, ...] = ()):
         key = (cls, items)
-        self = _LIVE.get(key, _no_term)()
+        self = TABLE.get(key, _no_term)()
         return intern(key, cls, (items,)) if self is None else self
 
     def __str__(self) -> str:
@@ -131,7 +137,7 @@ class SetPos(_Position):
 
     def __new__(cls, items: frozenset[Token] = frozenset()):
         key = (cls, items)
-        self = _LIVE.get(key, _no_term)()
+        self = TABLE.get(key, _no_term)()
         return intern(key, cls, (items,)) if self is None else self
 
     def __str__(self) -> str:
@@ -151,7 +157,7 @@ class LtlPos(_Position):
 
     def __new__(cls, steps: int = 0, future: frozenset[Token] = frozenset()):
         key = (cls, steps, future)
-        self = _LIVE.get(key, _no_term)()
+        self = TABLE.get(key, _no_term)()
         if self is None:
             if steps < 0:
                 raise ValueError("step count must be a natural number")
@@ -177,7 +183,7 @@ class PastPos(_Position):
     def __new__(cls, offset: int = 0, future: frozenset[Token] = frozenset(),
                 past: frozenset[Token] = frozenset()):
         key = (cls, offset, future, past)
-        self = _LIVE.get(key, _no_term)()
+        self = TABLE.get(key, _no_term)()
         if self is None:
             if future & past:
                 raise ValueError("future and past token sets must be disjoint")

@@ -21,10 +21,10 @@ children, or the field values for ``Prop`` and the positions.  So:
   connective, its degree and its temporal depth, derived from its
   children at construction, so ``has_temporal``, ``has_past``,
   ``degree`` and ``temporal_depth`` are O(1) reads;
-- the table is a ``weakref.WeakValueDictionary``: a term leaves it when
-  its last user drops it;
-- lookups take no lock, and a new term is made under one, so threads
-  racing to build the same term get one object.
+- the table holds weak references that remove their own entries when
+  their terms die, so a term leaves it when its last user drops it;
+- no lock is taken: a new term is built in full, then published with
+  ``dict.setdefault``, so threads racing to build one term get one object.
 
 Terms must be built only by calling their class.  ``object.__new__``
 would make a term the table does not know, which compares unequal to
@@ -39,20 +39,15 @@ from functools import cached_property
 from typing import Callable, Iterable, Union
 
 from .errors import DegreeUndefinedError, TwoseqError
-from .positions import (_LIVE, Interned, Position, SeqPos, Token, _no_term,
+from .positions import (TABLE, Interned, Position, SeqPos, Token, _no_term,
                         _Position, initials, intern)
 
 
 class _Formula(Interned):
     """Stored facts of a formula: whether it contains a temporal or a past
-    connective, its degree (-1 where undefined) and its temporal depth."""
+    connective, its degree (undefined if it does) and its temporal depth."""
 
-    __slots__ = ("_temporal", "_past", "_degree", "_depth")
-
-
-def _facts(temporal: bool, past: bool, degree: int, depth: int) -> dict:
-    return dict(_temporal=temporal, _past=past, _degree=-1 if temporal else degree,
-                _depth=depth)
+    __slots__ = _FACTS = ("_temporal", "_past", "_degree", "_depth")
 
 
 def _operand(cls: type, x) -> None:
@@ -67,9 +62,9 @@ class Prop(_Formula):
 
     def __new__(cls, name: str):
         key = (cls, name)
-        self = _LIVE.get(key, _no_term)()
+        self = TABLE.get(key, _no_term)()
         if self is None:
-            self = intern(key, cls, (name,), **_facts(False, False, 0, 0))
+            self = intern(key, cls, (name,), (False, False, 0, 0))
         return self
 
 
@@ -85,10 +80,10 @@ class _Unary(_Formula):
 
     def __new__(cls, sub: "Formula"):
         key = (cls, id(sub))
-        self = _LIVE.get(key, _no_term)()
+        self = TABLE.get(key, _no_term)()
         if self is None:
             _operand(cls, sub)
-            self = intern(key, cls, (sub,), **_facts(
+            self = intern(key, cls, (sub,), (
                 cls.IS_TEMPORAL or sub._temporal, cls.IS_PAST or sub._past,
                 sub._degree + 1, sub._depth + cls.IS_MODAL))
         return self
@@ -102,11 +97,11 @@ class _Binary(_Formula):
 
     def __new__(cls, left: "Formula", right: "Formula"):
         key = (cls, id(left), id(right))
-        self = _LIVE.get(key, _no_term)()
+        self = TABLE.get(key, _no_term)()
         if self is None:
             _operand(cls, left)
             _operand(cls, right)
-            self = intern(key, cls, (left, right), **_facts(
+            self = intern(key, cls, (left, right), (
                 left._temporal or right._temporal, left._past or right._past,
                 max(left._degree, right._degree) + 1, max(left._depth, right._depth)))
         return self
@@ -177,7 +172,7 @@ class PFormula(Interned):
 
     def __new__(cls, formula: Formula, pos: Position):
         key = (cls, id(formula), id(pos))
-        self = _LIVE.get(key, _no_term)()
+        self = TABLE.get(key, _no_term)()
         if self is None:
             _operand(cls, formula)
             if not isinstance(pos, _Position):
@@ -336,7 +331,7 @@ def degree(f: Formula) -> int:
     connectives add one to the larger operand.  The measure is only
     defined on the box/dia fragment.
     """
-    if f._degree < 0:
+    if f._temporal:
         raise DegreeUndefinedError("degree undefined for temporal formula")
     return f._degree
 

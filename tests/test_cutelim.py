@@ -11,13 +11,15 @@ import pytest
 
 from proofgen import generate_suite
 from twoseq.calculus import (SystemId, ax, box_left, box_right, check_proof,
-                             cut, dia_right, height, seq, weak_left, weak_right)
+                             cut, dia_right, height, seq, subproofs, weak_left,
+                             weak_right)
 from twoseq.cutelim import (eliminate_cuts, is_cut_free, mix, proof_degree,
                             verify_subformula_property)
 from twoseq.errors import (MixHypothesisError, RejectedProofError,
                            TwoseqError, UnsupportedSystemError)
 from twoseq.positions import seqpos
-from twoseq.syntax import And, Box, Dia, Imp, Not, Or, Prop, degree, pf
+from twoseq.syntax import (And, Box, Dia, Imp, Not, Or, Prop, degree,
+                           is_subformula, pf)
 import twoseq.corpus as corpus
 import twoseq.cutelim as cutelim
 
@@ -272,6 +274,39 @@ def test_subformula_property_negative_control():
     assert check_proof(p, SystemId.S4).accepted
     assert not verify_subformula_property(p)
     assert verify_subformula_property(eliminate_cuts(p, SystemId.S4))
+
+
+def _per_occurrence_verdict(p):
+    """The subformula scan deciding every occurrence, the reference for
+    the scan that decides each distinct formula once: the verdict or the
+    refusal."""
+    ends = p.conclusion.pformulas()
+    try:
+        for n in subproofs(p):
+            for q in n.conclusion.pformulas():
+                if not any(is_subformula(q, e) for e in ends):
+                    return False
+        return True
+    except TwoseqError as e:
+        return type(e), str(e)
+
+
+def _verdict(p):
+    try:
+        return verify_subformula_property(p)
+    except TwoseqError as e:
+        return type(e), str(e)
+
+
+def test_subformula_scan_decides_as_every_occurrence_would():
+    proofs = [p for sysid in SystemId for _, p in corpus.entries(sysid)]
+    for sysid in CORE:
+        for p in generate_suite(sysid, 30, seed=77):
+            proofs += [p, eliminate_cuts(p, sysid)]
+    verdicts = [_verdict(p) for p in proofs]
+    assert verdicts == [_per_occurrence_verdict(p) for p in proofs]
+    # every outcome occurs: holds, fails, and refused off the box/dia fragment
+    assert {True, False} <= set(verdicts) and any(type(v) is tuple for v in verdicts)
 
 
 def test_eliminated_proofs_never_conclude_empty():

@@ -1,7 +1,11 @@
 """Text front end: grammar instances, round trips, diagnostics."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,7 +16,7 @@ from corruptions import GOLDEN as PARSE_ERRORS, corruptions, parse_error
 from mutants import corpus_proofs
 from strategies import formula_st, pformula_st, sequent_st
 from twoseq.calculus import SystemId, expand_double_lines
-from twoseq.errors import ParseError
+from twoseq.errors import ParseError, TwoseqError
 from twoseq.ltl import LassoWord
 from twoseq.parser import (parse_formula, parse_model, parse_pformula,
                            parse_position, parse_proof, parse_sequent,
@@ -20,7 +24,7 @@ from twoseq.parser import (parse_formula, parse_model, parse_pformula,
                            render_proof, render_sequent)
 from twoseq.positions import LtlPos, PastPos, SeqPos, SetPos, seqpos
 from twoseq.semantics import GraphModel
-from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, Or, Prop, pf)
+from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, Or, Prop, pf, seq)
 import twoseq.corpus as corpus
 import twoseq.parser as parser
 
@@ -190,6 +194,24 @@ def test_model_errors():
         parse_model("prefix: {p0} ; loop:")
     with pytest.raises(ParseError):
         parse_model("nodes: n0\nedges: n0->n9")
+
+
+@pytest.mark.parametrize("model", [None, "nodes: n0", seq(), ("n0",)])
+def test_rendering_a_non_model_is_refused(model):
+    with pytest.raises(TwoseqError, match="not a model"):
+        render_model(model)
+
+
+def test_rendering_a_non_model_is_refused_under_python_O():
+    code = ("from twoseq.errors import TwoseqError\n"
+            "from twoseq.parser import render_model\n"
+            "assert False, 'not running under python -O'\n"
+            "try:\n    render_model(None)\n"
+            "except TwoseqError as e:\n    print(e)\n")
+    src = str(Path(parser.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert (out.returncode, out.stdout, out.stderr) == (0, "not a model: None\n", "")
 
 
 @pytest.mark.parametrize("text, message, line, col", [

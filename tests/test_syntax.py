@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from twoseq.errors import DegreeUndefinedError
 from twoseq.parser import (parse_formula, parse_pformula, parse_position,
                            render_formula, render_pformula)
-from twoseq.positions import (TABLE, LtlPos, PastPos, SeqPos, SetPos, concat,
-                              seqpos)
+from twoseq.positions import (TABLE, LtlPos, PastPos, SeqPos, SetPos, _drop, _Ref,
+                              concat, seqpos)
 from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, Once, Or, PFormula,
                            Prop, degree, has_past, has_temporal, is_subformula,
                            pf, positions_of, seq, temporal_depth, tokens_of)
@@ -194,6 +194,8 @@ def test_threads_racing_to_build_a_term_get_one_object():
     sys.setswitchinterval(1e-6)
     try:
         for r in range(40):
+            gc.collect()
+            baseline = len(TABLE)
             names = [f"race{r}_{i}" for i in range(40)]
             built = [None] * 8
             start = threading.Barrier(len(built))
@@ -211,5 +213,48 @@ def test_threads_racing_to_build_a_term_get_one_object():
             assert not any(t.is_alive() for t in threads)
             for terms in built[1:]:
                 assert all(a is b for a, b in zip(built[0], terms))
+            # no entry outlives the terms: a loser's term never entered
+            built.clear()
+            del terms
+            gc.collect()
+            assert len(TABLE) == baseline
     finally:
         sys.setswitchinterval(old)
+
+
+def test_a_dead_reference_under_a_key_gives_way_to_a_new_term():
+    f = Prop("planted_operand")
+    for key, build in (((Prop, "planted"), lambda: Prop("planted")),
+                       ((Box, id(f)), lambda: Box(f)),
+                       ((SeqPos, ("planted",)), lambda: seqpos("planted"))):
+        assert key not in TABLE
+        dead = _Ref(set())
+        dead.key = key
+        TABLE[key] = dead
+        term = build()
+        assert TABLE[key] is not dead and TABLE[key]() is term
+        assert build() is term
+        # the dead reference's callback, run late, leaves the live entry
+        _drop(dead)
+        assert TABLE[key]() is term
+        del term
+        gc.collect()
+        assert key not in TABLE
+
+
+def test_a_constructor_that_raises_leaves_no_entry():
+    gc.collect()
+    before = len(TABLE)
+    x = frozenset("x")
+    for build, error, key in (
+            (lambda: LtlPos(-1), ValueError, (LtlPos, -1, frozenset())),
+            (lambda: PastPos(0, x, x), ValueError, (PastPos, 0, x, x)),
+            (lambda: Box(3), TypeError, (Box, id(3))),
+            (lambda: And(P, "q"), TypeError, (And, id(P), id("q"))),
+            (lambda: pf(P, "[]"), TypeError, (PFormula, id(P), id("[]")))):
+        with pytest.raises(error) as raised:
+            build()
+        # checked while the traceback still holds the constructor's frame
+        assert key not in TABLE and raised.traceback
+    gc.collect()
+    assert len(TABLE) == before
