@@ -37,7 +37,10 @@ _NOUNS = {SeqPos: ("assignment", "fails under the assignment ",
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise TwoseqError(f"{path} is not UTF-8 text") from None
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -80,7 +83,11 @@ def _emit(args, payload: dict, text: str) -> None:
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("TWOSEQ_SEED") or DEFAULT_SEED)
+    value = os.environ.get("TWOSEQ_SEED") or str(DEFAULT_SEED)
+    try:
+        return int(value)
+    except ValueError:
+        raise TwoseqError(f"TWOSEQ_SEED must be an integer, not {value!r}") from None
 
 
 def cmd_check(args) -> int:

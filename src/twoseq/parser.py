@@ -5,12 +5,14 @@ and ``X Y H P`` for next, prev, always-past, sometime-past.  Unary
 operators bind tighter than ``&``, which binds tighter than ``|``, which
 binds tighter than the right-associative ``->``.  Proof scripts are
 nested s-expressions carrying explicit rule parameters and one conclusion
-sequent per node.  The renderer is canonical: token sets print in
+sequent per node; a parse reads and a rendering writes each distinct
+positioned formula once.  The renderer is canonical: token sets print in
 lexicographic order and ``parse(render(v)) == v`` for every value.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Optional, Union
 
@@ -44,6 +46,7 @@ _COMMENT_RE = re.compile(r"#[^\n]*")
 _PUNCT, _ODD_SPACE = "()[]{};,@&~", "\x0b\x0c\x1c\x1d\x1e\x1f"
 
 _EOF = ""           # the token past the end (two pad the list)
+_CLOSERS = {"[": "]", "{": "}", "(": ")"}      # a position's opener and closer
 
 
 def _error_at(text: str, offset: int, message: str) -> ParseError:
@@ -100,12 +103,21 @@ def _kind(tok: str) -> str:
 class _Parser:
     """Recursive-descent grammar run over explicit stacks: nesting depth
     costs list entries, not Python frames.  A sequent's ``@``, one-token
-    ``[x]``, ``,`` and ``|-`` are read by indexing the token list."""
+    ``[x]``, ``,`` and ``|-`` are read by indexing the token list.
+
+    ``memo`` holds each positioned formula read so far under its span of
+    tokens joined by spaces (which no token holds; a tuple key measured a
+    higher peak RSS), so a repeat is not read again.  It is exact: the span
+    ends at the first ``@`` (no formula holds one), then at the first closer
+    of the position's bracket (no position nests them); a successful parse
+    ends there and reads nothing else, and terms are hash-consed, so a fresh
+    parse gives the same object.  Failed parses are not kept."""
 
     def __init__(self, text: str):
         self.text = text.replace("\u2212", "-")     # accept the unicode minus sign
         self.toks = _lex(self.text)
         self.i = 0
+        self.memo: dict[str, PFormula] = {}
 
     def peek(self, ahead: int = 0) -> str:
         return self.toks[self.i + ahead]
@@ -223,6 +235,23 @@ class _Parser:
     # -- sequents --
 
     def pformula(self) -> PFormula:
+        toks, i = self.toks, self.i
+        try:
+            at = toks.index("@", i)
+            j = toks.index(_CLOSERS[toks[at + 1]], at) + 1
+        except (KeyError, ValueError):      # no span, so the parse below raises
+            return self._pformula()
+        key = " ".join(toks[i:j])
+        q = self.memo.get(key)
+        if q is not None:
+            self.i = j
+            return q
+        q = self._pformula()
+        if self.i == j:
+            self.memo[key] = q
+        return q
+
+    def _pformula(self) -> PFormula:
         f = self.formula()
         toks, i = self.toks, self.i
         if toks[i] != "@":
@@ -496,22 +525,10 @@ def render_pformula(p: PFormula) -> str:
     return f"{f} @ {p.pos}"
 
 
-def render_sequent(s: Sequent) -> str:
-    ant = ", ".join(render_pformula(q) for q in s.ant)
-    suc = ", ".join(render_pformula(q) for q in s.suc)
-    if ant and suc:
-        return f"{ant} |- {suc}"
-    if ant:
-        return f"{ant} |-"
-    if suc:
-        return f"|- {suc}"
-    return "|-"
-
-
-def _render_param(key: str, value) -> str:
-    if key in ("cutf", "pf"):
-        return f"({key} {render_pformula(value)})"
-    return f"({key} {value})"
+def render_sequent(s: Sequent, text=render_pformula) -> str:
+    ant = ", ".join(map(text, s.ant))
+    suc = ", ".join(map(text, s.suc))
+    return " ".join(filter(None, (ant, "|-", suc)))
 
 
 def render_proof(sys: SystemId, p: Union[ProofNode, ScriptNode]) -> str:
@@ -519,6 +536,7 @@ def render_proof(sys: SystemId, p: Union[ProofNode, ScriptNode]) -> str:
     the text grows linearly with depth); a node's closing parenthesis ends
     the line of its last descendant.  The walk keeps its own stack, where
     None closes a node."""
+    text = functools.cache(render_pformula)     # each p-formula's text made once
     out: list[str] = [f"(proof {sys.value}"]
     todo: list = [(p, 1)]
     while todo:
@@ -529,14 +547,14 @@ def render_proof(sys: SystemId, p: Union[ProofNode, ScriptNode]) -> str:
         n, depth = job
         pad = "  " * min(depth, MAX_INDENT)
         if n.rule == "bridge":
-            out.append(f"\n{pad}(bridge (concl {render_sequent(n.conclusion)})")
+            out.append(f"\n{pad}(bridge (concl {render_sequent(n.conclusion, text)})")
         else:
-            params = " ".join(_render_param(k, v) for k, v in
+            params = " ".join(f"({k} {text(v) if k in ('cutf', 'pf') else v})" for k, v in
                               sorted(n.params, key=lambda kv: _PARAM_KEYS.index(kv[0])))
             head = f"\n{pad}(rule {n.rule}"
             if params:
                 head += " " + params
-            out.append(head + f" (concl {render_sequent(n.conclusion)})")
+            out.append(head + f" (concl {render_sequent(n.conclusion, text)})")
         todo.append(None)
         todo += ((c, depth + 1) for c in reversed(n.premises))
     out.append(")")

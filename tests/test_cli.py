@@ -198,6 +198,34 @@ def test_fuzz_seed_env_override(files, monkeypatch, capsys):
     assert main(["fuzz", "--budget", "10", path]) == 0
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "0x10"])
+def test_fuzz_refuses_a_seed_variable_that_is_not_an_integer(files, monkeypatch,
+                                                              capsys, value):
+    path = proof_file(files, "k.2sp", SystemId.K, corpus.axiom_k())
+    monkeypatch.setenv("TWOSEQ_SEED", value)
+    assert main(["fuzz", "--budget", "10", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: TWOSEQ_SEED must be an integer, not {value!r}\n"
+
+
+@pytest.mark.parametrize("bad", ["proof", "model", "sequent"])
+def test_a_file_that_is_not_utf8_is_an_error_not_a_crash(files, tmp_path, capsys, bad):
+    path = tmp_path / f"{bad}.bin"
+    path.write_bytes(b"\xff\xfe")
+    if bad == "proof":
+        argv = ["check", str(path)]
+    else:
+        model = files("m.2sm", "nodes: n0\nroot: n0\nval: n0 {}")
+        sequent = files("s.2sq", "|- p0 -> p0 @ []")
+        argv = ["eval", "--system", "K", "--model", model, "--sequent", sequent]
+        argv[argv.index(model if bad == "model" else sequent)] = str(path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path} is not UTF-8 text\n"
+
+
 def test_fuzz_ltl(files, capsys):
     path = proof_file(files, "a6.2sp", SystemId.LTL, corpus.ltl_a6())
     assert main(["fuzz", "--budget", "80", "--seed", "1", path]) == 0

@@ -1,5 +1,6 @@
 """Text front end: grammar instances, round trips, diagnostics."""
 
+import gc
 import json
 import os
 import random
@@ -14,8 +15,10 @@ from hypothesis import strategies as st
 import parser_oracle as oracle
 from corruptions import GOLDEN as PARSE_ERRORS, corruptions, parse_error
 from mutants import corpus_proofs
+from proofgen import generate_suite
 from strategies import formula_st, pformula_st, sequent_st
 from twoseq.calculus import SystemId, expand_double_lines
+from twoseq.cutelim import eliminate_cuts
 from twoseq.errors import ParseError, TwoseqError
 from twoseq.ltl import LassoWord
 from twoseq.parser import (parse_formula, parse_model, parse_pformula,
@@ -27,6 +30,9 @@ from twoseq.semantics import GraphModel
 from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, Or, Prop, pf, seq)
 import twoseq.corpus as corpus
 import twoseq.parser as parser
+import twoseq.positions as positions
+
+CORE = (SystemId.K, SystemId.D, SystemId.T, SystemId.K4, SystemId.S4)
 
 PROPERTY = settings(max_examples=300, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -395,3 +401,206 @@ def test_nested_scripts_parse_as_the_oracle_does():
     _same_as_oracle(f"(proof K {text}", ("parse_proof",))
     _same_as_oracle(f"(proof K (bridge (concl p0 @ [] |-) {leaf} {leaf}))",
                     ("parse_proof",))
+
+
+# --- the span memo: repeated positioned formulas are read once ---
+
+# spans that parse, and spans whose first occurrence already fails (a
+# negative step count, a past position with overlapping sets, a missing
+# closer or token), in the four position families
+SPANS = ["p0 @ [x]", "(p0 -> q) @ [x, y]", "box p0 @ []", "p0 & q @ [x]",
+         "dia q @ {x, y}", "X p0 @ (1;{x})", "p0 @ (0;{x};{y})", "~q @ (\u22122;{};{x})",
+         "p0 @ (-1;{x})", "q @ (1;{x};{x})", "p0 @ [x,]", "p0 @ {x", "p0 @ (1;{x}",
+         "p0 @ [[x]]", "(p0 @ [x]", "p0 @ x"]
+pformula_texts = st.one_of(
+    st.sampled_from(SPANS),
+    *(pformula_st(conn, fam).map(render_pformula)
+      for conn, fam in (("modal", SeqPos), ("modal", SetPos),
+                        ("ltl", LtlPos), ("past", PastPos))))
+
+
+@st.composite
+def repeating_st(draw, script: bool):
+    """A sequent, or a proof script whose nodes' conclusions are sequents,
+    drawn from a pool of at most three positioned formulas, so that spans
+    repeat; maybe with a fragment inserted straight after a span that
+    occurred before."""
+    pool = draw(st.lists(pformula_texts, min_size=1, max_size=3))
+    pieces: list[tuple[str, bool]] = []         # (text, is a span)
+
+    def spans(most: int) -> None:
+        for n, q in enumerate(draw(st.lists(st.sampled_from(pool), max_size=most))):
+            pieces.append((", " if n else "", False))
+            pieces.append((q, True))
+
+    def sequent() -> None:
+        spans(3)
+        pieces.append((" |- ", False))
+        spans(3)
+
+    if not script:
+        sequent()
+    else:
+        pieces.append((f"(proof {draw(st.sampled_from(['K', 'S42', 'LTL', 'LTLP']))}", False))
+        kinds = draw(st.lists(st.sampled_from(["bridge", "cut"]), max_size=4))
+        for kind in kinds + ["ax"]:
+            if kind == "cut":
+                pieces.append(("\n(rule cut (cutf ", False))
+                spans(1)
+                pieces.append((") (concl ", False))
+            else:
+                pieces.append((f"\n({'bridge' if kind == 'bridge' else 'rule ax'} (concl ",
+                               False))
+            sequent()
+            pieces.append((")", False))
+        pieces.append((")" * (len(kinds) + 2), False))
+    repeats = [k for k, (text, span) in enumerate(pieces)
+               if span and (text, True) in pieces[:k]]
+    if repeats and draw(st.booleans()):
+        k = draw(st.sampled_from(repeats))
+        pieces.insert(k + 1, (draw(st.sampled_from(FRAGMENTS)), False))
+    return "".join(text for text, _ in pieces)
+
+
+@PROPERTY
+@given(repeating_st(script=False))
+def test_sequents_with_repeated_spans_parse_as_the_oracle_does(text):
+    _same_as_oracle(text, ("parse_sequent",))
+
+
+@PROPERTY
+@given(repeating_st(script=True))
+def test_scripts_with_repeated_spans_parse_as_the_oracle_does(text):
+    _same_as_oracle(text, ("parse_proof",))
+
+
+@pytest.mark.parametrize("text", [
+    "|- p0 @ (-1;{x}), p0 @ (-1;{x})",
+    "|- p0 @ (1;{x};{x}), p0 @ (1;{x};{x})",
+    "p0 @ [x] |- p0 @ [x] p0 @ [x]",
+    "p0 @ [x] |- p0 @ [x]]",
+    "p0 @ [x], p0 @ [x] @ [x] |-",
+    "p0 @ {x}, p0 @ {x} |- , p0 @ {x}",
+])
+def test_errors_at_and_after_repeated_spans_are_the_oracles(text):
+    _same_as_oracle(text, ("parse_sequent",))
+
+
+def _reads(monkeypatch) -> list:
+    """Record each positioned formula the parser reads in full."""
+    reads = []
+    full = parser._Parser._pformula
+
+    def counted(self):
+        reads.append(self.i)
+        return full(self)
+
+    monkeypatch.setattr(parser._Parser, "_pformula", counted)
+    return reads
+
+
+def test_a_repeated_span_is_read_once_and_gives_the_same_object(monkeypatch):
+    reads = _reads(monkeypatch)
+    s = parse_sequent("p0 & q @ [x], box p0 @ {x} |- p0 & q @ [x], box p0 @ {x}, "
+                      "(p0 & q) @ [x]")
+    assert len(reads) == 3      # the third span differs in text, not in value
+    assert s.suc[0] is s.ant[0] and s.suc[1] is s.ant[1] and s.suc[2] is s.ant[0]
+    reads.clear()
+    script = parse_proof("(proof K (bridge (concl p0 @ [x] |- p0 @ [x], p0 @ [x])\n"
+                         "  (rule ax (concl p0 @ [x] |- p0 @ [x]))))")
+    assert len(reads) == 1
+    assert script.root.premises[0].conclusion.ant[0] is script.root.conclusion.suc[1]
+
+
+def test_a_deep_formula_written_twice_is_read_once(monkeypatch):
+    q = Prop("q")
+    wraps = (Box, Not, lambda g: And(g, q), lambda g: Imp(q, g),
+             lambda g: Or(Dia(g), q), lambda g: Imp(g, q))
+    f = Prop("p0")
+    for i in range(100_000):
+        f = wraps[i % len(wraps)](f)
+    text = render_pformula(pf(f, seqpos("x")))
+    reads = _reads(monkeypatch)
+    s = parse_sequent(f"|- {text}, {text}")
+    assert len(reads) == 1
+    assert s.suc[0] is s.suc[1] is pf(f, seqpos("x"))
+
+
+def test_the_memo_keeps_nothing_alive_past_the_parse():
+    # names no other term holds, so that every term the parse makes is new
+    span = "(memo_a -> box memo_b) @ [memo_x]"
+    text = (f"(proof K (bridge (concl {span} |- {span}, {span})\n"
+            f"  (rule ax (concl {span} |- {span}))))")
+    gc.collect()
+    baseline = len(positions.TABLE)
+    script = parse_proof(text)
+    assert len(positions.TABLE) > baseline
+    del script
+    gc.collect()
+    assert len(positions.TABLE) == baseline
+    with pytest.raises(ParseError):
+        parse_proof(text.replace(f"{span}))))", f"{span} ~))))"))
+    gc.collect()
+    assert len(positions.TABLE) == baseline
+
+
+# --- rendering: each positioned formula's text is made once per proof ---
+
+def _sequent_per_occurrence(s) -> str:
+    ant = ", ".join(render_pformula(q) for q in s.ant)
+    suc = ", ".join(render_pformula(q) for q in s.suc)
+    if ant and suc:
+        return f"{ant} |- {suc}"
+    if ant:
+        return f"{ant} |-"
+    if suc:
+        return f"|- {suc}"
+    return "|-"
+
+
+def _render_per_occurrence(sys: SystemId, p) -> str:
+    """`render_proof` as it was before it kept the text of each positioned
+    formula: one `render_pformula` call per occurrence."""
+    sequent = _sequent_per_occurrence
+
+    def param(key, value):
+        if key in ("cutf", "pf"):
+            return f"({key} {render_pformula(value)})"
+        return f"({key} {value})"
+
+    out = [f"(proof {sys.value}"]
+    todo: list = [(p, 1)]
+    while todo:
+        job = todo.pop()
+        if job is None:
+            out.append(")")
+            continue
+        n, depth = job
+        pad = "  " * min(depth, parser.MAX_INDENT)
+        if n.rule == "bridge":
+            out.append(f"\n{pad}(bridge (concl {sequent(n.conclusion)})")
+        else:
+            params = " ".join(param(k, v) for k, v in
+                              sorted(n.params, key=lambda kv: parser._PARAM_KEYS.index(kv[0])))
+            head = f"\n{pad}(rule {n.rule}"
+            if params:
+                head += " " + params
+            out.append(head + f" (concl {sequent(n.conclusion)})")
+        todo.append(None)
+        todo += ((c, depth + 1) for c in reversed(n.premises))
+    out.append(")")
+    return "".join(out)
+
+
+def test_render_proof_matches_the_per_occurrence_renderer():
+    proofs = list(corpus_proofs())
+    for sysid in CORE:
+        for p in generate_suite(sysid, 30, seed=5):
+            proofs += [(sysid, "proofgen", p), (sysid, "cut-free", eliminate_cuts(p, sysid))]
+    assert {home for home, _, _ in proofs} == set(SystemId)
+    for home, name, p in proofs:
+        assert render_proof(home, p) == _render_per_occurrence(home, p), (home, name)
+        assert render_sequent(p.conclusion) == _sequent_per_occurrence(p.conclusion)
+    q = pf(Prop("p0"), seqpos())
+    for s in (seq(), seq([q]), seq([], [q]), seq([q, q], [q])):
+        assert render_sequent(s) == _sequent_per_occurrence(s)
