@@ -2,9 +2,9 @@
 subformula verification, for the five sequence-position systems.
 
 The mix of two proofs removes every occurrence of the cut formula from
-the right side of the first and the left side of the second, recursing on
-the lexicographic pair of heights; elimination then inducts on the pair
-of proof degree and height.  Both measures are checked at runtime, and a
+the right side of the first and the left side of the second, descending
+the lexicographic pair of heights; elimination then descends the pair of
+proof degree and height.  Both measures are checked at runtime, and a
 failure raises `KernelInvariantError` (also under ``python -O``).  For
 the two restricted systems the mix carries a position hypothesis mirroring
 their cut condition; it is checked on every entry and a violation is
@@ -16,11 +16,17 @@ The mix reads rule shapes only from `calculus.SCHEMAS`: one step mixes a
 premise of either proof with the other proof, both to re-apply a rule
 that does not introduce the cut formula and to reduce a principal pair,
 which cuts each operand both schemas expose.
+
+Each step is a generator that yields the sub-mix or sub-elimination it
+needs and is sent back its result; one driver loop, `_drive`, runs the
+steps depth first over an explicit stack, so the effects (fresh names,
+trace lines, checks) come in the order of a recursive descent while a
+proof of any depth takes a bounded number of Python frames.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Generator, Optional
 
 from .calculus import (CORE_SYSTEMS, SCHEMAS, STRUCTURAL_RULES, ProofNode,
                        Sequent, SystemId, TABLE, bridge_proof, check_proof,
@@ -35,11 +41,28 @@ from .transform import (FreshTokenSource, _map_positions, _scoped_rename,
                         materialise)
 
 Trace = Optional[Callable[[str], None]]
+Step = Generator["Step", ProofNode, ProofNode]   # yields the steps it needs
 
 
 def _ensure(holds: bool, invariant: str) -> None:
     if not holds:
         raise KernelInvariantError(invariant)
+
+
+def _drive(step: Step) -> ProofNode:
+    """Run a step to its result: a step it yields is run next, and its
+    result is sent back to the step that yielded it."""
+    stack, result = [step], None
+    while stack:
+        try:
+            sub = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(sub)
+            result = None
+    return result
 
 
 def proof_degree(p: ProofNode) -> int:
@@ -103,14 +126,14 @@ class _Mixer:
         self.trace = trace
 
     def run(self, p1: ProofNode, p2: ProofNode,
-            parent: Optional[tuple[int, int]]) -> ProofNode:
+            parent: Optional[tuple[int, int]]) -> Step:
         measure = (height(p1), height(p2))
         _ensure(parent is None or measure < parent,
                 "mix height measure failed to decrease")
         want = _mix_target(p1.conclusion, p2.conclusion, self.cutf)
         # when one side carries no occurrence at all, nothing is removed
         # from it and the spliced sequent is reachable by weakening alone;
-        # recursion below a two-premise rule can land here with the other
+        # a sub-mix below a two-premise rule can land here with the other
         # premise holding the only position witness, where the restricted
         # hypothesis is silent
         pair = (p1, p2)
@@ -120,12 +143,12 @@ class _Mixer:
                     self.trace(f"mix: no occurrences on the {_NAMES[1 - k]} "
                                f"of the {_NAMES[k]} proof")
                 return bridge_proof(materialise(pair[k]), want)
-        out = self._dispatch(pair, want, measure)
+        out = yield from self._dispatch(pair, want, measure)
         _ensure(out.conclusion == want, "mix produced the wrong sequent")
         return out
 
     def _dispatch(self, pair: tuple[ProofNode, ProofNode], E: Sequent,
-                  measure) -> ProofNode:
+                  measure) -> Step:
         cutf = self.cutf
         t = self.trace or (lambda s: None)
 
@@ -136,7 +159,7 @@ class _Mixer:
         for k, p in enumerate(pair):
             if p.rule in STRUCTURAL_RULES:
                 t(f"mix: {_NAMES[k]} structural {p.rule}")
-                return bridge_proof(self._premise(pair, k, 0, measure), E)
+                return bridge_proof((yield self._premise(pair, k, 0, measure)), E)
         # from here on rules are rebuilt over removal-damaged contexts,
         # which is where the restricted systems' position hypothesis does
         # its work; the axiom and structural cases above never consume it
@@ -152,14 +175,15 @@ class _Mixer:
                 t(f"mix: {_NAMES[k]} rule {p.rule} does not introduce the cut formula")
                 if s is None:
                     raise TwoseqError(f"mix: unexpected rule {p.rule}")
-                prems = [self._premise(pair, k, i, measure)
-                         for i in range(len(p.premises))]
+                prems = []
+                for i in range(len(p.premises)):
+                    prems.append((yield self._premise(pair, k, i, measure)))
                 return bridge_proof(reapply(p, prems), E)
         t(f"mix: principal case on {type(cutf.formula).__name__}")
-        return bridge_proof(self._principal(pair, measure), E)
+        return bridge_proof((yield from self._principal(pair, measure)), E)
 
     def _premise(self, pair, k: int, i: int, measure, prem=None,
-                 keep_left: bool = False) -> ProofNode:
+                 keep_left: bool = False) -> Step:
         """Mix premise i of pair[k] (or ``prem`` standing in for it) with
         the whole other proof, both fresh copies (bar the left one under
         ``keep_left``) so that eigen tokens stay unique across duplicated
@@ -168,8 +192,9 @@ class _Mixer:
         s = SCHEMAS.get(pair[k].rule)
         prem = prem or pair[k].premises[i]
         a, b = (prem, pair[1]) if k == 0 else (pair[0], prem)
-        mixed = self.run(a if keep_left else _scoped_rename(a, self.src, True),
-                         _scoped_rename(b, self.src, True), measure)
+        mixed = yield from self.run(
+            a if keep_left else _scoped_rename(a, self.src, True),
+            _scoped_rename(b, self.src, True), measure)
         if s is None:       # a structural rule's premise has no active formulas
             return mixed
         shape, q = s.premises[i], prem.conclusion
@@ -181,7 +206,7 @@ class _Mixer:
                      q.suc[:1] + w.suc if shape.right else w.suc)
         return bridge_proof(mixed, target)
 
-    def _principal(self, pair, measure) -> ProofNode:
+    def _principal(self, pair, measure) -> Step:
         """Both rules introduce the cut formula: cut, once per operand both
         schemas expose, the premise carrying it on the right against the
         premise carrying it on the left, each mixed with the other proof.
@@ -211,8 +236,8 @@ class _Mixer:
                 if (k, i) in mixed:
                     sides.append(_gathered(out, f, side))
                 else:
-                    sides.append(self._premise(pair, k, i, measure, prem,
-                                               keep_left=not mixed))
+                    sides.append((yield self._premise(pair, k, i, measure, prem,
+                                                      keep_left=not mixed)))
                     mixed.add((k, i))
             out = cut(sides[0], sides[1], f)
         return out
@@ -236,7 +261,7 @@ def mix(p1: ProofNode, p2: ProofNode, cutf: PFormula, sys: SystemId,
     src = FreshTokenSource(proof_tokens(p1) | proof_tokens(p2)
                            | cutf.pos.tokens())
     p1r, p2r = _scoped_rename(p1, src, True), _scoped_rename(p2, src, True)
-    out = _Mixer(cutf, sys, src, trace).run(p1r, p2r, None)
+    out = _drive(_Mixer(cutf, sys, src, trace).run(p1r, p2r, None))
     _ensure(proof_degree(out) <= n, "mix exceeded its degree bound")
     return out
 
@@ -259,7 +284,7 @@ def eliminate_cuts(p: ProofNode, sys: SystemId, trace: Trace = None) -> ProofNod
         return p
     src = FreshTokenSource(proof_tokens(p))
     q = _scoped_rename(p, src, True)
-    out = _eliminate(q, sys, src, trace, None)
+    out = _drive(_eliminate(q, sys, src, trace, None))
     _ensure(out.conclusion == p.conclusion, "elimination changed the end sequent")
     _ensure(is_cut_free(out), "elimination left a cut")
     _ensure(not out.conclusion.is_empty(),
@@ -268,16 +293,23 @@ def eliminate_cuts(p: ProofNode, sys: SystemId, trace: Trace = None) -> ProofNod
 
 
 def _eliminate(p: ProofNode, sys: SystemId, src: FreshTokenSource,
-               trace: Trace, parent: Optional[tuple[int, int]]) -> ProofNode:
+               trace: Trace, parent: Optional[tuple[int, int]]) -> Step:
     my = (proof_degree(p), height(p))
     _ensure(parent is None or my < parent,
             "elimination measure failed to decrease")
-    if my[0] == 0:
-        return materialise(p)
+
+    def flat(q: ProofNode) -> Step:
+        # a cut-free proof is only materialised: its measure (0, h) is
+        # below any that has a cut
+        return (yield _eliminate(q, sys, src, trace, my)) if q.cut_rank \
+            else materialise(q)
+
     t = trace or (lambda s: None)
     if p.rule != "cut":
-        prems = tuple(_eliminate(c, sys, src, trace, my) for c in p.premises)
-        return node(p.rule, dict(p.params), p.conclusion, prems)
+        prems = []
+        for c in p.premises:
+            prems.append((yield from flat(c)))
+        return node(p.rule, dict(p.params), p.conclusion, tuple(prems))
 
     cutf = p.param("cutf")
     p1, p2 = p.premises
@@ -286,13 +318,11 @@ def _eliminate(p: ProofNode, sys: SystemId, src: FreshTokenSource,
             # a second copy besides the one at the cut edge
             if _cut_side(q.conclusion, k).count(cutf) > 1:
                 t(f"eliminate: cut formula recurs on the {_NAMES[1 - k]}, bypassing mix")
-                return bridge_proof(_eliminate(q, sys, src, trace, my), p.conclusion)
-    q1 = _eliminate(p1, sys, src, trace, my)
-    q2 = _eliminate(p2, sys, src, trace, my)
+                return bridge_proof((yield from flat(q)), p.conclusion)
+    q1 = yield from flat(p1)
+    q2 = yield from flat(p2)
     t(f"eliminate: mixing on {type(cutf.formula).__name__} at {cutf.pos}")
-    mixer = _Mixer(cutf, sys, src, trace)
-    mixed = mixer.run(q1, q2, None)
+    mixed = yield _Mixer(cutf, sys, src, trace).run(q1, q2, None)
     # the mix dropped the degree below the eliminated cut's, so the pair
     # (degree, height) still decreases even though the height grew
-    flat = _eliminate(mixed, sys, src, trace, my)
-    return bridge_proof(flat, p.conclusion)
+    return bridge_proof((yield from flat(mixed)), p.conclusion)

@@ -21,7 +21,7 @@ the whole pack at once.  A parsed model is a pack of one; the fuzzer
 draws packs of doubling size and reads back the first falsified model.
 It draws only through ``rng.random`` and ``rng.getrandbits``, each integer
 exactly as `random.Random.randint`/``randrange`` would (`_below`), so
-`random_model`, `ltl.random_lasso` and each seed's verdict equal those of
+`random_model`, `_Lasso.draw` and each seed's verdict equal those of
 samplers that call those methods.
 """
 

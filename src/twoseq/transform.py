@@ -190,12 +190,6 @@ def rename_eigen(p: ProofNode, sys: SystemId) -> ProofNode:
     return canonical_rename(_repairable(p, sys))
 
 
-def rename_apart(proofs: list[ProofNode]) -> list[ProofNode]:
-    """Rename the eigen tokens of several proofs into disjoint fresh sets."""
-    source = FreshTokenSource(set().union(*map(proof_tokens, proofs)))
-    return [_scoped_rename(q, source) for q in proofs]
-
-
 def _map_positions(p: ProofNode, fn: Callable[[Position], Position]) -> ProofNode:
     """Apply ``fn`` to every position of a proof tree (the caller has
     arranged the eigen side conditions); a sequence step ``beta`` is read
@@ -271,7 +265,9 @@ def compose_mp(pab: ProofNode, pa: ProofNode, sys: SystemId) -> ProofNode:
     if ea.suc[0] != pf(a_f, alpha):
         raise TransformError("second proof does not prove the antecedent at the "
                              "implication's position")
-    pab2, pa2 = rename_apart([pab, pa])
+    # eigen tokens renamed apart, into disjoint fresh sets
+    source = FreshTokenSource(proof_tokens(pab) | proof_tokens(pa))
+    pab2, pa2 = _scoped_rename(pab, source), _scoped_rename(pa, source)
     gadget = imp_left(ax(pf(b_f, alpha)), ax(pf(a_f, alpha)))
     c1 = cut(pab2, gadget, imp)
     return cut(pa2, c1, pf(a_f, alpha))

@@ -434,6 +434,54 @@ def test_deep_unclosed_parentheses_are_parse_errors(files):
     assert out.stderr == "error: line 100002, col 1: expected ')', found ''\n"
 
 
+# the CLI in an interpreter that keeps Python's default recursion limit
+_DEFAULT_LIMIT_CLI = """
+import sys
+import twoseq
+assert sys.getrecursionlimit() == 1000, sys.getrecursionlimit()
+from twoseq.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _cut_chain(height: int) -> str:
+    """A cut on p0 of an excL chain over weakL(ax p0, p1) against
+    weakR(ax p0, p1), ``height`` levels in all."""
+    n = height - 3
+    a, b = "p0 @ [], p1 @ []", "p1 @ [], p0 @ []"
+    ants = [b if (n - i) % 2 else a for i in range(n)]     # top exchange first
+    return (f"(proof K\n(rule cut (cutf p0 @ []) (concl {ants[0]} |- p1 @ [], p0 @ [])\n"
+            + "".join(f"(rule excL (at 0) (concl {x} |- p0 @ [])\n" for x in ants)
+            + "(rule weakL (pf p1 @ []) (concl p0 @ [], p1 @ [] |- p0 @ [])"
+              " (rule ax (concl p0 @ [] |- p0 @ [])))" + ")" * n + "\n"
+              "(rule weakR (pf p1 @ []) (concl p0 @ [] |- p1 @ [], p0 @ [])"
+              " (rule ax (concl p0 @ [] |- p0 @ []))))\n)\n")
+
+
+def test_deep_inputs_run_under_the_default_recursion_limit(files, tmp_path):
+    # five times the default limit in proof height, twenty times in formula depth
+    deep = "box ~ " * 10_000 + "p0"
+    chain = files("chain.2sp", _cut_chain(5_001))
+    axiom = files("deep.2sp", f"(proof K (rule ax (concl {deep} @ [] |- {deep} @ [])))")
+    model = files("m.2sm", "nodes: n0 n1\nedges: n0->n1\nval: n1 {p0}\n")
+    sequent = files("deep.2sq", f"|- {deep} @ []\n")
+    flat = str(tmp_path / "flat.2sp")
+    runs = [("check", chain), ("cutelim", chain, "-o", flat), ("subformula", flat),
+            ("subformula", chain), ("fuzz", "--budget", "3", chain)]
+    runs += [(cmd, axiom) for cmd in ("check", "cutelim", "subformula")]
+    runs += [("fuzz", "--budget", "3", axiom),
+             ("eval", "--model", model, "--sequent", sequent, "--system", "K")]
+    for argv in runs:
+        out = _run_cli(*argv, entry=("-c", _DEFAULT_LIMIT_CLI))
+        assert out.returncode in (0, 1, 2), (argv, out.stderr)
+        assert "Traceback" not in out.stderr, argv
+        assert out.returncode == 0 or argv[0] in ("subformula", "eval"), (argv, out.stderr)
+    text = Path(flat).read_text()
+    proof = expand_double_lines(parse_proof(text))
+    assert check_proof(proof, SystemId.K).accepted
+    assert proof.size == 5_001 and len(text) < 200 * proof.size
+
+
 # --- stdout and exit codes of eval and fuzz, byte for byte ---
 
 PIN_GRAPH = "nodes: n0 n1\nroot: n0\nedges: n0->n1\nval: n0 {p0}\nval: n1 {}"

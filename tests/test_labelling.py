@@ -18,7 +18,7 @@ from twoseq import ltl, semantics
 from twoseq.calculus import CORE_SYSTEMS, SystemId
 from twoseq.errors import TwoseqError
 from twoseq.ltl import (LassoWord, a_value, eval_at, ltl_soundness_fuzz,
-                        random_lasso, sequent_satisfied)
+                        sequent_satisfied)
 from twoseq.parser import parse_model, parse_sequent, render_model
 from twoseq.positions import LtlPos, SeqPos, initials, seqpos
 from twoseq.semantics import (GraphModel, _Frame, _Lasso, admissible_assignments,
@@ -439,7 +439,7 @@ def test_a_drawn_lasso_pack_is_its_words_drawn_in_turn(seed, count, atoms, token
     for _ in range(count):
         w = oracle.random_lasso(ref, atoms)
         want.append((w, {x: ref.randint(0, bound) for x in tokens}))
-        assert random_lasso(one, atoms) == w
+        assert _Lasso.draw(one, SystemId.LTL, atoms).model() == w
         assert {x: one.randint(0, bound) for x in tokens} == want[-1][1]
     assert [(pack.model(k), pack.shapes[k][2]) for k in range(count)] == want
     assert rng.getstate() == ref.getstate() == one.getstate()
@@ -551,7 +551,8 @@ def _reference_lasso_fuzz(s: Sequent, budget: int, seed: int, bound: int = 4):
     rng = random.Random(seed)
     atoms, tokens = tuple(sorted(sequent_atoms(s))) or ("p0",), tuple(sorted(tokens_of(s)))
     for i in range(budget):
-        w, a = random_lasso(rng, atoms), {x: rng.randint(0, bound) for x in tokens}
+        w = _Lasso.draw(rng, SystemId.LTL, atoms).model()
+        a = {x: rng.randint(0, bound) for x in tokens}
         if not sequent_satisfied(w, a, s):
             return False, i + 1, w, list(a.items())
     return True, budget, None, None

@@ -9,11 +9,10 @@ from twoseq.calculus import (ProofNode, SystemId, check_proof, check_rule_instan
                              pind, seq, weak_left)
 from twoseq.cutelim import eliminate_cuts
 from twoseq.errors import TwoseqError, UnsupportedSystemError
-from twoseq.ltl import (LassoWord, a_value, check_ltl_proof, check_past_proof,
-                        eval_at, exhaustive_valuations, ltl_soundness_fuzz,
-                        random_lasso, sequent_satisfied)
+from twoseq.ltl import (LassoWord, a_value, eval_at, exhaustive_valuations,
+                        ltl_soundness_fuzz, sequent_satisfied)
 from twoseq.positions import LtlPos, ltl_token, pastpos
-from twoseq.semantics import forces
+from twoseq.semantics import _Lasso, forces
 from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, Once, Prop, pf,
                            temporal_depth)
 import twoseq.corpus as corpus
@@ -21,6 +20,11 @@ import twoseq.corpus as corpus
 P = Prop("p")
 P0 = Prop("p0")
 L0 = LtlPos()
+
+
+def _lasso(rng: random.Random) -> LassoWord:
+    """A word over p0 and p1 as the fuzzer draws it."""
+    return _Lasso.draw(rng, SystemId.LTL, ("p0", "p1")).model()
 
 
 def eval_unrolled(w: LassoWord, m: int, f) -> bool:
@@ -96,7 +100,7 @@ def test_times_that_are_no_natural_numbers_are_refused():
 def test_eval_at_next_shift_law():
     rng = random.Random(9)
     for _ in range(200):
-        w = random_lasso(rng, ("p0", "p1"))
+        w = _lasso(rng)
         f = random_ltl_formula(rng, 2)
         m = rng.randint(0, len(w.prefix) + len(w.loop))
         assert eval_at(w, m, Next(f)) == eval_at(w, m + 1, f)
@@ -108,7 +112,7 @@ def test_eval_at_next_shift_law():
 def run_eval_oracle_fuzz(iterations: int, seed: int) -> int:
     rng = random.Random(seed)
     for i in range(iterations):
-        w = random_lasso(rng, ("p0", "p1"))
+        w = _lasso(rng)
         f = random_ltl_formula(rng, 3)
         m = rng.randint(0, len(w.prefix) + len(w.loop))
         assert eval_at(w, m, f) == eval_unrolled(w, m, f), (w, m, f)
@@ -121,23 +125,23 @@ def test_eval_agrees_with_unrolling_oracle_small():
 
 def test_check_ltl_variants():
     a8 = corpus.ltl_a8()
-    assert check_ltl_proof(a8, "ind").accepted
-    rep = check_ltl_proof(a8, "indax")
+    assert check_proof(a8, SystemId.LTL).accepted
+    rep = check_proof(a8, SystemId.LTL_INDAX)
     assert not rep.accepted
     assert any(v.rule == "ind" for v in rep.failures)
     translated = corpus.ltl_a8_via_axiom()
-    assert check_ltl_proof(translated, "indax").accepted
-    assert not check_ltl_proof(corpus.indax_instance(), "ind").accepted
+    assert check_proof(translated, SystemId.LTL_INDAX).accepted
+    assert not check_proof(corpus.indax_instance(), SystemId.LTL).accepted
 
 
 def test_check_ltl_a2_and_friends():
     for name, proof in corpus.entries(SystemId.LTL):
-        assert check_ltl_proof(proof, "ind").accepted, name
+        assert check_proof(proof, SystemId.LTL).accepted, name
 
 
 def test_check_past_proofs():
     for name, proof in corpus.entries(SystemId.LTLP):
-        assert check_past_proof(proof).accepted, name
+        assert check_proof(proof, SystemId.LTLP).accepted, name
 
 
 def test_pind_constructor_builds_a_past_induction_instance():
@@ -161,7 +165,7 @@ def test_past_proof_with_reused_eigen_token_rejected():
                    LtlPos(0, frozenset("x")))
     n = weak_left(n, pf(Prop("p1"), pastpos(0, ("x",))))
     n = box_right(n, "x")                   # eigen token already in context
-    rep = check_past_proof(n)
+    rep = check_proof(n, SystemId.LTLP)
     assert not rep.accepted
     assert any(v.condition == "eigen-position" for v in rep.failures)
 
@@ -190,7 +194,7 @@ def test_hand_counterexample_for_next():
 def test_indax_semantically_valid():
     rng = random.Random(6)
     for _ in range(300):
-        w = random_lasso(rng, ("p0", "p1"))
+        w = _lasso(rng)
         f = random_ltl_formula(rng, 2)
         m = rng.randint(0, len(w.prefix) + 2 * len(w.loop))
         indax_formula = Imp(And(f, Box(Imp(f, Next(f)))), Box(f))
@@ -200,7 +204,7 @@ def test_indax_semantically_valid():
 def run_subltl_check(iterations: int, seed: int) -> int:
     rng = random.Random(seed)
     for _ in range(iterations):
-        w = random_lasso(rng, ("p0", "p1"))
+        w = _lasso(rng)
         f = random_ltl_formula(rng, 2)
         s = LtlPos(rng.randint(0, 2), frozenset(rng.sample(["x", "y"],
                                                            rng.randint(0, 2))))
@@ -226,12 +230,12 @@ def test_ind_to_axiom_round_trip_recheck():
         from twoseq.transform import ind_to_axiom
         out = ind_to_axiom(proof)
         assert out.conclusion == proof.conclusion, name
-        assert check_ltl_proof(out, "indax").accepted, name
+        assert check_proof(out, SystemId.LTL_INDAX).accepted, name
 
 
 def test_blocked_cut_checks_but_elimination_refused():
     p = corpus.ltl_blocked_cut()
-    assert check_ltl_proof(p, "ind").accepted
+    assert check_proof(p, SystemId.LTL).accepted
     with pytest.raises(UnsupportedSystemError):
         eliminate_cuts(p, SystemId.LTL)
 

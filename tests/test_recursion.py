@@ -1,13 +1,12 @@
-"""No function under ``src/`` recurses but cut elimination's.
+"""No function under ``src/`` recurses.
 
 Python bounds its frame stack, so every walk of a formula, a position, a
-text or a proof keeps its own stack.  Two parts still recurse once per
-proof level: ``cutelim._eliminate`` and the ``_Mixer`` methods on the
-``run`` cycle; they work only under the recursion limit that
-``twoseq/__init__.py`` raises (ROADMAP item 1 turns them into explicit
-stacks as well).  This test draws the call graph of the source from its
-syntax trees and asserts that those are its only cycles, so that no new
-recursion lands unnoticed.
+text or a proof keeps its own stack, and the package leaves the recursion
+limit as it finds it.  Cut elimination's steps are generators: each
+yields the step it needs to ``cutelim._drive``, which runs it over an
+explicit stack and sends back its result.  This test draws the call
+graph of the source from its syntax trees and asserts that it has no
+cycle, so that no recursion lands unnoticed.
 
 Calls are resolved by name: a bare name to a function defined in an
 enclosing function, in the module, or imported from a sibling module;
@@ -15,6 +14,9 @@ enclosing function, in the module, or imported from a sibling module;
 to a function of a sibling module imported as ``mod``.  A call inside a
 lambda counts as a call of the function around it.  Calls through other
 objects, through callbacks and through dunder methods are not followed.
+A call of a generator function whose value is yielded directly
+(``yield f(...)``) hands the new generator to a driver and adds no
+frame, so it is no edge; ``yield from f(...)`` and every other call are.
 """
 
 import ast
@@ -23,13 +25,12 @@ from pathlib import Path
 import twoseq
 
 SRC = Path(twoseq.__file__).parent
-RECURSIVE = {"cutelim._eliminate", "cutelim._Mixer.run", "cutelim._Mixer._dispatch",
-             "cutelim._Mixer._premise", "cutelim._Mixer._principal"}
 
 
 def _module_graph(module: str, tree: ast.Module, graph: dict) -> None:
     """Add the functions of one module and the calls they make to ``graph``
-    (qualified name -> names called, resolved later)."""
+    (qualified name -> names called, resolved later), and each generator
+    function's name to ``graph["generators"]``."""
     imported = {}       # local name -> "module.name" or "module"
     for n in ast.walk(tree):
         if isinstance(n, ast.ImportFrom) and n.level == 1:
@@ -49,16 +50,25 @@ def _module_graph(module: str, tree: ast.Module, graph: dict) -> None:
             elif isinstance(child, ast.ClassDef):
                 visit(child, scope + [child.name], ".".join(scope + [child.name]), None)
             else:
+                if isinstance(child, (ast.Yield, ast.YieldFrom)) and owner is not None:
+                    graph["generators"].add(owner)
                 if isinstance(child, ast.Call) and owner is not None:
-                    graph[owner].append((scope, cls, child.func))
+                    yielded = isinstance(node, ast.Yield)
+                    graph[owner].append((scope, cls, child.func, yielded))
                 visit(child, scope, cls, owner)
 
     visit(tree, [module], None, None)
     graph[f"{module}.imports"] = imported
 
 
-def _callee(graph: dict, scope: list, cls, func) -> str:
-    """The qualified name a call resolves to, or "" if it is not followed."""
+def _callee(graph: dict, scope: list, cls, func, yielded: bool) -> str:
+    """The qualified name a call resolves to, or "" if it is not followed
+    or is a generator handed to a driver."""
+    name = _resolved(graph, scope, cls, func)
+    return "" if yielded and name in graph["generators"] else name
+
+
+def _resolved(graph: dict, scope: list, cls, func) -> str:
     module = scope[0]
     if isinstance(func, ast.Name):
         for k in range(len(scope), 0, -1):
@@ -76,11 +86,12 @@ def _callee(graph: dict, scope: list, cls, func) -> str:
 
 
 def _recursive_functions() -> set[str]:
-    graph: dict = {}
+    graph: dict = {"generators": set()}
     for path in sorted(SRC.glob("*.py")):
         _module_graph(path.stem, ast.parse(path.read_text()), graph)
     calls = {f: {_callee(graph, *c) for c in cs} & graph.keys()
-             for f, cs in graph.items() if not f.endswith(".imports")}
+             for f, cs in graph.items()
+             if f != "generators" and not f.endswith(".imports")}
     out = set()
     for start in calls:
         seen, todo = set(), list(calls[start])
@@ -94,5 +105,5 @@ def _recursive_functions() -> set[str]:
     return out
 
 
-def test_only_cut_elimination_recurses():
-    assert _recursive_functions() == RECURSIVE
+def test_nothing_recurses():
+    assert _recursive_functions() == set()
