@@ -3,6 +3,8 @@
 Exit codes are part of the contract: 0 for acceptance/validity, 1 for a
 rejection, counterexample, or failed property, 2 for usage and I/O
 problems.  ``--json`` switches every subcommand to a stable JSON schema.
+Each subcommand imports the modules that only it uses, so ``check``
+loads no more than the parser and the checker.
 """
 
 from __future__ import annotations
@@ -13,16 +15,11 @@ import os
 import sys as _sys
 from typing import Optional
 
-from . import corpus
 from .calculus import (TABLE, LtlPos, ProofNode, SeqPos, SystemId, check_proof,
                        expand_double_lines)
-from .cutelim import eliminate_cuts, is_cut_free, verify_subformula_property
 from .errors import RejectedProofError, TwoseqError
-from .parser import (parse_model, parse_proof, parse_sequent, render_model,
-                     render_proof)
-from .semantics import counterexample, soundness_fuzz
-from .transform import (compose_mp, ind_to_axiom, lift_proof, necessitate,
-                        rename_eigen)
+from .parser import (parse_model, parse_position, parse_proof, parse_sequent,
+                     render_model, render_proof)
 
 DEFAULT_SEED = 1
 
@@ -100,6 +97,7 @@ def cmd_check(args) -> int:
 
 def cmd_cutelim(args) -> int:
     # eliminate_cuts checks its input and raises the rejection report
+    from .cutelim import eliminate_cuts
     sys_id, proof = _load_proof(args.proof, args.system)
     trace = (lambda s: print(s, file=_sys.stderr)) if args.trace else None
     return _write_checked(args, sys_id, eliminate_cuts(proof, sys_id, trace),
@@ -107,6 +105,7 @@ def cmd_cutelim(args) -> int:
 
 
 def cmd_subformula(args) -> int:
+    from .cutelim import is_cut_free, verify_subformula_property
     sys_id, proof = _load_checked(args)
     if not is_cut_free(proof):
         print("subformula verification needs a cut-free proof", file=_sys.stderr)
@@ -118,6 +117,7 @@ def cmd_subformula(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .semantics import counterexample
     sys_id = SystemId.parse(args.system)
     model = parse_model(_read(args.model))
     found = counterexample(model, sys_id, parse_sequent(_read(args.sequent)), args.bound)
@@ -129,6 +129,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from .semantics import soundness_fuzz
     sys_id, proof = _load_checked(args)
     verdict = soundness_fuzz(proof.conclusion, sys_id, args.budget, _seed(args), args.bound)
     key, _, _, noun, model_key, lines = _NOUNS[TABLE[sys_id].family]
@@ -144,6 +145,7 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_axioms(args) -> int:
+    from . import corpus
     sys_id = SystemId.parse(args.system)
     results = []
     for name, proof in corpus.entries(sys_id):
@@ -161,6 +163,8 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from .transform import (compose_mp, ind_to_axiom, lift_proof, necessitate,
+                            rename_eigen)
     sys_id, proof = _load_proof(args.proof, args.system)
     if args.op == "rename":
         out = rename_eigen(proof, sys_id)
@@ -168,7 +172,6 @@ def cmd_transform(args) -> int:
         if not args.by:
             print("--by POSITION is required for lift", file=_sys.stderr)
             return 2
-        from .parser import parse_position
         out = lift_proof(proof, parse_position(args.by), sys_id)
     elif args.op == "nec":
         out = necessitate(proof, sys_id)

@@ -8,21 +8,25 @@ nested s-expressions carrying explicit rule parameters and one conclusion
 sequent per node; a parse reads and a rendering writes each distinct
 positioned formula once.  The renderer is canonical: token sets print in
 lexicographic order and ``parse(render(v)) == v`` for every value.
+The model classes of ``semantics`` are imported where models are read
+and written, so that reading proofs does not load the semantics.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .calculus import (ProofNode, ProofScript, RULES_BY_SYSTEM, ScriptNode,
                        SystemId, TABLE)
 from .errors import ParseError, TwoseqError
 from .positions import (LtlPos, PastPos, Position, SeqPos, SetPos)
-from .semantics import GraphModel, LassoWord
 from .syntax import (And, Box, Dia, Formula, Hist, Imp, Next, Not, Once, Or,
                      PFormula, Prev, Prop, Sequent)
+
+if TYPE_CHECKING:
+    from .semantics import GraphModel, LassoWord
 
 _UNARY_WORDS = {"box": Box, "dia": Dia, "X": Next, "Y": Prev, "H": Hist, "P": Once,
                 "~": Not}
@@ -376,6 +380,7 @@ class _Parser:
         ``nodes: NAME+``, then ``root: NAME``, ``edges: (NAME -> NAME)*``
         and ``val: NAME SET`` sections, naming listed nodes, one root and
         one valuation per node at most."""
+        from .semantics import GraphModel, LassoWord
         if self._label("prefix", "nodes") == "prefix":
             prefix = self._sets()
             self.expect(";")
@@ -565,6 +570,8 @@ def render_proof(sys: SystemId, p: Union[ProofNode, ScriptNode]) -> str:
 
 
 def render_model(model) -> str:
+    from .semantics import GraphModel, LassoWord
+
     def propset(s) -> str:
         return "{" + ",".join(sorted(s)) + "}"
 

@@ -5,12 +5,15 @@ line and column).
 
 It lexes every token into an object with its offset and recurses once
 per nesting level of a formula or a proof script, so compare it only on
-inputs of modest depth.
+inputs of modest depth.  Its entry points raise the recursion limit for
+the length of the call, and only then: the kernel runs under Python's
+default limit everywhere else in the tests.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from typing import NamedTuple, Optional
 
 from twoseq.calculus import (ProofScript, RULES_BY_SYSTEM, ScriptNode,
@@ -307,7 +310,15 @@ class _Parser:
     # -- models --
 
 
-def _finish(p: _Parser, value):
+def _finish(p: _Parser, read):
+    """``read()``, under a recursion limit for inputs some hundreds deep
+    (a few frames per nesting level), then the end of the input."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10_000))
+    try:
+        value = read()
+    finally:
+        sys.setrecursionlimit(limit)
     if not p.at_end():
         p.fail(f"trailing input {p.peek().value!r}")
     return value
@@ -315,24 +326,24 @@ def _finish(p: _Parser, value):
 
 def parse_formula(text: str) -> Formula:
     p = _Parser(text)
-    return _finish(p, p.formula())
+    return _finish(p, p.formula)
 
 
 def parse_pformula(text: str) -> PFormula:
     p = _Parser(text)
-    return _finish(p, p.pformula())
+    return _finish(p, p.pformula)
 
 
 def parse_position(text: str) -> Position:
     p = _Parser(text)
-    return _finish(p, p.position())
+    return _finish(p, p.position)
 
 
 def parse_sequent(text: str) -> Sequent:
     p = _Parser(text)
-    return _finish(p, p.sequent())
+    return _finish(p, p.sequent)
 
 
 def parse_proof(text: str) -> ProofScript:
     p = _Parser(text)
-    return _finish(p, p.script())
+    return _finish(p, p.script)
