@@ -1090,66 +1090,56 @@ def check_proof(p: ProofNode, sys: SystemId) -> CheckReport:
 
 # --- structural bridges (the double-deduction-line convention) ---
 
-class _BridgeBuilder:
-    """Extends a proof one structural step at a time, reading the sequent
-    it has reached off the proof."""
-
-    def __init__(self, proof: ProofNode):
-        self.proof = proof
-
-    def _side(self, side: str) -> tuple[PFormula, ...]:
-        s = self.proof.conclusion
-        return s.ant if side == "L" else s.suc
-
-    def _move(self, side: str, i: int, j: int):
-        """Carry the formula at index i to index j by adjacent swaps."""
-        for k in (range(i, j) if i < j else range(i - 1, j - 1, -1)):
-            self.proof = apply_structural("exc" + side, self.proof, k)
-
-    def run(self, to: Sequent) -> ProofNode:
-        for side, target in (("L", to.ant), ("R", to.suc)):
-            for q in self._side(side):
-                if q not in target:
-                    raise BridgeError(q, "antecedent" if side == "L" else "succedent")
-            # contract surplus occurrences: carry the two nearest the rule's
-            # edge (the end of the antecedent, the head of the succedent) there
-            for q in dict.fromkeys(self._side(side)):
-                while self._side(side).count(q) > max(target.count(q), 1):
-                    for k in (0, 1):
-                        xs = self._side(side)
-                        at = [i for i, y in enumerate(xs) if y == q]
-                        self._move(side, *((at[-1 - k], len(xs) - 1 - k)
-                                           if side == "L" else (at[k], k)))
-                    self.proof = apply_structural("contr" + side, self.proof)
-            # weaken in what is missing
-            for q in dict.fromkeys(target):
-                for _ in range(target.count(q) - self._side(side).count(q)):
-                    self.proof = apply_structural("weak" + side, self.proof, q)
-            # sort into the target order by adjacent swaps
-            for k, q in enumerate(target):
-                xs = self._side(side)
-                if xs[k] != q:
-                    self._move(side, xs.index(q, k + 1), k)
-        if self.proof.conclusion != to:
-            raise KernelInvariantError("bridge did not reach the requested sequent")
-        return self.proof
+def _carry(xs: list, side: str, i: int, j: int, steps: list) -> None:
+    """Carry the formula at index i of a side to index j by adjacent swaps."""
+    xs.insert(j, xs.pop(i))
+    steps += [("exc" + side, {"at": k})
+              for k in (range(i, j) if i < j else range(i - 1, j - 1, -1))]
 
 
 def structural_bridge(frm: Sequent, to: Sequent) -> tuple[tuple[str, dict], ...]:
     """Plan an explicit weakening/contraction/exchange chain from one sequent
     to another, as (rule, parameters) steps from the premise down; fails
-    if a formula would have to be deleted."""
-    leaf = ProofNode("premise", (), frm)
-    p, steps = _BridgeBuilder(leaf).run(to), []
-    while p is not leaf:
-        steps.append((p.rule, dict(p.params)))
-        p = p.premises[0]
-    return tuple(reversed(steps))
+    if a formula would have to be deleted.  Each side, the antecedent
+    first, is planned on a list of its formulas."""
+    steps: list[tuple[str, dict]] = []
+    for side, xs, target in (("L", list(frm.ant), to.ant), ("R", list(frm.suc), to.suc)):
+        for q in xs:
+            if q not in target:
+                raise BridgeError(q, "antecedent" if side == "L" else "succedent")
+        # contract surplus occurrences: carry the two nearest the rule's
+        # edge (the end of the antecedent, the head of the succedent) there
+        for q in dict.fromkeys(xs):
+            while xs.count(q) > max(target.count(q), 1):
+                for k in (0, 1):
+                    at = [i for i, y in enumerate(xs) if y == q]
+                    _carry(xs, side, *((at[-1 - k], len(xs) - 1 - k)
+                                       if side == "L" else (at[k], k)), steps)
+                del xs[-1 if side == "L" else 0]
+                steps.append(("contr" + side, {}))
+        # weaken in what is missing
+        for q in dict.fromkeys(target):
+            for _ in range(target.count(q) - xs.count(q)):
+                xs.insert(len(xs) if side == "L" else 0, q)
+                steps.append(("weak" + side, {"pf": q}))
+        # sort into the target order by adjacent swaps
+        for k, q in enumerate(target):
+            if xs[k] != q:
+                _carry(xs, side, xs.index(q, k + 1), k, steps)
+    return tuple(steps)
 
 
 def bridge_proof(p: ProofNode, to: Sequent) -> ProofNode:
-    """Extend a proof by a structural chain up to the requested sequent."""
-    return p if p.conclusion == to else _BridgeBuilder(p).run(to)
+    """Extend a proof by a structural chain up to the requested sequent;
+    the planned chain is built through `apply_structural`, and where it
+    ends is checked."""
+    if p.conclusion == to:
+        return p
+    for rule, params in structural_bridge(p.conclusion, to):
+        p = apply_structural(rule, p, *params.values())
+    if p.conclusion != to:
+        raise KernelInvariantError("bridge did not reach the requested sequent")
+    return p
 
 
 def expand_double_lines(script: ProofScript) -> ProofNode:

@@ -131,35 +131,32 @@ class _Mixer:
         _ensure(parent is None or measure < parent,
                 "mix height measure failed to decrease")
         want = _mix_target(p1.conclusion, p2.conclusion, self.cutf)
+        out = bridge_proof((yield from self._dispatch((p1, p2), measure)), want)
+        _ensure(out.conclusion == want, "mix produced the wrong sequent")
+        return out
+
+    def _dispatch(self, pair: tuple[ProofNode, ProofNode], measure) -> Step:
+        """The proof one mix step builds, before it is bridged to the
+        spliced sequent."""
+        cutf = self.cutf
+        t = self.trace or (lambda s: None)
         # when one side carries no occurrence at all, nothing is removed
         # from it and the spliced sequent is reachable by weakening alone;
         # a sub-mix below a two-premise rule can land here with the other
         # premise holding the only position witness, where the restricted
         # hypothesis is silent
-        pair = (p1, p2)
         for k in (1, 0):
-            if self.cutf not in _cut_side(pair[k].conclusion, k):
-                if self.trace:
-                    self.trace(f"mix: no occurrences on the {_NAMES[1 - k]} "
-                               f"of the {_NAMES[k]} proof")
-                return bridge_proof(materialise(pair[k]), want)
-        out = yield from self._dispatch(pair, want, measure)
-        _ensure(out.conclusion == want, "mix produced the wrong sequent")
-        return out
-
-    def _dispatch(self, pair: tuple[ProofNode, ProofNode], E: Sequent,
-                  measure) -> Step:
-        cutf = self.cutf
-        t = self.trace or (lambda s: None)
-
+            if cutf not in _cut_side(pair[k].conclusion, k):
+                t(f"mix: no occurrences on the {_NAMES[1 - k]} of the {_NAMES[k]} proof")
+                return materialise(pair[k])
         for k, p in enumerate(pair):
             if p.rule == "ax":
                 t(f"mix: {_NAMES[k]} axiom")
-                return bridge_proof(materialise(pair[1 - k]), E)
+                return materialise(pair[1 - k])
         for k, p in enumerate(pair):
             if p.rule in STRUCTURAL_RULES:
                 t(f"mix: {_NAMES[k]} structural {p.rule}")
-                return bridge_proof((yield self._premise(pair, k, 0, measure)), E)
+                return (yield self._premise(pair, k, 0, measure))
         # from here on rules are rebuilt over removal-damaged contexts,
         # which is where the restricted systems' position hypothesis does
         # its work; the axiom and structural cases above never consume it
@@ -178,9 +175,9 @@ class _Mixer:
                 prems = []
                 for i in range(len(p.premises)):
                     prems.append((yield self._premise(pair, k, i, measure)))
-                return bridge_proof(reapply(p, prems), E)
+                return reapply(p, prems)
         t(f"mix: principal case on {type(cutf.formula).__name__}")
-        return bridge_proof((yield from self._principal(pair, measure)), E)
+        return (yield from self._principal(pair, measure))
 
     def _premise(self, pair, k: int, i: int, measure, prem=None,
                  keep_left: bool = False) -> Step:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bridge_oracle import reference_bridge
 from strategies import pformula_st
 from twoseq.calculus import (ProofNode, SystemId, ax, box_left, box_right,
                              bridge_proof, check_proof, check_rule_instance,
@@ -502,6 +503,45 @@ def test_bridge_plan_is_the_chain_bridge_proof_builds(ends):
         chain.append((out.rule, dict(out.params)))
         out, = out.premises
     assert tuple(reversed(chain)) == steps
+
+
+@st.composite
+def wide_bridge_ends(draw):
+    """Two sequents of up to 8 formulas a side over a pool of at most 3, so
+    that formulas repeat; at least half of them can be bridged (the first
+    draws only from the second's formulas, side by side)."""
+    pool = draw(st.lists(pformula_st(), min_size=1, max_size=3))
+    to = seq(draw(st.lists(st.sampled_from(pool), max_size=8)),
+             draw(st.lists(st.sampled_from(pool), max_size=8)))
+    if draw(st.booleans()):
+        frm = [draw(st.lists(st.sampled_from(xs), max_size=8)) if xs else []
+               for xs in (to.ant, to.suc)]
+    else:
+        frm = [draw(st.lists(st.sampled_from(pool), max_size=8)) for _ in "LR"]
+    return seq(*frm), to
+
+
+@given(wide_bridge_ends())
+@settings(max_examples=500, deadline=None)
+def test_bridge_plan_matches_the_reference_builder(ends):
+    frm, to = ends
+    assert structural_bridge(to, to) == ()
+    try:
+        want = reference_bridge(frm, to)
+    except BridgeError as e:
+        with pytest.raises(BridgeError) as got:
+            structural_bridge(frm, to)
+        assert (got.value.missing, got.value.side) == (e.missing, e.side)
+        return
+    assert structural_bridge(frm, to) == want
+
+
+def test_identity_bridge_is_empty_and_keeps_the_proof():
+    a, b = pf(P0, E), pf(P1, X)
+    for p in (ax(a), weak_right(weak_left(weak_left(ax(a), b), a), b)):
+        s = p.conclusion
+        assert structural_bridge(s, s) == ()
+        assert bridge_proof(p, s) is p
 
 
 _BROKEN_BRIDGE = """
