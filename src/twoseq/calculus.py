@@ -333,13 +333,15 @@ class OccurrenceIndex:
 
     Node ``i`` in preorder has the strict descendants ``(i, end[i]]``, read
     off its stored ``size``; ``at`` maps each token to the sorted preorder
-    indices of the nodes whose conclusion carries it, and ``eigens`` lists
-    the eigen rules as (index, token).  Paths are rebuilt on demand.
+    indices of the nodes whose conclusion carries it, ``formulas`` is the
+    set of their positioned formulas, and ``eigens`` lists the eigen rules
+    as (index, token).  Paths are rebuilt on demand.
     """
 
     def __init__(self, p: ProofNode):
         self.nodes: list[ProofNode] = []
         self.at: dict[Token, list[int]] = {}
+        self.formulas: set[PFormula] = set()
         self.eigens: list[tuple[int, Token]] = []
         self.end: list[int] = []
         stack = [p]
@@ -348,6 +350,7 @@ class OccurrenceIndex:
             i = len(self.nodes)
             self.nodes.append(n)
             self.end.append(i + n.size - 1)
+            self.formulas.update(n.conclusion.ant, n.conclusion.suc)
             for t in tokens_of(n.conclusion):
                 self.at.setdefault(t, []).append(i)
             if (x := eigen_token(n)) is not None:
@@ -1060,12 +1063,18 @@ def check_proof(p: ProofNode, sys: SystemId) -> CheckReport:
     the local checks: the premise subtree of the rule at preorder index i
     is the index range (i, end[i]], so the occurrence reported for its
     eigen token is the first one in preorder outside that range: the
-    token's first occurrence, or else the first one past end[i].
+    token's first occurrence, or else the first one past end[i].  Family
+    and connectives are decided once per distinct positioned formula.
     """
     failures: list[Violation] = []
-    index = OccurrenceIndex(p)
+    index, fam = OccurrenceIndex(p), TABLE[sys].family
+    bad = {q for q in index.formulas if not isinstance(q.pos, fam) or (
+        has_temporal(q.formula) if fam not in _LINEAR_TIME else
+        fam is LtlPos and has_past(q.formula))}
     for i, n in enumerate(index.nodes):
-        found = _family_violations(n, sys) + check_rule_instance(n, sys)
+        found = check_rule_instance(n, sys)
+        if bad and not bad.isdisjoint(n.conclusion.pformulas()):
+            found = _family_violations(n, sys) + found
         if found:
             path = index.path(i)
             failures += [Violation(path, v.rule, v.condition, v.message) for v in found]
@@ -1101,9 +1110,12 @@ def structural_bridge(frm: Sequent, to: Sequent) -> tuple[tuple[str, dict], ...]
     """Plan an explicit weakening/contraction/exchange chain from one sequent
     to another, as (rule, parameters) steps from the premise down; fails
     if a formula would have to be deleted.  Each side, the antecedent
-    first, is planned on a list of its formulas."""
+    first and unless it equals its target, is planned on a list."""
     steps: list[tuple[str, dict]] = []
-    for side, xs, target in (("L", list(frm.ant), to.ant), ("R", list(frm.suc), to.suc)):
+    for side, have, target in (("L", frm.ant, to.ant), ("R", frm.suc, to.suc)):
+        if have == target:
+            continue
+        xs = list(have)
         for q in xs:
             if q not in target:
                 raise BridgeError(q, "antecedent" if side == "L" else "succedent")

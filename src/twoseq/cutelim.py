@@ -17,11 +17,12 @@ premise of either proof with the other proof, both to re-apply a rule
 that does not introduce the cut formula and to reduce a principal pair,
 which cuts each operand both schemas expose.
 
-Each step is a generator that yields the sub-mix or sub-elimination it
-needs and is sent back its result; one driver loop, `_drive`, runs the
-steps depth first over an explicit stack, so the effects (fresh names,
-trace lines, checks) come in the order of a recursive descent while a
-proof of any depth takes a bounded number of Python frames.
+Each mix step is one generator, `_Mixer.run`, and each elimination step
+one `_eliminate`: a step yields the sub-mix or sub-elimination it needs
+as a fresh step and is sent back its result; one driver loop, `_drive`,
+runs the steps depth first over an explicit stack, so the effects (fresh
+names, trace lines, checks) come in the order of a recursive descent
+while a proof of any depth takes a bounded number of Python frames.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from typing import Callable, Generator, Optional
 
 from .calculus import (CORE_SYSTEMS, SCHEMAS, STRUCTURAL_RULES, ProofNode,
                        Sequent, SystemId, TABLE, bridge_proof, check_proof,
-                       cut, cut_position_holds, edge, height, node,
-                       proof_tokens, reapply, seq, subproofs)
+                       cut, cut_position_holds, edge, height, proof_tokens,
+                       reapply, seq, subproofs)
 from .errors import (DegreeUndefinedError, KernelInvariantError,
                      MixHypothesisError, RejectedProofError, TwoseqError,
                      UnsupportedSystemError)
@@ -92,7 +93,7 @@ def _check_input(p: ProofNode, sys: SystemId, what: str) -> None:
 
 
 def _removed(xs: tuple[PFormula, ...], cutf: PFormula) -> tuple[PFormula, ...]:
-    return tuple(q for q in xs if q != cutf)
+    return tuple([q for q in xs if q != cutf]) if cutf in xs else xs
 
 
 def _mix_target(s1: Sequent, s2: Sequent, cutf: PFormula) -> Sequent:
@@ -127,18 +128,13 @@ class _Mixer:
 
     def run(self, p1: ProofNode, p2: ProofNode,
             parent: Optional[tuple[int, int]]) -> Step:
+        """One mix step: the proof its case builds, bridged to the spliced
+        sequent.  Each sub-mix it needs is yielded as a fresh step."""
         measure = (height(p1), height(p2))
         _ensure(parent is None or measure < parent,
                 "mix height measure failed to decrease")
-        want = _mix_target(p1.conclusion, p2.conclusion, self.cutf)
-        out = bridge_proof((yield from self._dispatch((p1, p2), measure)), want)
-        _ensure(out.conclusion == want, "mix produced the wrong sequent")
-        return out
-
-    def _dispatch(self, pair: tuple[ProofNode, ProofNode], measure) -> Step:
-        """The proof one mix step builds, before it is bridged to the
-        spliced sequent."""
-        cutf = self.cutf
+        cutf, pair = self.cutf, (p1, p2)
+        want = _mix_target(p1.conclusion, p2.conclusion, cutf)
         t = self.trace or (lambda s: None)
         # when one side carries no occurrence at all, nothing is removed
         # from it and the spliced sequent is reachable by weakening alone;
@@ -148,20 +144,22 @@ class _Mixer:
         for k in (1, 0):
             if cutf not in _cut_side(pair[k].conclusion, k):
                 t(f"mix: no occurrences on the {_NAMES[1 - k]} of the {_NAMES[k]} proof")
-                return materialise(pair[k])
+                return bridge_proof(materialise(pair[k]), want)
         for k, p in enumerate(pair):
             if p.rule == "ax":
                 t(f"mix: {_NAMES[k]} axiom")
-                return materialise(pair[1 - k])
+                return bridge_proof(materialise(pair[1 - k]), want)
         for k, p in enumerate(pair):
             if p.rule in STRUCTURAL_RULES:
                 t(f"mix: {_NAMES[k]} structural {p.rule}")
-                return (yield self._premise(pair, k, 0, measure))
+                # a structural rule's premise has no active formulas
+                mixed = yield self.run(*self._operands(pair, k, p.premises[0]), measure)
+                return bridge_proof(mixed, want)
         # from here on rules are rebuilt over removal-damaged contexts,
         # which is where the restricted systems' position hypothesis does
         # its work; the axiom and structural cases above never consume it
         if TABLE[self.sys].context_demand and \
-                not cut_position_holds(cutf, pair[0].conclusion, pair[1].conclusion):
+                not cut_position_holds(cutf, p1.conclusion, p2.conclusion):
             raise MixHypothesisError(
                 f"mix position {cutf.pos} is not an initial segment of either "
                 f"cut-free context")
@@ -173,49 +171,24 @@ class _Mixer:
                 if s is None:
                     raise TwoseqError(f"mix: unexpected rule {p.rule}")
                 prems = []
-                for i in range(len(p.premises)):
-                    prems.append((yield self._premise(pair, k, i, measure)))
-                return reapply(p, prems)
+                for i, prem in enumerate(p.premises):
+                    mixed = yield self.run(*self._operands(pair, k, prem), measure)
+                    prems.append(self._at_edges(mixed, pair, k, i, prem))
+                return bridge_proof(reapply(p, prems), want)
+        # the principal case: both rules introduce the cut formula.  Cut,
+        # once per operand both schemas expose, the premise carrying it on
+        # the right against the premise carrying it on the left, each
+        # mixed with the other proof.  An eigen premise first moves to the
+        # position the other side reads the operand at; a premise already
+        # cut is reused from that cut
         t(f"mix: principal case on {type(cutf.formula).__name__}")
-        return (yield from self._principal(pair, measure))
-
-    def _premise(self, pair, k: int, i: int, measure, prem=None,
-                 keep_left: bool = False) -> Step:
-        """Mix premise i of pair[k] (or ``prem`` standing in for it) with
-        the whole other proof, both fresh copies (bar the left one under
-        ``keep_left``) so that eigen tokens stay unique across duplicated
-        sides; then bridge the result so that the premise's active formulas
-        stay at its edges, around the contexts the mix splices."""
-        s = SCHEMAS.get(pair[k].rule)
-        prem = prem or pair[k].premises[i]
-        a, b = (prem, pair[1]) if k == 0 else (pair[0], prem)
-        mixed = yield from self.run(
-            a if keep_left else _scoped_rename(a, self.src, True),
-            _scoped_rename(b, self.src, True), measure)
-        if s is None:       # a structural rule's premise has no active formulas
-            return mixed
-        shape, q = s.premises[i], prem.conclusion
-        ends = [r.conclusion for r in pair]
-        ends[k] = seq(q.ant[:-1] if shape.left else q.ant,
-                      q.suc[1:] if shape.right else q.suc)
-        w = _mix_target(*ends, self.cutf)
-        target = seq(w.ant + q.ant[-1:] if shape.left else w.ant,
-                     q.suc[:1] + w.suc if shape.right else w.suc)
-        return bridge_proof(mixed, target)
-
-    def _principal(self, pair, measure) -> Step:
-        """Both rules introduce the cut formula: cut, once per operand both
-        schemas expose, the premise carrying it on the right against the
-        premise carrying it on the left, each mixed with the other proof.
-        An eigen premise first moves to the position the other side reads
-        the operand at; a premise already cut is reused from that cut."""
         carriers = {}       # (operand, side) -> (proof k, premise i, its shift)
         for k, p in enumerate(pair):
             for i, shape in enumerate(SCHEMAS[p.rule].premises):
                 for side, act in (("L", shape.left), ("R", shape.right)):
                     if act is not None:
                         carriers[act.operand, side] = (k, i, act.shift)
-        mixed: set[tuple[int, int]] = set()     # premises already cut into out
+        done: set[tuple[int, int]] = set()     # premises already cut into out
         for operand in ("sub", "left", "right"):
             ends = [carriers.get((operand, side)) for side in "RL"]
             if None in ends:
@@ -225,19 +198,41 @@ class _Mixer:
             o = 1 - eigen[0] if eigen else 1     # the carrier the position is read off
             f = edge(prems[o].conclusion, "RL"[o])
             for j in eigen:
-                old = SeqPos(self.cutf.pos.items + (pair[ends[j][0]].param("x"),))
+                old = SeqPos(cutf.pos.items + (pair[ends[j][0]].param("x"),))
                 prems[j] = _map_positions(materialise(prems[j]), lambda q:
                                           prefix_replace(q, old, f.pos))
             sides = []
             for (k, i, _), prem, side in zip(ends, prems, "RL"):
-                if (k, i) in mixed:
+                if (k, i) in done:
                     sides.append(_gathered(out, f, side))
                 else:
-                    sides.append((yield self._premise(pair, k, i, measure, prem,
-                                                      keep_left=not mixed)))
-                    mixed.add((k, i))
+                    mixed = yield self.run(*self._operands(pair, k, prem, not done),
+                                           measure)
+                    sides.append(self._at_edges(mixed, pair, k, i, prem))
+                    done.add((k, i))
             out = cut(sides[0], sides[1], f)
-        return out
+        return bridge_proof(out, want)
+
+    def _operands(self, pair, k: int, prem, keep_left: bool = False) -> tuple:
+        """The pair a sub-mix takes: ``prem``, a premise of pair[k] or one
+        standing in for it, and the whole other proof, both fresh copies
+        (bar the left one under ``keep_left``) so that eigen tokens stay
+        unique across duplicated sides."""
+        a, b = (prem, pair[1]) if k == 0 else (pair[0], prem)
+        return (a if keep_left else _scoped_rename(a, self.src, True),
+                _scoped_rename(b, self.src, True))
+
+    def _at_edges(self, mixed: ProofNode, pair, k: int, i: int, prem) -> ProofNode:
+        """The sub-mix of premise i of pair[k] (``prem`` standing in for
+        it) bridged so that the premise's active formulas stay at its
+        edges, around the contexts the mix splices."""
+        shape, q = SCHEMAS[pair[k].rule].premises[i], prem.conclusion
+        ends = [r.conclusion for r in pair]
+        ends[k] = seq(q.ant[:-1] if shape.left else q.ant,
+                      q.suc[1:] if shape.right else q.suc)
+        w = _mix_target(*ends, self.cutf)
+        return bridge_proof(mixed, seq(w.ant + q.ant[-1:] if shape.left else w.ant,
+                                       q.suc[:1] + w.suc if shape.right else w.suc))
 
 
 def mix(p1: ProofNode, p2: ProofNode, cutf: PFormula, sys: SystemId,
@@ -291,22 +286,18 @@ def eliminate_cuts(p: ProofNode, sys: SystemId, trace: Trace = None) -> ProofNod
 
 def _eliminate(p: ProofNode, sys: SystemId, src: FreshTokenSource,
                trace: Trace, parent: Optional[tuple[int, int]]) -> Step:
+    """One elimination step.  A premise that is cut-free is only
+    materialised: its measure (0, h) is below any that has a cut."""
     my = (proof_degree(p), height(p))
     _ensure(parent is None or my < parent,
             "elimination measure failed to decrease")
-
-    def flat(q: ProofNode) -> Step:
-        # a cut-free proof is only materialised: its measure (0, h) is
-        # below any that has a cut
-        return (yield _eliminate(q, sys, src, trace, my)) if q.cut_rank \
-            else materialise(q)
-
     t = trace or (lambda s: None)
     if p.rule != "cut":
         prems = []
         for c in p.premises:
-            prems.append((yield from flat(c)))
-        return node(p.rule, dict(p.params), p.conclusion, tuple(prems))
+            prems.append((yield _eliminate(c, sys, src, trace, my)) if c.cut_rank
+                         else materialise(c))
+        return ProofNode(p.rule, p.params, p.conclusion, tuple(prems))
 
     cutf = p.param("cutf")
     p1, p2 = p.premises
@@ -315,11 +306,13 @@ def _eliminate(p: ProofNode, sys: SystemId, src: FreshTokenSource,
             # a second copy besides the one at the cut edge
             if _cut_side(q.conclusion, k).count(cutf) > 1:
                 t(f"eliminate: cut formula recurs on the {_NAMES[1 - k]}, bypassing mix")
-                return bridge_proof((yield from flat(q)), p.conclusion)
-    q1 = yield from flat(p1)
-    q2 = yield from flat(p2)
+                return bridge_proof((yield _eliminate(q, sys, src, trace, my))
+                                    if q.cut_rank else materialise(q), p.conclusion)
+    q1 = (yield _eliminate(p1, sys, src, trace, my)) if p1.cut_rank else materialise(p1)
+    q2 = (yield _eliminate(p2, sys, src, trace, my)) if p2.cut_rank else materialise(p2)
     t(f"eliminate: mixing on {type(cutf.formula).__name__} at {cutf.pos}")
     mixed = yield _Mixer(cutf, sys, src, trace).run(q1, q2, None)
     # the mix dropped the degree below the eliminated cut's, so the pair
     # (degree, height) still decreases even though the height grew
-    return bridge_proof((yield from flat(mixed)), p.conclusion)
+    return bridge_proof((yield _eliminate(mixed, sys, src, trace, my))
+                        if mixed.cut_rank else materialise(mixed), p.conclusion)

@@ -107,7 +107,8 @@ def _kind(tok: str) -> str:
 class _Parser:
     """Recursive-descent grammar run over explicit stacks: nesting depth
     costs list entries, not Python frames.  A sequent's ``@``, one-token
-    ``[x]``, ``,`` and ``|-`` are read by indexing the token list.
+    ``[x]``, ``,`` and ``|-``, and a script node's header up to its
+    parameter values and conclusion, are read by indexing the token list.
 
     ``memo`` holds each positioned formula read so far under its span of
     tokens joined by spaces (which no token holds; a tuple key measured a
@@ -125,12 +126,6 @@ class _Parser:
 
     def peek(self, ahead: int = 0) -> str:
         return self.toks[self.i + ahead]
-
-    def next(self) -> str:
-        t = self.toks[self.i]
-        if t != _EOF:
-            self.i += 1
-        return t
 
     def error(self, msg: str, at: Optional[int] = None) -> ParseError:
         """A ParseError at token index ``at``, by default the next token."""
@@ -302,12 +297,14 @@ class _Parser:
         """The node tree, with the nodes still open on an explicit stack:
         a node's header is read when it opens, its children while it is
         on top, and it is built when its ``)`` closes it."""
-        stack = [self._node_header(sys)]
+        toks, stack = self.toks, [self._node_header(sys)]
         while True:
-            if self.peek() == "(":
+            if toks[self.i] == "(":
                 stack.append(self._node_header(sys))
                 continue
-            self.expect(")")
+            if toks[self.i] != ")":
+                self.expect(")")
+            self.i += 1
             opener, rule, params, concl, children = stack.pop()
             if rule == "bridge":
                 if len(children) != 1:
@@ -321,39 +318,46 @@ class _Parser:
 
     def _node_header(self, sys: SystemId) -> tuple:
         """Read ``(rule NAME params (concl ...)`` or ``(bridge (concl ...)``:
-        (opener index, rule, sorted parameters, conclusion, children so far)."""
-        opener = self.i
-        self.expect("(")
-        head = self.expect("ident")
-        if head == "bridge":
-            return opener, "bridge", (), self._concl(sys), []
-        if head != "rule":
+        (opener index, rule, sorted parameters, conclusion, children so far).
+        The tokens are read by indexing; ``self.i`` is left at the first
+        one out of place, for ``expect`` or ``_param_value`` to raise on."""
+        toks, opener = self.toks, self.i
+        if toks[opener] != "(" or toks[opener + 1] not in ("rule", "bridge"):
+            self.expect("(")
+            self.expect("ident")
             raise self.error("expected (rule ...) or (bridge ...)", opener + 1)
-        name = self.expect("ident")
+        if toks[opener + 1] == "bridge":
+            self.i = opener + 2
+            return opener, "bridge", (), self._concl(sys), []
+        name = toks[opener + 2]
         if name not in RULES_BY_SYSTEM[sys]:
-            raise self.error(f"unknown rule {name!r} for system {sys.value}", self.i - 1)
+            self.i = opener + 2
+            self.expect("ident")
+            raise self.error(f"unknown rule {name!r} for system {sys.value}", opener + 2)
         params: dict[str, object] = {}
-        concl: Optional[Sequent] = None
-        while self.peek() == "(" and self.peek(1) in _NODE_KEYS:
-            self.i += 1
-            key = self.next()
+        i = opener + 3
+        while toks[i] == "(" and (key := toks[i + 1]) in _NODE_KEYS:
             if key == "concl":
+                self.i = i + 2
                 concl = self.sequent()
                 self.expect(")")
-                break
+                return opener, name, tuple(sorted(params.items())), concl, []
             if key in params:
-                raise self.error(f"parameter {key!r} given twice", self.i - 1)
+                raise self.error(f"parameter {key!r} given twice", i + 1)
+            self.i = i + 2
             params[key] = self._param_value(key, sys)
             self.expect(")")
-        if concl is None:
-            self.fail("rule node is missing its (concl ...) sequent")
-        return opener, name, tuple(sorted(params.items())), concl, []
+            i = self.i
+        self.i = i
+        self.fail("rule node is missing its (concl ...) sequent")
 
     def _concl(self, sys: SystemId) -> Sequent:
-        self.expect("(")
-        key = self.i
-        if self.expect("ident") != "concl":
+        key = self.i + 1
+        if self.toks[self.i] != "(" or self.toks[key] != "concl":
+            self.expect("(")
+            self.expect("ident")
             raise self.error("bridge nodes start with their (concl ...) sequent", key)
+        self.i = key + 1
         out = self.sequent()
         self.expect(")")
         self._check_family(out, sys, key)

@@ -537,6 +537,26 @@ def test_trace_text_is_pinned(sysid):
     assert _digest(_trace_lines(sysid)) == _TRACE_DIGESTS[sysid]
 
 
+# sha256 prefix of the rendered output of eliminate_cuts over the same
+# proofs, in the same order: the cut-free proofs themselves, byte for byte
+_OUTPUT_DIGESTS = {
+    SystemId.K: "66e304b5f0e2453d",
+    SystemId.D: "459a684580783da9",
+    SystemId.T: "b9d9bfb25ff8f720",
+    SystemId.K4: "fb146da34464872f",
+    SystemId.S4: "448e5a9866285182",
+}
+
+
+@pytest.mark.parametrize("sysid", CORE, ids=lambda s: s.value)
+def test_cut_free_output_is_pinned(sysid):
+    from twoseq.parser import render_proof
+    proofs = list(generate_suite(sysid, 100, seed=2026))
+    proofs += [p for _, p in corpus.entries(sysid)]
+    outs = [render_proof(sysid, eliminate_cuts(p, sysid)) for p in proofs]
+    assert _digest(outs) == _OUTPUT_DIGESTS[sysid]
+
+
 def _boxed(atom, at, x):
     """box atom @ at |- box atom @ at, by boxL then boxR with eigen x."""
     inner = seqpos(*at, x)

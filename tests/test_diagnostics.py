@@ -13,8 +13,12 @@ import pytest
 
 from mutants import (GOLDEN, corpus_proofs, eigen_mutants, eigen_subjects,
                      failures, mutants)
-from twoseq.calculus import TABLE, SystemId, check_proof, expand_double_lines
+from twoseq.calculus import (TABLE, OccurrenceIndex, ProofNode, SystemId,
+                             Violation, _family_violations, check_proof,
+                             check_rule_instance, expand_double_lines)
 from twoseq.parser import parse_proof
+from twoseq.positions import LtlPos
+from twoseq.syntax import Prev, Prop, Sequent, pf
 
 GOLD = json.loads(GOLDEN.read_text())
 PROOFS = {(home.value, name): proof for home, name, proof in corpus_proofs()}
@@ -74,16 +78,63 @@ def test_checker_is_total_on_cross_family_input():
                 assert not rep.accepted, (home, name, sys.value)
 
 
-@pytest.mark.parametrize("text, step, base", [
-    ("""(proof K (rule boxL (alpha []) (beta {x}) (concl box p0 @ [] |- p0 @ [x])
-          (rule ax (concl p0 @ [x] |- p0 @ [x]))))""", "{x}", "[]"),
-    ("""(proof S42 (rule boxL (alpha {y}) (beta (1;{x}))
+_OTHER_FAMILY_SCRIPTS = (
+    """(proof K (rule boxL (alpha []) (beta {x}) (concl box p0 @ [] |- p0 @ [x])
+          (rule ax (concl p0 @ [x] |- p0 @ [x]))))""",
+    """(proof S42 (rule boxL (alpha {y}) (beta (1;{x}))
           (concl box p0 @ {y} |- p0 @ {x,y})
-          (rule ax (concl p0 @ {x,y} |- p0 @ {x,y}))))""", "(1;{x})", "{y}"),
-    ("""(proof K (rule diaR (alpha []) (beta (0;{x};{}))
+          (rule ax (concl p0 @ {x,y} |- p0 @ {x,y}))))""",
+    """(proof K (rule diaR (alpha []) (beta (0;{x};{}))
           (concl p0 @ [x] |- dia p0 @ [])
-          (rule ax (concl p0 @ [x] |- p0 @ [x]))))""", "(0;{x};{})", "[]"),
-])
+          (rule ax (concl p0 @ [x] |- p0 @ [x]))))""",
+)
+
+
+def _per_node_failures(p, sys):
+    """The failures as a loop over every node finds them: its family and
+    connective violations, then its local ones; then the token condition,
+    then the sort by path."""
+    index, out = OccurrenceIndex(p), []
+    for i, n in enumerate(index.nodes):
+        found = _family_violations(n, sys) + check_rule_instance(n, sys)
+        out += [Violation(index.path(i), v.rule, v.condition, v.message) for v in found]
+    seen = set()
+    for i, x in index.eigens:
+        if x in seen:
+            out.append(Violation(index.path(i), "", "token-condition",
+                                 f"token {x} is the eigen token of two rules"))
+        seen.add(x)
+    for i, x in index.eigens:
+        w = index.first_outside(x, (i,))
+        if w is not None:
+            out.append(Violation(
+                index.path(i), "", "token-condition",
+                f"eigen token {x} occurs outside its rule's premises (at "
+                f"{'/'.join(map(str, index.path(w))) or 'root'})"))
+    return sorted(out, key=lambda v: v.path)
+
+
+def test_family_check_per_formula_matches_the_per_node_loop():
+    cases = [(proof, sys) for proof in PROOFS.values() for sys in SystemId]
+    assert len(cases) == 387
+    for text in _OTHER_FAMILY_SCRIPTS:
+        script = parse_proof(text)
+        cases += [(expand_double_lines(script), sys) for sys in SystemId]
+    past = pf(Prev(Prop("p0")), LtlPos())     # a past connective at a future position
+    cases += [(ProofNode("ax", (), Sequent((past,), (past,))), sys) for sys in SystemId]
+    for (home, _), proof in PROOFS.items():
+        cases += [(m, SystemId(home)) for _, m in mutants(proof)]
+        for _, subject in eigen_subjects(SystemId(home), proof):
+            cases += [(m, SystemId(home)) for _, m in eigen_mutants(subject)]
+    assert sum(1 for p, sys in cases if any(
+        v.condition in ("family", "connective") for v in _per_node_failures(p, sys))) > 100
+    for p, sys in cases:
+        assert list(check_proof(p, sys).failures) == _per_node_failures(p, sys)
+
+
+@pytest.mark.parametrize("text, step, base", [
+    (text, step, base) for text, (step, base) in
+    zip(_OTHER_FAMILY_SCRIPTS, [("{x}", "[]"), ("(1;{x})", "{y}"), ("(0;{x};{})", "[]")])])
 def test_step_of_another_family_is_a_params_violation(text, step, base):
     script = parse_proof(text)
     rep = check_proof(expand_double_lines(script), script.system)

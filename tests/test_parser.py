@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,8 @@ from corruptions import GOLDEN as PARSE_ERRORS, corruptions, parse_error
 from mutants import corpus_proofs
 from proofgen import generate_suite
 from strategies import formula_st, pformula_st, sequent_st
-from twoseq.calculus import SystemId, expand_double_lines
+from twoseq.calculus import (STRUCTURAL_RULES, ScriptNode, SystemId,
+                             expand_double_lines, iter_nodes)
 from twoseq.cutelim import eliminate_cuts
 from twoseq.errors import ParseError, TwoseqError
 from twoseq.ltl import LassoWord
@@ -351,6 +353,46 @@ def _script_texts():
 @PROPERTY
 @given(edited_st(st.sampled_from(_script_texts())))
 def test_edited_scripts_parse_as_the_oracle_does(text):
+    _same_as_oracle(text, ("parse_proof",))
+
+
+# the pieces of a node header: the opener with its head word, the rule
+# name, a key with its parenthesis, a whole one-line parameter, and the
+# parenthesis that closes a parameter or a conclusion
+_HEADER_PIECES = tuple(map(re.compile, (
+    r"\((?:rule|bridge)\b", r"(?<=\(rule )\w+", r"\((?:alpha|beta|t|x|at|cutf|pf|concl)\b",
+    r"\((?:alpha|beta|x|at) [^()]*\)", r"(?<=[\]\w])\)")))
+_HEADER_SWAPS = ("(x", "(alpha", "(beta", "(at", "(cutf", "(concl", "(rule",
+                 "(bridge", "rule", "boxR", "(x y)", "(alpha [])", "(at 1)", ")")
+
+
+@st.composite
+def header_edited_st(draw, texts):
+    """A valid script with one node-header piece dropped, doubled (a
+    whole parameter doubled repeats its key), or swapped for another."""
+    text = draw(texts)
+    m = draw(st.sampled_from([m for r in _HEADER_PIECES for m in r.finditer(text)]))
+    how = draw(st.sampled_from(("drop", "double", "swap")))
+    piece = "" if how == "drop" else f"{m.group()} {m.group()}" if how == "double" \
+        else draw(st.sampled_from(_HEADER_SWAPS))
+    return text[:m.start()] + piece + text[m.end():]
+
+
+def _bridge_texts():
+    """The corpus scripts that use a structural rule, each such rule
+    written as a one-step double-line node."""
+    def script(p):
+        kids = tuple(script(c) for c in p.premises)
+        return ScriptNode("bridge", (), p.conclusion, kids) if p.rule in STRUCTURAL_RULES \
+            else ScriptNode(p.rule, p.params, p.conclusion, kids)
+    return [render_proof(home, script(proof)) for home, _, proof in corpus_proofs()
+            if any(n.rule in STRUCTURAL_RULES for _, n in iter_nodes(proof))]
+
+
+@PROPERTY
+@given(header_edited_st(st.sampled_from(_script_texts())
+                        | st.sampled_from(_bridge_texts())))
+def test_header_edited_scripts_parse_as_the_oracle_does(text):
     _same_as_oracle(text, ("parse_proof",))
 
 

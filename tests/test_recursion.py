@@ -2,11 +2,14 @@
 
 Python bounds its frame stack, so every walk of a formula, a position, a
 text or a proof keeps its own stack, and the package leaves the recursion
-limit as it finds it.  Cut elimination's steps are generators: each
-yields the step it needs to ``cutelim._drive``, which runs it over an
-explicit stack and sends back its result.  This test draws the call
-graph of the source from its syntax trees and asserts that it has no
-cycle, so that no recursion lands unnoticed.
+limit as it finds it.  Cut elimination's steps are generators, one per
+mix step and one per elimination step: each yields the step it needs,
+as ``yield self.run(...)`` or ``yield _eliminate(...)``, to
+``cutelim._drive``, which runs it over an explicit stack and sends back
+its result; a plain helper that returned that new step would count as
+a call, and so as a cycle.  This test draws the call graph of the
+source from its syntax trees and asserts that it has no cycle, so that
+no recursion lands unnoticed.
 
 Calls are resolved by name: a bare name to a function defined in an
 enclosing function, in the module, or imported from a sibling module;
