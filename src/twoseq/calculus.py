@@ -23,18 +23,17 @@ The six structural rules share one step function, ``structural`` (a
 rule's conclusion from its premise), and a row each in ``STRUCTURAL``
 (parameter, constructor error, checker message); their constructors, the
 checker and bridge synthesis all go through it.  Induction and the
-axioms are written out.  At import every (system, rule) pair is compiled
-(``_compile``) into one checker with the schema entry and table row read
-once, so checking a rule instance is one dict lookup and one call.
+axioms are written out.  The first check in a system compiles each of
+its rules (``_compile``) into one checker with the schema entry and table
+row read once, so checking a rule instance is one dict lookup and one call.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BridgeError, KernelInvariantError, TwoseqError
 from .positions import (Interned, LtlPos, PastPos, Position, SeqPos, SetPos,
@@ -74,8 +73,7 @@ _SHAPES = {"any": lambda k: True, "singleton": lambda k: k == 1,
            "empty-or-singleton": lambda k: k <= 1, "nonempty": lambda k: k >= 1}
 
 
-@dataclass(frozen=True)
-class ConstraintTable:
+class ConstraintTable(NamedTuple):
     """One row of the constraint table: the four parameters the systems differ in.
     The family admits the temporal and past rules; the context demand (K, K4) guards the cut too."""
 
@@ -105,8 +103,7 @@ _LINEAR_TIME = (LtlPos, PastPos)        # the families admitting temporal connec
 _STEP_KEY = dict.fromkeys(_LINEAR_TIME, "t")    # the declared step's name there, else beta
 
 
-@dataclass(frozen=True)
-class StructuralRule:
+class StructuralRule(NamedTuple):
     param: str          # pf (the formula weakened in), at (the swap index) or ""
     error: str          # why the constructor refuses a premise
     message: str        # the checker's schema violation
@@ -171,12 +168,8 @@ class _RuleTree:
     def __hash__(self):
         return hash(self._root())
 
-    __setattr__, __delattr__, __reduce__ = \
-        Interned.__setattr__, Interned.__delattr__, Interned.__reduce__
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__match_args__)
-        return f"{type(self).__name__}({shown})"
+    __repr__, __setattr__, __delattr__, __reduce__ = \
+        Interned.__repr__, Interned.__setattr__, Interned.__delattr__, Interned.__reduce__
 
 
 class _ProofFields:
@@ -215,8 +208,7 @@ class ProofNode(_RuleTree, _ProofFields):
         return self
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     path: tuple[int, ...]
     rule: str
     condition: str
@@ -227,8 +219,7 @@ class Violation:
         return f"at {where} [{self.rule}] {self.condition}: {self.message}"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     verdict: str
     failures: tuple[Violation, ...]
 
@@ -238,8 +229,7 @@ class CheckReport:
 
     def to_json_dict(self) -> dict:
         return {"verdict": self.verdict,
-                "failures": [{"path": list(v.path), "rule": v.rule, "condition": v.condition,
-                              "message": v.message} for v in self.failures]}
+                "failures": [v._asdict() | {"path": list(v.path)} for v in self.failures]}
 
     def render_text(self) -> str:
         if self.accepted:
@@ -274,8 +264,7 @@ class ScriptNode(_RuleTree, _ScriptFields):
         return self
 
 
-@dataclass(frozen=True)
-class ProofScript:
+class ProofScript(NamedTuple):
     system: SystemId
     root: ScriptNode
 
@@ -449,8 +438,7 @@ def _unshift(pos: Position, sign: str, step) -> Position:
 
 # --- the rule schemas ---
 
-@dataclass(frozen=True)
-class Active:
+class Active(NamedTuple):
     """An active formula of a premise, read off the principal formula.
 
     ``shift`` maps the principal position to its own: empty for the
@@ -465,14 +453,12 @@ class Active:
     operand: str = "sub"
 
 
-@dataclass(frozen=True)
-class Premise:
+class Premise(NamedTuple):
     left: Optional[Active] = None       # the last antecedent formula
     right: Optional[Active] = None      # the first succedent formula
 
 
-@dataclass(frozen=True)
-class RuleSchema:
+class RuleSchema(NamedTuple):
     side: str                           # L or R, where the principal sits; "" for cut
     connective: Optional[type]
     premises: tuple[Premise, ...]
@@ -796,7 +782,7 @@ def _induction_axiom(a: Formula) -> Formula:
     return Imp(And(a, Box(Imp(a, Next(a)))), Box(a))
 
 
-# --- local rule checking: one checker per (system, rule), compiled at import ---
+# --- local rule checking: one checker per (system, rule), compiled on first use ---
 
 def _seq_positions(pfs: Iterable[PFormula]) -> list[SeqPos]:
     # positions of another family are reported by the family check; they
@@ -1028,10 +1014,16 @@ def _compile(rule: str, table: ConstraintTable):
     return check
 
 
-# system -> rule name -> its checker
-_CHECKERS = {sys: {r: _compile(r, TABLE[sys]) for r in rules} | {
-    "bridge": lambda n: [_bad("bridge", "schema", "unexpanded double-line node")]}
-    for sys, rules in RULES_BY_SYSTEM.items()}
+class _Checkers(dict):
+    """System -> rule name -> its checker; a system's are compiled on first use."""
+
+    def __missing__(self, sys: SystemId) -> dict:
+        out = self[sys] = {r: _compile(r, TABLE[sys]) for r in RULES_BY_SYSTEM[sys]}
+        out["bridge"] = lambda n: [_bad("bridge", "schema", "unexpanded double-line node")]
+        return out
+
+
+_CHECKERS = _Checkers()
 
 
 def check_rule_instance(n: ProofNode, sys: SystemId) -> list[Violation]:

@@ -135,7 +135,7 @@ class _Mixer:
                 "mix height measure failed to decrease")
         cutf, pair = self.cutf, (p1, p2)
         want = _mix_target(p1.conclusion, p2.conclusion, cutf)
-        t = self.trace or (lambda s: None)
+        trace = self.trace
         # when one side carries no occurrence at all, nothing is removed
         # from it and the spliced sequent is reachable by weakening alone;
         # a sub-mix below a two-premise rule can land here with the other
@@ -143,15 +143,18 @@ class _Mixer:
         # hypothesis is silent
         for k in (1, 0):
             if cutf not in _cut_side(pair[k].conclusion, k):
-                t(f"mix: no occurrences on the {_NAMES[1 - k]} of the {_NAMES[k]} proof")
+                if trace:
+                    trace(f"mix: no occurrences on the {_NAMES[1 - k]} of the {_NAMES[k]} proof")
                 return bridge_proof(materialise(pair[k]), want)
         for k, p in enumerate(pair):
             if p.rule == "ax":
-                t(f"mix: {_NAMES[k]} axiom")
+                if trace:
+                    trace(f"mix: {_NAMES[k]} axiom")
                 return bridge_proof(materialise(pair[1 - k]), want)
         for k, p in enumerate(pair):
             if p.rule in STRUCTURAL_RULES:
-                t(f"mix: {_NAMES[k]} structural {p.rule}")
+                if trace:
+                    trace(f"mix: {_NAMES[k]} structural {p.rule}")
                 # a structural rule's premise has no active formulas
                 mixed = yield self.run(*self._operands(pair, k, p.premises[0]), measure)
                 return bridge_proof(mixed, want)
@@ -167,7 +170,8 @@ class _Mixer:
             # a logical rule introduces cutf when it is its principal formula
             s = SCHEMAS.get(p.rule)
             if s is None or s.side != "RL"[k] or edge(p.conclusion, s.side) != cutf:
-                t(f"mix: {_NAMES[k]} rule {p.rule} does not introduce the cut formula")
+                if trace:
+                    trace(f"mix: {_NAMES[k]} rule {p.rule} does not introduce the cut formula")
                 if s is None:
                     raise TwoseqError(f"mix: unexpected rule {p.rule}")
                 prems = []
@@ -181,7 +185,8 @@ class _Mixer:
         # mixed with the other proof.  An eigen premise first moves to the
         # position the other side reads the operand at; a premise already
         # cut is reused from that cut
-        t(f"mix: principal case on {type(cutf.formula).__name__}")
+        if trace:
+            trace(f"mix: principal case on {type(cutf.formula).__name__}")
         carriers = {}       # (operand, side) -> (proof k, premise i, its shift)
         for k, p in enumerate(pair):
             for i, shape in enumerate(SCHEMAS[p.rule].premises):
@@ -291,7 +296,6 @@ def _eliminate(p: ProofNode, sys: SystemId, src: FreshTokenSource,
     my = (proof_degree(p), height(p))
     _ensure(parent is None or my < parent,
             "elimination measure failed to decrease")
-    t = trace or (lambda s: None)
     if p.rule != "cut":
         prems = []
         for c in p.premises:
@@ -305,12 +309,14 @@ def _eliminate(p: ProofNode, sys: SystemId, src: FreshTokenSource,
         for k, q in enumerate((p1, p2)):
             # a second copy besides the one at the cut edge
             if _cut_side(q.conclusion, k).count(cutf) > 1:
-                t(f"eliminate: cut formula recurs on the {_NAMES[1 - k]}, bypassing mix")
+                if trace:
+                    trace(f"eliminate: cut formula recurs on the {_NAMES[1 - k]}, bypassing mix")
                 return bridge_proof((yield _eliminate(q, sys, src, trace, my))
                                     if q.cut_rank else materialise(q), p.conclusion)
     q1 = (yield _eliminate(p1, sys, src, trace, my)) if p1.cut_rank else materialise(p1)
     q2 = (yield _eliminate(p2, sys, src, trace, my)) if p2.cut_rank else materialise(p2)
-    t(f"eliminate: mixing on {type(cutf.formula).__name__} at {cutf.pos}")
+    if trace:
+        trace(f"eliminate: mixing on {type(cutf.formula).__name__} at {cutf.pos}")
     mixed = yield _Mixer(cutf, sys, src, trace).run(q1, q2, None)
     # the mix dropped the degree below the eliminated cut's, so the pair
     # (degree, height) still decreases even though the height grew

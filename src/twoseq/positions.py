@@ -14,7 +14,6 @@ value fixed at construction (see the ``syntax`` docstring).
 from __future__ import annotations
 
 import weakref
-from dataclasses import FrozenInstanceError, dataclass
 from functools import total_ordering
 from typing import Iterable, Union
 
@@ -44,9 +43,9 @@ class Interned:
     """A hash-consed term: built only through its class's ``__new__``,
     which returns the live term with the same key if there is one.
 
-    Equality is the inherited identity; ``_hash`` is the hash of the
-    tuple of field values, as a frozen dataclass would compute it, stored
-    at construction so that neither ``==`` nor ``hash`` ever recurses.
+    Equality is the inherited identity; ``_hash`` is the hash of the tuple
+    of field values (``__match_args__``), stored at construction so that
+    neither ``==`` nor ``hash`` ever recurses.
     """
 
     __slots__ = ("_hash", "__weakref__")
@@ -55,10 +54,16 @@ class Interned:
     def __hash__(self) -> int:
         return self._hash
 
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__match_args__)
+        return f"{type(self).__name__}({shown})"
+
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     # copies are the term itself, pickles rebuild through the table
@@ -102,12 +107,10 @@ class _Position(Interned):
 
 
 @total_ordering
-@dataclass(eq=False, init=False)
 class SeqPos(_Position):
     """An ordered, possibly empty sequence of tokens."""
 
-    __slots__ = ("items",)
-    items: tuple[Token, ...]
+    __slots__ = __match_args__ = ("items",)
 
     def __new__(cls, items: tuple[Token, ...] = ()):
         key = (cls, items)
@@ -128,12 +131,10 @@ class SeqPos(_Position):
         return self.items < other.items if type(other) is type(self) else NotImplemented
 
 
-@dataclass(eq=False, init=False)
 class SetPos(_Position):
     """A finite set of tokens; duplication and order are quotiented away."""
 
-    __slots__ = ("items",)
-    items: frozenset[Token]
+    __slots__ = __match_args__ = ("items",)
 
     def __new__(cls, items: frozenset[Token] = frozenset()):
         key = (cls, items)
@@ -147,13 +148,10 @@ class SetPos(_Position):
         return self.items
 
 
-@dataclass(eq=False, init=False)
 class LtlPos(_Position):
     """A pair of a step count and a finite token set."""
 
-    __slots__ = ("steps", "future")
-    steps: int
-    future: frozenset[Token]
+    __slots__ = __match_args__ = ("steps", "future")
 
     def __new__(cls, steps: int = 0, future: frozenset[Token] = frozenset()):
         key = (cls, steps, future)
@@ -171,14 +169,10 @@ class LtlPos(_Position):
         return self.future
 
 
-@dataclass(eq=False, init=False)
 class PastPos(_Position):
     """An integer offset with disjoint future and past token sets."""
 
-    __slots__ = ("offset", "future", "past")
-    offset: int
-    future: frozenset[Token]
-    past: frozenset[Token]
+    __slots__ = __match_args__ = ("offset", "future", "past")
 
     def __new__(cls, offset: int = 0, future: frozenset[Token] = frozenset(),
                 past: frozenset[Token] = frozenset()):

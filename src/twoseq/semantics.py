@@ -28,9 +28,8 @@ samplers that call those methods.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .calculus import TABLE, SystemId
 from .errors import TwoseqError
@@ -43,8 +42,7 @@ _NODES = tuple(f"n{i}" for i in range(6))   # a drawn graph's node names
 _COLUMNS = tuple(1 << j for j in range(6))  # their bits in an adjacency row
 
 
-@dataclass
-class GraphModel:
+class GraphModel(NamedTuple):
     """Finite pointed Kripke structure with a per-node valuation."""
 
     nodes: tuple[str, ...]
@@ -52,17 +50,19 @@ class GraphModel:
     root: str
     valuation: dict[str, frozenset[str]]
 
+    __hash__ = None     # unhashable: the valuation is a dict
 
-@dataclass(frozen=True)
-class LassoWord:
+
+class LassoWord(NamedTuple("LassoWord", [("prefix", tuple), ("loop", tuple)])):
     """Ultimately periodic valuation: prefix letters then a repeated loop."""
 
-    prefix: tuple[frozenset[str], ...]
-    loop: tuple[frozenset[str], ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))    # so `_replace` checks too
 
-    def __post_init__(self):
-        if not self.loop:
+    def __new__(cls, prefix: tuple[frozenset[str], ...], loop: tuple[frozenset[str], ...]):
+        if not loop:
             raise ValueError("lasso loop must be nonempty")
+        return super().__new__(cls, prefix, loop)
 
     def letter(self, m: int) -> frozenset[str]:
         return (self.prefix + self.loop)[_point(len(self.prefix), len(self.loop), m)]
@@ -468,8 +468,7 @@ def exhaustive_valuations(tokens: tuple[Token, ...], bound: int) -> Iterator[Tok
     return (dict(zip(keys, values)) for values in product(range(bound + 1), repeat=len(keys)))
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     """``tried`` models drawn, and a counterexample's model and witness."""
 
     ok: bool

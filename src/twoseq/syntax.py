@@ -7,15 +7,14 @@ system a proof is checked against, not of formula construction.
 
 Hash-consing.  Formulas, positions and positioned formulas are interned
 (Filliâtre and Conchon, "Type-safe modular hash-consing", 2006): every
-constructor call, wherever it happens (the parser, the rule
-constructors, the transformations, ``dataclasses.replace``), looks its
-key up in one table, ``positions.TABLE``, and returns the live term
-there if there is one.  The key is the class and the identities of the
-children, or the field values for ``Prop`` and the positions.  So:
+constructor call, wherever it happens, looks its key (the class and the
+identities of the children, or the field values for ``Prop`` and the
+positions) up in one table, ``positions.TABLE``, and returns the live
+term there if there is one.  So:
 
 - ``==`` is identity, and two equal terms are the same object;
-- ``hash(x)`` is the hash of the tuple of its field values, the value a
-  frozen dataclass gives, computed once from the children's stored
+- ``hash(x)`` is the hash of the tuple of its field values (named by
+  ``__match_args__``), computed once from the children's stored
   hashes; neither ever recurses, however deep the term;
 - each formula also stores whether it contains a temporal or a past
   connective, its degree and its temporal depth, derived from its
@@ -26,15 +25,16 @@ children, or the field values for ``Prop`` and the positions.  So:
 - no lock is taken: a new term is built in full, then published with
   ``dict.setdefault``, so threads racing to build one term get one object.
 
-Terms must be built only by calling their class.  ``object.__new__``
-would make a term the table does not know, which compares unequal to
-its interned twin; ``copy.copy``, ``copy.deepcopy`` and pickling return
-or rebuild the interned term.  Attributes cannot be assigned.
+Terms must be built only by calling their class; ``type(x)(*fields)``
+rebuilds one (a named-tuple record rebuilds with ``_replace``), while
+``object.__new__`` would make a term the table does not know, unequal
+to its interned twin.  ``copy.copy``, ``copy.deepcopy`` and pickling
+return or rebuild the interned term.  Assigning an attribute raises
+``dataclasses.FrozenInstanceError``, a module imported only to raise it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Union
 
@@ -55,10 +55,8 @@ def _operand(cls: type, x) -> None:
         raise TypeError(f"{cls.__name__} operand must be a formula, not {x!r}")
 
 
-@dataclass(eq=False, init=False)
 class Prop(_Formula):
-    __slots__ = ("name",)
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
     def __new__(cls, name: str):
         key = (cls, name)
@@ -68,13 +66,11 @@ class Prop(_Formula):
         return self
 
 
-@dataclass(eq=False, init=False)
 class _Unary(_Formula):
     """A unary connective; the class says whether it is temporal, past or
     modal (counts towards the temporal depth)."""
 
-    __slots__ = ("sub",)
-    sub: "Formula"
+    __slots__ = __match_args__ = ("sub",)
     IS_TEMPORAL = IS_PAST = False
     IS_MODAL = True
 
@@ -89,11 +85,8 @@ class _Unary(_Formula):
         return self
 
 
-@dataclass(eq=False, init=False)
 class _Binary(_Formula):
-    __slots__ = ("left", "right")
-    left: "Formula"
-    right: "Formula"
+    __slots__ = __match_args__ = ("left", "right")
 
     def __new__(cls, left: "Formula", right: "Formula"):
         key = (cls, id(left), id(right))
@@ -162,13 +155,10 @@ TEMPORAL = (Next, Prev, Hist, Once)
 PAST = (Prev, Hist, Once)
 
 
-@dataclass(eq=False, init=False)
 class PFormula(Interned):
     """A formula paired with the position it is asserted at."""
 
-    __slots__ = ("formula", "pos")
-    formula: Formula
-    pos: Position
+    __slots__ = __match_args__ = ("formula", "pos")
 
     def __new__(cls, formula: Formula, pos: Position):
         key = (cls, id(formula), id(pos))
@@ -181,13 +171,32 @@ class PFormula(Interned):
         return self
 
 
-@dataclass(frozen=True)
-class Sequent:
-    """Ordered antecedent and succedent lists of positioned formulas;
-    `program` and `segments` are cached, as fuzzers read them per model."""
+class _SequentFields:
+    __slots__ = ("ant", "suc", "__dict__")      # the dict holds the cached properties
 
-    ant: tuple[PFormula, ...] = ()
-    suc: tuple[PFormula, ...] = ()
+
+class Sequent(_SequentFields):
+    """Ordered antecedent and succedent lists of positioned formulas, frozen as
+    `ProofNode` is; `program` and `segments` are cached, as fuzzers read them per model."""
+
+    __slots__ = ()
+    __match_args__ = _SequentFields.__slots__[:2]
+    __repr__, __setattr__, __delattr__, __reduce__ = \
+        Interned.__repr__, Interned.__setattr__, Interned.__delattr__, Interned.__reduce__
+
+    def __new__(cls, ant: tuple[PFormula, ...] = (), suc: tuple[PFormula, ...] = ()):
+        self = _SequentFields()
+        self.ant, self.suc = ant, suc
+        self.__class__ = cls
+        return self
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ant == other.ant and self.suc == other.suc
+
+    def __hash__(self):
+        return hash((self.ant, self.suc))
 
     def pformulas(self) -> tuple[PFormula, ...]:
         return self.ant + self.suc

@@ -21,7 +21,9 @@ SRC = str(Path(twoseq.__file__).resolve().parents[1])
 CHECK = {"twoseq", "cli", "calculus", "parser", "syntax", "positions", "errors"}
 
 # runs the code, then writes the twoseq modules it loaded (package prefix
-# dropped) to stderr as its last line, also when the code exits
+# dropped), and those of HEAVY it loaded, to stderr as its last line, also
+# when the code exits
+HEAVY = ("dataclasses", "inspect")      # slow imports (inspect loads ast and dis) that no command needs
 _PROBE = """
 import json, sys
 try:
@@ -29,13 +31,13 @@ try:
 finally:
     names = sorted(m.partition(".")[2] or m for m in sys.modules
                    if m == "twoseq" or m.startswith("twoseq."))
-    print(json.dumps(names), file=sys.stderr)
+    print(json.dumps(names + [m for m in {!r} if m in sys.modules]), file=sys.stderr)
 """
 
 
 def _loaded(code: str, *argv: str) -> tuple[set, subprocess.CompletedProcess]:
     body = "\n".join("    " + line for line in code.splitlines())
-    out = subprocess.run([sys.executable, "-c", _PROBE.format(body), *argv],
+    out = subprocess.run([sys.executable, "-c", _PROBE.format(body, HEAVY), *argv],
                          capture_output=True, text=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": SRC})
     return set(json.loads(out.stderr.splitlines()[-1])), out
@@ -43,6 +45,13 @@ def _loaded(code: str, *argv: str) -> tuple[set, subprocess.CompletedProcess]:
 
 def test_bare_import_loads_no_submodule():
     assert _loaded("import twoseq")[0] == {"twoseq"}
+
+
+def test_the_corpus_loads_its_closure_and_neither_dataclasses_nor_inspect():
+    names, out = _loaded("from twoseq import corpus")
+    assert out.returncode == 0, out.stderr
+    assert names == {"twoseq", "corpus", "calculus", "transform", "syntax", "positions",
+                     "errors"}
 
 
 def test_a_parser_name_loads_the_parser_closure():
@@ -74,6 +83,7 @@ def test_each_subcommand_loads_only_its_modules(inputs, argv, more):
     run = "from twoseq import cli\nsys.exit(cli.main(sys.argv[1:]))"
     names, out = _loaded(run, *(a.format(**inputs) for a in argv))
     assert out.returncode == 0, out.stderr
+    assert not names & set(HEAVY)
     assert names == CHECK | more
 
 
