@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from enum import Enum
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BridgeError, KernelInvariantError, TwoseqError
@@ -84,6 +84,15 @@ class ConstraintTable(NamedTuple):
 
     def admits(self, k: int) -> bool:      # a box-left step of k tokens
         return _SHAPES[self.box_left_shape](k)
+
+    def __le__(self, other):    # same family and induction, more steps, no new demand
+        return (self.family, self.induction) == (other.family, other.induction) \
+            and all(other.admits(k) for k in range(3) if self.admits(k)) \
+            and other.context_demand <= self.context_demand
+
+    __lt__ = lambda a, b: ConstraintTable.__le__(a, b) and a != b
+    __ge__ = lambda a, b: ConstraintTable.__le__(b, a)
+    __gt__ = lambda a, b: ConstraintTable.__lt__(b, a)
 
 
 TABLE: dict[SystemId, ConstraintTable] = {
@@ -142,13 +151,46 @@ def _rules(t: ConstraintTable) -> tuple[str, ...]:
 RULES_BY_SYSTEM: dict[SystemId, tuple[str, ...]] = {k: _rules(t) for k, t in TABLE.items()}
 
 
-class _RuleTree:
-    """Structural ``==`` over an explicit stack, so comparing deep trees
-    costs no C stack, and a hash of the root alone, which equal trees
-    share.  A node is built as its writable twin (the bare slots), each
-    field written once, then switched to its own class: frozen."""
+class _ProofFields:
+    __slots__ = ("rule", "params", "conclusion", "premises",
+                 "height", "size", "eigens", "cut_rank")
+
+    def param(self, key: str):
+        for k, v in self.params:
+            if k == key:
+                return v
+        return None
+
+
+class ProofNode(_ProofFields):
+    """A rule instance (identifier, explicit parameters, conclusion, premises)
+    and its tree's height, size, eigen rules and cut rank: 0 if cut-free, else
+    1 + the largest cut-formula degree; -1 if a cut formula is temporal or missing.
+    A script's double line is a node of rule "bridge" until it is expanded.
+    ``==`` walks an explicit stack, and the hash reads the root alone.  A node is
+    built as its writable twin (the bare slots), then switched to its class: frozen."""
 
     __slots__ = ()
+    __match_args__ = _ProofFields.__slots__[:4]
+
+    def __new__(cls, rule: str, params: tuple, conclusion: Sequent, premises: tuple = ()):
+        self = _ProofFields()
+        self.rule, self.params, self.conclusion, self.premises = rule, params, conclusion, premises
+        h = s = e = rank = 0
+        for q in premises:      # the measures without max/min calls: this runs per parsed node
+            if q.height > h:
+                h = q.height
+            s, e, r = s + q.size, e + q.eigens, q.cut_rank
+            if r > rank >= 0 or r < 0:
+                rank = r
+        if rule == "cut" and rank >= 0:
+            f = self.param("cutf")
+            rank = -1 if not isinstance(f, PFormula) or has_temporal(f.formula) \
+                else max(rank, degree(f.formula) + 1)
+        self.height, self.size, self.cut_rank = h + 1, s + 1, rank
+        self.eigens = e + (rule in _BINDERS and self.param("x") is not None)
+        self.__class__ = cls
+        return self
 
     def _root(self) -> tuple:
         return self.rule, self.params, self.conclusion, len(self.premises)
@@ -172,40 +214,10 @@ class _RuleTree:
         Interned.__repr__, Interned.__setattr__, Interned.__delattr__, Interned.__reduce__
 
 
-class _ProofFields:
-    __slots__ = ("rule", "params", "conclusion", "premises",
-                 "height", "size", "eigens", "cut_rank")
-
-    def param(self, key: str):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return None
-
-
-class ProofNode(_RuleTree, _ProofFields):
-    """A rule instance (identifier, explicit parameters, conclusion, premises)
-    and its tree's height, size, eigen rules and cut rank: 0 if cut-free, else
-    1 + the largest cut-formula degree; -1 if a cut formula is temporal or missing."""
-
+class ScriptNode(ProofNode):
+    """A ``ProofNode`` read through ``children``, kept for ``bench/`` (ROADMAP item 13)."""
     __slots__ = ()
-    __match_args__ = _ProofFields.__slots__[:4]
-
-    def __new__(cls, rule: str, params: tuple, conclusion: Sequent, premises: tuple = ()):
-        self = _ProofFields()
-        self.rule, self.params, self.conclusion, self.premises = rule, params, conclusion, premises
-        h = s = e = rank = 0
-        for q in premises:
-            h, s, e = max(h, q.height), s + q.size, e + q.eigens
-            rank = -1 if min(rank, q.cut_rank) < 0 else max(rank, q.cut_rank)
-        if rule == "cut" and rank >= 0:
-            f = self.param("cutf")
-            rank = -1 if not isinstance(f, PFormula) or has_temporal(f.formula) \
-                else max(rank, degree(f.formula) + 1)
-        self.height, self.size, self.cut_rank = h + 1, s + 1, rank
-        self.eigens = e + (eigen_token(self) is not None)
-        self.__class__ = cls
-        return self
+    children = property(attrgetter("premises"))
 
 
 class Violation(NamedTuple):
@@ -244,29 +256,9 @@ def report(failures: Iterable[Violation]) -> CheckReport:
     return CheckReport("accepted" if not fs else "rejected", fs)
 
 
-# --- script trees (textual proofs may contain double-line bridge nodes) ---
-
-class _ScriptFields:
-    __slots__ = ("rule", "params", "conclusion", "children")
-
-
-class ScriptNode(_RuleTree, _ScriptFields):
-    """A node of a textual proof, its rule a rule name or "bridge"."""
-
-    __slots__ = ()
-    __match_args__ = _ScriptFields.__slots__
-    premises = property(lambda self: self.children)
-
-    def __new__(cls, rule: str, params: tuple, conclusion: Sequent, children: tuple = ()):
-        self = _ScriptFields()
-        self.rule, self.params, self.conclusion, self.children = rule, params, conclusion, children
-        self.__class__ = cls
-        return self
-
-
 class ProofScript(NamedTuple):
     system: SystemId
-    root: ScriptNode
+    root: ProofNode
 
 
 def node(rule: str, params: dict, conclusion: Sequent,
@@ -1033,16 +1025,22 @@ def check_rule_instance(n: ProofNode, sys: SystemId) -> list[Violation]:
     return [_bad(n.rule, "schema", f"rule {n.rule} is not part of this system")]
 
 
+def _misfit(q: PFormula, fam: type) -> tuple[bool, Optional[str]]:
+    """Whether ``q``'s position is off the family, and the connectives ``q`` has that it lacks."""
+    lacks = "temporal" if fam not in _LINEAR_TIME and has_temporal(q.formula) else \
+        "past" if fam is LtlPos and has_past(q.formula) else None
+    return not isinstance(q.pos, fam), lacks
+
+
 def _family_violations(n: ProofNode, sys: SystemId) -> list[Violation]:
-    table, pfs, out = TABLE[sys], n.conclusion.pformulas(), []
-    wrong = [q.pos for q in pfs if not isinstance(q.pos, table.family)]
-    if wrong:
+    fam, out = TABLE[sys].family, []
+    found = [(q.pos, *_misfit(q, fam)) for q in n.conclusion.pformulas()]
+    if wrong := [pos for pos, off, _ in found if off]:
         out.append(_bad(n.rule, "family",
-                        f"position {wrong[0]} is not in the {table.family.__name__} family"))
-    if table.family not in _LINEAR_TIME and any(has_temporal(q.formula) for q in pfs):
-        out.append(_bad(n.rule, "connective", "temporal connectives are not part of this system"))
-    elif table.family is LtlPos and any(has_past(q.formula) for q in pfs):
-        out.append(_bad(n.rule, "connective", "past connectives are not part of this system"))
+                        f"position {wrong[0]} is not in the {fam.__name__} family"))
+    if lacks := [kind for _, _, kind in found if kind]:
+        out.append(_bad(n.rule, "connective",
+                        f"{lacks[0]} connectives are not part of this system"))
     return out
 
 
@@ -1060,9 +1058,7 @@ def check_proof(p: ProofNode, sys: SystemId) -> CheckReport:
     """
     failures: list[Violation] = []
     index, fam = OccurrenceIndex(p), TABLE[sys].family
-    bad = {q for q in index.formulas if not isinstance(q.pos, fam) or (
-        has_temporal(q.formula) if fam not in _LINEAR_TIME else
-        fam is LtlPos and has_past(q.formula))}
+    bad = {q for q in index.formulas if any(_misfit(q, fam))}
     for i, n in enumerate(index.nodes):
         found = check_rule_instance(n, sys)
         if bad and not bad.isdisjoint(n.conclusion.pformulas()):
@@ -1149,26 +1145,26 @@ def bridge_proof(p: ProofNode, to: Sequent) -> ProofNode:
 def expand_double_lines(script: ProofScript) -> ProofNode:
     """Replace every double-line node of a script by a primitive chain.
 
-    A node is built (a bridge by its chain) after its children, left to
-    right, so the first bad bridge is the one reported; the path in its
-    message is read off the parent links the walk's contexts hold.
-    """
-    def enter(sn: ScriptNode, ctx) -> list:
-        if sn.rule == "bridge" and len(sn.children) != 1:
-            raise TwoseqError("double-line node must have exactly one child")
-        return [(c, (ctx, k)) for k, c in enumerate(sn.children)]
+    A node is built (a bridge by its chain) after its children, left to right,
+    so the first bad bridge is the one reported.  Only the nodes above a bridge
+    are built anew: bridge-free subtrees, and bridge-free scripts, are kept."""
+    if all(n.rule != "bridge" for n in subproofs(script.root)):
+        return script.root
 
-    def leave(sn: ScriptNode, ctx, kids: tuple[ProofNode, ...]) -> ProofNode:
+    def enter(sn: ProofNode, ctx) -> list:
+        if sn.rule == "bridge" and len(sn.premises) != 1:
+            raise TwoseqError("double-line node must have exactly one child")
+        return [(c, None) for c in sn.premises]
+
+    def leave(sn: ProofNode, ctx, kids: tuple[ProofNode, ...]) -> ProofNode:
         if sn.rule != "bridge":
-            return ProofNode(sn.rule, sn.params, sn.conclusion, kids)
+            same = all(map(is_, kids, sn.premises))
+            return sn if same else ProofNode(sn.rule, sn.params, sn.conclusion, kids)
         try:
             return bridge_proof(kids[0], sn.conclusion)
-        except BridgeError as e:
-            path = []
-            while ctx is not None:
-                ctx, k = ctx
-                path.append(k)
-            where = "/".join(map(str, reversed(path))) or "root"
+        except BridgeError as e:     # a node in two places is built first at the leftmost
+            path = min(path for path, m in iter_nodes(script.root) if m is sn)
+            where = "/".join(map(str, path)) or "root"
             raise BridgeError(e.missing, f"{e.side} (at {where})") from e
 
     return rebuild(script.root, leave, None, enter)

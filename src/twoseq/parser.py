@@ -18,8 +18,7 @@ import functools
 import re
 from typing import TYPE_CHECKING, Optional, Union
 
-from .calculus import (ProofNode, ProofScript, RULES_BY_SYSTEM, ScriptNode,
-                       SystemId, TABLE)
+from .calculus import ProofNode, ProofScript, RULES_BY_SYSTEM, SystemId, TABLE
 from .errors import ParseError, TwoseqError
 from .positions import (LtlPos, PastPos, Position, SeqPos, SetPos)
 from .syntax import (And, Box, Dia, Formula, Hist, Imp, Next, Not, Once, Or,
@@ -293,7 +292,7 @@ class _Parser:
         self.expect(")")
         return ProofScript(sys, root)
 
-    def script_tree(self, sys: SystemId) -> ScriptNode:
+    def script_tree(self, sys: SystemId) -> ProofNode:
         """The node tree, with the nodes still open on an explicit stack:
         a node's header is read when it opens, its children while it is
         on top, and it is built when its ``)`` closes it."""
@@ -311,7 +310,7 @@ class _Parser:
                     raise self.error("bridge nodes take exactly one child", opener)
             else:
                 self._check_family(concl, sys, opener)
-            built = ScriptNode(rule, params, concl, tuple(children))
+            built = ProofNode(rule, params, concl, tuple(children))
             if not stack:
                 return built
             stack[-1][-1].append(built)
@@ -540,7 +539,7 @@ def render_sequent(s: Sequent, text=render_pformula) -> str:
     return " ".join(filter(None, (ant, "|-", suc)))
 
 
-def render_proof(sys: SystemId, p: Union[ProofNode, ScriptNode]) -> str:
+def render_proof(sys: SystemId, p: ProofNode) -> str:
     """One line per node, indented by depth up to `MAX_INDENT` levels (so
     the text grows linearly with depth); a node's closing parenthesis ends
     the line of its last descendant.  The walk keeps its own stack, where
@@ -555,15 +554,10 @@ def render_proof(sys: SystemId, p: Union[ProofNode, ScriptNode]) -> str:
             continue
         n, depth = job
         pad = "  " * min(depth, MAX_INDENT)
-        if n.rule == "bridge":
-            out.append(f"\n{pad}(bridge (concl {render_sequent(n.conclusion, text)})")
-        else:
-            params = " ".join(f"({k} {text(v) if k in ('cutf', 'pf') else v})" for k, v in
-                              sorted(n.params, key=lambda kv: _PARAM_KEYS.index(kv[0])))
-            head = f"\n{pad}(rule {n.rule}"
-            if params:
-                head += " " + params
-            out.append(head + f" (concl {render_sequent(n.conclusion, text)})")
+        head = "bridge" if n.rule == "bridge" else "rule " + n.rule
+        params = "".join(f" ({k} {text(v) if k in ('cutf', 'pf') else v})" for k, v in
+                         sorted(n.params, key=lambda kv: _PARAM_KEYS.index(kv[0])))
+        out.append(f"\n{pad}({head}{params} (concl {render_sequent(n.conclusion, text)})")
         todo.append(None)
         todo += ((c, depth + 1) for c in reversed(n.premises))
     out.append(")")

@@ -16,7 +16,7 @@ import re
 import sys
 from typing import NamedTuple, Optional
 
-from twoseq.calculus import (ProofScript, RULES_BY_SYSTEM, ScriptNode,
+from twoseq.calculus import (ProofNode, ProofScript, RULES_BY_SYSTEM,
                              SystemId, TABLE)
 from twoseq.errors import ParseError, TwoseqError
 from twoseq.positions import LtlPos, PastPos, Position, SeqPos, SetPos
@@ -234,7 +234,7 @@ class _Parser:
         self.expect(")")
         return ProofScript(sys, root)
 
-    def script_node(self, sys: SystemId) -> ScriptNode:
+    def script_node(self, sys: SystemId) -> ProofNode:
         opener = self.expect("(")
         head = self.expect("ident")
         if head.value == "bridge":
@@ -245,7 +245,7 @@ class _Parser:
             self.expect(")")
             if len(children) != 1:
                 raise self.error("bridge nodes take exactly one child", opener)
-            return ScriptNode("bridge", (), concl, tuple(children))
+            return ProofNode("bridge", (), concl, tuple(children))
         if head.value != "rule":
             raise self.error("expected (rule ...) or (bridge ...)", head)
         name = self.expect("ident")
@@ -273,8 +273,8 @@ class _Parser:
             children.append(self.script_node(sys))
         self.expect(")")
         self._check_family(concl, sys, opener)
-        return ScriptNode(name.value, tuple(sorted(params.items())), concl,
-                          tuple(children))
+        return ProofNode(name.value, tuple(sorted(params.items())), concl,
+                         tuple(children))
 
     def _concl(self, sys: SystemId) -> Sequent:
         self.expect("(")

@@ -255,6 +255,17 @@ def test_each_column_is_load_bearing(column, accepts, rejects, build, condition)
     assert {v.condition for v in check_proof(p, rejects).failures} == {condition}
 
 
+def test_the_table_rows_order_the_spectrum():
+    rows = [(sys.value, calculus.TABLE[sys]) for sys in SystemId]
+    strict = {(a, b) for a, r in rows for b, q in rows if r < q}
+    assert strict == {("K", "D"), ("K", "T"), ("K", "K4"), ("K", "S4"), ("D", "T"),
+                      ("D", "S4"), ("T", "S4"), ("K4", "S4")}
+    for a, r in rows:
+        for b, q in rows:
+            assert (r <= q) == (a == b or (a, b) in strict), (a, b)
+            assert (r >= q, r > q) == (q <= r, q < r), (a, b)
+
+
 def test_per_system_decisions_name_no_system():
     # semantics, cut elimination and the fuzz dispatch read the table row
     members = set(SystemId.__members__)
@@ -426,20 +437,20 @@ def test_expand_rejects_impossible_bridge():
 
 def _bridge_tree(*children):
     """A script whose root has the given children; expansion checks no rule."""
-    return calculus.ProofScript(SystemId.K, calculus.ScriptNode(
+    return calculus.ProofScript(SystemId.K, calculus.ProofNode(
         "andR", (), seq((), (pf(P0, E),)), children))
 
 
 def test_expand_reports_the_first_bad_bridge_with_its_path():
-    leaf = calculus.ScriptNode("ax", (), seq((pf(P0, E),), (pf(P0, E),)))
+    leaf = calculus.ProofNode("ax", (), seq((pf(P0, E),), (pf(P0, E),)))
 
     def bridge(to, *kids):
-        return calculus.ScriptNode("bridge", (), to, kids)
+        return calculus.ProofNode("bridge", (), to, kids)
 
     good = bridge(seq((pf(P0, E), pf(P1, E)), (pf(P0, E),)), leaf)
     drops = bridge(seq((), (pf(P0, E),)), leaf)        # drops the antecedent
     twins = bridge(seq((pf(P0, E),), (pf(P0, E),)), leaf, leaf)
-    inner = calculus.ScriptNode("negR", (), seq(), (good, drops))
+    inner = calculus.ProofNode("negR", (), seq(), (good, drops))
     cases = [
         # children finish left to right, each bridge after its own subtree
         (_bridge_tree(good, inner, drops), BridgeError,
@@ -461,7 +472,7 @@ def test_expand_reports_the_first_bad_bridge_with_its_path():
         with pytest.raises(kind) as e:
             expand_double_lines(script)
         assert str(e.value) == message
-    ok = expand_double_lines(_bridge_tree(good, calculus.ScriptNode(
+    ok = expand_double_lines(_bridge_tree(good, calculus.ProofNode(
         "negR", (), seq(), (good,))))
     assert [n.rule for n in (ok.premises[0], ok.premises[1].premises[0])] == \
         ["weakL", "weakL"]
@@ -545,7 +556,7 @@ def test_identity_bridge_is_empty_and_keeps_the_proof():
 _BROKEN_BRIDGE = """
 import sys
 from twoseq import calculus
-from twoseq.calculus import ProofScript, ScriptNode, SystemId, seq
+from twoseq.calculus import ProofNode, ProofScript, SystemId, seq
 from twoseq.errors import KernelInvariantError
 from twoseq.positions import seqpos
 from twoseq.syntax import Prop, pf
@@ -553,8 +564,8 @@ from twoseq.syntax import Prop, pf
 if __debug__:
     sys.exit("not running under python -O")
 a, b = pf(Prop("p0"), seqpos()), pf(Prop("p1"), seqpos())
-leaf = ScriptNode("ax", (), seq((a,), (a,)))
-script = ProofScript(SystemId.S4, ScriptNode("bridge", (), seq((a, b), (a,)), (leaf,)))
+leaf = ProofNode("ax", (), seq((a,), (a,)))
+script = ProofScript(SystemId.S4, ProofNode("bridge", (), seq((a, b), (a,)), (leaf,)))
 real = calculus.apply_structural
 # each weakening adds its formula twice, so the bridge overshoots its target
 calculus.apply_structural = lambda rule, p, value=None: (

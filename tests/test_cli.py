@@ -482,6 +482,35 @@ def test_deep_inputs_run_under_the_default_recursion_limit(files, tmp_path):
     assert proof.size == 5_001 and len(text) < 200 * proof.size
 
 
+# the CLI in a child of a fresh interpreter, which prints the child's peak
+# RSS in bytes (Linux counts ru_maxrss in KiB) and exits with its status:
+# RUSAGE_CHILDREN is the largest over every child reaped so far, so it
+# is read where no earlier test has spawned one
+_PEAK_RSS = """
+import resource, subprocess, sys
+out = subprocess.run([sys.executable, "-m", "twoseq.cli", *sys.argv[1:]], capture_output=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024)
+sys.exit(out.returncode)
+"""
+
+
+def test_deep_inputs_peak_within_a_bound_per_node(files, tmp_path):
+    # measured at height 20 001 (Linux, Python 3.11.7): check 1 449 and cutelim
+    # 2 621 bytes a node above the --help baseline; each bound leaves about 25 %
+    height, bounds = 20_001, {"check": 1_800, "cutelim": 3_300}
+    chain = files("chain.2sp", _cut_chain(height))
+
+    def peak(*argv) -> int:
+        out = _run_cli(*argv, entry=("-c", _PEAK_RSS))
+        assert out.returncode == 0, out.stderr
+        return int(out.stdout)
+
+    base = peak("--help")
+    for argv in (("check", chain), ("cutelim", chain, "-o", str(tmp_path / "flat.2sp"))):
+        per_node = (peak(*argv) - base) / height
+        assert per_node <= bounds[argv[0]], (argv[0], per_node)
+
+
 # --- stdout and exit codes of eval and fuzz, byte for byte ---
 
 PIN_GRAPH = "nodes: n0 n1\nroot: n0\nedges: n0->n1\nval: n0 {p0}\nval: n1 {}"

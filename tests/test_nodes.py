@@ -1,6 +1,7 @@
-"""Proof and script nodes: stored fields and measures, ill-formed
-parameters, immutability, equality, hashing and repr; and the checker's
-report on a one-node proof of every rule name of every system.
+"""Proof nodes, double-line bridge nodes among them: stored fields and
+measures, ill-formed parameters, immutability, equality, hashing and repr;
+and the checker's report on a one-node proof of every rule name of every
+system.
 
 The one-node reports are pinned in ``tests/golden/one_node.json``; run
 ``PYTHONPATH=src python tests/test_nodes.py`` to rewrite it.
@@ -77,13 +78,19 @@ def test_temporal_cut_formula_has_rank_minus_one():
 
 
 def test_script_node_fields():
-    leaf = ScriptNode("ax", (), seq((pf(P0, E),), (pf(P0, E),)))
-    assert leaf.children == () and leaf.premises == ()
-    top = ScriptNode("bridge", (("k", 1),), seq((pf(P0, E), pf(P1, E)), (pf(P0, E),)),
-                     (leaf,))
-    assert (top.rule, top.params) == ("bridge", (("k", 1),))
-    assert top.children == (leaf,) and top.premises is top.children
-    assert not hasattr(top, "height")
+    # a double line is a ProofNode of rule "bridge", measured like any node
+    leaf = ProofNode("ax", (), seq((pf(P0, E),), (pf(P0, E),)))
+    top = ProofNode("bridge", (("k", 1),), seq((pf(P0, E), pf(P1, E)), (pf(P0, E),)),
+                    (leaf,))
+    assert (top.rule, top.params, top.premises) == ("bridge", (("k", 1),), (leaf,))
+    assert _measures(top) == (2, 2, 0, 0)
+    # ScriptNode, as bench/ builds it: the same constructor, read through children
+    sleaf = ScriptNode("ax", (), leaf.conclusion)
+    stop = ScriptNode("bridge", top.params, top.conclusion, (sleaf,))
+    assert sleaf.children == () and stop.children == (sleaf,)
+    assert stop.children is stop.premises
+    assert isinstance(stop, ProofNode) and _measures(stop) == _measures(top)
+    assert stop != top and sleaf != leaf
 
 
 # -- nodes with ill-formed parameters, as tests/mutants.py builds them --
@@ -169,8 +176,8 @@ def test_repr_of_a_small_node():
     side = "(PFormula(formula=Prop(name='p0'), pos=SeqPos(items=())),)"
     concl = f"Sequent(ant={side}, suc={side})"
     assert repr(leaf) == f"ProofNode(rule='ax', params=(), conclusion={concl}, premises=())"
-    assert repr(ScriptNode("ax", (), leaf.conclusion)) == \
-        f"ScriptNode(rule='ax', params=(), conclusion={concl}, children=())"
+    assert repr(ProofNode("bridge", (), leaf.conclusion, (leaf,))) == \
+        f"ProofNode(rule='bridge', params=(), conclusion={concl}, premises=({repr(leaf)},))"
     up = ProofNode("weakL", (("pf", pf(P0, E)),), leaf.conclusion, (leaf,))
     assert repr(up) == (f"ProofNode(rule='weakL', params=(('pf', {side[1:-2]}),), "
                         f"conclusion={concl}, premises=({repr(leaf)},))")

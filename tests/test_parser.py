@@ -18,8 +18,8 @@ from corruptions import GOLDEN as PARSE_ERRORS, corruptions, parse_error
 from mutants import corpus_proofs
 from proofgen import generate_suite
 from strategies import formula_st, pformula_st, sequent_st
-from twoseq.calculus import (STRUCTURAL_RULES, ScriptNode, SystemId,
-                             expand_double_lines, iter_nodes)
+from twoseq.calculus import (STRUCTURAL_RULES, ProofNode, SystemId, check_proof,
+                             expand_double_lines, iter_nodes, subproofs)
 from twoseq.cutelim import eliminate_cuts
 from twoseq.errors import ParseError, TwoseqError
 from twoseq.ltl import LassoWord
@@ -383,8 +383,8 @@ def _bridge_texts():
     written as a one-step double-line node."""
     def script(p):
         kids = tuple(script(c) for c in p.premises)
-        return ScriptNode("bridge", (), p.conclusion, kids) if p.rule in STRUCTURAL_RULES \
-            else ScriptNode(p.rule, p.params, p.conclusion, kids)
+        return ProofNode("bridge", (), p.conclusion, kids) if p.rule in STRUCTURAL_RULES \
+            else ProofNode(p.rule, p.params, p.conclusion, kids)
     return [render_proof(home, script(proof)) for home, _, proof in corpus_proofs()
             if any(n.rule in STRUCTURAL_RULES for _, n in iter_nodes(proof))]
 
@@ -394,6 +394,59 @@ def _bridge_texts():
                         | st.sampled_from(_bridge_texts())))
 def test_header_edited_scripts_parse_as_the_oracle_does(text):
     _same_as_oracle(text, ("parse_proof",))
+
+
+def test_parsed_bridges_are_rejected_until_they_are_expanded():
+    for text in _bridge_texts():
+        script = parse_proof(text)
+        got = check_proof(script.root, script.system).failures
+        bridges = sorted(path for path, n in iter_nodes(script.root) if n.rule == "bridge")
+        assert bridges and [tuple(v) for v in got] == \
+            [(path, "bridge", "schema", "unexpanded double-line node") for path in bridges]
+    for text in _script_texts():
+        script = parse_proof(text)
+        assert check_proof(script.root, script.system) == \
+            check_proof(expand_double_lines(script), script.system)
+
+
+def _counterparts(parsed: ProofNode, out: ProofNode):
+    """(parsed node, the node standing for it in the expansion), bridges
+    skipped: below a run of bridges, the first non-bridge node is paired
+    with the first node below the chain of structural rules they became."""
+    stack = [(parsed, out)]
+    while stack:
+        n, m = stack.pop()
+        if n.rule == "bridge":
+            while n.rule == "bridge":
+                n = n.premises[0]
+            while m.rule in STRUCTURAL_RULES:
+                m = m.premises[0]
+        yield n, m
+        stack.extend(zip(n.premises, m.premises))
+
+
+def test_expansion_keeps_every_bridge_free_subtree_as_parsed():
+    for text in _script_texts():
+        script = parse_proof(text)
+        assert expand_double_lines(script) is script.root
+    for text in _bridge_texts():
+        script = parse_proof(text)
+        pairs = list(_counterparts(script.root, expand_double_lines(script)))
+        for n, m in pairs:
+            if all(k.rule != "bridge" for k in subproofs(n)):
+                assert m is n
+            else:       # rebuilt, on the path to a bridge
+                assert m is not n and (m.rule, m.params, m.conclusion) == \
+                    (n.rule, n.params, n.conclusion)
+        assert any(m is n for n, m in pairs) and any(m is not n for n, m in pairs)
+
+
+def test_a_parsed_root_counts_one_node_per_opener():
+    # bench/cases.count_nodes(script.root), a bridge as one node, is the
+    # denominator of output_nodes_ratio
+    for text in _script_texts() + _bridge_texts():
+        openers = len(re.findall(r"\((?:rule|bridge)\b", text))
+        assert sum(1 for _ in subproofs(parse_proof(text).root)) == openers
 
 
 def test_scripts_and_their_corruptions_parse_as_the_oracle_does():

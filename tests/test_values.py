@@ -7,8 +7,8 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from twoseq.calculus import (STRUCTURAL, TABLE, SCHEMAS, Active, Premise, ProofScript,
-                             ScriptNode, SystemId, Violation, report)
+from twoseq.calculus import (STRUCTURAL, TABLE, SCHEMAS, Active, Premise, ProofNode,
+                             ProofScript, SystemId, Violation, report)
 from twoseq.positions import Interned, LtlPos, PastPos, SeqPos, SetPos
 from twoseq.semantics import GraphModel, LassoWord, Verdict
 from twoseq.syntax import And, Not, Prop, Sequent, pf, seq
@@ -43,10 +43,10 @@ _VALUES = [
      "Violation(path=(0, 1), rule='boxL', condition='schema', message='m')"),
     (report([Violation((), "ax", "schema", "m")]), "CheckReport(verdict='rejected', "
      "failures=(Violation(path=(), rule='ax', condition='schema', message='m'),))"),
-    (ProofScript(SystemId.S4, ScriptNode("ax", (), AX)),
-     "ProofScript(system=<SystemId.S4: 'S4'>, root=ScriptNode(rule='ax', params=(), "
-     "conclusion=Sequent(ant=(PFormula(formula=Prop(name='p'), pos=SeqPos(items=())),), "
-     "suc=(PFormula(formula=Prop(name='p'), pos=SeqPos(items=())),)), children=()))"),
+    (ProofScript(SystemId.S4, ProofNode("bridge", (), AX, (ProofNode("ax", (), AX),))),
+     "ProofScript(system=<SystemId.S4: 'S4'>, root=ProofNode(rule='bridge', params=(), "
+     f"conclusion={AX!r}, premises=(ProofNode(rule='ax', params=(), "
+     f"conclusion={AX!r}, premises=()),)))"),
     (GraphModel(("n0",), frozenset({("n0", "n0")}), "n0", {"n0": frozenset("p")}),
      "GraphModel(nodes=('n0',), edges=frozenset({('n0', 'n0')}), root='n0', "
      "valuation={'n0': frozenset({'p'})})"),
