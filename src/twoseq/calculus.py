@@ -12,12 +12,13 @@ Every logical rule and the cut is written once, as a ``RuleSchema`` in
 formulas at each premise's edges (the operand each carries and the map
 from the principal position to its own), its parameter kinds and its
 hooks into the constraint table.  That entry drives the forward
-constructor (``apply_rule``, behind the named wrappers), the checker and
-both mix steps of cut elimination (``reapply``, and the principal
-reduction, which cuts the operands ``Active`` names).  A new rule is one
-entry here, its name in the rule lists ``_rules`` draws from a system's
-table row and, for building proofs by hand, a wrapper; a new side
-condition is a hook.
+constructor (``apply_rule``), the checker and both mix steps of cut
+elimination (``reapply``, and the principal reduction, which cuts the
+operands ``Active`` names).  A named wrapper over ``apply_rule`` exists
+only where the corpus, the transformations or the benchmark build a rule
+by hand; other callers name the rule.  A new rule is one entry here and
+its name in the rule lists ``_rules`` draws from a system's table row; a
+new side condition is a hook.
 
 The six structural rules share one step function, ``structural`` (a
 rule's conclusion from its premise), and a row each in ``STRUCTURAL``
@@ -38,7 +39,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .errors import BridgeError, KernelInvariantError, TwoseqError
 from .positions import (Interned, LtlPos, PastPos, Position, SeqPos, SetPos,
                         Token, concat, initials, ltl_add, ltl_step, ltl_token,
-                        past_add, past_sub, related, seqpos)
+                        past_add, past_sub, seqpos)
 from .syntax import (And, Box, Dia, Formula, Hist, Imp, Next, Not, Once, Or,
                      PFormula, Prev, Sequent, degree, has_past, has_temporal,
                      pf, seq, tokens_of)
@@ -645,24 +646,12 @@ def weak_left(p: ProofNode, extra: PFormula) -> ProofNode:
     return apply_structural("weakL", p, extra)
 
 
-def weak_right(p: ProofNode, extra: PFormula) -> ProofNode:
-    return apply_structural("weakR", p, extra)
-
-
 def contr_left(p: ProofNode) -> ProofNode:
     return apply_structural("contrL", p)
 
 
-def contr_right(p: ProofNode) -> ProofNode:
-    return apply_structural("contrR", p)
-
-
 def exc_left(p: ProofNode, at: int) -> ProofNode:
     return apply_structural("excL", p, at)
-
-
-def exc_right(p: ProofNode, at: int) -> ProofNode:
-    return apply_structural("excR", p, at)
 
 
 def neg_left(p: ProofNode) -> ProofNode:
@@ -683,18 +672,6 @@ def and_left2(p: ProofNode, other: Formula) -> ProofNode:
 
 def and_right(p1: ProofNode, p2: ProofNode) -> ProofNode:
     return apply_rule("andR", (p1, p2))
-
-
-def or_left(p1: ProofNode, p2: ProofNode) -> ProofNode:
-    return apply_rule("orL", (p1, p2))
-
-
-def or_right1(p: ProofNode, other: Formula) -> ProofNode:
-    return apply_rule("orR1", (p,), other=other)
-
-
-def or_right2(p: ProofNode, other: Formula) -> ProofNode:
-    return apply_rule("orR2", (p,), other=other)
 
 
 def imp_left(p1: ProofNode, p2: ProofNode) -> ProofNode:
@@ -794,7 +771,8 @@ def _beta_shape(table, n, a, beta, ctx) -> Optional[str]:
 def _context_demand(table, n, a, beta, ctx) -> Optional[str]:
     """K/K4: some context formula sits at or below alpha+beta."""
     ab = shift(a.pos, "+", beta)
-    if isinstance(ab, SeqPos) and any(related(ab, q, "prefix") for q in _seq_positions(ctx)):
+    if isinstance(ab, SeqPos) and any(q.items[:len(ab.items)] == ab.items
+                                      for q in _seq_positions(ctx)):
         return None
     return f"no context formula has a position starting with {ab}"
 

@@ -555,8 +555,12 @@ def render_proof(sys: SystemId, p: ProofNode) -> str:
         n, depth = job
         pad = "  " * min(depth, MAX_INDENT)
         head = "bridge" if n.rule == "bridge" else "rule " + n.rule
-        params = "".join(f" ({k} {text(v) if k in ('cutf', 'pf') else v})" for k, v in
-                         sorted(n.params, key=lambda kv: _PARAM_KEYS.index(kv[0])))
+        try:
+            ordered = sorted(n.params, key=lambda kv: _PARAM_KEYS.index(kv[0]))
+        except ValueError:
+            key = next(k for k, _ in n.params if k not in _PARAM_KEYS)
+            raise TwoseqError(f"{n.rule}: parameter key {key!r} has no script syntax") from None
+        params = "".join(f" ({k} {text(v) if k in ('cutf', 'pf') else v})" for k, v in ordered)
         out.append(f"\n{pad}({head}{params} (concl {render_sequent(n.conclusion, text)})")
         todo.append(None)
         todo += ((c, depth + 1) for c in reversed(n.premises))

@@ -14,12 +14,9 @@ value fixed at construction (see the ``syntax`` docstring).
 from __future__ import annotations
 
 import weakref
-from functools import total_ordering
 from typing import Iterable, Union
 
 Token = str
-
-RELATED_MODES = ("one-step", "reflexive-one-step", "strict-prefix", "prefix")
 
 # the intern table: (class, field values or child identities) -> a weak
 # reference to the live term, which removes its own entry when the term
@@ -106,7 +103,6 @@ class _Position(Interned):
     __slots__ = ()
 
 
-@total_ordering
 class SeqPos(_Position):
     """An ordered, possibly empty sequence of tokens."""
 
@@ -125,10 +121,6 @@ class SeqPos(_Position):
 
     def tokens(self) -> frozenset[Token]:
         return frozenset(self.items)
-
-    def __lt__(self, other):
-        # ordered by their token tuples; equal ones are the same object
-        return self.items < other.items if type(other) is type(self) else NotImplemented
 
 
 class SetPos(_Position):
@@ -213,27 +205,6 @@ def pastpos(offset: int = 0,
 def concat(s: SeqPos, t: SeqPos) -> SeqPos:
     """Concatenation of sequence positions; associative with unit []."""
     return SeqPos(s.items + t.items)
-
-
-def related(s: SeqPos, t: SeqPos, mode: str) -> bool:
-    """Order relations on sequence positions.
-
-    one-step: t extends s by exactly one token; reflexive-one-step adds
-    equality; strict-prefix and prefix are the transitive and the
-    reflexive-transitive closures of one-step.
-    """
-    if mode not in RELATED_MODES:
-        raise ValueError(f"unknown relation mode: {mode!r}")
-    if t.items[:len(s.items)] != s.items:
-        return False
-    gap = len(t.items) - len(s.items)
-    if mode == "one-step":
-        return gap == 1
-    if mode == "reflexive-one-step":
-        return gap in (0, 1)
-    if mode == "strict-prefix":
-        return gap >= 1
-    return True
 
 
 def prefix_replace(s: SeqPos, u: SeqPos, v: SeqPos) -> SeqPos:

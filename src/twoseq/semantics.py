@@ -21,7 +21,7 @@ the whole pack at once.  A parsed model is a pack of one; the fuzzer
 draws packs of doubling size and reads back the first falsified model.
 It draws only through ``rng.random`` and ``rng.getrandbits``, each integer
 exactly as `random.Random.randint`/``randrange`` would (`_below`), so
-`random_model`, `_Lasso.draw` and each seed's verdict equal those of
+`_Frame.draw`, `_Lasso.draw` and each seed's verdict equal those of
 samplers that call those methods.
 """
 
@@ -63,9 +63,6 @@ class LassoWord(NamedTuple("LassoWord", [("prefix", tuple), ("loop", tuple)])):
         if not loop:
             raise ValueError("lasso loop must be nonempty")
         return super().__new__(cls, prefix, loop)
-
-    def letter(self, m: int) -> frozenset[str]:
-        return (self.prefix + self.loop)[_point(len(self.prefix), len(self.loop), m)]
 
 
 Rho = dict[SeqPos, str]
@@ -150,9 +147,11 @@ class _Frame:
     @classmethod
     def draw(cls, rng: random.Random, sys: SystemId, atoms: Iterable[str],
              count: int = 1, tokens: tuple[Token, ...] = (), bound: int = 0) -> _Frame:
-        """``count`` models as `random_model` describes them, drawn in its
-        order of random numbers straight into one pack (a graph draws no
-        token values)."""
+        """``count`` graphs, each drawing its node count (2..6), a coin per
+        ordered pair of nodes for an edge at density 0.4, then, where the
+        frame is serial but not reflexive (D), one edge out of each node
+        left without one, then a coin per node and atom; a graph draws no
+        token values."""
         coin, bits, width, full, edges = rng.random, rng.getrandbits, 7, 0, [0] * 6
         repair = not (TABLE[sys].context_demand or TABLE[sys].admits(0))
         names = dict.fromkeys(sorted(atoms) or ["p0"])
@@ -450,13 +449,6 @@ def check_sequent_on_model(m: GraphModel | _Frame, sys: SystemId,
                            s: Sequent) -> Optional[Rho]:
     """First admissible assignment falsifying the sequent, if any."""
     return _frame(m, sys, GraphModel).witness(0, s)
-
-
-def random_model(rng: random.Random, sys: SystemId,
-                 atoms: frozenset[str]) -> GraphModel:
-    """Edge sampling at density 0.4 over 2..6 nodes; a serial frame that is
-    not reflexive (D) is repaired by adding one outgoing edge where missing."""
-    return _Frame.draw(rng, sys, atoms).model()
 
 
 def exhaustive_valuations(tokens: tuple[Token, ...], bound: int) -> Iterator[TokenValuation]:

@@ -17,9 +17,8 @@ term there if there is one.  So:
   ``__match_args__``), computed once from the children's stored
   hashes; neither ever recurses, however deep the term;
 - each formula also stores whether it contains a temporal or a past
-  connective, its degree and its temporal depth, derived from its
-  children at construction, so ``has_temporal``, ``has_past``,
-  ``degree`` and ``temporal_depth`` are O(1) reads;
+  connective and its degree, derived from its children at construction,
+  so ``has_temporal``, ``has_past`` and ``degree`` are O(1) reads;
 - the table holds weak references that remove their own entries when
   their terms die, so a term leaves it when its last user drops it;
 - no lock is taken: a new term is built in full, then published with
@@ -45,9 +44,9 @@ from .positions import (TABLE, Interned, Position, SeqPos, Token, _no_term,
 
 class _Formula(Interned):
     """Stored facts of a formula: whether it contains a temporal or a past
-    connective, its degree (undefined if it does) and its temporal depth."""
+    connective, and its degree (undefined if it does)."""
 
-    __slots__ = _FACTS = ("_temporal", "_past", "_degree", "_depth")
+    __slots__ = _FACTS = ("_temporal", "_past", "_degree")
 
 
 def _operand(cls: type, x) -> None:
@@ -62,17 +61,15 @@ class Prop(_Formula):
         key = (cls, name)
         self = TABLE.get(key, _no_term)()
         if self is None:
-            self = intern(key, cls, (name,), (False, False, 0, 0))
+            self = intern(key, cls, (name,), (False, False, 0))
         return self
 
 
 class _Unary(_Formula):
-    """A unary connective; the class says whether it is temporal, past or
-    modal (counts towards the temporal depth)."""
+    """A unary connective; the class says whether it is temporal or past."""
 
     __slots__ = __match_args__ = ("sub",)
     IS_TEMPORAL = IS_PAST = False
-    IS_MODAL = True
 
     def __new__(cls, sub: "Formula"):
         key = (cls, id(sub))
@@ -80,8 +77,7 @@ class _Unary(_Formula):
         if self is None:
             _operand(cls, sub)
             self = intern(key, cls, (sub,), (
-                cls.IS_TEMPORAL or sub._temporal, cls.IS_PAST or sub._past,
-                sub._degree + 1, sub._depth + cls.IS_MODAL))
+                cls.IS_TEMPORAL or sub._temporal, cls.IS_PAST or sub._past, sub._degree + 1))
         return self
 
 
@@ -96,13 +92,12 @@ class _Binary(_Formula):
             _operand(cls, right)
             self = intern(key, cls, (left, right), (
                 left._temporal or right._temporal, left._past or right._past,
-                max(left._degree, right._degree) + 1, max(left._depth, right._depth)))
+                max(left._degree, right._degree) + 1))
         return self
 
 
 class Not(_Unary):
     __slots__ = ()
-    IS_MODAL = False
 
 
 class Box(_Unary):
@@ -150,9 +145,6 @@ class Imp(_Binary):
 
 
 Formula = Union[Prop, Not, Box, Dia, Next, Prev, Hist, Once, And, Or, Imp]
-
-TEMPORAL = (Next, Prev, Hist, Once)
-PAST = (Prev, Hist, Once)
 
 
 class PFormula(Interned):
@@ -326,11 +318,6 @@ def has_temporal(f: Formula) -> bool:
 
 def has_past(f: Formula) -> bool:
     return f._past
-
-
-def temporal_depth(f: Formula) -> int:
-    """Maximal nesting of box/dia/next along one branch."""
-    return f._depth
 
 
 def degree(f: Formula) -> int:

@@ -6,10 +6,12 @@ lasso letters.
 The bodies are kept verbatim from the last recursive version of
 ``twoseq.semantics`` and ``twoseq.ltl`` (and from the last samplers that
 built a ``GraphModel`` or a ``LassoWord`` directly); only the imports
-differ.  The property tests compare the kernel with them: the same
-forcing verdicts, the same admissible assignments in the same order, the
-same first falsifying assignment, the same lasso truth values, and the
-same drawn model or word from the same random numbers.  They are slow
+differ, and a word's letter at a time, which ``letter`` reads off the
+word itself rather than through the kernel's time arithmetic.  The
+property tests compare the kernel with them: the same forcing verdicts,
+the same admissible assignments in the same order, the same first
+falsifying assignment, the same lasso truth values, and the same drawn
+model or word from the same random numbers.  They are slow
 (``eval_at`` is exponential in box/dia nesting), so keep inputs small.
 """
 
@@ -23,8 +25,17 @@ from twoseq.errors import TwoseqError
 from twoseq.ltl import LassoWord
 from twoseq.positions import SeqPos, initials
 from twoseq.semantics import GraphModel
-from twoseq.syntax import (And, Box, Dia, Formula, Imp, Next, Not, Or, PAST,
-                           PFormula, Prop, Sequent, TEMPORAL)
+from twoseq.syntax import (And, Box, Dia, Formula, Hist, Imp, Next, Not, Once, Or,
+                           PFormula, Prev, Prop, Sequent)
+
+TEMPORAL = (Next, Prev, Hist, Once)
+PAST = (Prev, Hist, Once)
+
+
+def letter(w: LassoWord, m: int) -> frozenset[str]:
+    """The letter at time m: the prefix's, then the loop's over and over."""
+    p = len(w.prefix)
+    return w.prefix[m] if m < p else w.loop[(m - p) % len(w.loop)]
 
 
 def is_serial(m: GraphModel) -> bool:
@@ -210,7 +221,7 @@ def eval_at(w: LassoWord, m: int, f: Formula) -> bool:
     if isinstance(f, PAST):
         raise TwoseqError("the natural-number semantics has no past")
     if isinstance(f, Prop):
-        return f.name in w.letter(m)
+        return f.name in letter(w, m)
     if isinstance(f, Not):
         return not eval_at(w, m, f.sub)
     if isinstance(f, And):

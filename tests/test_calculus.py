@@ -13,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bridge_oracle import reference_bridge
+from proofgen import generate_suite
 from strategies import pformula_st
-from twoseq.calculus import (ProofNode, SystemId, ax, box_left, box_right,
-                             bridge_proof, check_proof, check_rule_instance,
-                             contr_left, contr_right, cut, exc_left, exc_right,
-                             expand_double_lines, node, seq,
-                             structural_bridge, weak_left, weak_right)
+from twoseq.calculus import (CORE_SYSTEMS, ProofNode, SystemId, apply_structural, ax, box_left,
+                             box_right, bridge_proof, check_proof, check_rule_instance,
+                             contr_left, cut, exc_left, expand_double_lines, node, seq,
+                             structural_bridge, weak_left)
 from twoseq.errors import BridgeError, TwoseqError
 from twoseq.parser import parse_proof
 from twoseq.positions import seqpos, setpos
@@ -109,8 +109,8 @@ def test_stray_parameters_are_params_violations():
 A0, A1 = pf(P0, E), pf(P1, E)
 AX0 = ax(A0)                                    # p0 |- p0
 TWO_L = weak_left(AX0, A1)                      # p0, p1 |- p0
-TWO_R = weak_right(AX0, A1)                     # p0 |- p1, p0
-SAME_R = weak_right(AX0, A0)                    # p0 |- p0, p0
+TWO_R = apply_structural("weakR", AX0, A1)      # p0 |- p1, p0
+SAME_R = apply_structural("weakR", AX0, A0)     # p0 |- p0, p0
 
 
 @pytest.mark.parametrize("rule, params, conclusion, premise, want", [
@@ -149,11 +149,11 @@ def test_structural_rule_diagnostics(rule, params, conclusion, premise, want):
 
 @pytest.mark.parametrize("build, message", [
     (lambda: contr_left(TWO_L), "contrL: last two antecedent formulas must agree"),
-    (lambda: contr_right(TWO_R), "contrR: first two succedent formulas must agree"),
-    (lambda: contr_right(AX0), "contrR: first two succedent formulas must agree"),
+    (lambda: apply_structural("contrR", TWO_R), "contrR: first two succedent formulas must agree"),
+    (lambda: apply_structural("contrR", AX0), "contrR: first two succedent formulas must agree"),
     (lambda: exc_left(TWO_L, 1), "excL: index out of range"),
-    (lambda: exc_right(TWO_R, 1), "excR: index out of range"),
-    (lambda: exc_right(TWO_R, -1), "excR: index out of range"),
+    (lambda: apply_structural("excR", TWO_R, 1), "excR: index out of range"),
+    (lambda: apply_structural("excR", TWO_R, -1), "excR: index out of range"),
 ])
 def test_structural_constructor_errors(build, message):
     with pytest.raises(TwoseqError) as e:
@@ -264,6 +264,21 @@ def test_the_table_rows_order_the_spectrum():
         for b, q in rows:
             assert (r <= q) == (a == b or (a, b) in strict), (a, b)
             assert (r >= q, r > q) == (q <= r, q < r), (a, b)
+
+
+def test_acceptance_is_monotone_along_the_table_order():
+    # a higher row only widens box-left shapes or drops the context demand,
+    # so a proof accepted in a system is accepted in every system above it
+    pairs = [(lo, hi) for lo in CORE_SYSTEMS for hi in CORE_SYSTEMS
+             if calculus.TABLE[lo] < calculus.TABLE[hi]]
+    assert len(pairs) == 8
+    proofs = [p for sys in CORE_SYSTEMS for p in
+              [q for _, q in corpus.entries(sys)] + generate_suite(sys, 100, 7)]
+    accepted = [{sys for sys in CORE_SYSTEMS if check_proof(p, sys).accepted} for p in proofs]
+    assert len(proofs) == 520
+    broken = [(i, lo.value, hi.value) for i, ok in enumerate(accepted)
+              for lo, hi in pairs if lo in ok and hi not in ok]
+    assert broken == []
 
 
 def test_per_system_decisions_name_no_system():
@@ -547,7 +562,7 @@ def test_bridge_plan_matches_the_reference_builder(ends):
 
 def test_identity_bridge_is_empty_and_keeps_the_proof():
     a, b = pf(P0, E), pf(P1, X)
-    for p in (ax(a), weak_right(weak_left(weak_left(ax(a), b), a), b)):
+    for p in (ax(a), apply_structural("weakR", weak_left(weak_left(ax(a), b), a), b)):
         s = p.conclusion
         assert structural_bridge(s, s) == ()
         assert bridge_proof(p, s) is p

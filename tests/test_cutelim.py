@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from proofgen import generate_suite
-from twoseq.calculus import (SystemId, ax, box_left, box_right, check_proof,
-                             cut, dia_right, height, seq, subproofs, weak_left,
-                             weak_right)
+from twoseq.calculus import (SystemId, apply_rule, apply_structural, ax, box_left,
+                             box_right, check_proof, cut, dia_right, height, seq,
+                             subproofs, weak_left)
 from twoseq.cutelim import (eliminate_cuts, is_cut_free, mix, proof_degree,
                             verify_subformula_property)
 from twoseq.errors import (MixHypothesisError, RejectedProofError,
@@ -39,7 +39,7 @@ def test_proof_degree_is_sup_of_cut_formula_degrees():
     imp = pf(Imp(P0, P1), E)
     inner = cut(ax(imp), ax(imp), imp)
     atom = pf(P0, E)
-    outer = cut(ax(atom), weak_left(weak_right(inner, atom), atom), atom)
+    outer = cut(ax(atom), weak_left(apply_structural("weakR", inner, atom), atom), atom)
     assert proof_degree(outer) == 2
 
 
@@ -58,7 +58,7 @@ def test_proof_degree_mp_example():
 def test_mix_left_axiom_case():
     cutf = pf(P0, E)
     p1 = ax(cutf)
-    p2 = weak_right(box_left(ax(pf(P0, E)), E), cutf)   # box p0, |- p0, p0
+    p2 = apply_structural("weakR", box_left(ax(pf(P0, E)), E), cutf)   # box p0, |- p0, p0
     p2 = weak_left(p2, cutf)                            # box p0, p0 |- p0, p0
     # wrong shape for a direct cut; mix handles occurrences wholesale
     out = mix(p1, p2, cutf, SystemId.S4)
@@ -199,9 +199,8 @@ def test_eliminate_k_bypass_when_cut_formula_recurs():
     # cut formula also sits in the first premise's right context, so the
     # restricted systems bypass the mix with a weakening gadget
     cutf = pf(P0, E)
-    p1 = weak_right(ax(cutf), cutf)             # p0 |- p0, p0  (head is cutf)
-    from twoseq.calculus import exc_right
-    p1 = exc_right(p1, 0)
+    p1 = apply_structural("weakR", ax(cutf), cutf)      # p0 |- p0, p0  (head is cutf)
+    p1 = apply_structural("excR", p1, 0)
     p2 = ax(cutf)
     p = cut(p1, p2, cutf)
     assert check_proof(p, SystemId.K).accepted
@@ -234,12 +233,13 @@ def test_outputs_hold_no_pending_renaming():
     # ProofNode accepts any premise object, so a view left in the output
     # would only show here; mix gets every cut of a suite proof whose
     # premises are within the cut formula's degree
-    from twoseq.calculus import ProofNode, and_right, exc_right, subproofs
+    from twoseq.calculus import ProofNode, and_right, subproofs
     # an eigen rule in a cut-free premise beside a cut, and one in a
     # bypassed cut (K and K4), reach elimination's cut-free return
     bb = pf(Box(P0), E)
     beside = and_right(corpus.mp_example(SystemId.S4), _boxed(P0, (), "x"))
-    bypass = cut(exc_right(weak_right(_boxed(P0, (), "x"), bb), 0), ax(bb), bb)
+    bypass = cut(apply_structural("excR", apply_structural("weakR", _boxed(P0, (), "x"), bb), 0),
+                 ax(bb), bb)
     extra = {SystemId.S4: [beside], SystemId.K: [bypass], SystemId.K4: [bypass]}
     mixed = 0
     for sysid in CORE:
@@ -268,7 +268,7 @@ def test_subformula_property_negative_control():
     # a cut splices in a formula foreign to the conclusion, so the scan
     # fails on proofs that still carry cuts (precondition violation path)
     alien = pf(P1, E)
-    prem1 = weak_right(ax(pf(P0, E)), alien)        # p0 |- p1, p0
+    prem1 = apply_structural("weakR", ax(pf(P0, E)), alien)    # p0 |- p1, p0
     prem2 = weak_left(ax(pf(P0, E)), alien)         # p0, p1 |- p0
     p = cut(prem1, prem2, alien)
     assert check_proof(p, SystemId.S4).accepted
@@ -345,12 +345,11 @@ def test_mix_principal_and_case():
 
 
 def test_mix_principal_or_case():
-    from twoseq.calculus import or_left, or_right1, or_right2
     cutf = pf(Or(P0, P1), E)
-    p2 = or_left(ax(pf(P0, E)), ax(pf(P1, E)))      # p0 | p1 |- p0, p1
+    p2 = apply_rule("orL", (ax(pf(P0, E)), ax(pf(P1, E))))      # p0 | p1 |- p0, p1
     for right_side in (True, False):
-        p1 = (or_right1(ax(pf(P0, E)), P1) if right_side
-              else or_right2(ax(pf(P1, E)), P0))
+        p1 = (apply_rule("orR1", (ax(pf(P0, E)),), other=P1) if right_side
+              else apply_rule("orR2", (ax(pf(P1, E)),), other=P0))
         out = mix(p1, p2, cutf, SystemId.S4)
         base = pf(P0, E) if right_side else pf(P1, E)
         assert out.conclusion == seq((base,), (pf(P0, E), pf(P1, E)))
@@ -386,9 +385,9 @@ def test_mix_right_rule_reapplied():
 
 
 def test_mix_removes_context_occurrences_wholesale():
-    from twoseq.calculus import exc_right, imp_left, imp_right
+    from twoseq.calculus import imp_left, imp_right
     cutf = pf(Imp(P0, P0), E)
-    p1 = exc_right(weak_right(imp_right(ax(pf(P0, E))), cutf), 0)
+    p1 = apply_structural("excR", apply_structural("weakR", imp_right(ax(pf(P0, E))), cutf), 0)
     assert p1.conclusion.suc == (cutf, cutf)
     p2 = imp_left(ax(pf(P0, E)), ax(pf(P0, E)))     # p0, p0 -> p0 |- p0
     out = mix(p1, p2, cutf, SystemId.S4)
@@ -401,8 +400,7 @@ def _random_cut_proof_pool(sysid, rng):
     """Grow a pool of accepted proofs by random forward rule application,
     including cuts whose formula is weakened into or shared with a partner."""
     from twoseq.calculus import (and_left1, and_right, bridge_proof, imp_left,
-                                 imp_right, neg_left, neg_right, or_left,
-                                 or_right1, check_rule_instance)
+                                 imp_right, neg_left, neg_right, check_rule_instance)
     from twoseq.errors import BridgeError
     from strategies import random_formula
 
@@ -417,7 +415,7 @@ def _random_cut_proof_pool(sysid, rng):
             if kind == 0:
                 q = weak_left(p, rand_pf())
             elif kind == 1:
-                q = weak_right(p, rand_pf())
+                q = apply_structural("weakR", p, rand_pf())
             elif kind == 2:
                 q = neg_left(p)
             elif kind == 3:
@@ -425,7 +423,7 @@ def _random_cut_proof_pool(sysid, rng):
             elif kind == 4:
                 q = and_left1(p, rand_pf().formula)
             elif kind == 5:
-                q = or_right1(p, rand_pf().formula)
+                q = apply_rule("orR1", (p,), other=rand_pf().formula)
             elif kind == 6:
                 q = imp_right(p)
             elif kind == 7:
@@ -433,7 +431,7 @@ def _random_cut_proof_pool(sysid, rng):
             elif kind == 8:
                 q = imp_left(p, rng.choice(pool))
             elif kind == 9:
-                q = or_left(p, rng.choice(pool))
+                q = apply_rule("orL", (p, rng.choice(pool)))
             else:
                 a = p.conclusion.suc[0]
                 partner = rng.choice(pool)
@@ -629,10 +627,10 @@ def test_principal_mix_output_is_pinned(sysid, case):
 
 def _or_pair():
     """box p0 |- box p0 | p1 against p2, box p0 | p1 |- box p0, p1."""
-    from twoseq.calculus import exc_left, or_left, or_right1
-    p1 = or_right1(_boxed(P0, (), "x"), P1)
-    p2 = or_left(ax(pf(Box(P0), E)),
-                 exc_left(weak_left(ax(pf(P1, E)), pf(Prop("p2"), E)), 0))
+    from twoseq.calculus import exc_left
+    p1 = apply_rule("orR1", (_boxed(P0, (), "x"),), other=P1)
+    p2 = apply_rule("orL", (ax(pf(Box(P0), E)),
+                            exc_left(weak_left(ax(pf(P1, E)), pf(Prop("p2"), E)), 0)))
     return p1, p2, pf(Or(Box(P0), P1), E)
 
 

@@ -22,7 +22,7 @@ from twoseq.ltl import (LassoWord, a_value, eval_at, ltl_soundness_fuzz,
 from twoseq.parser import parse_model, parse_sequent, render_model
 from twoseq.positions import LtlPos, SeqPos, initials, seqpos
 from twoseq.semantics import (GraphModel, _Frame, _Lasso, admissible_assignments,
-                              check_sequent_on_model, forces, random_model,
+                              check_sequent_on_model, forces,
                               sequent_holds, soundness_fuzz)
 from twoseq.syntax import (Box, Dia, Next, Not, PFormula, Prop, Sequent,
                            sequent_atoms, tokens_of)
@@ -62,7 +62,7 @@ def model_case(draw):
     positions = draw(positions_st)
     if len(initials(positions)) <= 5 and draw(st.booleans()):
         rng = random.Random(draw(st.integers(0, 2 ** 32)))
-        m = random_model(rng, sys, frozenset(ATOMS))
+        m = _Frame.draw(rng, sys, frozenset(ATOMS)).model()
     else:
         m = draw(drawn_model(3))
     side = st.lists(st.builds(PFormula, formula_st("modal"),
@@ -163,7 +163,7 @@ def test_random_model_matches_the_reference_sampler():
                       frozenset({"p1", "p3", "q"})):
             for seed in range(300):
                 rng, ref = random.Random(seed), random.Random(seed)
-                assert random_model(rng, sys, atoms) == \
+                assert _Frame.draw(rng, sys, atoms).model() == \
                     oracle.random_model(ref, sys, atoms), (sys, atoms, seed)
                 assert rng.getstate() == ref.getstate(), (sys, atoms, seed)
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from semantics_oracle import letter
 from strategies import random_ltl_formula
 from twoseq.calculus import (ProofNode, SystemId, check_proof, check_rule_instance,
                              pind, seq, weak_left)
@@ -13,8 +14,7 @@ from twoseq.ltl import (LassoWord, a_value, eval_at, exhaustive_valuations,
                         ltl_soundness_fuzz, sequent_satisfied)
 from twoseq.positions import LtlPos, ltl_token, pastpos
 from twoseq.semantics import _Lasso, forces
-from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, Once, Prop, pf,
-                           temporal_depth)
+from twoseq.syntax import And, Box, Dia, Imp, Next, Not, Once, Prop, pf
 import twoseq.corpus as corpus
 
 P = Prop("p")
@@ -27,12 +27,23 @@ def _lasso(rng: random.Random) -> LassoWord:
     return _Lasso.draw(rng, SystemId.LTL, ("p0", "p1")).model()
 
 
+def temporal_depth(f) -> int:
+    """The most modal and temporal connectives nested along one branch of f."""
+    if isinstance(f, Prop):
+        return 0
+    if isinstance(f, Not):
+        return temporal_depth(f.sub)
+    if hasattr(f, "sub"):
+        return 1 + temporal_depth(f.sub)
+    return max(temporal_depth(f.left), temporal_depth(f.right))
+
+
 def eval_unrolled(w: LassoWord, m: int, f) -> bool:
     """Oracle: brute-force unrolling, each box/dia checking one full
     prefix-plus-two-loops window from its own time point."""
     horizon = len(w.prefix) + 2 * len(w.loop)
     if isinstance(f, Prop):
-        return f.name in w.letter(m)
+        return f.name in letter(w, m)
     if isinstance(f, Not):
         return not eval_unrolled(w, m, f.sub)
     if isinstance(f, And):

@@ -222,6 +222,13 @@ def test_rendering_a_non_model_is_refused_under_python_O():
     assert (out.returncode, out.stdout, out.stderr) == (0, "not a model: None\n", "")
 
 
+def test_rendering_a_parameter_key_with_no_script_syntax_is_refused():
+    a = pf(Prop("p0"), seqpos())
+    p = ProofNode("ax", (("at", 0), ("k", 1)), seq((a,), (a,)), ())
+    with pytest.raises(TwoseqError, match="ax: parameter key 'k' has no script syntax"):
+        render_proof(SystemId.K, p)
+
+
 @pytest.mark.parametrize("text, message, line, col", [
     ("prefix: {p0} junk ; loop: {p1}", "expected ';', found 'junk'", 1, 14),
     ("prefix: ; loop: {p1}\nnodes: n0 n1", "trailing input 'nodes'", 2, 1),

@@ -7,21 +7,10 @@ from hypothesis import strategies as st
 from strategies import ltlpos_st, pastpos_st, seqpos_st, token_names
 from twoseq.positions import (LtlPos, PastPos, SeqPos, concat, initials,
                               ltl_add, past_add, past_sub,
-                              prefix_replace, related, seqpos, setpos)
+                              prefix_replace, seqpos, setpos)
 
 
 # independent oracles for the derived examples
-
-def one_step_closure(s: SeqPos, t: SeqPos) -> bool:
-    """Strict prefix via iterated one-step extension over all splits."""
-    frontier = {s}
-    for _ in range(len(t.items)):
-        frontier = {concat(u, seqpos(x)) for u in frontier
-                    for x in set(t.items)}
-        if t in frontier:
-            return True
-    return False
-
 
 def replace_by_splitting(s: SeqPos, u: SeqPos, v: SeqPos) -> SeqPos:
     for i in range(len(s.items) + 1):
@@ -41,20 +30,6 @@ def test_concat_examples():
     assert concat(seqpos(), s) == s
     a, b, c = seqpos("x"), seqpos("y"), seqpos("z")
     assert concat(concat(a, b), c) == concat(a, concat(b, c)) == seqpos("x", "y", "z")
-
-
-def test_related_examples():
-    assert related(seqpos("x"), seqpos("x", "y"), "one-step")
-    assert not related(seqpos("x"), seqpos("x"), "strict-prefix")
-    assert related(seqpos("x"), seqpos("x"), "prefix")
-    # oracle: iterate the one-step closure
-    assert one_step_closure(seqpos(), seqpos("x", "y", "z"))
-    assert related(seqpos(), seqpos("x", "y", "z"), "strict-prefix")
-
-
-def test_related_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        related(seqpos(), seqpos(), "sideways")
 
 
 def test_prefix_replace_examples():
@@ -114,29 +89,11 @@ def test_concat_associative_with_unit(a, b, c):
 
 
 @given(seqpos_st, seqpos_st, seqpos_st)
-def test_prefix_is_partial_order(a, b, c):
-    assert related(a, a, "prefix")
-    if related(a, b, "prefix") and related(b, a, "prefix"):
-        assert a == b
-    if related(a, b, "prefix") and related(b, c, "prefix"):
-        assert related(a, c, "prefix")
-    # strict prefix is the irreflexive kernel
-    assert related(a, b, "strict-prefix") == \
-        (related(a, b, "prefix") and a != b)
-
-
-@given(seqpos_st, seqpos_st)
-def test_one_step_characterisation(a, b):
-    assert related(a, b, "one-step") == \
-        (len(b) == len(a) + 1 and related(a, b, "prefix"))
-
-
-@given(seqpos_st, seqpos_st, seqpos_st)
 def test_prefix_replace_round_trip(s, u, v):
     assert prefix_replace(s, u, u) == s
-    if related(u, s, "prefix") and not related(v, u, "strict-prefix"):
+    if u in prefixes_by_length(s) and (v == u or v not in prefixes_by_length(u)):
         there = prefix_replace(s, u, v)
-        if related(v, there, "prefix"):
+        if v in prefixes_by_length(there):
             assert prefix_replace(there, v, u) == s
 
 

@@ -14,9 +14,7 @@ from twoseq.ltl import exhaustive_valuations, ltl_soundness_fuzz
 from twoseq.positions import LtlPos, SeqPos, concat, initials, seqpos
 from twoseq.semantics import (GraphModel, LassoWord, _Frame, accessibility,
                               admissible_assignments, check_sequent_on_model,
-                              forces, random_model,
-                              sequent_holds,
-                              soundness_fuzz)
+                              forces, sequent_holds, soundness_fuzz)
 from twoseq.syntax import (Box, Dia, Imp, Next, Prop, pf, seq)
 import twoseq.corpus as corpus
 
@@ -185,7 +183,7 @@ def test_valid_in_t_not_in_k():
 def test_bisimulation_invariance_under_duplication():
     rng = random.Random(5)
     for _ in range(40):
-        m = random_model(rng, SystemId.K, frozenset({"p0", "p1"}))
+        m = _Frame.draw(rng, SystemId.K, frozenset({"p0", "p1"})).model()
         v = m.nodes[-1]
         twin = v + "_twin"
         nodes = m.nodes + (twin,)
@@ -221,7 +219,7 @@ def run_sub1_check(iterations, seed) -> int:
     ran = 0
     for _ in range(iterations):
         sysid = rng.choice(CORE)
-        m = random_model(rng, sysid, frozenset({"p0", "p1"}))
+        m = _Frame.draw(rng, sysid, frozenset({"p0", "p1"})).model()
         f = random_formula(rng, 2)
         alpha = seqpos(*["x"] * rng.randint(0, 1))
         rhos = list(itertools.islice(
@@ -246,7 +244,7 @@ def run_sub2_check(iterations, seed) -> int:
               SystemId.K4: (1, 2), SystemId.S4: (0, 1, 2)}
     for _ in range(iterations):
         sysid = rng.choice(CORE)
-        m = random_model(rng, sysid, frozenset({"p0", "p1"}))
+        m = _Frame.draw(rng, sysid, frozenset({"p0", "p1"})).model()
         f = random_formula(rng, 2)
         alpha = seqpos()
         beta = seqpos(*[f"b{i}" for i in range(rng.choice(shapes[sysid]))])

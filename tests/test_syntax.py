@@ -21,7 +21,7 @@ from twoseq.positions import (TABLE, LtlPos, PastPos, SeqPos, SetPos, _drop, _Re
                               concat, seqpos)
 from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, Once, Or, PFormula,
                            Prop, degree, has_past, has_temporal, is_subformula,
-                           pf, positions_of, seq, temporal_depth, tokens_of)
+                           pf, positions_of, seq, tokens_of)
 
 P, Q = Prop("p"), Prop("q")
 
@@ -169,14 +169,14 @@ def test_parse_of_render_is_the_term_itself(x):
 def test_stored_measures_match_their_definitions():
     P = Prop("p")
     f = And(Box(Not(P)), Imp(Dia(Dia(P)), P))
-    assert (degree(f), temporal_depth(f)) == (4, 2)
+    assert degree(f) == 4
     assert not has_temporal(f) and not has_past(f)
     g = And(f, Next(Not(P)))
-    assert has_temporal(g) and not has_past(g) and temporal_depth(g) == 2
+    assert has_temporal(g) and not has_past(g)
     with pytest.raises(DegreeUndefinedError):
         degree(g)
     h = Not(Once(P))
-    assert has_temporal(h) and has_past(h) and temporal_depth(h) == 1
+    assert has_temporal(h) and has_past(h)
 
 
 def test_deep_terms_compare_and_hash_in_constant_depth():
@@ -186,7 +186,7 @@ def test_deep_terms_compare_and_hash_in_constant_depth():
         g = (Box, Next, Not)[i % 3](g)
     assert f is g and f == g and hash(f) == hash(g)
     assert {pf(f, seqpos()): 1}[pf(g, seqpos())] == 1
-    assert temporal_depth(f) == 66_667 and has_temporal(f)
+    assert has_temporal(f) and not has_past(f)
 
 
 def test_threads_racing_to_build_a_term_get_one_object():
