@@ -5,8 +5,10 @@ and ``X Y H P`` for next, prev, always-past, sometime-past.  Unary
 operators bind tighter than ``&``, which binds tighter than ``|``, which
 binds tighter than the right-associative ``->``.  Proof scripts are
 nested s-expressions carrying explicit rule parameters and one conclusion
-sequent per node; a parse reads and a rendering writes each distinct
-positioned formula once.  The renderer is canonical: token sets print in
+sequent per node.  A parse reads each distinct formula text once, since a
+rule's premises write again the operands of the formulas its conclusion
+wrote (see `_Parser`), and a rendering writes each distinct positioned
+formula once.  The renderer is canonical: token sets print in
 lexicographic order and ``parse(render(v)) == v`` for every value.
 The model classes of ``semantics`` are imported where models are read
 and written, so that reading proofs does not load the semantics.
@@ -109,19 +111,25 @@ class _Parser:
     ``[x]``, ``,`` and ``|-``, and a script node's header up to its
     parameter values and conclusion, are read by indexing the token list.
 
-    ``memo`` holds each positioned formula read so far under its span of
-    tokens joined by spaces (which no token holds; a tuple key measured a
-    higher peak RSS), so a repeat is not read again.  It is exact: the span
-    ends at the first ``@`` (no formula holds one), then at the first closer
-    of the position's bracket (no position nests them); a successful parse
-    ends there and reads nothing else, and terms are hash-consed, so a fresh
-    parse gives the same object.  Failed parses are not kept."""
+    ``memo`` keeps text read so far, as tokens joined by spaces (which no
+    token holds), so that it is not read again.  It holds each positioned
+    formula under its span, which ends at the first ``@`` (no formula holds
+    one) and then at the first closer of the position's bracket (no
+    position nests them); and, for each formula placed at a position, the
+    node of each immediate operand under the operand's text ``K`` and under
+    ``( K )``.  A positioned formula whose text up to its ``@`` is such a
+    key has only its position read.  The memo is exact: each key is a
+    phrase the grammar built, or that phrase in parentheses, so reading it
+    gives that term and ends where the key does; terms are hash-consed, so a
+    hit gives the object a fresh read would; and a failed read stores
+    nothing.  It is linear: placing a formula adds its span and twice its
+    operands' text, not a key per nesting level."""
 
     def __init__(self, text: str):
         self.text = text.replace("\u2212", "-")     # accept the unicode minus sign
         self.toks = _lex(self.text)
         self.i = 0
-        self.memo: dict[str, PFormula] = {}
+        self.memo: dict[str, Union[PFormula, tuple]] = {}
 
     def peek(self, ahead: int = 0) -> str:
         return self.toks[self.i + ahead]
@@ -146,26 +154,29 @@ class _Parser:
 
     # -- formulas --
 
-    def formula(self) -> Formula:
+    def formula(self) -> tuple:
         """Precedence climbing: ``ops`` holds, innermost last, the prefix
-        connectives and open parentheses not yet closed and the binary
-        connectives still waiting for their right operand (with their left
-        one)."""
+        connectives and open parentheses not yet closed (with their token
+        index) and the binary connectives still waiting for their right
+        operand (with their left one and where its text starts).  Gives the
+        formula's node ``(formula, start, end, *operand nodes)``: each term
+        with the token span of its text, outer parentheses left out."""
         toks, i = self.toks, self.i
         ops: list[tuple] = []
         while True:
             t = toks[i]
             while t in _UNARY_WORDS or t == "(":
-                ops.append((_PREFIX, _UNARY_WORDS[t]) if t != "(" else (_OPEN,))
+                ops.append((_PREFIX, _UNARY_WORDS[t], i) if t != "(" else (_OPEN, i))
                 i += 1
                 t = toks[i]
             if not t.isidentifier():
                 raise self.error(f"expected a formula, found {t!r}", i)
-            f = Prop(t)
+            f, lo = (Prop(t), i, i + 1), i      # lo: where f's text starts, parentheses in
             i += 1
             while True:             # f is a complete operand
                 while ops and ops[-1][0] == _PREFIX:
-                    f = ops.pop()[1](f)
+                    _, cls, lo = ops.pop()
+                    f = (cls(f[0]), lo, i, f)
                 t = toks[i]
                 op = _BINARY.get(t)
                 if op is not None:
@@ -173,20 +184,20 @@ class _Parser:
                     # equal one unless it is the right-associative -> (1)
                     prec = op[0]
                     while ops and (ops[-1][0] > prec or ops[-1][0] == prec > 1):
-                        _, cls, left = ops.pop()
-                        f = cls(left, f)
-                    ops.append((prec, op[1], f))
+                        _, cls, left, lo = ops.pop()
+                        f = (cls(left[0], f[0]), lo, i, left, f)
+                    ops.append((prec, op[1], f, lo))
                     i += 1
                     break
                 while ops and ops[-1][0] != _OPEN:
-                    _, cls, left = ops.pop()
-                    f = cls(left, f)
+                    _, cls, left, lo = ops.pop()
+                    f = (cls(left[0], f[0]), lo, i, left, f)
                 if not ops:
                     self.i = i
                     return f
                 if t != ")":
                     raise self.error(f"expected ')', found {t!r}", i)
-                ops.pop()
+                lo = ops.pop()[1]
                 i += 1
 
     # -- positions --
@@ -244,21 +255,36 @@ class _Parser:
         if q is not None:
             self.i = j
             return q
-        q = self._pformula()
+        # the text of its formula (no position holds an @), if an operand before
+        node = self.memo.get(key.rpartition(" @ ")[0])
+        if node is None:
+            q = self._pformula()
+        else:
+            self.i = at
+            q = self._placed(node)
         if self.i == j:
             self.memo[key] = q
         return q
 
     def _pformula(self) -> PFormula:
-        f = self.formula()
+        return self._placed(self.formula())
+
+    def _placed(self, node: tuple) -> PFormula:
+        """The formula of ``node`` at the position read from the ``@`` on;
+        then the formula's operands go into the memo."""
         toks, i = self.toks, self.i
         if toks[i] != "@":
             self.fail(f"expected '@', found {toks[i]!r}")
         if toks[i + 1] == "[" and toks[i + 3] == "]" and toks[i + 2].isidentifier():
             self.i = i + 4              # the one-token [x], read in place
-            return PFormula(f, SeqPos((toks[i + 2],)))
-        self.i = i + 1
-        return PFormula(f, self.position())
+            pos = SeqPos((toks[i + 2],))
+        else:
+            self.i = i + 1
+            pos = self.position()
+        for sub in node[3:]:
+            text = " ".join(toks[sub[1]:sub[2]])
+            self.memo[text] = self.memo[f"( {text} )"] = sub
+        return PFormula(node[0], pos)
 
     def pformula_list(self) -> tuple[PFormula, ...]:
         out = [self.pformula()]
@@ -459,7 +485,7 @@ def _finish(p: _Parser, value):
 
 def parse_formula(text: str) -> Formula:
     p = _Parser(text)
-    return _finish(p, p.formula())
+    return _finish(p, p.formula()[0])
 
 
 def parse_pformula(text: str) -> PFormula:

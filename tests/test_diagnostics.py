@@ -14,11 +14,11 @@ import pytest
 from mutants import (GOLDEN, corpus_proofs, eigen_mutants, eigen_subjects,
                      failures, mutants)
 from twoseq.calculus import (TABLE, OccurrenceIndex, ProofNode, SystemId,
-                             Violation, _family_violations, check_proof,
-                             check_rule_instance, expand_double_lines)
+                             Violation, _family_violations, ax, check_proof,
+                             check_rule_instance, expand_double_lines, ind, indax)
 from twoseq.parser import parse_proof
-from twoseq.positions import LtlPos
-from twoseq.syntax import Prev, Prop, Sequent, pf
+from twoseq.positions import LtlPos, ltl_token, seqpos
+from twoseq.syntax import And, Box, Imp, Prev, Prop, Sequent, pf
 
 GOLD = json.loads(GOLDEN.read_text())
 PROOFS = {(home.value, name): proof for home, name, proof in corpus_proofs()}
@@ -140,3 +140,81 @@ def test_step_of_another_family_is_a_params_violation(text, step, base):
     rep = check_proof(expand_double_lines(script), script.system)
     assert [(v.condition, v.message) for v in rep.failures] == \
         [("params", f"step {step} does not apply to position {base}")]
+
+
+# --- rule instances that only a few corpus nodes reach, each with its one fault ---
+
+_P0, _Q = Prop("p0"), Prop("q")
+
+
+def _at(steps: int, *tokens: str) -> LtlPos:
+    return LtlPos(steps, frozenset(tokens))
+
+
+def _only(n: ProofNode, sys: SystemId) -> list[tuple[str, str, str]]:
+    return [(v.rule, v.condition, v.message) for v in check_rule_instance(n, sys)]
+
+
+def test_an_implication_that_is_no_induction_axiom_instance_is_rejected():
+    # implications that are no instance, the first two into a box as an instance is
+    for f in (Imp(_P0, Box(_P0)), Imp(And(_P0, Box(_P0)), Box(_P0)), Imp(_P0, _P0)):
+        n = ProofNode("indax", (), Sequent((), (pf(f, _at(0)),)))
+        assert _only(n, SystemId.LTL_INDAX) == \
+            [("indax", "schema", "formula is not an induction-axiom instance")]
+    instance = indax(_P0, _at(0))
+    assert _only(instance, SystemId.LTL_INDAX) == []
+
+
+def test_an_induction_with_an_empty_side_is_rejected():
+    premise = ax(pf(_P0, _at(0, "x")))
+    params = (("t", ltl_token("z")), ("x", "x"))
+    for s in (Sequent((pf(_P0, _at(0)),), ()), Sequent((), (pf(_P0, _at(0, "z")),))):
+        assert _only(ProofNode("ind", params, s, (premise,)), SystemId.LTL) == \
+            [("ind", "schema", "induction conclusion needs principal formulas on both sides")]
+
+
+def _induction(ant, suc) -> ProofNode:
+    """``ind`` over a premise with the principal formulas p0 at s+x and s+x+1
+    between the given contexts."""
+    premise = ProofNode("ax", (), Sequent(ant + (pf(_P0, _at(0, "x")),),
+                                          (pf(_P0, _at(1, "x")),) + suc))
+    return ind(premise, "x", ltl_token("z"))
+
+
+def test_an_induction_with_context_on_both_sides_is_accepted_and_its_context_read():
+    n = _induction((pf(_Q, _at(0, "y")),), (pf(_Q, _at(2, "y")),))
+    assert n.conclusion.ant[0] == pf(_Q, _at(0, "y")) and \
+        n.conclusion.suc[1] == pf(_Q, _at(2, "y"))
+    assert _only(n, SystemId.LTL) == []
+    # the premise must carry the succedent context after the principal formula
+    above = n.premises[0].conclusion
+    dropped = ProofNode("ind", n.params, n.conclusion,
+                        (ProofNode("ax", (), Sequent(above.ant, above.suc[:1])),))
+    assert _only(dropped, SystemId.LTL) == \
+        [("ind", "schema", "premise does not match the induction schema")]
+    # the eigen token may occur in neither context, next to the principal formula or not
+    for ant, suc in (((pf(_Q, _at(0, "x")),), ()), ((), (pf(_Q, _at(0, "x")),)),
+                     ((pf(_Q, _at(0, "x")), pf(_Q, _at(0, "y"))), ()),
+                     ((), (pf(_Q, _at(0, "y")), pf(_Q, _at(0, "x"))))):
+        assert _only(_induction(ant, suc), SystemId.LTL) == \
+            [("ind", "eigen-position", "eigen token x occurs in a context position")]
+
+
+def test_a_wrong_declared_base_position_is_reported_once_nothing_else_fails():
+    premise = ProofNode("ax", (), Sequent((), (pf(_P0, seqpos("x")),)))
+
+    def box_r(alpha, f) -> ProofNode:
+        return ProofNode("boxR", (("alpha", alpha), ("x", "x")),
+                         Sequent((), (pf(Box(f), seqpos()),)), (premise,))
+
+    assert _only(box_r(seqpos(), _P0), SystemId.K) == []
+    assert _only(box_r(seqpos("y"), _P0), SystemId.K) == \
+        [("boxR", "params", "declared base position differs from the conclusion")]
+    # with a schema fault the declared position is not compared
+    for alpha in (seqpos(), seqpos("y")):
+        assert _only(box_r(alpha, _Q), SystemId.K) == \
+            [("boxR", "schema", "premise does not match the box-right schema")]
+    # a rule with no base position reads no principal formula for an alpha
+    conj = ProofNode("andR", (("alpha", seqpos()),), Sequent((), (pf(And(_P0, _P0), seqpos()),)),
+                     (ProofNode("ax", (), Sequent((), (pf(_P0, seqpos()),))),) * 2)
+    assert _only(conj, SystemId.K) == [("andR", "params", "rule andR takes no parameter alpha")]

@@ -18,8 +18,9 @@ from corruptions import GOLDEN as PARSE_ERRORS, corruptions, parse_error
 from mutants import corpus_proofs
 from proofgen import generate_suite
 from strategies import formula_st, pformula_st, sequent_st
-from twoseq.calculus import (STRUCTURAL_RULES, ProofNode, SystemId, check_proof,
-                             expand_double_lines, iter_nodes, subproofs)
+from twoseq.calculus import (STRUCTURAL_RULES, ProofNode, SystemId, and_right, ax,
+                             box_right, check_proof, expand_double_lines, imp_right,
+                             iter_nodes, subproofs, weak_left)
 from twoseq.cutelim import eliminate_cuts
 from twoseq.errors import ParseError, TwoseqError
 from twoseq.ltl import LassoWord
@@ -29,7 +30,8 @@ from twoseq.parser import (parse_formula, parse_model, parse_pformula,
                            render_proof, render_sequent)
 from twoseq.positions import LtlPos, PastPos, SeqPos, SetPos, seqpos
 from twoseq.semantics import GraphModel
-from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, Or, Prop, pf, seq)
+from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, Or, Prop, pf, seq,
+                           subformula_trees)
 import twoseq.corpus as corpus
 import twoseq.parser as parser
 import twoseq.positions as positions
@@ -628,22 +630,226 @@ def test_a_deep_formula_written_twice_is_read_once(monkeypatch):
     assert s.suc[0] is s.suc[1] is pf(f, seqpos("x"))
 
 
-def test_the_memo_keeps_nothing_alive_past_the_parse():
-    # names no other term holds, so that every term the parse makes is new
+def test_the_memo_keeps_nothing_alive_past_the_parse(monkeypatch):
+    # names no other term holds, so that every term the parse makes is new;
+    # the leaf's antecedent is the right operand of the span's formula
     span = "(memo_a -> box memo_b) @ [memo_x]"
+    operand = "box memo_b @ [memo_y]"
     text = (f"(proof K (bridge (concl {span} |- {span}, {span})\n"
-            f"  (rule ax (concl {span} |- {span}))))")
+            f"  (rule ax (concl {operand} |- {span}))))")
+    reads = _reads(monkeypatch)
     gc.collect()
     baseline = len(positions.TABLE)
     script = parse_proof(text)
+    assert len(reads) == 1      # the operand was looked up, not read
     assert len(positions.TABLE) > baseline
     del script
     gc.collect()
     assert len(positions.TABLE) == baseline
-    with pytest.raises(ParseError):
-        parse_proof(text.replace(f"{span}))))", f"{span} ~))))"))
-    gc.collect()
-    assert len(positions.TABLE) == baseline
+    for broken in (f"{operand} |- {span} ~))))", f"{operand} ~ |- {span}))))"):
+        with pytest.raises(ParseError):
+            parse_proof(text.replace(f"{operand} |- {span}))))", broken))
+        gc.collect()
+        assert len(positions.TABLE) == baseline
+
+
+# --- operands: a formula read once is looked up under its operands' text ---
+
+def _write(draw, f, above: int = 0) -> str:
+    """A text of ``f`` below a connective of precedence ``above``: the
+    parentheses the grammar needs, and maybe redundant ones around any term."""
+    word = parser._PREFIXES.get(type(f))
+    if word is not None:
+        text = word + _write(draw, f.sub, 4)
+    elif isinstance(f, Prop):
+        text = f.name
+    else:
+        infix, mine, left, right = parser._INFIXES[type(f)]
+        text = _write(draw, f.left, left) + infix + _write(draw, f.right, right)
+        if mine < above:
+            text = f"({text})"
+    extra = draw(st.sampled_from((0, 0, 0, 0, 1, 2)))
+    return "(" * extra + text + ")" * extra
+
+
+@st.composite
+def operand_repeats_st(draw, script: bool):
+    """A sequent, or a script of nested bridge nodes, whose first
+    positioned formula holds a drawn formula and whose later ones hold its
+    subterms, so operands of formulas read before.  Each is written with
+    the parentheses it needs (chains left bare, as in ``a & b & c``), with
+    redundant ones (``((A))``), or with none at all (``box p & q`` for
+    ``box (p & q)``); maybe a fragment follows a later one."""
+    f = draw(formula_st("modal", depth=4))
+    terms = list(subformula_trees(f))
+
+    def span(g) -> str:
+        text = _write(draw, g)
+        if draw(st.integers(0, 4)) == 0:
+            text = text.replace("(", "").replace(")", "")
+        return f"{text} @ {draw(st.sampled_from(('[x]', '[]', '[x, y]')))}"
+
+    spans = [span(f)] + [span(draw(st.sampled_from(terms)))
+                         for _ in range(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):
+        k = draw(st.integers(1, len(spans) - 1))
+        spans[k] += " " + draw(st.sampled_from(FRAGMENTS))
+    cuts = sorted(draw(st.lists(st.integers(0, len(spans)), max_size=3 if script else 0)))
+    bounds = [0] + cuts + [len(spans)]
+    sequents = []
+    for a, b in zip(bounds, bounds[1:]):
+        k = draw(st.integers(a, b))
+        sequents.append(f"{', '.join(spans[a:k])} |- {', '.join(spans[k:b])}")
+    if not script:
+        return sequents[0]
+    nodes = "".join(f"\n(bridge (concl {s})" for s in sequents[:-1])
+    return f"(proof K{nodes}\n(rule ax (concl {sequents[-1]}))" + ")" * len(sequents)
+
+
+def _memo_is_exact(text: str) -> None:
+    """Read ``text`` as a sequent or a script, to the end or to a
+    ParseError; then each key of the memo is text the oracle reads as the
+    value stored under it, and a formula's node holds the span of that
+    text, parentheses left out."""
+    try:
+        p = parser._Parser(text)
+    except ParseError:      # the lexer made no parser
+        return
+    try:
+        p.script() if text.startswith("(proof") else p.sequent()
+    except ParseError:
+        pass
+    for key, value in p.memo.items():
+        if "@" in key:
+            assert _outcome(oracle.parse_pformula, key) == ("value", value), key
+        else:
+            assert _outcome(oracle.parse_formula, key) == ("value", value[0]), key
+            own = " ".join(p.toks[value[1]:value[2]])
+            assert key in (own, f"( {own} )"), key
+
+
+# half the examples of PROPERTY: the pinned cases below cover each form too
+OPERANDS = settings(PROPERTY, max_examples=150)
+
+
+@OPERANDS
+@given(operand_repeats_st(script=False))
+def test_sequents_with_operand_repeats_parse_as_the_oracle_does(text):
+    _same_as_oracle(text, ("parse_sequent",))
+
+
+@OPERANDS
+@given(operand_repeats_st(script=True))
+def test_scripts_with_operand_repeats_parse_as_the_oracle_does(text):
+    _same_as_oracle(text, ("parse_proof",))
+
+
+@OPERANDS
+@given(operand_repeats_st(script=False) | operand_repeats_st(script=True)
+       | edited_st(operand_repeats_st(script=False))
+       | edited_st(operand_repeats_st(script=True)))
+def test_every_memo_key_reads_as_its_value_after_a_parse_or_a_failure(text):
+    _memo_is_exact(text)
+
+
+OPERAND_REPEATS = [
+    # a left-associated chain: its left operand bare and parenthesised, its
+    # right one in redundant parentheses
+    "|- p0 & q & (p1) @ [x], p0 & q @ [x], (p0 & q) @ [], ((p1)) @ [x], p1 @ [y]",
+    # prefix operands, and the same tokens without the operand's parentheses
+    "box (p0 & q) -> dia ~q @ [x] |- box (p0 & q) @ [x], p0 & q @ [], "
+    "box p0 & q @ [x], dia ~q @ [x], ~q @ [x], q @ [y]",
+    # the right operand of a right-nested implication, and a left-nested one
+    "|- p0 -> q -> p0 @ [x], (q -> p0) @ [x], q -> p0 @ [x, y], (p0 -> q) -> p0 @ [x], "
+    "p0 -> q @ [x]",
+    # a repeat, then what makes its read fail
+    "|- (p0 | q) & q @ [x], p0 | q @ [x] ~",
+    "|- (p0 | q) & q @ [x], p0 | q @ [x",
+    "|- (p0 | q) & q @ [x], p0 | q ~ @ [x]",
+    "|- (p0 | q) & q @ [x], (p0 | q)) @ [x]",
+    "|- (p0 | q) & q @ [x], p0 | q @ [x], p0 | q @ {x}",
+    "|- box (p0 | q) @ [x], p0 | q @ (1;{x}",
+]
+
+
+@pytest.mark.parametrize("text", OPERAND_REPEATS)
+def test_operand_repeats_parse_as_the_oracle_does_and_leave_an_exact_memo(text):
+    _same_as_oracle(text, ("parse_sequent",))
+    _memo_is_exact(text)
+
+
+def _formula_tokens(monkeypatch) -> list:
+    """Record how many tokens each formula the parser reads takes."""
+    counts = []
+    full = parser._Parser.formula
+
+    def counted(self):
+        i = self.i
+        node = full(self)
+        counts.append(self.i - i)
+        return node
+
+    monkeypatch.setattr(parser._Parser, "formula", counted)
+    return counts
+
+
+def test_an_operand_read_before_is_not_read_again(monkeypatch):
+    counts = _formula_tokens(monkeypatch)
+    s = parse_sequent("|- (box (p0 -> q) & q) @ [], box (p0 -> q) @ [], (p0 -> q) @ [x], "
+                      "q @ [x], p0 -> q @ [y]")
+    assert len(counts) == 1
+    conj = s.suc[0].formula
+    assert s.suc[1].formula is conj.left and s.suc[2].formula is conj.left.sub
+    assert s.suc[3].formula is conj.right and s.suc[4].formula is conj.left.sub
+
+
+def _wide_proof(leaves: int) -> ProofNode:
+    """A balanced andR over ``leaves`` boxR proofs of box (p -> (r -> p))."""
+    level = []
+    for i in range(leaves):
+        x = f"x{i}"
+        at = seqpos(x)
+        p, r = Prop(f"p{i % 3}"), Prop(f"p{i * 7 % 5}")
+        level.append(box_right(imp_right(imp_right(weak_left(ax(pf(p, at)), pf(r, at)))), x))
+    while len(level) > 1:
+        level = [and_right(a, b) for a, b in zip(level[::2], level[1::2])]
+    return level[0]
+
+
+def test_a_wide_and_script_reads_its_formulas_once(monkeypatch):
+    proof = _wide_proof(64)
+    assert check_proof(proof, SystemId.S4).accepted
+    text = render_proof(SystemId.S4, proof)
+    counts = _formula_tokens(monkeypatch)
+    assert parse_proof(text).root == proof
+    # a memo of whole positioned formulas alone read 4 418 tokens in 303
+    # formulas here; the conclusion's operands are looked up instead
+    assert sum(counts) <= 4_418 // 4, (len(counts), sum(counts))
+
+
+def test_the_memo_stays_linear_under_an_impR_chain_over_a_deep_implication():
+    # |- a0 -> a1 -> ... -> a100000, then impR moving a0, a1, a2 to the left,
+    # each conclusion's succedent the right operand of the one below it
+    # (a parse only: the leaf is no axiom)
+    f = Prop("a100000")
+    for k in range(99_999, -1, -1):
+        f = Imp(Prop(f"a{k}"), f)
+    texts = [render_formula(f)]
+    for _ in range(3):
+        texts.append(texts[-1].split(" -> ", 1)[1])
+    body = "(rule ax (concl p0 @ [] |- p0 @ []))"
+    for k in range(3, -1, -1):
+        ant = ", ".join(f"a{j} @ []" for j in range(k))
+        body = f"(rule impR (concl {ant} |- {texts[k]} @ [])\n{body})"
+    text = f"(proof K\n{body})"
+    p = parser._Parser(text)
+    root = p.script().root
+    assert root.conclusion.suc[0].formula is f
+    assert root.premises[0].premises[0].conclusion.suc[0].formula is f.right.right
+    # each formula placed adds its span and its operands' text with and
+    # without parentheses, about 3 x its own text; a key for every nested
+    # term would add thousands of times the text here
+    assert sum(map(len, p.memo)) <= 3 * len(text)
 
 
 # --- rendering: each positioned formula's text is made once per proof ---
