@@ -12,19 +12,19 @@ Every logical rule and the cut is written once, as a ``RuleSchema`` in
 formulas at each premise's edges (the operand each carries and the map
 from the principal position to its own), its parameter kinds and its
 hooks into the constraint table.  That entry drives the forward
-constructor (``apply_rule``), the checker and both mix steps of cut
-elimination (``reapply``, and the principal reduction, which cuts the
-operands ``Active`` names).  A named wrapper over ``apply_rule`` exists
-only where the corpus, the transformations or the benchmark build a rule
-by hand; other callers name the rule.  A new rule is one entry here and
-its name in the rule lists ``_rules`` draws from a system's table row; a
-new side condition is a hook.
+constructor, the checker and both mix steps of cut elimination
+(``reapply``, and the principal reduction, which cuts the operands
+``Active`` names).  A new rule is one entry here and its name in the rule
+lists ``_rules`` draws from a system's table row; a new side condition is
+a hook.  Every rule is built by the name the checker knows it by:
+``apply_rule`` builds the schema rules and induction, ``apply_structural``
+the structural ones, ``ax`` and ``indax`` the axioms.
 
 The six structural rules share one step function, ``structural`` (a
 rule's conclusion from its premise), and a row each in ``STRUCTURAL``
-(parameter, constructor error, checker message); their constructors, the
-checker and bridge synthesis all go through it.  Induction and the
-axioms are written out.  The first check in a system compiles each of
+(parameter, constructor error, checker message); ``apply_structural``, the
+checker and bridge synthesis all go through it.  Induction and the axioms
+are written out.  The first check in a system compiles each of
 its rules (``_compile``) into one checker with the schema entry and table
 row read once, so checking a rule instance is one dict lookup and one call.
 """
@@ -554,12 +554,18 @@ def apply_rule(rule: str, premises: Sequence[ProofNode], *,
                alpha: Optional[Position] = None, step=None,
                x: Optional[Token] = None, cutf: Optional[PFormula] = None,
                other: Optional[Formula] = None) -> ProofNode:
-    """Forward application of a schema rule: the principal formula is built
-    from the premises' active formulas (``other`` supplies a binary operand
-    no premise carries) at the position the inverted position maps give
-    (``alpha`` where a declared step leaves it ambiguous), and the
-    conclusion is spliced around it."""
-    s = SCHEMAS[rule]
+    """Forward application of a schema rule, or of induction (eigen token
+    ``x``, target ``step``), by name: the principal formula is built from the
+    premises' active formulas (``other`` supplies a binary operand no premise
+    carries) at the position the inverted position maps give (``alpha`` where
+    a declared step leaves it ambiguous); the conclusion is spliced around it."""
+    s = SCHEMAS.get(rule)
+    if s is None and rule not in ("ind", "pind"):
+        raise TwoseqError(f"apply_rule builds no rule {rule!r}")
+    if len(premises) != (arity := len(s.premises) if s else 1):
+        raise TwoseqError(f"{rule}: expected {arity} premise(s), found {len(premises)}")
+    if s is None:
+        return _induction(rule, premises[0], x, step)
     values = {"step": step, "x": x, "cutf": cutf}
     operands: dict[str, Formula] = {}
     base = None
@@ -580,6 +586,8 @@ def apply_rule(rule: str, premises: Sequence[ProofNode], *,
     if "sub" in operands:
         principal = pf(s.connective(operands["sub"]), base)
     elif s.connective is not None:
+        if other is None and len(operands) < 2:
+            raise TwoseqError(f"{rule}: the operand no premise carries is missing (other)")
         principal = pf(s.connective(operands.get("left", other),
                                     operands.get("right", other)), base)
     params = {"alpha": base} if s.based else {}
@@ -607,10 +615,6 @@ def ax(p: PFormula) -> ProofNode:
     return node("ax", {}, seq((p,), (p,)))
 
 
-def cut(p1: ProofNode, p2: ProofNode, cutf: PFormula) -> ProofNode:
-    return apply_rule("cut", (p1, p2), cutf=cutf)
-
-
 def structural(rule: str, s: Sequent, value=None) -> Optional[Sequent]:
     """The conclusion a structural rule draws from the premise ``s``, or
     None where it does not apply; ``value`` is the formula weakened in or
@@ -635,112 +639,43 @@ def structural(rule: str, s: Sequent, value=None) -> Optional[Sequent]:
 
 def apply_structural(rule: str, p: ProofNode, value=None) -> ProofNode:
     """Forward application of a structural rule."""
-    r = STRUCTURAL[rule]
+    if (r := STRUCTURAL.get(rule)) is None:
+        raise TwoseqError(f"apply_structural builds no rule {rule!r}")
     s = structural(rule, p.conclusion, value)
     if s is None:
         raise TwoseqError(f"{rule}: {r.error}")
     return ProofNode(rule, ((r.param, value),) if r.param else (), s, (p,))
 
 
+# named constructors kept for ``bench/`` (ROADMAP item 13); ``src/`` names the rule
 def weak_left(p: ProofNode, extra: PFormula) -> ProofNode:
     return apply_structural("weakL", p, extra)
-
-
-def contr_left(p: ProofNode) -> ProofNode:
-    return apply_structural("contrL", p)
-
-
-def exc_left(p: ProofNode, at: int) -> ProofNode:
-    return apply_structural("excL", p, at)
-
-
-def neg_left(p: ProofNode) -> ProofNode:
-    return apply_rule("negL", (p,))
-
-
-def neg_right(p: ProofNode) -> ProofNode:
-    return apply_rule("negR", (p,))
-
-
-def and_left1(p: ProofNode, other: Formula) -> ProofNode:
-    return apply_rule("andL1", (p,), other=other)
-
-
-def and_left2(p: ProofNode, other: Formula) -> ProofNode:
-    return apply_rule("andL2", (p,), other=other)
 
 
 def and_right(p1: ProofNode, p2: ProofNode) -> ProofNode:
     return apply_rule("andR", (p1, p2))
 
 
-def imp_left(p1: ProofNode, p2: ProofNode) -> ProofNode:
-    # p1 holds the conclusion-side operand, p2 the antecedent-side one
-    return apply_rule("impL", (p1, p2))
-
-
 def imp_right(p: ProofNode) -> ProofNode:
     return apply_rule("impR", (p,))
-
-
-def box_left(p: ProofNode, beta, alpha=None) -> ProofNode:
-    """Box-left: the premise operand sits one declared step up."""
-    return apply_rule("boxL", (p,), step=beta, alpha=alpha)
 
 
 def box_right(p: ProofNode, x: Token) -> ProofNode:
     return apply_rule("boxR", (p,), x=x)
 
 
-def dia_left(p: ProofNode, x: Token) -> ProofNode:
-    return apply_rule("diaL", (p,), x=x)
-
-
-def dia_right(p: ProofNode, beta, alpha=None) -> ProofNode:
-    return apply_rule("diaR", (p,), step=beta, alpha=alpha)
-
-
-def once_right(p: ProofNode, s_pos: PastPos, t: LtlPos) -> ProofNode:
-    return apply_rule("onceR", (p,), step=t, alpha=s_pos)
-
-
-def hist_right(p: ProofNode, x: Token) -> ProofNode:
-    return apply_rule("histR", (p,), x=x)
-
-
-def next_left(p: ProofNode) -> ProofNode:
-    return apply_rule("nextL", (p,))
-
-
-def next_right(p: ProofNode) -> ProofNode:
-    return apply_rule("nextR", (p,))
-
-
-def prev_right(p: ProofNode) -> ProofNode:
-    return apply_rule("prevR", (p,))
-
-
-def ind(p: ProofNode, x: Token, t: LtlPos) -> ProofNode:
-    """Temporal induction: base position read off the premise eigen step."""
-    return _induction("ind", "+", p, x, t)
-
-
-def pind(p: ProofNode, x: Token, t: LtlPos) -> ProofNode:
-    return _induction("pind", "-", p, x, t)
-
-
-def _induction(rule: str, sign: str, p: ProofNode, x: Token, t: LtlPos) -> ProofNode:
-    s = p.conclusion
-    a, b = s.ant[-1], s.suc[0]
-    if a.formula != b.formula:
-        raise TwoseqError(f"{rule}: premise formulas differ")
+def _induction(rule: str, p: ProofNode, x: Token, t: LtlPos) -> ProofNode:
+    s, sign = p.conclusion, "-" if rule == "pind" else "+"
+    a, b = edge(s, "L"), edge(s, "R")
+    if a is None or b is None or a.formula != b.formula:
+        raise TwoseqError(f"{rule}: premise edge formulas differ or are missing")
     base = _base(rule, a.pos, Active(sign + "x"), {"x": x}, None)
     if shift(a.pos, sign, ltl_step(1)) != b.pos:
         raise TwoseqError(f"{rule}: premise positions are not s{sign}x and s{sign}x{sign}1")
-    new_l = pf(a.formula, base)
-    new_r = pf(a.formula, shift(base, sign, t))
+    if (to := shift(base, sign, t)) is None:
+        raise TwoseqError(f"{rule}: step {t} does not apply to position {base}")
     return node(rule, {"alpha": base, "x": x, "t": t},
-                seq(s.ant[:-1] + (new_l,), (new_r,) + s.suc[1:]), (p,))
+                seq(s.ant[:-1] + (pf(a.formula, base),), (pf(a.formula, to),) + s.suc[1:]), (p,))
 
 
 def indax(formula: Formula, s_pos: LtlPos) -> ProofNode:

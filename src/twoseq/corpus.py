@@ -11,11 +11,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .calculus import (ProofNode, SystemId, and_left1, and_left2, and_right,
-                       ax, box_left, box_right, bridge_proof, contr_left,
-                       cut, dia_left, dia_right, exc_left, hist_right, imp_left, imp_right, ind, indax,
-                       neg_left, neg_right, next_left, next_right, once_right,
-                       prev_right, seq)
+from .calculus import (ProofNode, SystemId, apply_rule, apply_structural, ax,
+                       bridge_proof, indax, seq)
 from .positions import LtlPos, ltl_token, pastpos, seqpos, setpos
 from .syntax import And, Box, Formula, Imp, Next, Not, Prop, pf
 from .transform import compose_mp, ind_to_axiom
@@ -32,44 +29,44 @@ def _l(steps=0, *tokens) -> LtlPos:
 
 def taut(a: Formula = P0, pos=E) -> ProofNode:
     """|- (A -> A) at the given position."""
-    return imp_right(ax(pf(a, pos)))
+    return apply_rule("impR", (ax(pf(a, pos)),))
 
 
 def axiom_k(a: Formula = P0, b: Formula = P1) -> ProofNode:
     """|- box(A -> B) -> (box A -> box B), double lines expanded."""
     x = seqpos("x")
-    n = imp_left(ax(pf(b, x)), ax(pf(a, x)))
-    n = box_left(n, x)                          # A, box(A->B) |- B
+    n = apply_rule("impL", (ax(pf(b, x)), ax(pf(a, x))))
+    n = apply_rule("boxL", (n,), step=x)        # A, box(A->B) |- B
     n = bridge_proof(n, seq((pf(Box(Imp(a, b)), E), pf(a, x)), (pf(b, x),)))
-    n = box_left(n, x)                          # box(A->B), box A |- B
+    n = apply_rule("boxL", (n,), step=x)        # box(A->B), box A |- B
     n = bridge_proof(n, seq((pf(Box(a), E), pf(Box(Imp(a, b)), E)), (pf(b, x),)))
-    n = box_right(n, "x")                       # ... |- box B
+    n = apply_rule("boxR", (n,), x="x")         # ... |- box B
     n = bridge_proof(n, seq((pf(Box(Imp(a, b)), E), pf(Box(a), E)),
                             (pf(Box(b), E),)))
-    return imp_right(imp_right(n))
+    return apply_rule("impR", (apply_rule("impR", (n,)),))
 
 
 def axiom_d(a: Formula = P0) -> ProofNode:
     """|- box A -> dia A."""
     x = seqpos("x")
-    n = box_left(ax(pf(a, x)), x)               # box A |- A at [x]
-    n = dia_right(n, x)                         # box A |- dia A
-    return imp_right(n)
+    n = apply_rule("boxL", (ax(pf(a, x)),), step=x)     # box A |- A at [x]
+    n = apply_rule("diaR", (n,), step=x)                # box A |- dia A
+    return apply_rule("impR", (n,))
 
 
 def axiom_t(a: Formula = P0) -> ProofNode:
     """|- box A -> A, via an empty step."""
-    n = box_left(ax(pf(a, E)), E)
-    return imp_right(n)
+    n = apply_rule("boxL", (ax(pf(a, E)),), step=E)
+    return apply_rule("impR", (n,))
 
 
 def axiom_4(a: Formula = P0) -> ProofNode:
     """|- box A -> box box A, via a two-token step."""
     yx = seqpos("y", "x")
-    n = box_left(ax(pf(a, yx)), yx)             # box A |- A at [y,x]
-    n = box_right(n, "x")                       # box A |- box A at [y]
-    n = box_right(n, "y")                       # box A |- box box A
-    return imp_right(n)
+    n = apply_rule("boxL", (ax(pf(a, yx)),), step=yx)   # box A |- A at [y,x]
+    n = apply_rule("boxR", (n,), x="x")                 # box A |- box A at [y]
+    n = apply_rule("boxR", (n,), x="y")                 # box A |- box box A
+    return apply_rule("impR", (n,))
 
 
 def diamond_taut_cut(a: Formula = P0) -> ProofNode:
@@ -77,9 +74,9 @@ def diamond_taut_cut(a: Formula = P0) -> ProofNode:
     exactly what the restricted systems' cut condition rejects."""
     x = seqpos("x")
     aa = Imp(a, a)
-    left = taut(a, x)                           # |- A -> A at [x]
-    right = dia_right(ax(pf(aa, x)), x)         # A -> A at [x] |- dia(A -> A)
-    return cut(left, right, pf(aa, x))
+    left = taut(a, x)                                   # |- A -> A at [x]
+    right = apply_rule("diaR", (ax(pf(aa, x)),), step=x)    # A -> A at [x] |- dia(A -> A)
+    return apply_rule("cut", (left, right), cutf=pf(aa, x))
 
 
 def mp_example(sys: SystemId) -> ProofNode:
@@ -90,85 +87,85 @@ def mp_example(sys: SystemId) -> ProofNode:
 def s42_axiom(a: Formula = P0) -> ProofNode:
     """|- dia box A -> box dia A over set positions."""
     xy = setpos("x", "y")
-    n = box_left(ax(pf(a, xy)), setpos("x"), alpha=setpos("y"))
-    n = dia_right(n, setpos("y"), alpha=setpos("x"))
-    n = box_right(n, "x")                       # box A at {y} |- box dia A
-    n = dia_left(n, "y")                        # dia box A |- box dia A
-    return imp_right(n)
+    n = apply_rule("boxL", (ax(pf(a, xy)),), step=setpos("x"), alpha=setpos("y"))
+    n = apply_rule("diaR", (n,), step=setpos("y"), alpha=setpos("x"))
+    n = apply_rule("boxR", (n,), x="x")         # box A at {y} |- box dia A
+    n = apply_rule("diaL", (n,), x="y")         # dia box A |- box dia A
+    return apply_rule("impR", (n,))
 
 
 def ltl_a1(a: Formula = P0, b: Formula = P1) -> ProofNode:
     """|- X(A -> B) -> (X A -> X B)."""
     s1 = _l(1)
-    n = imp_left(ax(pf(b, s1)), ax(pf(a, s1)))
-    n = next_left(n)                            # A, X(A->B) |- B
+    n = apply_rule("impL", (ax(pf(b, s1)), ax(pf(a, s1))))
+    n = apply_rule("nextL", (n,))               # A, X(A->B) |- B
     n = bridge_proof(n, seq((pf(Next(Imp(a, b)), L0), pf(a, s1)), (pf(b, s1),)))
-    n = next_left(n)
+    n = apply_rule("nextL", (n,))
     n = bridge_proof(n, seq((pf(Next(a), L0), pf(Next(Imp(a, b)), L0)),
                             (pf(b, s1),)))
-    n = next_right(n)
+    n = apply_rule("nextR", (n,))
     n = bridge_proof(n, seq((pf(Next(Imp(a, b)), L0), pf(Next(a), L0)),
                             (pf(Next(b), L0),)))
-    return imp_right(imp_right(n))
+    return apply_rule("impR", (apply_rule("impR", (n,)),))
 
 
 def ltl_a2(a: Formula = P0) -> ProofNode:
     """|- ~X A -> X ~A: the next step is its own dual."""
     s1 = _l(1)
-    n = neg_right(ax(pf(a, s1)))                # |- ~A, A at step 1
+    n = apply_rule("negR", (ax(pf(a, s1)),))   # |- ~A, A at step 1
     n = bridge_proof(n, seq((), (pf(a, s1), pf(Not(a), s1))))
-    n = next_right(n)                           # |- X A, ~A at step 1
+    n = apply_rule("nextR", (n,))               # |- X A, ~A at step 1
     n = bridge_proof(n, seq((), (pf(Not(a), s1), pf(Next(a), L0))))
-    n = next_right(n)                           # |- X ~A, X A
+    n = apply_rule("nextR", (n,))               # |- X ~A, X A
     n = bridge_proof(n, seq((), (pf(Next(a), L0), pf(Next(Not(a)), L0))))
-    n = neg_left(n)                             # ~X A |- X ~A
-    return imp_right(n)
+    n = apply_rule("negL", (n,))                # ~X A |- X ~A
+    return apply_rule("impR", (n,))
 
 
 def ltl_a3(a: Formula = P0, b: Formula = P1) -> ProofNode:
     """|- box(A -> B) -> (box A -> box B)."""
     sx = _l(0, "x")
-    n = imp_left(ax(pf(b, sx)), ax(pf(a, sx)))
-    n = box_left(n, ltl_token("x"), alpha=L0)
+    n = apply_rule("impL", (ax(pf(b, sx)), ax(pf(a, sx))))
+    n = apply_rule("boxL", (n,), step=ltl_token("x"), alpha=L0)
     n = bridge_proof(n, seq((pf(Box(Imp(a, b)), L0), pf(a, sx)), (pf(b, sx),)))
-    n = box_left(n, ltl_token("x"), alpha=L0)
+    n = apply_rule("boxL", (n,), step=ltl_token("x"), alpha=L0)
     n = bridge_proof(n, seq((pf(Box(a), L0), pf(Box(Imp(a, b)), L0)),
                             (pf(b, sx),)))
-    n = box_right(n, "x")
+    n = apply_rule("boxR", (n,), x="x")
     n = bridge_proof(n, seq((pf(Box(Imp(a, b)), L0), pf(Box(a), L0)),
                             (pf(Box(b), L0),)))
-    return imp_right(imp_right(n))
+    return apply_rule("impR", (apply_rule("impR", (n,)),))
 
 
 def ltl_a4(a: Formula = P0) -> ProofNode:
     """|- box A -> A, with a zero step."""
-    n = box_left(ax(pf(a, L0)), _l(0), alpha=L0)
-    return imp_right(n)
+    n = apply_rule("boxL", (ax(pf(a, L0)),), step=_l(0), alpha=L0)
+    return apply_rule("impR", (n,))
 
 
 def ltl_a5(a: Formula = P0) -> ProofNode:
     """|- box A -> box box A."""
     syx = _l(0, "y", "x")
-    n = box_left(ax(pf(a, syx)), syx, alpha=L0)
-    n = box_right(n, "x")                       # box A |- box A at (0;{y})
-    n = box_right(n, "y")
-    return imp_right(n)
+    n = apply_rule("boxL", (ax(pf(a, syx)),), step=syx, alpha=L0)
+    n = apply_rule("boxR", (n,), x="x")         # box A |- box A at (0;{y})
+    n = apply_rule("boxR", (n,), x="y")
+    return apply_rule("impR", (n,))
 
 
 def ltl_a6(a: Formula = P0) -> ProofNode:
     """|- box A -> X A."""
-    n = next_right(ax(pf(a, _l(1))))
-    n = box_left(n, _l(1), alpha=L0)
-    return imp_right(n)
+    n = apply_rule("nextR", (ax(pf(a, _l(1))),))
+    n = apply_rule("boxL", (n,), step=_l(1), alpha=L0)
+    return apply_rule("impR", (n,))
 
 
 def ltl_a7(a: Formula = P0) -> ProofNode:
     """|- box A -> X box A."""
     sx1 = _l(1, "x")
-    n = box_left(ax(pf(a, sx1)), sx1, alpha=L0)  # box A |- A at (1;{x})
-    n = box_right(n, "x")                       # box A |- box A at (1;{})
-    n = next_right(n)
-    return imp_right(n)
+    n = apply_rule("boxL", (ax(pf(a, sx1)),), step=sx1, alpha=L0)   # box A |- A at (1;{x})
+    n = apply_rule("boxR", (n,), x="x")         # box A |- box A at (1;{})
+    n = apply_rule("nextR", (n,))
+    return apply_rule("impR", (n,))
 
 
 def ltl_a8(a: Formula = P0) -> ProofNode:
@@ -176,17 +173,17 @@ def ltl_a8(a: Formula = P0) -> ProofNode:
     sx = _l(0, "x")
     sx1 = _l(1, "x")
     step = Box(Imp(a, Next(a)))
-    n = next_left(ax(pf(a, sx1)))               # X A at s+x |- A at s+x+1
-    n = imp_left(n, ax(pf(a, sx)))              # A, A -> X A |- A at s+x+1
-    n = box_left(n, ltl_token("x"), alpha=L0)  # A, box(A -> X A) |- ...
+    n = apply_rule("nextL", (ax(pf(a, sx1)),))  # X A at s+x |- A at s+x+1
+    n = apply_rule("impL", (n, ax(pf(a, sx))))  # A, A -> X A |- A at s+x+1
+    n = apply_rule("boxL", (n,), step=ltl_token("x"), alpha=L0)     # A, box(A -> X A) |- ...
     n = bridge_proof(n, seq((pf(step, L0), pf(a, sx)), (pf(a, sx1),)))
-    n = ind(n, "x", ltl_token("z"))             # box(...), A |- A at (0;{z})
-    n = and_left1(n, step)
-    n = exc_left(n, 0)
-    n = and_left2(n, a)
-    n = contr_left(n)                           # A & box(...) |- A at (0;{z})
-    n = box_right(n, "z")
-    return imp_right(n)
+    n = apply_rule("ind", (n,), x="x", step=ltl_token("z"))    # box(...), A |- A at (0;{z})
+    n = apply_rule("andL1", (n,), other=step)
+    n = apply_structural("excL", n, 0)
+    n = apply_rule("andL2", (n,), other=a)
+    n = apply_structural("contrL", n)           # A & box(...) |- A at (0;{z})
+    n = apply_rule("boxR", (n,), x="z")
+    return apply_rule("impR", (n,))
 
 
 def indax_instance(a: Formula = P0) -> ProofNode:
@@ -207,59 +204,59 @@ def ltl_blocked_cut() -> ProofNode:
     pxp = And(p, Next(p))
     stepf = Imp(p, Next(Next(p)))
 
-    n = next_left(ax(pf(Next(p), x1)))          # X X p |- X p at s+x+1
-    n = imp_left(n, ax(pf(p, x0)))              # p, p -> X X p |- X p
-    n = and_right(ax(pf(p, x1)), n)             # ... |- p & X p at s+x+1
+    n = apply_rule("nextL", (ax(pf(Next(p), x1)),))     # X X p |- X p at s+x+1
+    n = apply_rule("impL", (n, ax(pf(p, x0))))          # p, p -> X X p |- X p
+    n = apply_rule("andR", (ax(pf(p, x1)), n))          # ... |- p & X p at s+x+1
     n = bridge_proof(n, seq((pf(p, x0), pf(p, x1), pf(stepf, x0)),
                             (pf(pxp, x1),)))
-    n = box_left(n, ltl_token("x"), alpha=L0)
+    n = apply_rule("boxL", (n,), step=ltl_token("x"), alpha=L0)
     n = bridge_proof(n, seq((pf(p, x0), pf(Box(stepf), L0), pf(p, x1)),
                             (pf(pxp, x1),)))
-    n = next_left(n)                            # ..., X p at s+x |- ...
+    n = apply_rule("nextL", (n,))               # ..., X p at s+x |- ...
     n = bridge_proof(n, seq((pf(Next(p), x0), pf(Box(stepf), L0), pf(p, x0)),
                             (pf(pxp, x1),)))
-    n = and_left1(n, Next(p))
+    n = apply_rule("andL1", (n,), other=Next(p))
     n = bridge_proof(n, seq((pf(pxp, x0), pf(Box(stepf), L0), pf(Next(p), x0)),
                             (pf(pxp, x1),)))
-    n = and_left2(n, p)
+    n = apply_rule("andL2", (n,), other=p)
     n = bridge_proof(n, seq((pf(Box(stepf), L0), pf(pxp, x0), pf(pxp, x0)),
                             (pf(pxp, x1),)))
-    n = contr_left(n)                           # box(...), p & X p |- at s+x+1
-    n = ind(n, "x", ltl_token("z"))             # box(...), p & X p |- at z
-    right = and_left1(ax(pf(p, z0)), Next(p))   # p & X p at z |- p at z
-    n = cut(n, right, pf(pxp, z0))
+    n = apply_structural("contrL", n)           # box(...), p & X p |- at s+x+1
+    n = apply_rule("ind", (n,), x="x", step=ltl_token("z"))    # box(...), p & X p |- at z
+    right = apply_rule("andL1", (ax(pf(p, z0)),), other=Next(p))    # p & X p at z |- p at z
+    n = apply_rule("cut", (n, right), cutf=pf(pxp, z0))
     n = bridge_proof(n, seq((pf(pxp, L0), pf(Box(stepf), L0)), (pf(p, z0),)))
-    return box_right(n, "z")                    # ... |- box p
+    return apply_rule("boxR", (n,), x="z")      # ... |- box p
 
 
 def tense_hist_dia(a: Formula = P0) -> ProofNode:
     """|- A -> H dia A."""
     base = pastpos()
-    n = dia_right(ax(pf(a, base)), ltl_token("x"), alpha=pastpos(0, ("x",)))
-    n = hist_right(n, "x")
-    return imp_right(n)
+    n = apply_rule("diaR", (ax(pf(a, base)),), step=ltl_token("x"), alpha=pastpos(0, ("x",)))
+    n = apply_rule("histR", (n,), x="x")
+    return apply_rule("impR", (n,))
 
 
 def tense_box_once(a: Formula = P0) -> ProofNode:
     """|- A -> box P A."""
     base = pastpos()
-    n = once_right(ax(pf(a, base)), pastpos(0, (), ("x",)), ltl_token("x"))
-    n = box_right(n, "x")
-    return imp_right(n)
+    n = apply_rule("onceR", (ax(pf(a, base)),), step=ltl_token("x"), alpha=pastpos(0, (), ("x",)))
+    n = apply_rule("boxR", (n,), x="x")
+    return apply_rule("impR", (n,))
 
 
 def tense_next_prev(a: Formula = P0) -> ProofNode:
     """|- A -> X Y A."""
-    n = prev_right(ax(pf(a, pastpos())))        # A |- Y A at offset 1
-    n = next_right(n)
-    return imp_right(n)
+    n = apply_rule("prevR", (ax(pf(a, pastpos())),))    # A |- Y A at offset 1
+    n = apply_rule("nextR", (n,))
+    return apply_rule("impR", (n,))
 
 
 def tense_prev_next(a: Formula = P0) -> ProofNode:
     """|- A -> Y X A."""
-    n = next_right(ax(pf(a, pastpos())))        # A |- X A at offset -1
-    n = prev_right(n)
-    return imp_right(n)
+    n = apply_rule("nextR", (ax(pf(a, pastpos())),))    # A |- X A at offset -1
+    n = apply_rule("prevR", (n,))
+    return apply_rule("impR", (n,))
 
 
 HOME: dict[SystemId, tuple[tuple[str, Callable[[], ProofNode]], ...]] = {

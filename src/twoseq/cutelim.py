@@ -30,9 +30,9 @@ from __future__ import annotations
 from typing import Callable, Generator, Optional
 
 from .calculus import (CORE_SYSTEMS, SCHEMAS, STRUCTURAL_RULES, ProofNode,
-                       Sequent, SystemId, TABLE, bridge_proof, check_proof,
-                       cut, cut_position_holds, edge, height, proof_tokens,
-                       reapply, seq, subproofs)
+                       Sequent, SystemId, TABLE, apply_rule, bridge_proof,
+                       check_proof, cut_position_holds, edge, height,
+                       proof_tokens, reapply, seq, subproofs)
 from .errors import (DegreeUndefinedError, KernelInvariantError,
                      MixHypothesisError, RejectedProofError, TwoseqError,
                      UnsupportedSystemError)
@@ -215,7 +215,7 @@ class _Mixer:
                                            measure)
                     sides.append(self._at_edges(mixed, pair, k, i, prem))
                     done.add((k, i))
-            out = cut(sides[0], sides[1], f)
+            out = apply_rule("cut", sides, cutf=f)
         return bridge_proof(out, want)
 
     def _operands(self, pair, k: int, prem, keep_left: bool = False) -> tuple:

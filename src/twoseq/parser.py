@@ -262,8 +262,7 @@ class _Parser:
         else:
             self.i = at
             q = self._placed(node)
-        if self.i == j:
-            self.memo[key] = q
+        self.memo[key] = q      # a read that returns ends at j: its position's closer
         return q
 
     def _pformula(self) -> PFormula:

@@ -23,10 +23,9 @@ from itertools import accumulate
 from typing import Callable, Iterable, Optional
 
 from .calculus import (SCHEMAS, OccurrenceIndex, ProofNode, SystemId, TABLE,
-                       ax, and_right, box_left, box_right, bridge_proof,
-                       check_proof, cut, edge, eigen_token, imp_left,
-                       imp_right, indax, next_right, node, proof_tokens,
-                       rebuild, seq, shift)
+                       apply_rule, ax, bridge_proof, check_proof, edge,
+                       eigen_token, indax, node, proof_tokens, rebuild, seq,
+                       shift)
 from .errors import TransformError
 from .positions import (LtlPos, PastPos, Position, SeqPos, SetPos, Token,
                         ltl_add, prefix_replace, seqpos)
@@ -246,7 +245,7 @@ def necessitate(p: ProofNode, sys: SystemId) -> ProofNode:
         raise TransformError("necessitation needs an end sequent |- A at []")
     x = FreshTokenSource(proof_tokens(p)).take()
     lifted = lift_proof(p, seqpos(x), sys)
-    return box_right(lifted, x)
+    return apply_rule("boxR", (lifted,), x=x)
 
 
 def compose_mp(pab: ProofNode, pa: ProofNode, sys: SystemId) -> ProofNode:
@@ -268,9 +267,9 @@ def compose_mp(pab: ProofNode, pa: ProofNode, sys: SystemId) -> ProofNode:
     # eigen tokens renamed apart, into disjoint fresh sets
     source = FreshTokenSource(proof_tokens(pab) | proof_tokens(pa))
     pab2, pa2 = _scoped_rename(pab, source), _scoped_rename(pa, source)
-    gadget = imp_left(ax(pf(b_f, alpha)), ax(pf(a_f, alpha)))
-    c1 = cut(pab2, gadget, imp)
-    return cut(pa2, c1, pf(a_f, alpha))
+    gadget = apply_rule("impL", (ax(pf(b_f, alpha)), ax(pf(a_f, alpha))))
+    c1 = apply_rule("cut", (pab2, gadget), cutf=imp)
+    return apply_rule("cut", (pa2, c1), cutf=pf(a_f, alpha))
 
 
 def ind_to_axiom(p: ProofNode) -> ProofNode:
@@ -285,17 +284,18 @@ def ind_to_axiom(p: ProofNode) -> ProofNode:
         a_f, s_pos = a_pf.formula, a_pf.pos
         gamma, delta = concl.ant[:-1], concl.suc[1:]
         box_step = Box(Imp(a_f, Next(a_f)))
-        n1 = next_right(prems[0])
-        n2 = imp_right(n1)
-        n3 = box_right(n2, x)                  # Gamma |- box(A -> X A) at s, Delta
+        n1 = apply_rule("nextR", (prems[0],))
+        n2 = apply_rule("impR", (n1,))
+        n3 = apply_rule("boxR", (n2,), x=x)    # Gamma |- box(A -> X A) at s, Delta
         leaf = indax(a_f, s_pos)
-        g1 = and_right(ax(pf(a_f, s_pos)), ax(pf(box_step, s_pos)))
-        g2 = imp_left(ax(pf(Box(a_f), s_pos)), g1)
-        g3 = cut(leaf, g2, leaf.conclusion.suc[0])
-        c1 = cut(n3, g3, pf(box_step, s_pos))  # Gamma, A at s |- Delta, box A at s
+        g1 = apply_rule("andR", (ax(pf(a_f, s_pos)), ax(pf(box_step, s_pos))))
+        g2 = apply_rule("impL", (ax(pf(Box(a_f), s_pos)), g1))
+        g3 = apply_rule("cut", (leaf, g2), cutf=leaf.conclusion.suc[0])
+        c1 = apply_rule("cut", (n3, g3),
+                        cutf=pf(box_step, s_pos))   # Gamma, A at s |- Delta, box A at s
         c1 = bridge_proof(c1, seq(gamma + (a_pf,), (pf(Box(a_f), s_pos),) + delta))
-        g4 = box_left(ax(pf(a_f, ltl_add(s_pos, t))), t, alpha=s_pos)
-        c2 = cut(c1, g4, pf(Box(a_f), s_pos))
+        g4 = apply_rule("boxL", (ax(pf(a_f, ltl_add(s_pos, t))),), step=t, alpha=s_pos)
+        c2 = apply_rule("cut", (c1, g4), cutf=pf(Box(a_f), s_pos))
         return bridge_proof(c2, concl)
 
     return rebuild(p, leave)

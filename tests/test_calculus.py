@@ -15,14 +15,15 @@ from hypothesis import strategies as st
 from bridge_oracle import reference_bridge
 from proofgen import generate_suite
 from strategies import pformula_st
-from twoseq.calculus import (CORE_SYSTEMS, ProofNode, SystemId, apply_structural, ax, box_left,
-                             box_right, bridge_proof, check_proof, check_rule_instance,
-                             contr_left, cut, exc_left, expand_double_lines, node, seq,
+from twoseq.calculus import (CORE_SYSTEMS, TABLE, ProofNode, SystemId, apply_rule,
+                             apply_structural, ax, box_right, bridge_proof, check_proof,
+                             check_rule_instance, expand_double_lines, indax, node, seq,
                              structural_bridge, weak_left)
 from twoseq.errors import BridgeError, TwoseqError
 from twoseq.parser import parse_proof
-from twoseq.positions import seqpos, setpos
-from twoseq.syntax import Box, Prop, pf
+from twoseq.positions import (LtlPos, PastPos, SeqPos, SetPos, ltl_step, ltl_token, pastpos,
+                              seqpos, setpos)
+from twoseq.syntax import Box, Imp, Prop, pf
 from twoseq.transform import canonical_rename
 import twoseq.calculus as calculus
 import twoseq.cli as cli
@@ -148,14 +149,37 @@ def test_structural_rule_diagnostics(rule, params, conclusion, premise, want):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: contr_left(TWO_L), "contrL: last two antecedent formulas must agree"),
+    (lambda: apply_structural("contrL", TWO_L), "contrL: last two antecedent formulas must agree"),
     (lambda: apply_structural("contrR", TWO_R), "contrR: first two succedent formulas must agree"),
     (lambda: apply_structural("contrR", AX0), "contrR: first two succedent formulas must agree"),
-    (lambda: exc_left(TWO_L, 1), "excL: index out of range"),
+    (lambda: apply_structural("excL", TWO_L, 1), "excL: index out of range"),
     (lambda: apply_structural("excR", TWO_R, 1), "excR: index out of range"),
     (lambda: apply_structural("excR", TWO_R, -1), "excR: index out of range"),
+    (lambda: apply_structural("foo", AX0), "apply_structural builds no rule 'foo'"),
+    (lambda: apply_structural("boxL", AX0), "apply_structural builds no rule 'boxL'"),
 ])
 def test_structural_constructor_errors(build, message):
+    with pytest.raises(TwoseqError) as e:
+        build()
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: apply_rule("foo", (AX0,)), "apply_rule builds no rule 'foo'"),
+    (lambda: apply_rule("weakL", (AX0,)), "apply_rule builds no rule 'weakL'"),
+    (lambda: apply_rule("ax", ()), "apply_rule builds no rule 'ax'"),
+    (lambda: apply_rule("andR", (AX0,)), "andR: expected 2 premise(s), found 1"),
+    (lambda: apply_rule("negR", (AX0, AX0)), "negR: expected 1 premise(s), found 2"),
+    (lambda: apply_rule("cut", (AX0,), cutf=A0), "cut: expected 2 premise(s), found 1"),
+    (lambda: apply_rule("ind", (), x="x"), "ind: expected 1 premise(s), found 0"),
+    (lambda: apply_rule("ind", (apply_rule("negL", (AX0,)),), x="x"),
+     "ind: premise edge formulas differ or are missing"),
+    (lambda: apply_rule("andL1", (AX0,)),
+     "andL1: the operand no premise carries is missing (other)"),
+    (lambda: apply_rule("ind", (_built_by_name(SystemId.LTL, "ind").premises[0],), x="x"),
+     "ind: step None does not apply to position (0;{})"),
+])
+def test_apply_rule_refuses_what_it_cannot_build(build, message):
     with pytest.raises(TwoseqError) as e:
         build()
     assert str(e.value) == message
@@ -177,7 +201,7 @@ def test_step_named_twice_is_read_under_the_family_name_only():
         n = ProofNode("boxL", single, script.root.conclusion, (premise,))
         assert [(v.condition, v.message) for v in check_rule_instance(n, SystemId.LTL)] \
             == want, drop
-    boxed = box_left(ax(pf(P0, X)), X)
+    boxed = apply_rule("boxL", (ax(pf(P0, X)),), step=X)
     both = node("boxL", dict(boxed.params, t=X), boxed.conclusion, boxed.premises)
     assert check_rule_instance(boxed, SystemId.K) == []
     assert [(v.condition, v.message) for v in check_rule_instance(both, SystemId.K)] == \
@@ -320,6 +344,79 @@ def test_corpus_negative_matrix():
             assert not check_proof(proof, sysid).accepted, sysid
 
 
+_ORIGIN = {SeqPos: seqpos(), SetPos: setpos(), LtlPos: LtlPos(), PastPos: pastpos()}
+
+
+def _built_by_name(sys: SystemId, rule: str) -> ProofNode:
+    """A small proof whose last rule is ``rule``, every node built by its
+    name through ``apply_rule``, ``apply_structural``, ``ax`` or ``indax``."""
+    fam = TABLE[sys].family
+    o, tick = _ORIGIN[fam], ltl_step(1)
+    a, b = pf(P0, o), pf(P1, o)
+    step = {SeqPos: seqpos, SetPos: setpos}.get(fam, ltl_token)("x")
+    up = calculus.shift(o, "+", step)               # where a step or an eigen token x leads
+    back = calculus.shift(o, "-", ltl_token("x")) if fam is PastPos else None
+
+    def stepped(r, at):                            # boxL, diaR, histL, onceR
+        return apply_rule(r, (ax(pf(P0, at)),), step=step, alpha=o)
+
+    def induction():                               # T at s+x |- T at s+x+1, T = p0 -> p0
+        sign = "-" if rule == "pind" else "+"
+        s = calculus.shift(o, sign, ltl_token("x"))
+        top = apply_rule("impR", (ax(pf(P0, calculus.shift(s, sign, tick))),))
+        prem = apply_structural("weakL", top, pf(Imp(P0, P0), s))
+        return apply_rule(rule, (prem,), x="x", step=ltl_token("z"))
+
+    build = {
+        "ax": lambda: ax(a),
+        "cut": lambda: apply_rule("cut", (ax(a), ax(a)), cutf=a),
+        "weakL": lambda: apply_structural("weakL", ax(a), b),
+        "weakR": lambda: apply_structural("weakR", ax(a), b),
+        "contrL": lambda: apply_structural("contrL", apply_structural("weakL", ax(a), a)),
+        "contrR": lambda: apply_structural("contrR", apply_structural("weakR", ax(a), a)),
+        "excL": lambda: apply_structural("excL", apply_structural("weakL", ax(a), b), 0),
+        "excR": lambda: apply_structural("excR", apply_structural("weakR", ax(a), b), 0),
+        "negL": lambda: apply_rule("negL", (ax(a),)),
+        "negR": lambda: apply_rule("negR", (ax(a),)),
+        "andL1": lambda: apply_rule("andL1", (ax(a),), other=P1),
+        "andL2": lambda: apply_rule("andL2", (ax(b),), other=P0),
+        "andR": lambda: apply_rule("andR", (ax(a), ax(b))),
+        "orL": lambda: apply_rule("orL", (ax(a), ax(b))),
+        "orR1": lambda: apply_rule("orR1", (ax(a),), other=P1),
+        "orR2": lambda: apply_rule("orR2", (ax(b),), other=P0),
+        "impL": lambda: apply_rule("impL", (ax(b), ax(a))),
+        "impR": lambda: apply_rule("impR", (ax(a),)),
+        "boxL": lambda: stepped("boxL", up),
+        "boxR": lambda: apply_rule("boxR", (stepped("boxL", up),), x="x"),
+        "diaR": lambda: stepped("diaR", up),
+        "diaL": lambda: apply_rule("diaL", (stepped("diaR", up),), x="x"),
+        "nextL": lambda: apply_rule("nextL", (ax(pf(P0, calculus.shift(o, "+", tick))),)),
+        "nextR": lambda: apply_rule("nextR", (build["nextL"](),)),
+        "prevL": lambda: apply_rule("prevL", (ax(a),)),
+        "prevR": lambda: apply_rule("prevR", (apply_rule("prevL", (ax(a),)),)),
+        "histL": lambda: stepped("histL", back),
+        "histR": lambda: apply_rule("histR", (stepped("histL", back),), x="x"),
+        "onceR": lambda: stepped("onceR", back),
+        "onceL": lambda: apply_rule("onceL", (stepped("onceR", back),), x="x"),
+        "ind": induction,
+        "pind": induction,
+        "indax": lambda: indax(P0, o),
+    }
+    return build[rule]()
+
+
+@pytest.mark.parametrize("sys_id", list(SystemId), ids=lambda s: s.value)
+def test_every_rule_is_built_by_name_and_accepted(sys_id):
+    fuzzed = sys_id in CORE_SYSTEMS or sys_id is SystemId.LTL
+    for rule in calculus.RULES_BY_SYSTEM[sys_id]:
+        p = _built_by_name(sys_id, rule)
+        assert p.rule == rule
+        rep = check_proof(p, sys_id)
+        assert rep.accepted, (rule, rep.render_text())
+        if fuzzed:
+            assert semantics.soundness_fuzz(p, sys_id, budget=200, seed=1).ok, rule
+
+
 def test_axiom_d_rejection_names_the_dia_step():
     rep = check_proof(corpus.axiom_d(), SystemId.K)
     assert any(v.rule == "diaR" and v.condition == "context-demand"
@@ -334,8 +431,8 @@ def test_axiom_4_rejected_in_k_for_its_two_token_step():
 
 def test_token_condition_rejects_shared_eigen_tokens():
     # two box-right rules with the same eigen token
-    left = box_right(box_left(ax(pf(P0, X)), X), "x")
-    right = box_right(box_left(ax(pf(P0, X)), X), "x")
+    left = box_right(apply_rule("boxL", (ax(pf(P0, X)),), step=X), "x")
+    right = box_right(apply_rule("boxL", (ax(pf(P0, X)),), step=X), "x")
     from twoseq.calculus import and_right
     both = and_right(left, right)
     rep = check_proof(both, SystemId.S4)

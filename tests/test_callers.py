@@ -24,9 +24,6 @@ EXEMPT = {
     # the text format has one parse entry point per production; a
     # positioned formula is one, and the tests read it through this
     ("parser", "parse_pformula"),
-    # the only constructor of a past-induction node, the twin of `ind`,
-    # which the corpus calls; no corpus proof uses past induction yet
-    ("calculus", "pind"),
 }
 
 
@@ -78,3 +75,42 @@ def test_every_src_name_has_a_caller_outside_the_tests():
                 continue
             unused.append(f"{stem}.{name}")
     assert unused == []
+
+
+# the constructors every rule is built through, by its name
+_BY_NAME = {"apply_rule", "apply_structural", "_induction"}
+
+
+def _forward(body) -> bool:
+    """Whether an expression is one call to a by-name constructor whose
+    arguments build nothing: the caller's values, passed on."""
+    if not isinstance(body, ast.Call):
+        return False
+    called = getattr(body.func, "id", getattr(body.func, "attr", None))
+    args = body.args + [k.value for k in body.keywords]
+    return called in _BY_NAME and not any(isinstance(n, ast.Call)
+                                          for a in args for n in ast.walk(a))
+
+
+def test_no_src_function_only_forwards_to_a_by_name_constructor():
+    """A rule is built by naming it to ``apply_rule`` or ``apply_structural``;
+    a function (or lambda) whose whole body passes its arguments on to one
+    of them is a wrapper that hides the name, kept only while ``bench/``
+    imports it."""
+    kept = {a.name for p in BENCH.glob("*.py") for n in ast.walk(ast.parse(p.read_text()))
+            if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    wrappers = []
+    for p in sorted(SRC.glob("*.py")):
+        for f in ast.walk(ast.parse(p.read_text())):
+            if isinstance(f, ast.Lambda):
+                name, body = "<lambda>", f.body
+            elif isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                stmts = f.body[1:] if ast.get_docstring(f) is not None else f.body
+                if len(stmts) != 1 or not isinstance(stmts[0], ast.Return):
+                    continue
+                name, body = f.name, stmts[0].value
+            else:
+                continue
+            if _forward(body) and name not in kept:
+                wrappers.append(f"{p.stem}.{name}")
+    assert wrappers == []

@@ -10,9 +10,8 @@ from pathlib import Path
 import pytest
 
 from proofgen import generate_suite
-from twoseq.calculus import (SystemId, apply_rule, apply_structural, ax, box_left,
-                             box_right, check_proof, cut, dia_right, height, seq,
-                             subproofs, weak_left)
+from twoseq.calculus import (SystemId, apply_rule, apply_structural, ax, box_right,
+                             check_proof, height, seq, subproofs, weak_left)
 from twoseq.cutelim import (eliminate_cuts, is_cut_free, mix, proof_degree,
                             verify_subformula_property)
 from twoseq.errors import (MixHypothesisError, RejectedProofError,
@@ -37,15 +36,16 @@ def test_proof_degree_cut_free():
 def test_proof_degree_is_sup_of_cut_formula_degrees():
     # assemble cuts on p0 (degree 0) and p0 -> p1 (degree 1): sup(deg+1) = 2
     imp = pf(Imp(P0, P1), E)
-    inner = cut(ax(imp), ax(imp), imp)
+    inner = apply_rule("cut", (ax(imp), ax(imp)), cutf=imp)
     atom = pf(P0, E)
-    outer = cut(ax(atom), weak_left(apply_structural("weakR", inner, atom), atom), atom)
+    outer = apply_rule("cut", (ax(atom), weak_left(apply_structural("weakR", inner, atom), atom)),
+                       cutf=atom)
     assert proof_degree(outer) == 2
 
 
 def test_proof_degree_single_boxed_cut():
     boxed = pf(Box(P0), E)
-    assert proof_degree(cut(ax(boxed), ax(boxed), boxed)) == 2
+    assert proof_degree(apply_rule("cut", (ax(boxed), ax(boxed)), cutf=boxed)) == 2
 
 
 def test_proof_degree_mp_example():
@@ -58,7 +58,8 @@ def test_proof_degree_mp_example():
 def test_mix_left_axiom_case():
     cutf = pf(P0, E)
     p1 = ax(cutf)
-    p2 = apply_structural("weakR", box_left(ax(pf(P0, E)), E), cutf)   # box p0, |- p0, p0
+    p2 = apply_structural("weakR", apply_rule("boxL", (ax(pf(P0, E)),), step=E),
+                          cutf)                         # box p0, |- p0, p0
     p2 = weak_left(p2, cutf)                            # box p0, p0 |- p0, p0
     # wrong shape for a direct cut; mix handles occurrences wholesale
     out = mix(p1, p2, cutf, SystemId.S4)
@@ -78,9 +79,9 @@ def test_mix_axiom_on_other_formula():
 
 def test_mix_principal_box_case():
     # |- box p0 against box p0 |- p0 at [y]
-    left = box_right(box_left(ax(pf(P0, seqpos("x"))), seqpos("x")), "x")
+    left = box_right(apply_rule("boxL", (ax(pf(P0, seqpos("x"))),), step=seqpos("x")), "x")
     assert left.conclusion == seq((pf(Box(P0), E),), (pf(Box(P0), E),))
-    right = box_left(ax(pf(P0, seqpos("y"))), seqpos("y"))
+    right = apply_rule("boxL", (ax(pf(P0, seqpos("y"))),), step=seqpos("y"))
     cutf = pf(Box(P0), E)
     out = mix(left, right, cutf, SystemId.S4)
     assert out.conclusion == seq((pf(Box(P0), E),), (pf(P0, seqpos("y")),))
@@ -90,7 +91,7 @@ def test_mix_principal_box_case():
 
 def test_mix_degree_precondition():
     boxed = pf(Box(P0), E)
-    deep = cut(ax(boxed), ax(boxed), boxed)     # degree 2
+    deep = apply_rule("cut", (ax(boxed), ax(boxed)), cutf=boxed)    # degree 2
     with pytest.raises(TwoseqError):
         mix(deep, ax(pf(P0, E)), pf(P0, E), SystemId.S4)
 
@@ -99,7 +100,7 @@ def test_mix_and_eliminate_check_their_inputs():
     # p0 @ [x] |- box p0 @ []: the boxR eigen position [x] is among the
     # context initials; unchecked, the principal reduction fails to bridge
     bad = box_right(ax(pf(P0, seqpos("x"))), "x")
-    right = box_left(ax(pf(P0, seqpos("z"))), seqpos("z"))
+    right = apply_rule("boxL", (ax(pf(P0, seqpos("z"))),), step=seqpos("z"))
     cutf = pf(Box(P0), E)
     lines = []
     with pytest.raises(TwoseqError) as e:
@@ -109,12 +110,12 @@ def test_mix_and_eliminate_check_their_inputs():
                             "eigen-position: eigenposition [x] occurs among the "
                             "context initials")
     with pytest.raises(TwoseqError) as e:
-        eliminate_cuts(cut(bad, right, cutf), SystemId.S4, lines.append)
+        eliminate_cuts(apply_rule("cut", (bad, right), cutf=cutf), SystemId.S4, lines.append)
     assert type(e.value) is RejectedProofError and lines == []
     assert str(e.value) == ("cut elimination: the input proof is rejected in S4: "
                             "at 0 [boxR] eigen-position: eigenposition [x] occurs "
                             "among the context initials")
-    assert e.value.report == check_proof(cut(bad, right, cutf), SystemId.S4)
+    assert e.value.report == check_proof(apply_rule("cut", (bad, right), cutf=cutf), SystemId.S4)
 
 
 def test_mix_refused_outside_core():
@@ -149,7 +150,7 @@ def test_mix_position_hypothesis_in_the_restricted_systems():
     # of neither cut-free context, which only K and K4 demand
     x = seqpos("x")
     aa = pf(Imp(P0, P0), x)
-    left, right = corpus.taut(P0, x), dia_right(ax(aa), x)
+    left, right = corpus.taut(P0, x), apply_rule("diaR", (ax(aa),), step=x)
     for sysid in (SystemId.K, SystemId.K4):
         with pytest.raises(MixHypothesisError) as e:
             mix(left, right, aa, sysid)
@@ -202,7 +203,7 @@ def test_eliminate_k_bypass_when_cut_formula_recurs():
     p1 = apply_structural("weakR", ax(cutf), cutf)      # p0 |- p0, p0  (head is cutf)
     p1 = apply_structural("excR", p1, 0)
     p2 = ax(cutf)
-    p = cut(p1, p2, cutf)
+    p = apply_rule("cut", (p1, p2), cutf=cutf)
     assert check_proof(p, SystemId.K).accepted
     out = eliminate_cuts(p, SystemId.K)
     assert is_cut_free(out)
@@ -238,8 +239,8 @@ def test_outputs_hold_no_pending_renaming():
     # bypassed cut (K and K4), reach elimination's cut-free return
     bb = pf(Box(P0), E)
     beside = and_right(corpus.mp_example(SystemId.S4), _boxed(P0, (), "x"))
-    bypass = cut(apply_structural("excR", apply_structural("weakR", _boxed(P0, (), "x"), bb), 0),
-                 ax(bb), bb)
+    bypass = apply_rule("cut", (apply_structural("excR", apply_structural(
+        "weakR", _boxed(P0, (), "x"), bb), 0), ax(bb)), cutf=bb)
     extra = {SystemId.S4: [beside], SystemId.K: [bypass], SystemId.K4: [bypass]}
     mixed = 0
     for sysid in CORE:
@@ -270,7 +271,7 @@ def test_subformula_property_negative_control():
     alien = pf(P1, E)
     prem1 = apply_structural("weakR", ax(pf(P0, E)), alien)    # p0 |- p1, p0
     prem2 = weak_left(ax(pf(P0, E)), alien)         # p0, p1 |- p0
-    p = cut(prem1, prem2, alien)
+    p = apply_rule("cut", (prem1, prem2), cutf=alien)
     assert check_proof(p, SystemId.S4).accepted
     assert not verify_subformula_property(p)
     assert verify_subformula_property(eliminate_cuts(p, SystemId.S4))
@@ -317,10 +318,9 @@ def test_eliminated_proofs_never_conclude_empty():
 
 
 def test_mix_principal_not_case():
-    from twoseq.calculus import neg_left, neg_right
     cutf = pf(Not(P0), E)
-    p1 = neg_right(ax(pf(P0, E)))               # |- ~p0, p0
-    p2 = neg_left(ax(pf(P0, E)))                # p0, ~p0 |-
+    p1 = apply_rule("negR", (ax(pf(P0, E)),))    # |- ~p0, p0
+    p2 = apply_rule("negL", (ax(pf(P0, E)),))    # p0, ~p0 |-
     out = mix(p1, p2, cutf, SystemId.S4)
     assert out.conclusion == seq((pf(P0, E),), (pf(P0, E),))
     assert check_proof(out, SystemId.S4).accepted
@@ -328,15 +328,15 @@ def test_mix_principal_not_case():
 
 
 def test_mix_principal_and_case():
-    from twoseq.calculus import and_left1, and_left2, and_right
+    from twoseq.calculus import and_right
     cutf = pf(And(P0, P1), E)
     p1 = and_right(ax(pf(P0, E)), ax(pf(P1, E)))    # p0, p1 |- p0 & p1
     for left_side in (True, False):
         if left_side:
-            p2 = and_left1(ax(pf(P0, E)), P1)       # p0 & p1 |- p0
+            p2 = apply_rule("andL1", (ax(pf(P0, E)),), other=P1)    # p0 & p1 |- p0
             want = seq((pf(P0, E), pf(P1, E)), (pf(P0, E),))
         else:
-            p2 = and_left2(ax(pf(P1, E)), P0)       # p0 & p1 |- p1
+            p2 = apply_rule("andL2", (ax(pf(P1, E)),), other=P0)    # p0 & p1 |- p1
             want = seq((pf(P0, E), pf(P1, E)), (pf(P1, E),))
         out = mix(p1, p2, cutf, SystemId.S4)
         assert out.conclusion == want
@@ -358,10 +358,10 @@ def test_mix_principal_or_case():
 
 
 def test_mix_principal_dia_case():
-    from twoseq.calculus import dia_left, dia_right
     cutf = pf(Dia(P0), E)
-    p1 = dia_right(ax(pf(P0, seqpos("y"))), seqpos("y"))    # p0 at [y] |- dia p0
-    p2 = dia_left(dia_right(ax(pf(P0, seqpos("x"))), seqpos("x")), "x")
+    p1 = apply_rule("diaR", (ax(pf(P0, seqpos("y"))),), step=seqpos("y"))    # p0 at [y] |- dia p0
+    p2 = apply_rule("diaL", (apply_rule("diaR", (ax(pf(P0, seqpos("x"))),), step=seqpos("x")),),
+                    x="x")
     assert p2.conclusion == seq((cutf,), (cutf,))
     out = mix(p1, p2, cutf, SystemId.S4)
     assert out.conclusion == seq((pf(P0, seqpos("y")),), (cutf,))
@@ -372,11 +372,11 @@ def test_mix_principal_dia_case():
 def test_mix_right_rule_reapplied():
     # the second proof ends with a right rule, so its last step is rebuilt
     # over the mixed premise with the cut occurrence weakened back
-    from twoseq.calculus import and_right, neg_right
+    from twoseq.calculus import and_right
     p5 = Prop("p5")
     cutf = pf(And(P0, P1), E)
     p1 = and_right(ax(pf(P0, E)), ax(pf(P1, E)))
-    p2 = neg_right(weak_left(ax(pf(p5, E)), cutf))      # p5 |- ~(p0 & p1), p5
+    p2 = apply_rule("negR", (weak_left(ax(pf(p5, E)), cutf),))    # p5 |- ~(p0 & p1), p5
     out = mix(p1, p2, cutf, SystemId.S4)
     assert out.conclusion == seq(
         (pf(P0, E), pf(P1, E), pf(p5, E)),
@@ -385,11 +385,11 @@ def test_mix_right_rule_reapplied():
 
 
 def test_mix_removes_context_occurrences_wholesale():
-    from twoseq.calculus import imp_left, imp_right
+    from twoseq.calculus import imp_right
     cutf = pf(Imp(P0, P0), E)
     p1 = apply_structural("excR", apply_structural("weakR", imp_right(ax(pf(P0, E))), cutf), 0)
     assert p1.conclusion.suc == (cutf, cutf)
-    p2 = imp_left(ax(pf(P0, E)), ax(pf(P0, E)))     # p0, p0 -> p0 |- p0
+    p2 = apply_rule("impL", (ax(pf(P0, E)), ax(pf(P0, E))))    # p0, p0 -> p0 |- p0
     out = mix(p1, p2, cutf, SystemId.S4)
     assert out.conclusion == seq((pf(P0, E),), (pf(P0, E),))
     assert check_proof(out, SystemId.S4).accepted
@@ -399,8 +399,7 @@ def test_mix_removes_context_occurrences_wholesale():
 def _random_cut_proof_pool(sysid, rng):
     """Grow a pool of accepted proofs by random forward rule application,
     including cuts whose formula is weakened into or shared with a partner."""
-    from twoseq.calculus import (and_left1, and_right, bridge_proof, imp_left,
-                                 imp_right, neg_left, neg_right, check_rule_instance)
+    from twoseq.calculus import and_right, bridge_proof, check_rule_instance, imp_right
     from twoseq.errors import BridgeError
     from strategies import random_formula
 
@@ -417,11 +416,11 @@ def _random_cut_proof_pool(sysid, rng):
             elif kind == 1:
                 q = apply_structural("weakR", p, rand_pf())
             elif kind == 2:
-                q = neg_left(p)
+                q = apply_rule("negL", (p,))
             elif kind == 3:
-                q = neg_right(p)
+                q = apply_rule("negR", (p,))
             elif kind == 4:
-                q = and_left1(p, rand_pf().formula)
+                q = apply_rule("andL1", (p,), other=rand_pf().formula)
             elif kind == 5:
                 q = apply_rule("orR1", (p,), other=rand_pf().formula)
             elif kind == 6:
@@ -429,7 +428,7 @@ def _random_cut_proof_pool(sysid, rng):
             elif kind == 7:
                 q = and_right(p, rng.choice(pool))
             elif kind == 8:
-                q = imp_left(p, rng.choice(pool))
+                q = apply_rule("impL", (p, rng.choice(pool)))
             elif kind == 9:
                 q = apply_rule("orL", (p, rng.choice(pool)))
             else:
@@ -441,7 +440,7 @@ def _random_cut_proof_pool(sysid, rng):
                               partner.conclusion.suc)
                 else:
                     tgt = seq(ant + (a,), partner.conclusion.suc)
-                q = cut(p, bridge_proof(partner, tgt), a)
+                q = apply_rule("cut", (p, bridge_proof(partner, tgt)), cutf=a)
             if height(q) > 14 or len(q.conclusion.ant) > 4 \
                     or len(q.conclusion.suc) > 4 or check_rule_instance(q, sysid):
                 continue
@@ -558,39 +557,39 @@ def test_cut_free_output_is_pinned(sysid):
 def _boxed(atom, at, x):
     """box atom @ at |- box atom @ at, by boxL then boxR with eigen x."""
     inner = seqpos(*at, x)
-    return box_right(box_left(ax(pf(atom, inner)), seqpos(x), seqpos(*at)), x)
+    return box_right(apply_rule("boxL", (ax(pf(atom, inner)),), step=seqpos(x),
+                                alpha=seqpos(*at)), x)
 
 
 def _principal_pairs():
     """Per connective, a proof introducing the cut formula on the right,
     one introducing it on the left, and the cut formula; every premise
     carries an eigen token, so a change in renaming order shows."""
-    from twoseq.calculus import (and_left1, and_left2, and_right, dia_left,
-                                 dia_right, imp_left, imp_right, neg_left,
-                                 neg_right)
+    from twoseq.calculus import and_right, imp_right
     bb = Box(P0)
     out = {
-        "not": (neg_right(_boxed(P0, (), "x")), neg_left(_boxed(P0, (), "y")),
-                pf(Not(bb), E)),
+        "not": (apply_rule("negR", (_boxed(P0, (), "x"),)),
+                apply_rule("negL", (_boxed(P0, (), "y"),)), pf(Not(bb), E)),
         "andL1": (and_right(_boxed(P0, (), "x"), _boxed(P0, (), "y")),
-                  and_left1(_boxed(P0, (), "z"), bb), pf(And(bb, bb), E)),
+                  apply_rule("andL1", (_boxed(P0, (), "z"),), other=bb), pf(And(bb, bb), E)),
         "andL2": (and_right(_boxed(P0, (), "x"), _boxed(P0, (), "y")),
-                  and_left2(_boxed(P0, (), "z"), bb), pf(And(bb, bb), E)),
+                  apply_rule("andL2", (_boxed(P0, (), "z"),), other=bb), pf(And(bb, bb), E)),
         "imp": (imp_right(_boxed(P0, (), "x")),
-                imp_left(_boxed(P0, (), "y"), _boxed(P0, (), "z")),
+                apply_rule("impL", (_boxed(P0, (), "y"), _boxed(P0, (), "z"))),
                 pf(Imp(bb, bb), E)),
         # box p0 |- box box p0 against box box p0 |- box p0 @ [z]
-        "box": (box_right(box_right(box_left(ax(pf(P0, seqpos("x", "y"))),
-                                             seqpos("x", "y")), "y"), "x"),
-                box_left(_boxed(P0, ("z",), "w"), seqpos("z")),
+        "box": (box_right(box_right(apply_rule("boxL", (ax(pf(P0, seqpos("x", "y"))),),
+                                               step=seqpos("x", "y")), "y"), "x"),
+                apply_rule("boxL", (_boxed(P0, ("z",), "w"),), step=seqpos("z")),
                 pf(Box(bb), E)),
     }
     # dia p0 @ [z] |- dia dia p0 against dia dia p0 |- dia p0
-    inner = dia_left(dia_right(ax(pf(P0, seqpos("z", "w"))), seqpos("w"),
-                               seqpos("z")), "w")
-    eig = dia_left(dia_right(ax(pf(P0, seqpos("x", "y"))), seqpos("x", "y")), "y")
-    out["dia"] = (dia_right(inner, seqpos("z")), dia_left(eig, "x"),
-                  pf(Dia(Dia(P0)), E))
+    inner = apply_rule("diaL", (apply_rule("diaR", (ax(pf(P0, seqpos("z", "w"))),),
+                                           step=seqpos("w"), alpha=seqpos("z")),), x="w")
+    eig = apply_rule("diaL", (apply_rule("diaR", (ax(pf(P0, seqpos("x", "y"))),),
+                                         step=seqpos("x", "y")),), x="y")
+    out["dia"] = (apply_rule("diaR", (inner,), step=seqpos("z")),
+                  apply_rule("diaL", (eig,), x="x"), pf(Dia(Dia(P0)), E))
     return out
 
 
@@ -627,10 +626,10 @@ def test_principal_mix_output_is_pinned(sysid, case):
 
 def _or_pair():
     """box p0 |- box p0 | p1 against p2, box p0 | p1 |- box p0, p1."""
-    from twoseq.calculus import exc_left
     p1 = apply_rule("orR1", (_boxed(P0, (), "x"),), other=P1)
     p2 = apply_rule("orL", (ax(pf(Box(P0), E)),
-                            exc_left(weak_left(ax(pf(P1, E)), pf(Prop("p2"), E)), 0)))
+                            apply_structural("excL", weak_left(ax(pf(P1, E)),
+                                                               pf(Prop("p2"), E)), 0)))
     return p1, p2, pf(Or(Box(P0), P1), E)
 
 

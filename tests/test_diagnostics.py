@@ -13,9 +13,9 @@ import pytest
 
 from mutants import (GOLDEN, corpus_proofs, eigen_mutants, eigen_subjects,
                      failures, mutants)
-from twoseq.calculus import (TABLE, OccurrenceIndex, ProofNode, SystemId,
-                             Violation, _family_violations, ax, check_proof,
-                             check_rule_instance, expand_double_lines, ind, indax)
+from twoseq.calculus import (OccurrenceIndex, ProofNode, SystemId, TABLE, Violation,
+                             _family_violations, apply_rule, ax, check_proof,
+                             check_rule_instance, expand_double_lines, indax)
 from twoseq.parser import parse_proof
 from twoseq.positions import LtlPos, ltl_token, seqpos
 from twoseq.syntax import And, Box, Imp, Prev, Prop, Sequent, pf
@@ -178,7 +178,7 @@ def _induction(ant, suc) -> ProofNode:
     between the given contexts."""
     premise = ProofNode("ax", (), Sequent(ant + (pf(_P0, _at(0, "x")),),
                                           (pf(_P0, _at(1, "x")),) + suc))
-    return ind(premise, "x", ltl_token("z"))
+    return apply_rule("ind", (premise,), x="x", step=ltl_token("z"))
 
 
 def test_an_induction_with_context_on_both_sides_is_accepted_and_its_context_read():

@@ -6,8 +6,8 @@ import pytest
 
 from semantics_oracle import letter
 from strategies import random_ltl_formula
-from twoseq.calculus import (ProofNode, SystemId, check_proof, check_rule_instance,
-                             pind, seq, weak_left)
+from twoseq.calculus import (ProofNode, SystemId, apply_rule, check_proof,
+                             check_rule_instance, seq, weak_left)
 from twoseq.cutelim import eliminate_cuts
 from twoseq.errors import TwoseqError, UnsupportedSystemError
 from twoseq.ltl import (LassoWord, a_value, eval_at, exhaustive_valuations,
@@ -160,7 +160,7 @@ def test_pind_constructor_builds_a_past_induction_instance():
     # and concludes A at s |- A at s-t
     a, down = Prop("p0"), pastpos(0, ("x",))
     prem = ProofNode("premise", (), seq((pf(a, down),), (pf(a, pastpos(-1, ("x",))),)))
-    n = pind(prem, "x", ltl_token("z"))
+    n = apply_rule("pind", (prem,), x="x", step=ltl_token("z"))
     assert n.conclusion == seq((pf(a, pastpos()),), (pf(a, pastpos(0, ("z",))),))
     assert dict(n.params) == {"alpha": pastpos(), "x": "x", "t": ltl_token("z")}
     assert check_rule_instance(n, SystemId.LTLP) == []
@@ -170,10 +170,10 @@ def test_pind_constructor_builds_a_past_induction_instance():
 
 
 def test_past_proof_with_reused_eigen_token_rejected():
-    from twoseq.calculus import ax, box_right, imp_right, once_right
+    from twoseq.calculus import ax, box_right, imp_right
     base = pastpos()
-    n = once_right(ax(pf(P0, base)), pastpos(0, (), ("x",)),
-                   LtlPos(0, frozenset("x")))
+    n = apply_rule("onceR", (ax(pf(P0, base)),), step=LtlPos(0, frozenset("x")),
+                   alpha=pastpos(0, (), ("x",)))
     n = weak_left(n, pf(Prop("p1"), pastpos(0, ("x",))))
     n = box_right(n, "x")                   # eigen token already in context
     rep = check_proof(n, SystemId.LTLP)

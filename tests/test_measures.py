@@ -12,9 +12,9 @@ import pytest
 
 from proofgen import generate_suite
 from twoseq import corpus
-from twoseq.calculus import (CORE_SYSTEMS, OccurrenceIndex, ProofNode,
-                             SystemId, ax, eigen_token, exc_left, height,
-                             iter_nodes, node, subproofs, weak_left)
+from twoseq.calculus import (CORE_SYSTEMS, OccurrenceIndex, ProofNode, SystemId,
+                             apply_structural, ax, eigen_token, height, iter_nodes, node,
+                             subproofs, weak_left)
 from twoseq.cutelim import is_cut_free, proof_degree
 from twoseq.errors import DegreeUndefinedError
 from twoseq.positions import LtlPos, seqpos
@@ -128,7 +128,7 @@ def test_measures_of_a_100k_deep_chain_are_read_not_walked():
     n = 100_000
     p = weak_left(ax(pf(Prop("p0"), seqpos())), pf(Prop("p1"), seqpos()))
     for _ in range(n - 1):
-        p = exc_left(p, 0)
+        p = apply_structural("excL", p, 0)
     assert height(p) == p.height == p.size == n + 1
     assert (p.eigens, proof_degree(p), is_cut_free(p)) == (0, 0, True)
     assert OccurrenceIndex(p).end[0] == n

@@ -14,10 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from twoseq.calculus import (RULES_BY_SYSTEM, TABLE, ProofNode, ScriptNode,
-                             SystemId, ax, box_right, check_proof,
-                             check_rule_instance, cut, exc_left, imp_right,
-                             weak_left)
+from twoseq.calculus import (ProofNode, RULES_BY_SYSTEM, ScriptNode, SystemId, TABLE,
+                             apply_rule, apply_structural, ax, box_right, check_proof,
+                             check_rule_instance, imp_right, weak_left)
 from twoseq.positions import LtlPos, PastPos, SeqPos, SetPos, seqpos
 from twoseq.syntax import Box, Next, Prop, Sequent, pf, seq
 
@@ -55,21 +54,21 @@ def test_proof_node_fields_and_measures():
     assert boxed.premises == (_boxed_premise(),)
     assert _measures(boxed) == (3, 3, 1, 0)
 
-    swapped = exc_left(weak_left(boxed, pf(P1, E)), 0)
+    swapped = apply_structural("excL", weak_left(boxed, pf(P1, E)), 0)
     assert _measures(swapped) == (5, 5, 1, 0)
     assert swapped.params == (("at", 0),)
 
     # cut rank: one past the cut formula's degree, the largest over the tree
-    c = cut(boxed, ax(pf(Box(P0), E)), pf(Box(P0), E))
+    c = apply_rule("cut", (boxed, ax(pf(Box(P0), E))), cutf=pf(Box(P0), E))
     assert c.params == (("cutf", pf(Box(P0), E)),)
     assert _measures(c) == (4, 5, 1, 2)
-    cc = cut(c, ax(pf(Box(P0), E)), pf(Box(P0), E))
+    cc = apply_rule("cut", (c, ax(pf(Box(P0), E))), cutf=pf(Box(P0), E))
     assert _measures(cc) == (5, 7, 1, 2)
 
 
 def test_temporal_cut_formula_has_rank_minus_one():
     a = pf(Next(P0), LtlPos())
-    c = cut(ax(a), ax(a), a)
+    c = apply_rule("cut", (ax(a), ax(a)), cutf=a)
     assert c.cut_rank == -1
     # and a rank of -1 below wins over any cut above
     b = pf(P0, LtlPos())
@@ -123,7 +122,7 @@ def test_missing_eigen_token_counts_no_eigen_rule():
 
 
 def test_missing_or_ill_typed_cut_formula_has_rank_minus_one():
-    good = cut(_boxed(), ax(pf(Box(P0), E)), pf(Box(P0), E))
+    good = apply_rule("cut", (_boxed(), ax(pf(Box(P0), E))), cutf=pf(Box(P0), E))
     for params in ((), (("cutf", "box p0"),), (("cutf", None), ("cutf", pf(Box(P0), E)))):
         n = ProofNode("cut", params, good.conclusion, good.premises)
         assert _measures(n) == (4, 5, 1, -1), params
@@ -163,7 +162,7 @@ def test_equality_and_hash_read_the_tree():
 
 
 def test_copies_and_pickles_rebuild_the_node():
-    a = cut(_boxed(), ax(pf(Box(P0), E)), pf(Box(P0), E))
+    a = apply_rule("cut", (_boxed(), ax(pf(Box(P0), E))), cutf=pf(Box(P0), E))
     s = ScriptNode("bridge", (), a.conclusion, (ScriptNode("ax", (), a.conclusion),))
     for n in (a, s):
         for b in (copy.copy(n), copy.deepcopy(n), pickle.loads(pickle.dumps(n))):

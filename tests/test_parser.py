@@ -18,9 +18,10 @@ from corruptions import GOLDEN as PARSE_ERRORS, corruptions, parse_error
 from mutants import corpus_proofs
 from proofgen import generate_suite
 from strategies import formula_st, pformula_st, sequent_st
-from twoseq.calculus import (STRUCTURAL_RULES, ProofNode, SystemId, and_right, ax,
-                             box_right, check_proof, expand_double_lines, imp_right,
-                             iter_nodes, subproofs, weak_left)
+from twoseq.calculus import (ProofNode, STRUCTURAL_RULES, SystemId, and_right,
+                             apply_structural, ax, box_right, check_proof,
+                             expand_double_lines, imp_right, iter_nodes, subproofs,
+                             weak_left)
 from twoseq.cutelim import eliminate_cuts
 from twoseq.errors import ParseError, TwoseqError
 from twoseq.ltl import LassoWord
@@ -164,10 +165,10 @@ def test_every_corpus_proof_round_trips():
 
 
 def test_render_grows_linearly_with_depth():
-    from twoseq.calculus import ax, exc_left, weak_left
+    from twoseq.calculus import ax, weak_left
     p = weak_left(ax(pf(Prop("p0"), seqpos())), pf(Prop("p1"), seqpos()))
     for _ in range(10_000):
-        p = exc_left(p, 0)
+        p = apply_structural("excL", p, 0)
     text = render_proof(SystemId.K, p)
     assert len(text) < 200 * p.size
     assert expand_double_lines(parse_proof(text)) == p

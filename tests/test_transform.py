@@ -2,9 +2,8 @@
 
 import pytest
 
-from twoseq.calculus import (ProofNode, SystemId, and_right, ax, box_left,
-                             box_right, check_proof, eigen_token, iter_nodes,
-                             seq)
+from twoseq.calculus import (ProofNode, SystemId, and_right, apply_rule, ax, box_right,
+                             check_proof, eigen_token, iter_nodes, seq)
 from twoseq.errors import TransformError
 from twoseq.positions import (LtlPos, PastPos, SetPos, prefix_replace,
                               seqpos)
@@ -37,7 +36,7 @@ def test_rename_single_eigen_gets_b0():
 
 
 def test_rename_duplicated_subproofs_get_distinct_tokens():
-    half = box_right(box_left(ax(pf(P0, seqpos("x"))), seqpos("x")), "x")
+    half = box_right(apply_rule("boxL", (ax(pf(P0, seqpos("x"))),), step=seqpos("x")), "x")
     both = and_right(half, half)
     assert not check_proof(both, SystemId.S4).accepted
     out = canonical_rename(both)
@@ -340,8 +339,8 @@ def test_pending_rename_reads_like_the_eager_one(sysid):
 
 _DEEP = """
 import sys
-from twoseq.calculus import (SystemId, ax, box_left, box_right, check_proof,
-                             exc_left, proof_tokens, weak_left)
+from twoseq.calculus import (SystemId, apply_rule, apply_structural, ax, box_right,
+                             check_proof, proof_tokens, weak_left)
 from twoseq.cutelim import is_cut_free
 from twoseq.positions import seqpos
 from twoseq.syntax import Not, Prop, is_subformula, pf
@@ -353,10 +352,10 @@ P0, P1, E = Prop("p0"), Prop("p1"), seqpos()
 
 def chain(eigen):
     # box p0 @ [], p1 @ [] |- box p0 @ []: a boxL/boxR leaf, then N exchanges
-    leaf = box_right(box_left(ax(pf(P0, seqpos(eigen))), seqpos(eigen)), eigen)
+    leaf = box_right(apply_rule("boxL", (ax(pf(P0, seqpos(eigen))),), step=seqpos(eigen)), eigen)
     p = weak_left(leaf, pf(P1, E))
     for _ in range(N):
-        p = exc_left(p, 0)
+        p = apply_structural("excL", p, 0)
     return p
 
 
