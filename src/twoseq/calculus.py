@@ -38,8 +38,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BridgeError, KernelInvariantError, TwoseqError
 from .positions import (Interned, LtlPos, PastPos, Position, SeqPos, SetPos,
-                        Token, concat, initials, ltl_add, ltl_step, ltl_token,
-                        past_add, past_sub, seqpos)
+                        Token, initials, ltl_step, ltl_token, seqpos)
 from .syntax import (And, Box, Dia, Formula, Hist, Imp, Next, Not, Once, Or,
                      PFormula, Prev, Sequent, degree, has_past, has_temporal,
                      pf, seq, tokens_of)
@@ -396,18 +395,24 @@ def _fits(pos, sign: str, step) -> bool:
 
 def shift(pos: Position, sign: str, step) -> Optional[Position]:
     """``pos`` moved forward (``+``) or back (``-``) by ``step``, or None
-    when the step is not of a family that moves the position."""
+    when the step is not of a family that moves the position.
+
+    Sequences concatenate (associative, unit ``[]``); token sets unite and
+    step counts add.  A past position moved forward consumes the step's
+    tokens pending in its future set and moves the rest to its past set;
+    moved back, the dual."""
     if not _fits(pos, sign, step):
         return None
-    if sign == "-":
-        return past_sub(pos, step.steps, step.future)
     if isinstance(pos, SeqPos):
-        return concat(pos, step)
+        return SeqPos(pos.items + step.items)
     if isinstance(pos, SetPos):
         return SetPos(pos.items | step.items)
     if isinstance(pos, LtlPos):
-        return ltl_add(pos, step)
-    return past_add(pos, step.steps, step.future)
+        return LtlPos(pos.steps + step.steps, pos.future | step.future)
+    t, fut, past = step.future, pos.future, pos.past
+    if sign == "-":
+        return PastPos(pos.offset - step.steps, fut | (t - past), past - t)
+    return PastPos(pos.offset + step.steps, fut - t, past | (t - fut))
 
 
 def _unshift(pos: Position, sign: str, step) -> Position:
@@ -550,6 +555,13 @@ def _base(rule: str, pos: Position, act: Active, values: dict,
     return alpha
 
 
+def _require(rule: str, kinds: Iterable[str], values: dict) -> None:
+    """Refuse to build ``rule`` without a parameter of each of ``kinds``."""
+    for kind in kinds:
+        if values[kind] is None:
+            raise TwoseqError(f"{rule}: {_PARAM_KINDS[kind][1]}")
+
+
 def apply_rule(rule: str, premises: Sequence[ProofNode], *,
                alpha: Optional[Position] = None, step=None,
                x: Optional[Token] = None, cutf: Optional[PFormula] = None,
@@ -567,6 +579,7 @@ def apply_rule(rule: str, premises: Sequence[ProofNode], *,
     if s is None:
         return _induction(rule, premises[0], x, step)
     values = {"step": step, "x": x, "cutf": cutf}
+    _require(rule, s.params, values)
     operands: dict[str, Formula] = {}
     base = None
     for i, (p, shape) in enumerate(zip(premises, s.premises)):
@@ -669,6 +682,7 @@ def _induction(rule: str, p: ProofNode, x: Token, t: LtlPos) -> ProofNode:
     a, b = edge(s, "L"), edge(s, "R")
     if a is None or b is None or a.formula != b.formula:
         raise TwoseqError(f"{rule}: premise edge formulas differ or are missing")
+    _require(rule, ("x", "step"), {"x": x, "step": t})
     base = _base(rule, a.pos, Active(sign + "x"), {"x": x}, None)
     if shift(a.pos, sign, ltl_step(1)) != b.pos:
         raise TwoseqError(f"{rule}: premise positions are not s{sign}x and s{sign}x{sign}1")

@@ -1,10 +1,10 @@
-"""The built-in derivation corpus.
-
-One constructor per concrete derivation the kernel is exercised against:
-the characteristic modal axioms, the modus-ponens detour, the directed
-axiom over set positions, the eight linear-time axioms, the blocked-cut
-example, and the four tense axioms with past.  Each system maps to the
-corpus entries that are legal in it.
+"""The built-in derivation corpus: the characteristic modal axioms, the
+modus-ponens detour, the directed axiom over set positions, the eight
+linear-time axioms, the blocked-cut example and the four tense axioms
+with past.  A derivation two position families share is written once:
+``_distribution`` builds axiom K, A1 (with X) and A3, and ``axiom_t`` and
+``axiom_4`` at the origin of linear time build A4 and A5.  Each system
+maps to the corpus entries that are legal in it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Callable
 
 from .calculus import (ProofNode, SystemId, apply_rule, apply_structural, ax,
                        bridge_proof, indax, seq)
-from .positions import LtlPos, ltl_token, pastpos, seqpos, setpos
+from .positions import LtlPos, Position, ltl_token, pastpos, seqpos, setpos
 from .syntax import And, Box, Formula, Imp, Next, Not, Prop, pf
 from .transform import compose_mp, ind_to_axiom
 
@@ -32,18 +32,26 @@ def taut(a: Formula = P0, pos=E) -> ProofNode:
     return apply_rule("impR", (ax(pf(a, pos)),))
 
 
-def axiom_k(a: Formula = P0, b: Formula = P1) -> ProofNode:
-    """|- box(A -> B) -> (box A -> box B), double lines expanded."""
-    x = seqpos("x")
-    n = apply_rule("impL", (ax(pf(b, x)), ax(pf(a, x))))
-    n = apply_rule("boxL", (n,), step=x)        # A, box(A->B) |- B
-    n = bridge_proof(n, seq((pf(Box(Imp(a, b)), E), pf(a, x)), (pf(b, x),)))
-    n = apply_rule("boxL", (n,), step=x)        # box(A->B), box A |- B
-    n = bridge_proof(n, seq((pf(Box(a), E), pf(Box(Imp(a, b)), E)), (pf(b, x),)))
-    n = apply_rule("boxR", (n,), x="x")         # ... |- box B
-    n = bridge_proof(n, seq((pf(Box(Imp(a, b)), E), pf(Box(a), E)),
-                            (pf(Box(b), E),)))
+def _distribution(op: type, rules, at: Position, a: Formula, b: Formula) -> ProofNode:
+    """|- op(A -> B) -> (op A -> op B) at the origin, double lines expanded:
+    ``rules`` name, with their parameters, the left rule that moves an op
+    formula from the origin to ``at`` and the right rule that moves op B back."""
+    (left, lp), (right, rp) = rules
+    o, ab = type(at)(), Imp(a, b)
+    n = apply_rule("impL", (ax(pf(b, at)), ax(pf(a, at))))
+    n = apply_rule(left, (n,), **lp)            # A, op(A->B) |- B
+    n = bridge_proof(n, seq((pf(op(ab), o), pf(a, at)), (pf(b, at),)))
+    n = apply_rule(left, (n,), **lp)            # op(A->B), op A |- B
+    n = bridge_proof(n, seq((pf(op(a), o), pf(op(ab), o)), (pf(b, at),)))
+    n = apply_rule(right, (n,), **rp)           # ... |- op B
+    n = bridge_proof(n, seq((pf(op(ab), o), pf(op(a), o)), (pf(op(b), o),)))
     return apply_rule("impR", (apply_rule("impR", (n,)),))
+
+
+def axiom_k(a: Formula = P0, b: Formula = P1) -> ProofNode:
+    """|- box(A -> B) -> (box A -> box B) over sequences."""
+    x = seqpos("x")
+    return _distribution(Box, (("boxL", {"step": x}), ("boxR", {"x": "x"})), x, a, b)
 
 
 def axiom_d(a: Formula = P0) -> ProofNode:
@@ -54,17 +62,19 @@ def axiom_d(a: Formula = P0) -> ProofNode:
     return apply_rule("impR", (n,))
 
 
-def axiom_t(a: Formula = P0) -> ProofNode:
-    """|- box A -> A, via an empty step."""
-    n = apply_rule("boxL", (ax(pf(a, E)),), step=E)
+def axiom_t(a: Formula = P0, at: Position = E) -> ProofNode:
+    """|- box A -> A at ``at``, the origin of sequences (axiom T) or of
+    linear time (A4), via an empty step."""
+    n = apply_rule("boxL", (ax(pf(a, at)),), step=at, alpha=at)
     return apply_rule("impR", (n,))
 
 
-def axiom_4(a: Formula = P0) -> ProofNode:
-    """|- box A -> box box A, via a two-token step."""
-    yx = seqpos("y", "x")
-    n = apply_rule("boxL", (ax(pf(a, yx)),), step=yx)   # box A |- A at [y,x]
-    n = apply_rule("boxR", (n,), x="x")                 # box A |- box A at [y]
+def axiom_4(a: Formula = P0, at: Position = E) -> ProofNode:
+    """|- box A -> box box A at ``at``, the origin of sequences (axiom 4)
+    or of linear time (A5), via a two-token step."""
+    yx = seqpos("y", "x") if at is E else _l(0, "y", "x")
+    n = apply_rule("boxL", (ax(pf(a, yx)),), step=yx, alpha=at)    # box A |- A at y,x
+    n = apply_rule("boxR", (n,), x="x")                 # box A |- box A at y
     n = apply_rule("boxR", (n,), x="y")                 # box A |- box box A
     return apply_rule("impR", (n,))
 
@@ -96,17 +106,7 @@ def s42_axiom(a: Formula = P0) -> ProofNode:
 
 def ltl_a1(a: Formula = P0, b: Formula = P1) -> ProofNode:
     """|- X(A -> B) -> (X A -> X B)."""
-    s1 = _l(1)
-    n = apply_rule("impL", (ax(pf(b, s1)), ax(pf(a, s1))))
-    n = apply_rule("nextL", (n,))               # A, X(A->B) |- B
-    n = bridge_proof(n, seq((pf(Next(Imp(a, b)), L0), pf(a, s1)), (pf(b, s1),)))
-    n = apply_rule("nextL", (n,))
-    n = bridge_proof(n, seq((pf(Next(a), L0), pf(Next(Imp(a, b)), L0)),
-                            (pf(b, s1),)))
-    n = apply_rule("nextR", (n,))
-    n = bridge_proof(n, seq((pf(Next(Imp(a, b)), L0), pf(Next(a), L0)),
-                            (pf(Next(b), L0),)))
-    return apply_rule("impR", (apply_rule("impR", (n,)),))
+    return _distribution(Next, (("nextL", {}), ("nextR", {})), _l(1), a, b)
 
 
 def ltl_a2(a: Formula = P0) -> ProofNode:
@@ -123,33 +123,9 @@ def ltl_a2(a: Formula = P0) -> ProofNode:
 
 
 def ltl_a3(a: Formula = P0, b: Formula = P1) -> ProofNode:
-    """|- box(A -> B) -> (box A -> box B)."""
-    sx = _l(0, "x")
-    n = apply_rule("impL", (ax(pf(b, sx)), ax(pf(a, sx))))
-    n = apply_rule("boxL", (n,), step=ltl_token("x"), alpha=L0)
-    n = bridge_proof(n, seq((pf(Box(Imp(a, b)), L0), pf(a, sx)), (pf(b, sx),)))
-    n = apply_rule("boxL", (n,), step=ltl_token("x"), alpha=L0)
-    n = bridge_proof(n, seq((pf(Box(a), L0), pf(Box(Imp(a, b)), L0)),
-                            (pf(b, sx),)))
-    n = apply_rule("boxR", (n,), x="x")
-    n = bridge_proof(n, seq((pf(Box(Imp(a, b)), L0), pf(Box(a), L0)),
-                            (pf(Box(b), L0),)))
-    return apply_rule("impR", (apply_rule("impR", (n,)),))
-
-
-def ltl_a4(a: Formula = P0) -> ProofNode:
-    """|- box A -> A, with a zero step."""
-    n = apply_rule("boxL", (ax(pf(a, L0)),), step=_l(0), alpha=L0)
-    return apply_rule("impR", (n,))
-
-
-def ltl_a5(a: Formula = P0) -> ProofNode:
-    """|- box A -> box box A."""
-    syx = _l(0, "y", "x")
-    n = apply_rule("boxL", (ax(pf(a, syx)),), step=syx, alpha=L0)
-    n = apply_rule("boxR", (n,), x="x")         # box A |- box A at (0;{y})
-    n = apply_rule("boxR", (n,), x="y")
-    return apply_rule("impR", (n,))
+    """|- box(A -> B) -> (box A -> box B) over linear time."""
+    left = ("boxL", {"step": ltl_token("x"), "alpha": L0})
+    return _distribution(Box, (left, ("boxR", {"x": "x"})), _l(0, "x"), a, b)
 
 
 def ltl_a6(a: Formula = P0) -> ProofNode:
@@ -259,6 +235,10 @@ def tense_prev_next(a: Formula = P0) -> ProofNode:
     return apply_rule("impR", (n,))
 
 
+_LTL_A1_A7 = (("A1", ltl_a1), ("A2", ltl_a2), ("A3", ltl_a3),
+              ("A4", lambda: axiom_t(P0, L0)), ("A5", lambda: axiom_4(P0, L0)),
+              ("A6", ltl_a6), ("A7", ltl_a7))
+
 HOME: dict[SystemId, tuple[tuple[str, Callable[[], ProofNode]], ...]] = {
     SystemId.K: (("axiom-K", axiom_k),
                  ("mp-example", lambda: mp_example(SystemId.K))),
@@ -275,14 +255,9 @@ HOME: dict[SystemId, tuple[tuple[str, Callable[[], ProofNode]], ...]] = {
                   ("diamond-taut-cut", diamond_taut_cut),
                   ("mp-example", lambda: mp_example(SystemId.S4))),
     SystemId.S42: (("axiom-S42", s42_axiom),),
-    SystemId.LTL: (("A1", ltl_a1), ("A2", ltl_a2), ("A3", ltl_a3),
-                   ("A4", ltl_a4), ("A5", ltl_a5), ("A6", ltl_a6),
-                   ("A7", ltl_a7), ("A8", ltl_a8),
-                   ("blocked-cut", ltl_blocked_cut)),
-    SystemId.LTL_INDAX: (("A1", ltl_a1), ("A2", ltl_a2), ("A3", ltl_a3),
-                         ("A4", ltl_a4), ("A5", ltl_a5), ("A6", ltl_a6),
-                         ("A7", ltl_a7), ("A8-via-axiom", ltl_a8_via_axiom),
-                         ("indax-instance", indax_instance)),
+    SystemId.LTL: _LTL_A1_A7 + (("A8", ltl_a8), ("blocked-cut", ltl_blocked_cut)),
+    SystemId.LTL_INDAX: _LTL_A1_A7 + (("A8-via-axiom", ltl_a8_via_axiom),
+                                      ("indax-instance", indax_instance)),
     SystemId.LTLP: (("tense-hist-dia", tense_hist_dia),
                     ("tense-box-once", tense_box_once),
                     ("tense-next-prev", tense_next_prev),

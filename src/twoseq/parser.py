@@ -140,15 +140,12 @@ class _Parser:
         offsets = _offsets(self.text)
         return _error_at(self.text, offsets[min(k, len(offsets) - 1)], msg)
 
-    def fail(self, msg: str):
-        raise self.error(msg)
-
     def expect(self, kind: str) -> str:
         """The next token, which must be of ``kind`` (a punctuation token
         is its own kind)."""
         t = self.toks[self.i]
         if (t != kind or kind in _NAMED_KINDS) and _kind(t) != kind:
-            self.fail(f"expected {kind!r}, found {t!r}")
+            raise self.error(f"expected {kind!r}, found {t!r}")
         self.i += 1
         return t
 
@@ -202,16 +199,13 @@ class _Parser:
 
     # -- positions --
 
-    def token_name(self) -> str:
-        return self.expect("ident")
-
     def token_list(self, closer: str) -> tuple[str, ...]:
         items: list[str] = []
         if self.peek() != closer:
-            items.append(self.token_name())
+            items.append(self.expect("ident"))
             while self.peek() == ",":
                 self.i += 1
-                items.append(self.token_name())
+                items.append(self.expect("ident"))
         self.expect(closer)
         return tuple(items)
 
@@ -234,12 +228,12 @@ class _Parser:
                 try:
                     return PastPos(n, first, second)
                 except ValueError as e:
-                    self.fail(str(e))
+                    raise self.error(str(e))
             self.expect(")")
             if n < 0:
-                self.fail("step count must be a natural number")
+                raise self.error("step count must be a natural number")
             return LtlPos(n, first)
-        self.fail(f"expected a position, found {t!r}")
+        raise self.error(f"expected a position, found {t!r}")
 
     # -- sequents --
 
@@ -249,7 +243,7 @@ class _Parser:
             at = toks.index("@", i)
             j = toks.index(_CLOSERS[toks[at + 1]], at) + 1
         except (KeyError, ValueError):      # no span, so the parse below raises
-            return self._pformula()
+            return self._placed(self.formula())
         key = " ".join(toks[i:j])
         q = self.memo.get(key)
         if q is not None:
@@ -258,22 +252,19 @@ class _Parser:
         # the text of its formula (no position holds an @), if an operand before
         node = self.memo.get(key.rpartition(" @ ")[0])
         if node is None:
-            q = self._pformula()
+            q = self._placed(self.formula())
         else:
             self.i = at
             q = self._placed(node)
         self.memo[key] = q      # a read that returns ends at j: its position's closer
         return q
 
-    def _pformula(self) -> PFormula:
-        return self._placed(self.formula())
-
     def _placed(self, node: tuple) -> PFormula:
         """The formula of ``node`` at the position read from the ``@`` on;
         then the formula's operands go into the memo."""
         toks, i = self.toks, self.i
         if toks[i] != "@":
-            self.fail(f"expected '@', found {toks[i]!r}")
+            raise self.error(f"expected '@', found {toks[i]!r}")
         if toks[i + 1] == "[" and toks[i + 3] == "]" and toks[i + 2].isidentifier():
             self.i = i + 4              # the one-token [x], read in place
             pos = SeqPos((toks[i + 2],))
@@ -297,7 +288,7 @@ class _Parser:
         toks = self.toks
         ant = () if toks[self.i] == "|-" else self.pformula_list()
         if toks[self.i] != "|-":
-            self.fail(f"expected 'turnstile', found {toks[self.i]!r}")
+            raise self.error(f"expected 'turnstile', found {toks[self.i]!r}")
         self.i += 1
         suc = () if toks[self.i] in (")", _EOF) else self.pformula_list()
         return Sequent(ant, suc)
@@ -373,7 +364,7 @@ class _Parser:
             self.expect(")")
             i = self.i
         self.i = i
-        self.fail("rule node is missing its (concl ...) sequent")
+        raise self.error("rule node is missing its (concl ...) sequent")
 
     def _concl(self, sys: SystemId) -> Sequent:
         key = self.i + 1
@@ -389,7 +380,7 @@ class _Parser:
 
     def _param_value(self, key: str, sys: SystemId):
         if key == "x":
-            return self.token_name()
+            return self.expect("ident")
         if key == "at":
             return int(self.expect("int"))
         if key in ("cutf", "pf"):
@@ -397,7 +388,7 @@ class _Parser:
         if key == "t":
             pos = self.position()
             if not isinstance(pos, LtlPos):
-                self.fail("step parameters are (n;{tokens}) pairs")
+                raise self.error("step parameters are (n;{tokens}) pairs")
             return pos
         return self.position()          # alpha, beta
 
@@ -414,7 +405,7 @@ class _Parser:
             self.expect(";")
             self._label("loop")
             return LassoWord(prefix, (self._set(True),) + self._sets())
-        nodes = [self.token_name()]
+        nodes = [self.expect("ident")]
         while self.peek(1) != ":" and self.peek() != _EOF:
             nodes.append(self._node(nodes, listed=False))
         root, edges, val = None, set(), {}
@@ -440,14 +431,14 @@ class _Parser:
         """A section label: ``WORD :`` for one of ``words``."""
         t = self.peek()
         if t not in words:
-            self.fail(f"expected {' or '.join(repr(w + ':') for w in words)}, found {t!r}")
+            raise self.error(f"expected {' or '.join(repr(w + ':') for w in words)}, found {t!r}")
         self.i += 1
         self.expect(":")
         return t
 
     def _node(self, nodes: list[str], listed: bool = True) -> str:
         """A node name, listed already (or if not ``listed``, not yet)."""
-        name = self.token_name()
+        name = self.expect("ident")
         if (name in nodes) != listed:
             raise self.error(f"unknown node {name!r}" if listed else
                              f"node {name!r} listed twice", self.i - 1)
@@ -478,7 +469,7 @@ class _Parser:
 
 def _finish(p: _Parser, value):
     if p.peek() != _EOF:
-        p.fail(f"trailing input {p.peek()!r}")
+        raise p.error(f"trailing input {p.peek()!r}")
     return value
 
 

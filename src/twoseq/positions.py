@@ -2,8 +2,8 @@
 
 Four families: token sequences (the modal systems), finite token sets
 (the directed extension of S4), step/token-set pairs (linear time), and
-offset/future/past triples (linear time with past operators).  All values
-are immutable and freely shareable.
+offset/future/past triples (linear time with past operators), each moved by
+a step through ``calculus.shift``.  All values are immutable and shareable.
 
 Positions, like formulas and positioned formulas (``syntax``), are
 hash-consed through ``Interned``: the constructor returns the one live
@@ -202,11 +202,6 @@ def pastpos(offset: int = 0,
     return PastPos(offset, frozenset(future), frozenset(past))
 
 
-def concat(s: SeqPos, t: SeqPos) -> SeqPos:
-    """Concatenation of sequence positions; associative with unit []."""
-    return SeqPos(s.items + t.items)
-
-
 def prefix_replace(s: SeqPos, u: SeqPos, v: SeqPos) -> SeqPos:
     """Replace the prefix u of s by v; s is returned unchanged otherwise.
 
@@ -226,11 +221,6 @@ def initials(positions: Iterable[SeqPos]) -> frozenset[SeqPos]:
     return frozenset(out)
 
 
-def ltl_add(s: LtlPos, t: LtlPos) -> LtlPos:
-    """Componentwise sum: step counts add, token sets unite."""
-    return LtlPos(s.steps + t.steps, s.future | t.future)
-
-
 def ltl_step(n: int = 1) -> LtlPos:
     return LtlPos(n, frozenset())
 
@@ -238,18 +228,3 @@ def ltl_step(n: int = 1) -> LtlPos:
 def ltl_token(x: Token) -> LtlPos:
     return LtlPos(0, frozenset((x,)))
 
-
-def past_add(s: PastPos, m: int, toks: Iterable[Token]) -> PastPos:
-    """Forward shift of a past/future position.
-
-    Tokens already pending in the future set are consumed; the remainder
-    moves to the past set.
-    """
-    t = frozenset(toks)
-    return PastPos(s.offset + m, s.future - t, s.past | (t - s.future))
-
-
-def past_sub(s: PastPos, m: int, toks: Iterable[Token]) -> PastPos:
-    """Backward shift, the dual of past_add."""
-    t = frozenset(toks)
-    return PastPos(s.offset - m, s.future | (t - s.past), s.past - t)

@@ -35,7 +35,7 @@ from .calculus import TABLE, SystemId
 from .errors import TwoseqError
 from .positions import LtlPos, SeqPos, Token
 from .syntax import (Box, Dia, Formula, Next, Sequent, compile_formulas, label_program,
-                     positions_of, segment_plan, sequent_atoms, tokens_of)
+                     segment_plan, sequent_atoms, tokens_of)
 
 _FIRST_PACK, _PACK_CAP = 16, 256    # the fuzzer's pack sizes double between these
 _NODES = tuple(f"n{i}" for i in range(6))   # a drawn graph's node names
@@ -377,7 +377,7 @@ class _Lasso(_Frame):
         """Bit 0 of each block whose word falsifies s under its valuation."""
         picked = {pos: sum(1 << k * self.width + _point(p, loop, a_value(a, pos))
                            for k, (p, loop, a) in enumerate(self.shapes))
-                  for pos in dict.fromkeys(positions_of(s))}
+                  for pos in dict.fromkeys(q.pos for q in s.pformulas())}
         out = self.low
         for j, (q, t) in enumerate(zip(s.pformulas(), self.truth_sets(*s.program))):
             hit = self.some(t & picked[q.pos])

@@ -193,9 +193,6 @@ class Sequent(_SequentFields):
     def pformulas(self) -> tuple[PFormula, ...]:
         return self.ant + self.suc
 
-    def is_empty(self) -> bool:
-        return not self.ant and not self.suc
-
     @cached_property
     def program(self) -> tuple[list[tuple], list[int]]:
         """`compile_formulas` of the formulas, antecedent first, cached."""
@@ -224,19 +221,6 @@ def pf(formula: Formula, pos: Position) -> PFormula:
 
 def seq(ant=(), suc=()) -> Sequent:
     return Sequent(tuple(ant), tuple(suc))
-
-
-def subformula_trees(f: Formula):
-    """All structural subterms of f, including f itself."""
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        yield g
-        if isinstance(g, _Unary):
-            stack.append(g.sub)
-        elif isinstance(g, _Binary):
-            stack.append(g.left)
-            stack.append(g.right)
 
 
 def compile_formulas(roots: Iterable[Formula]) -> tuple[list[tuple], list[int]]:
@@ -301,15 +285,9 @@ def label_program(code: list[tuple], full: int, atoms: dict[str, int],
     return out
 
 
-def atoms(f: Formula) -> frozenset[str]:
-    return frozenset(g.name for g in subformula_trees(f) if isinstance(g, Prop))
-
-
 def sequent_atoms(s: Sequent) -> frozenset[str]:
-    out: frozenset[str] = frozenset()
-    for p in s.pformulas():
-        out |= atoms(p.formula)
-    return out
+    """The proposition names of the sequent, read off its cached program."""
+    return frozenset(a for op, a, _ in s.program[0] if op is Prop)
 
 
 def has_temporal(f: Formula) -> bool:
@@ -373,7 +351,3 @@ def tokens_of(s: Sequent) -> frozenset[Token]:
     for p in s.pformulas():
         out |= p.pos.tokens()
     return out
-
-
-def positions_of(s: Sequent) -> tuple[Position, ...]:
-    return tuple(p.pos for p in s.pformulas())

@@ -28,7 +28,7 @@ from .calculus import (SCHEMAS, OccurrenceIndex, ProofNode, SystemId, TABLE,
                        shift)
 from .errors import TransformError
 from .positions import (LtlPos, PastPos, Position, SeqPos, SetPos, Token,
-                        ltl_add, prefix_replace, seqpos)
+                        prefix_replace, seqpos)
 from .syntax import Box, Imp, Next, PFormula, Sequent, pf
 
 
@@ -230,10 +230,10 @@ def lift_proof(p: ProofNode, by: Position, sys: SystemId) -> ProofNode:
         if not rep.accepted:
             raise TransformError("ill-formed proof: " + rep.failures[0].message)
         return p
-    renamed = canonical_rename(_repairable(p, sys), by.tokens())
+    p = _repairable(p, sys)
     if type(by) is PastPos:
         raise TransformError("lifting is not defined for past positions")
-    return _map_positions(renamed, lambda q: shift(by, "+", q))
+    return _map_positions(canonical_rename(p, by.tokens()), lambda q: shift(by, "+", q))
 
 
 def necessitate(p: ProofNode, sys: SystemId) -> ProofNode:
@@ -294,7 +294,7 @@ def ind_to_axiom(p: ProofNode) -> ProofNode:
         c1 = apply_rule("cut", (n3, g3),
                         cutf=pf(box_step, s_pos))   # Gamma, A at s |- Delta, box A at s
         c1 = bridge_proof(c1, seq(gamma + (a_pf,), (pf(Box(a_f), s_pos),) + delta))
-        g4 = apply_rule("boxL", (ax(pf(a_f, ltl_add(s_pos, t))),), step=t, alpha=s_pos)
+        g4 = apply_rule("boxL", (ax(pf(a_f, shift(s_pos, "+", t))),), step=t, alpha=s_pos)
         c2 = apply_rule("cut", (c1, g4), cutf=pf(Box(a_f), s_pos))
         return bridge_proof(c2, concl)
 

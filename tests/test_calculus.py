@@ -1,7 +1,9 @@
 """Rule engine: local instances, constraint matrix, bridges, token discipline."""
 
 import ast
+import hashlib
 import inspect
+import json
 import os
 import textwrap
 import subprocess
@@ -20,7 +22,7 @@ from twoseq.calculus import (CORE_SYSTEMS, TABLE, ProofNode, SystemId, apply_rul
                              check_rule_instance, expand_double_lines, indax, node, seq,
                              structural_bridge, weak_left)
 from twoseq.errors import BridgeError, TwoseqError
-from twoseq.parser import parse_proof
+from twoseq.parser import parse_proof, render_proof
 from twoseq.positions import (LtlPos, PastPos, SeqPos, SetPos, ltl_step, ltl_token, pastpos,
                               seqpos, setpos)
 from twoseq.syntax import Box, Imp, Prop, pf
@@ -177,7 +179,14 @@ def test_structural_constructor_errors(build, message):
     (lambda: apply_rule("andL1", (AX0,)),
      "andL1: the operand no premise carries is missing (other)"),
     (lambda: apply_rule("ind", (_built_by_name(SystemId.LTL, "ind").premises[0],), x="x"),
-     "ind: step None does not apply to position (0;{})"),
+     "ind: missing step parameter"),
+    (lambda: apply_rule("ind", (_built_by_name(SystemId.LTL, "ind").premises[0],),
+                        step=ltl_token("z")), "ind: missing eigen token"),
+    (lambda: apply_rule("cut", (AX0, AX0)), "cut: missing cut formula"),
+    (lambda: apply_rule("boxL", (ax(pf(P0, seqpos("x"))),)), "boxL: missing step parameter"),
+    (lambda: apply_rule("diaR", (ax(pf(P0, seqpos("x"))),)), "diaR: missing step parameter"),
+    (lambda: apply_rule("boxR", (ax(pf(P0, seqpos("x"))),)), "boxR: missing eigen token"),
+    (lambda: apply_rule("diaL", (ax(pf(P0, seqpos("x"))),)), "diaL: missing eigen token"),
 ])
 def test_apply_rule_refuses_what_it_cannot_build(build, message):
     with pytest.raises(TwoseqError) as e:
@@ -342,6 +351,17 @@ def test_corpus_negative_matrix():
     for proof, systems in matrix:
         for sysid in systems:
             assert not check_proof(proof, sysid).accepted, sysid
+
+
+def test_corpus_renderings_match_their_digests():
+    """Every corpus derivation, rendered, against the sha256 pinned in
+    ``golden/corpus_digests.json``: a refactoring of the corpus builds
+    the same derivations node for node."""
+    want = json.loads((Path(__file__).parent / "golden" / "corpus_digests.json").read_text())
+    got = {f"{sysid.value}/{name}": hashlib.sha256(render_proof(sysid, p).encode()).hexdigest()
+           for sysid in SystemId for name, p in corpus.entries(sysid)}
+    assert len(got) == 43
+    assert got == want
 
 
 _ORIGIN = {SeqPos: seqpos(), SetPos: setpos(), LtlPos: LtlPos(), PastPos: pastpos()}

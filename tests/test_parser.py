@@ -31,8 +31,7 @@ from twoseq.parser import (parse_formula, parse_model, parse_pformula,
                            render_proof, render_sequent)
 from twoseq.positions import LtlPos, PastPos, SeqPos, SetPos, seqpos
 from twoseq.semantics import GraphModel
-from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, Or, Prop, pf, seq,
-                           subformula_trees)
+from twoseq.syntax import And, Box, Dia, Imp, Next, Not, Or, Prop, pf, seq
 import twoseq.corpus as corpus
 import twoseq.parser as parser
 import twoseq.positions as positions
@@ -71,7 +70,7 @@ def test_position_grammar():
 
 
 def test_empty_sequent_forms():
-    assert parse_sequent("|-").is_empty()
+    assert not parse_sequent("|-").pformulas()
     assert parse_sequent("|- p0 @ []").ant == ()
     assert parse_sequent("p0 @ [] |-").suc == ()
 
@@ -592,15 +591,16 @@ def test_errors_at_and_after_repeated_spans_are_the_oracles(text):
 
 
 def _reads(monkeypatch) -> list:
-    """Record each positioned formula the parser reads in full."""
+    """Record each positioned formula the parser reads in full: each
+    formula it reads, since a sequent or script reads one only there."""
     reads = []
-    full = parser._Parser._pformula
+    full = parser._Parser.formula
 
     def counted(self):
         reads.append(self.i)
         return full(self)
 
-    monkeypatch.setattr(parser._Parser, "_pformula", counted)
+    monkeypatch.setattr(parser._Parser, "formula", counted)
     return reads
 
 
@@ -682,7 +682,10 @@ def operand_repeats_st(draw, script: bool):
     redundant ones (``((A))``), or with none at all (``box p & q`` for
     ``box (p & q)``); maybe a fragment follows a later one."""
     f = draw(formula_st("modal", depth=4))
-    terms = list(subformula_trees(f))
+    terms, stack = [], [f]                  # every subterm, f first
+    while stack:
+        terms.append(g := stack.pop())
+        stack += [getattr(g, k) for k in ("sub", "left", "right") if hasattr(g, k)]
 
     def span(g) -> str:
         text = _write(draw, g)

@@ -1,13 +1,14 @@
-"""Position algebra: frozen examples plus algebraic laws."""
+"""Position algebra: frozen examples plus algebraic laws, the laws of the
+one step every family moves by, ``calculus.shift``, among them."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from strategies import ltlpos_st, pastpos_st, seqpos_st, token_names
-from twoseq.positions import (LtlPos, PastPos, SeqPos, concat, initials,
-                              ltl_add, past_add, past_sub,
-                              prefix_replace, seqpos, setpos)
+from twoseq.calculus import shift
+from twoseq.positions import (LtlPos, PastPos, SeqPos, initials, prefix_replace,
+                              seqpos, setpos)
 
 
 # independent oracles for the derived examples
@@ -15,7 +16,7 @@ from twoseq.positions import (LtlPos, PastPos, SeqPos, concat, initials,
 def replace_by_splitting(s: SeqPos, u: SeqPos, v: SeqPos) -> SeqPos:
     for i in range(len(s.items) + 1):
         if SeqPos(s.items[:i]) == u:
-            return concat(v, SeqPos(s.items[i:]))
+            return shift(v, "+", SeqPos(s.items[i:]))
     return s
 
 
@@ -24,12 +25,13 @@ def prefixes_by_length(p: SeqPos):
 
 
 def test_concat_examples():
-    assert concat(seqpos("x"), seqpos("y", "z")) == seqpos("x", "y", "z")
+    assert shift(seqpos("x"), "+", seqpos("y", "z")) == seqpos("x", "y", "z")
     s = seqpos("x", "y")
-    assert concat(s, seqpos()) == s
-    assert concat(seqpos(), s) == s
+    assert shift(s, "+", seqpos()) == s
+    assert shift(seqpos(), "+", s) == s
     a, b, c = seqpos("x"), seqpos("y"), seqpos("z")
-    assert concat(concat(a, b), c) == concat(a, concat(b, c)) == seqpos("x", "y", "z")
+    assert shift(shift(a, "+", b), "+", c) == shift(a, "+", shift(b, "+", c)) == \
+        seqpos("x", "y", "z")
 
 
 def test_prefix_replace_examples():
@@ -52,23 +54,23 @@ def test_initials_examples():
 
 
 def test_ltl_add_examples():
-    assert ltl_add(LtlPos(1, frozenset("x")), LtlPos(2, frozenset("y"))) == \
+    assert shift(LtlPos(1, frozenset("x")), "+", LtlPos(2, frozenset("y"))) == \
         LtlPos(3, frozenset("xy"))
     s = LtlPos(2, frozenset("x"))
-    assert ltl_add(s, LtlPos()) == s
+    assert shift(s, "+", LtlPos()) == s
     a = LtlPos(0, frozenset("x"))
-    assert ltl_add(a, a) == LtlPos(0, frozenset("x") | frozenset("x"))
+    assert shift(a, "+", a) == LtlPos(0, frozenset("x") | frozenset("x"))
 
 
 
 
 def test_past_add_sub_examples():
     # forward shift consumes pending future tokens, the rest goes to the past
-    assert past_add(PastPos(0, frozenset(), frozenset("x")), 0, {"x"}) == \
+    assert shift(PastPos(0, frozenset(), frozenset("x")), "+", LtlPos(0, frozenset({"x"}))) == \
         PastPos(0, frozenset(), frozenset("x"))
-    assert past_sub(PastPos(0, frozenset("x"), frozenset()), 0, {"x"}) == \
+    assert shift(PastPos(0, frozenset("x"), frozenset()), "-", LtlPos(0, frozenset({"x"}))) == \
         PastPos(0, frozenset("x"), frozenset())
-    assert past_add(PastPos(-1, frozenset(), frozenset()), 1, ()) == PastPos(0)
+    assert shift(PastPos(-1, frozenset(), frozenset()), "+", LtlPos(1, frozenset())) == PastPos(0)
 
 
 def test_pastpos_disjointness_enforced():
@@ -83,9 +85,9 @@ def test_ltlpos_rejects_negative_steps():
 
 @given(seqpos_st, seqpos_st, seqpos_st)
 def test_concat_associative_with_unit(a, b, c):
-    assert concat(concat(a, b), c) == concat(a, concat(b, c))
-    assert concat(a, seqpos()) == a
-    assert concat(seqpos(), a) == a
+    assert shift(shift(a, "+", b), "+", c) == shift(a, "+", shift(b, "+", c))
+    assert shift(a, "+", seqpos()) == a
+    assert shift(seqpos(), "+", a) == a
 
 
 @given(seqpos_st, seqpos_st, seqpos_st)
@@ -109,20 +111,21 @@ def test_initials_prefix_closed(ps):
 
 @given(ltlpos_st, ltlpos_st, ltlpos_st)
 def test_ltl_add_monoid(a, b, c):
-    assert ltl_add(ltl_add(a, b), c) == ltl_add(a, ltl_add(b, c))
-    assert ltl_add(a, b) == ltl_add(b, a)
-    assert ltl_add(a, LtlPos()) == a
+    assert shift(shift(a, "+", b), "+", c) == shift(a, "+", shift(b, "+", c))
+    assert shift(a, "+", b) == shift(b, "+", a)
+    assert shift(a, "+", LtlPos()) == a
 
 
 @given(pastpos_st(), st.integers(0, 3), st.sets(token_names, max_size=2))
 def test_past_round_trip_guarded(s, m, toks):
     # tokens already pending in s's future set are consumed by the forward
     # shift rather than restored, so the round trip needs them fresh
-    down = past_sub(s, m, toks)
+    step = LtlPos(m, frozenset(toks))
+    down = shift(s, "-", step)
     if frozenset(toks) & s.future:
         return
     if frozenset(toks) <= down.future:
-        assert past_add(down, m, toks) == s
+        assert shift(down, "+", step) == s
 
 
 def test_rendering():

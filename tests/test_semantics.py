@@ -8,10 +8,10 @@ import pytest
 
 from semantics_oracle import is_serial
 from strategies import random_formula
-from twoseq.calculus import SystemId
+from twoseq.calculus import SystemId, shift
 from twoseq.errors import TwoseqError
 from twoseq.ltl import exhaustive_valuations, ltl_soundness_fuzz
-from twoseq.positions import LtlPos, SeqPos, concat, initials, seqpos
+from twoseq.positions import LtlPos, SeqPos, initials, seqpos
 from twoseq.semantics import (GraphModel, LassoWord, _Frame, accessibility,
                               admissible_assignments, check_sequent_on_model,
                               forces, sequent_holds, soundness_fuzz)
@@ -203,7 +203,7 @@ def test_bisimulation_invariance_under_duplication():
 def sub1_oracle(m, sysid, rho, alpha, x, f):
     """Right satisfaction of a boxed formula via literal step enumeration."""
     node = rho.get(alpha)
-    ext = concat(alpha, seqpos(x))
+    ext = shift(alpha, "+", seqpos(x))
     if node is None:
         return True
     out = True
@@ -248,7 +248,7 @@ def run_sub2_check(iterations, seed) -> int:
         f = random_formula(rng, 2)
         alpha = seqpos()
         beta = seqpos(*[f"b{i}" for i in range(rng.choice(shapes[sysid]))])
-        full = concat(alpha, beta)
+        full = shift(alpha, "+", beta)
         rhos = list(itertools.islice(
             admissible_assignments(m, sysid, [full]), 40))
         if not rhos:
@@ -256,7 +256,7 @@ def run_sub2_check(iterations, seed) -> int:
         rho = rng.choice(rhos)
         lhs = sequent_holds(m, sysid, rho, seq((), (pf(f, full),)))
         rho2 = dict(rho)
-        ext = concat(alpha, seqpos("fresh"))
+        ext = shift(alpha, "+", seqpos("fresh"))
         if rho.get(full) is not None:
             rho2[ext] = rho[full]
         rhs = sequent_holds(m, sysid, rho2, seq((), (pf(f, ext),)))

@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 from twoseq.errors import DegreeUndefinedError
 from twoseq.parser import (parse_formula, parse_pformula, parse_position,
                            render_formula, render_pformula)
+from twoseq.calculus import shift
 from twoseq.positions import (TABLE, LtlPos, PastPos, SeqPos, SetPos, _drop, _Ref,
-                              concat, seqpos)
+                              seqpos)
 from twoseq.syntax import (And, Box, Dia, Imp, Next, Not, Once, Or, PFormula,
                            Prop, degree, has_past, has_temporal, is_subformula,
-                           pf, positions_of, seq, tokens_of)
+                           pf, seq, tokens_of)
 
 P, Q = Prop("p"), Prop("q")
 
@@ -37,7 +38,7 @@ def enumerate_sub(root: PFormula, pool: list[SeqPos]) -> set[PFormula]:
         out |= enumerate_sub(pf(f.right, alpha), pool)
     elif isinstance(f, (Box, Dia)):
         for beta in pool:
-            out |= enumerate_sub(pf(f.sub, concat(alpha, beta)), pool)
+            out |= enumerate_sub(pf(f.sub, shift(alpha, "+", beta)), pool)
     return out
 
 
@@ -111,8 +112,8 @@ def test_tokens_and_positions_of():
     s2 = seq((pf(P, LtlPos(1, frozenset("x"))),),
              (pf(Q, LtlPos(0, frozenset({"x", "y"}))),))
     assert tokens_of(s2) == frozenset({"x", "y"})
-    assert positions_of(s2) == (LtlPos(1, frozenset("x")),
-                                LtlPos(0, frozenset({"x", "y"})))
+    assert tuple(q.pos for q in s2.pformulas()) == (LtlPos(1, frozenset("x")),
+                                                    LtlPos(0, frozenset({"x", "y"})))
 
 
 @given(st.one_of(formula_st("past"), pformula_st("past", PastPos),

@@ -144,6 +144,17 @@ def test_lift_in_ltlp_is_refused_after_the_repair_check(by):
         lift_proof(corpus.tense_next_prev(), by, SystemId.LTLP)
 
 
+def test_lift_in_ltlp_is_refused_before_any_renaming(monkeypatch):
+    import twoseq.transform as transform
+
+    def renamed(*args):
+        raise AssertionError("canonical_rename called for a past lift")
+    monkeypatch.setattr(transform, "canonical_rename", renamed)
+    with pytest.raises(TransformError,
+                       match="^lifting is not defined for past positions$"):
+        lift_proof(corpus.tense_hist_dia(), PastPos(1, frozenset("x")), SystemId.LTLP)
+
+
 def test_lift_ltl_example():
     p = corpus.ltl_a8()
     out = lift_proof(p, LtlPos(1, frozenset()), SystemId.LTL)
@@ -243,7 +254,7 @@ def test_ind_to_axiom_blocked_cut():
 
 
 def test_ind_to_axiom_identity_on_ind_free():
-    src = corpus.ltl_a4()
+    src = corpus.axiom_t(P0, LtlPos())
     assert ind_to_axiom(src) == src
 
 
