@@ -251,11 +251,6 @@ class CheckReport(NamedTuple):
         return "\n".join(lines)
 
 
-def report(failures: Iterable[Violation]) -> CheckReport:
-    fs = tuple(failures)
-    return CheckReport("accepted" if not fs else "rejected", fs)
-
-
 class ProofScript(NamedTuple):
     system: SystemId
     root: ProofNode
@@ -364,16 +359,12 @@ class OccurrenceIndex:
 
 
 def proof_tokens(p: ProofNode) -> frozenset[Token]:
+    """Every token of the proof's conclusions: once a node's local check
+    holds, each token of its parameters occurs in its own conclusion or
+    in a premise's."""
     out: set[Token] = set()
     for n in subproofs(p):
         out |= tokens_of(n.conclusion)
-        for _, v in n.params:
-            if isinstance(v, Position):
-                out |= v.tokens()
-            elif isinstance(v, PFormula):
-                out |= v.pos.tokens()
-            elif n.rule in EIGEN_RULES and isinstance(v, str):
-                out.add(v)
     return frozenset(out)
 
 
@@ -510,8 +501,7 @@ SCHEMAS: dict[str, RuleSchema] = {
     "onceL": _one("L", Once, "a past-dia", "past-dia-left", left=Active("-x"), **_EIGEN),
 }
 
-EIGEN_RULES = tuple(r for r, s in SCHEMAS.items() if "x" in s.params) + ("ind", "pind")
-_BINDERS = frozenset(EIGEN_RULES)
+_BINDERS = frozenset([r for r, s in SCHEMAS.items() if "x" in s.params] + ["ind", "pind"])
 
 
 def _stepper(what: str, family: type):
@@ -1009,7 +999,7 @@ def check_proof(p: ProofNode, sys: SystemId) -> CheckReport:
                 f"{'/'.join(map(str, index.path(w))) or 'root'})"))
 
     failures.sort(key=lambda v: v.path)
-    return report(failures)
+    return CheckReport("rejected" if failures else "accepted", tuple(failures))
 
 
 # --- structural bridges (the double-deduction-line convention) ---

@@ -116,9 +116,6 @@ class SeqPos(_Position):
     def __str__(self) -> str:
         return "[" + ",".join(self.items) + "]"
 
-    def __len__(self) -> int:
-        return len(self.items)
-
     def tokens(self) -> frozenset[Token]:
         return frozenset(self.items)
 

@@ -15,10 +15,12 @@ reflexive-transitive closure; a token valuation puts positions at times.
 A family is one pack class, `_Frame` for graphs and `_Lasso` for words:
 model k's point i is bit ``k*W + i``, W being one more than the most
 points a model of the pack may have, so each block ends in a guard bit.
-Each subformula of a compiled program (`Sequent.program`) gets the mask
-of the points forcing it, and each model's falsifiability is decided for
-the whole pack at once.  A parsed model is a pack of one; the fuzzer
-draws packs of doubling size and reads back the first falsified model.
+Each entry call reads its sequent once, as a `_Compiled`: a program of
+its formulas, each instruction of which gets the mask of the points
+forcing it, and for graphs a plan of its positions.  Each model's
+falsifiability is decided for the whole pack at once.  A parsed model is
+a pack of one; the fuzzer draws packs of doubling size and reads back
+the first falsified model.
 It draws only through ``rng.random`` and ``rng.getrandbits``, each integer
 exactly as `random.Random.randint`/``randrange`` would (`_below`), so
 `_Frame.draw`, `_Lasso.draw` and each seed's verdict equal those of
@@ -28,14 +30,15 @@ samplers that call those methods.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .calculus import TABLE, SystemId
 from .errors import TwoseqError
-from .positions import LtlPos, SeqPos, Token
-from .syntax import (Box, Dia, Formula, Next, Sequent, compile_formulas, label_program,
-                     segment_plan, sequent_atoms, tokens_of)
+from .positions import LtlPos, Position, SeqPos, Token, initials
+from .syntax import (And, Box, Dia, Formula, Imp, Next, Not, Or, Prop, Sequent, _Binary,
+                     _Unary, tokens_of)
 
 _FIRST_PACK, _PACK_CAP = 16, 256    # the fuzzer's pack sizes double between these
 _NODES = tuple(f"n{i}" for i in range(6))   # a drawn graph's node names
@@ -104,6 +107,75 @@ def _masks(letters: list[frozenset[str]]) -> dict[str, int]:
     """Each atom's points, given each point's atoms."""
     return {a: sum(1 << i for i, x in enumerate(letters) if a in x)
             for a in frozenset().union(*letters)}
+
+
+def compile_formulas(roots: Iterable[Formula]) -> tuple[list[tuple], list[int]]:
+    """One post-order program for the formulas, and each root's index.
+
+    Instruction i is ``(class, a, b)``: a ``Prop``'s name twice, else the
+    indices of the (earlier) operand instructions, the same one twice for
+    a unary connective.  Shared subformula objects get one instruction,
+    memoised by identity, so nothing is hashed or compared; the walk
+    keeps its own stack, so depth costs no recursion.
+    """
+    roots = list(roots)
+    code: list[tuple] = []
+    slot: dict[int, int] = {}
+    for root in roots:
+        stack = [root]
+        while stack:
+            f = stack[-1]
+            if id(f) in slot:
+                stack.pop()
+                continue
+            if isinstance(f, _Unary):
+                kids: tuple = (f.sub,)
+            elif isinstance(f, _Binary):
+                kids = (f.left, f.right)
+            elif isinstance(f, Prop):
+                kids = ()
+            else:
+                raise TwoseqError(f"unknown formula {f!r}")
+            todo = [k for k in kids if id(k) not in slot]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            slot[id(f)] = len(code)
+            ops = [slot[id(k)] for k in kids] or [f.name]
+            code.append((type(f), ops[0], ops[-1]))
+    return code, [slot[id(r)] for r in roots]
+
+
+def segment_plan(positions: list[Position]) -> tuple[tuple, tuple, tuple]:
+    """The initial segments of sequence positions, shortest first, with each
+    one's parent slot (-1 for the empty one), and each position's slot."""
+    if not all(isinstance(p, SeqPos) for p in positions):
+        raise TwoseqError("graph semantics needs sequence positions")
+    req = sorted(initials(positions), key=lambda p: (len(p.items), p.items))
+    slot = {p: i for i, p in enumerate(req)}
+    parent = tuple(slot[SeqPos(p.items[:-1])] if p.items else -1 for p in req)
+    return tuple(req), parent, tuple(slot[p] for p in positions)
+
+
+class _Compiled:
+    """A sequent as the packs read it: ``pfs`` its positioned formulas,
+    antecedent first, ``n`` how many are antecedent, ``program`` their formulas
+    compiled, and ``segments`` the plan of their positions, made on first read."""
+
+    def __init__(self, s: Sequent):
+        self.sequent, self.pfs, self.n = s, s.pformulas(), len(s.ant)
+        self.program = compile_formulas(q.formula for q in self.pfs)
+
+    @cached_property
+    def segments(self) -> tuple[tuple, tuple, tuple]:
+        return segment_plan([q.pos for q in self.pfs])
+
+
+def sequent_atoms(s: Sequent | _Compiled) -> frozenset[str]:
+    """The proposition names of a sequent, read off its compiled program."""
+    code = (s if isinstance(s, _Compiled) else _Compiled(s)).program[0]
+    return frozenset(a for op, a, _ in code if op is Prop)
 
 
 class _Frame:
@@ -186,14 +258,14 @@ class _Frame:
                for i, n in enumerate(ns)}
         return GraphModel(ns, edges, ns[0], val)
 
-    def witness(self, k: int, s: Sequent) -> Optional[Rho]:
-        """The first admissible assignment falsifying s on model k: the first
+    def witness(self, k: int, c: _Compiled) -> Optional[Rho]:
+        """The first admissible assignment falsifying c on model k: the first
         map of the walk over the masks of `_ok`, which never backtracks, as
         each mask keeps only the nodes its subtree of positions can follow."""
-        return next(self.walk(k, *s.segments[:2], self._ok(s), False), None)
+        return next(self.walk(k, *c.segments[:2], self._ok(c), False), None)
 
-    def counterexample(self, s: Sequent, bound: int) -> Optional[Rho]:
-        return self.witness(0, s)
+    def counterexample(self, c: _Compiled, bound: int) -> Optional[Rho]:
+        return self.witness(0, c)
 
     def point(self, n: str) -> int:
         """Node n's bit in the first model."""
@@ -225,34 +297,49 @@ class _Frame:
         return self.full ^ y if op is Box else y
 
     def truth_sets(self, code: list[tuple], roots: list[int]) -> list[int]:
-        """The mask of points forcing each root of a program."""
-        masks = label_program(code, self.full, self.atoms, self.step)
-        return [masks[r] for r in roots]
+        """The mask of points forcing each root of a program: a proposition's from
+        ``atoms``, a connective's from its operands', a modal or temporal one's by `step`."""
+        full, atoms, step, out = self.full, self.atoms, self.step, []
+        for op, a, b in code:
+            if op is Prop:
+                v = atoms.get(a, 0)
+            elif op is Not:
+                v = full ^ out[a]
+            elif op is And:
+                v = out[a] & out[b]
+            elif op is Or:
+                v = out[a] | out[b]
+            elif op is Imp:
+                v = (full ^ out[a]) | out[b]
+            else:
+                v = step(op, out[a])
+            out.append(v)
+        return [out[r] for r in roots]
 
-    def holds(self, s: Sequent) -> Callable[[dict], bool]:
-        """Whether s holds on the first model, labelled once, under an assignment:
+    def holds(self, c: _Compiled) -> Callable[[dict], bool]:
+        """Whether c holds on the first model, labelled once, under an assignment:
         it fails where each antecedent formula's point is in its truth set and
         each succedent one's outside it."""
-        truth, n = self.truth_sets(*s.program), len(s.ant)
+        truth, n = self.truth_sets(*c.program), c.n
         return lambda a: not all(self.at(a, q.pos) & (t if j < n else ~t)
-                                 for j, (q, t) in enumerate(zip(s.pformulas(), truth)))
+                                 for j, (q, t) in enumerate(zip(c.pfs, truth)))
 
-    def _ok(self, s: Sequent) -> list[int]:
-        """``ok[i]``, children first, is where position i of s's plan may go
+    def _ok(self, c: _Compiled) -> list[int]:
+        """``ok[i]``, children first, is where position i of c's plan may go
         with its subtree below it, in every block; each position leads to one
         with a formula, so none stays undefined."""
-        req, parent, slots = s.segments
+        req, parent, slots = c.segments
         ok = [self.full] * len(req)
-        for k, (i, mask) in enumerate(zip(slots, self.truth_sets(*s.program))):
-            ok[i] &= mask if k < len(s.ant) else ~mask
-        for c in range(len(req) - 1, 0, -1):
-            ok[parent[c]] &= self.step(Dia, ok[c])
+        for k, (i, mask) in enumerate(zip(slots, self.truth_sets(*c.program))):
+            ok[i] &= mask if k < c.n else ~mask
+        for j in range(len(req) - 1, 0, -1):
+            ok[parent[j]] &= self.step(Dia, ok[j])
         return ok
 
-    def falsified(self, s: Sequent) -> int:
+    def falsified(self, c: _Compiled) -> int:
         """Bit 0 of each block whose model has an admissible assignment
-        falsifying s (an empty s falls to the empty map)."""
-        ok = self._ok(s)
+        falsifying c (an empty sequent falls to the empty map)."""
+        ok = self._ok(c)
         out = self.some(ok[0]) if ok else self.low
         return out if TABLE[self.sys].context_demand else out & ~self.dead_ends
 
@@ -355,15 +442,15 @@ class _Lasso(_Frame):
                         for i in range(p + loop))
         return LassoWord(letters[:p], letters[p:])
 
-    def witness(self, k: int, s: Sequent) -> TokenValuation:
+    def witness(self, k: int, c: _Compiled) -> TokenValuation:
         """The token valuation drawn with word k."""
         return self.shapes[k][2]
 
-    def counterexample(self, s: Sequent, bound: int) -> Optional[TokenValuation]:
-        """The first token valuation up to the bound under which s fails on
+    def counterexample(self, c: _Compiled, bound: int) -> Optional[TokenValuation]:
+        """The first token valuation up to the bound under which c fails on
         the first word."""
-        holds = self.holds(s)
-        return next((a for a in exhaustive_valuations(tuple(sorted(tokens_of(s))), bound)
+        holds = self.holds(c)
+        return next((a for a in exhaustive_valuations(tuple(sorted(tokens_of(c.sequent))), bound)
                      if not holds(a)), None)
 
     def point(self, m: int) -> int:
@@ -373,15 +460,15 @@ class _Lasso(_Frame):
     def at(self, a: TokenValuation, pos) -> int:
         return 1 << self.point(a_value(a, pos))
 
-    def falsified(self, s: Sequent) -> int:
-        """Bit 0 of each block whose word falsifies s under its valuation."""
+    def falsified(self, c: _Compiled) -> int:
+        """Bit 0 of each block whose word falsifies c under its valuation."""
         picked = {pos: sum(1 << k * self.width + _point(p, loop, a_value(a, pos))
                            for k, (p, loop, a) in enumerate(self.shapes))
-                  for pos in dict.fromkeys(q.pos for q in s.pformulas())}
+                  for pos in dict.fromkeys(q.pos for q in c.pfs)}
         out = self.low
-        for j, (q, t) in enumerate(zip(s.pformulas(), self.truth_sets(*s.program))):
+        for j, (q, t) in enumerate(zip(c.pfs, self.truth_sets(*c.program))):
             hit = self.some(t & picked[q.pos])
-            out &= hit if j < len(s.ant) else ~hit
+            out &= hit if j < c.n else ~hit
         return out
 
 
@@ -421,14 +508,14 @@ def sequent_holds(m: GraphModel | LassoWord, sys: SystemId, assignment: dict,
     """Whether s holds on m under an assignment: on a graph a map from
     positions to nodes (an antecedent formula must be assigned and forced,
     a succedent one forced where assigned), on a word a token valuation."""
-    return _frame(m, sys).holds(s)(assignment)
+    return _frame(m, sys).holds(_Compiled(s))(assignment)
 
 
 def counterexample(m: GraphModel | LassoWord, sys: SystemId, s: Sequent,
                    bound: int = 4) -> Optional[dict]:
     """The first admissible assignment under which s fails on m, or on a
     word the first token valuation up to the bound, if any."""
-    return _frame(m, sys).counterexample(s, bound)
+    return _frame(m, sys).counterexample(_Compiled(s), bound)
 
 
 def admissible_assignments(m: GraphModel | _Frame, sys: SystemId,
@@ -448,7 +535,7 @@ def admissible_assignments(m: GraphModel | _Frame, sys: SystemId,
 def check_sequent_on_model(m: GraphModel | _Frame, sys: SystemId,
                            s: Sequent) -> Optional[Rho]:
     """First admissible assignment falsifying the sequent, if any."""
-    return _frame(m, sys, GraphModel).witness(0, s)
+    return _frame(m, sys, GraphModel).witness(0, _Compiled(s))
 
 
 def exhaustive_valuations(tokens: tuple[Token, ...], bound: int) -> Iterator[TokenValuation]:
@@ -486,15 +573,16 @@ def soundness_fuzz(target, sys: SystemId, budget: int, seed: int,
         raise TwoseqError(f"token bound must be at least 0, not {bound}")
     cls = _reader(sys)
     s = target if isinstance(target, Sequent) else target.conclusion
-    rng, atoms = random.Random(seed), tuple(sorted(sequent_atoms(s))) or ("p0",)
+    c = _Compiled(s)
+    rng, atoms = random.Random(seed), tuple(sorted(sequent_atoms(c))) or ("p0",)
     tokens = tuple(sorted(tokens_of(s)))
     tried, count = 0, _FIRST_PACK
     while tried < budget:
         count = min(count, budget - tried)
         pack = cls.draw(rng, sys, atoms, count, tokens, bound)
-        hits = pack.falsified(s)
+        hits = pack.falsified(c)
         if hits:
             k = ((hits & -hits).bit_length() - 1) // pack.width
-            return Verdict(False, tried + k + 1, pack.model(k), pack.witness(k, s))
+            return Verdict(False, tried + k + 1, pack.model(k), pack.witness(k, c))
         tried, count = tried + count, min(2 * count, _PACK_CAP)
     return Verdict(True, budget)

@@ -30,16 +30,16 @@ rebuilds one (a named-tuple record rebuilds with ``_replace``), while
 to its interned twin.  ``copy.copy``, ``copy.deepcopy`` and pickling
 return or rebuild the interned term.  Assigning an attribute raises
 ``dataclasses.FrozenInstanceError``, a module imported only to raise it.
+A ``Sequent`` is frozen the same way, but is a plain slotted value: not
+interned, and caching nothing (the semantics compiles what it reads).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Callable, Iterable, Union
+from typing import Union
 
 from .errors import DegreeUndefinedError, TwoseqError
-from .positions import (TABLE, Interned, Position, SeqPos, Token, _no_term,
-                        _Position, initials, intern)
+from .positions import TABLE, Interned, Position, SeqPos, Token, _no_term, _Position, intern
 
 
 class _Formula(Interned):
@@ -164,15 +164,15 @@ class PFormula(Interned):
 
 
 class _SequentFields:
-    __slots__ = ("ant", "suc", "__dict__")      # the dict holds the cached properties
+    __slots__ = ("ant", "suc")
 
 
 class Sequent(_SequentFields):
     """Ordered antecedent and succedent lists of positioned formulas, frozen as
-    `ProofNode` is; `program` and `segments` are cached, as fuzzers read them per model."""
+    `ProofNode` is."""
 
     __slots__ = ()
-    __match_args__ = _SequentFields.__slots__[:2]
+    __match_args__ = _SequentFields.__slots__
     __repr__, __setattr__, __delattr__, __reduce__ = \
         Interned.__repr__, Interned.__setattr__, Interned.__delattr__, Interned.__reduce__
 
@@ -193,101 +193,12 @@ class Sequent(_SequentFields):
     def pformulas(self) -> tuple[PFormula, ...]:
         return self.ant + self.suc
 
-    @cached_property
-    def program(self) -> tuple[list[tuple], list[int]]:
-        """`compile_formulas` of the formulas, antecedent first, cached."""
-        return compile_formulas(q.formula for q in self.pformulas())
 
-    @cached_property
-    def segments(self) -> tuple[tuple, tuple, tuple]:
-        """`segment_plan` of the positions, antecedent first, cached."""
-        return segment_plan([q.pos for q in self.pformulas()])
-
-
-def segment_plan(positions: list[Position]) -> tuple[tuple, tuple, tuple]:
-    """The initial segments of sequence positions, shortest first, with each
-    one's parent slot (-1 for the empty one), and each position's slot."""
-    if not all(isinstance(p, SeqPos) for p in positions):
-        raise TwoseqError("graph semantics needs sequence positions")
-    req = sorted(initials(positions), key=lambda p: (len(p.items), p.items))
-    slot = {p: i for i, p in enumerate(req)}
-    parent = tuple(slot[SeqPos(p.items[:-1])] if p.items else -1 for p in req)
-    return tuple(req), parent, tuple(slot[p] for p in positions)
-
-
-def pf(formula: Formula, pos: Position) -> PFormula:
-    return PFormula(formula, pos)
+pf = PFormula
 
 
 def seq(ant=(), suc=()) -> Sequent:
     return Sequent(tuple(ant), tuple(suc))
-
-
-def compile_formulas(roots: Iterable[Formula]) -> tuple[list[tuple], list[int]]:
-    """One post-order program for the formulas, and each root's index.
-
-    Instruction i is ``(class, a, b)``: a ``Prop``'s name twice, else the
-    indices of the (earlier) operand instructions, the same one twice for
-    a unary connective.  Shared subformula objects get one instruction,
-    memoised by identity, so nothing is hashed or compared; the walk
-    keeps its own stack, so depth costs no recursion.
-    """
-    roots = list(roots)
-    code: list[tuple] = []
-    slot: dict[int, int] = {}
-    for root in roots:
-        stack = [root]
-        while stack:
-            f = stack[-1]
-            if id(f) in slot:
-                stack.pop()
-                continue
-            if isinstance(f, _Unary):
-                kids: tuple = (f.sub,)
-            elif isinstance(f, _Binary):
-                kids = (f.left, f.right)
-            elif isinstance(f, Prop):
-                kids = ()
-            else:
-                raise TwoseqError(f"unknown formula {f!r}")
-            todo = [k for k in kids if id(k) not in slot]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            slot[id(f)] = len(code)
-            ops = [slot[id(k)] for k in kids] or [f.name]
-            code.append((type(f), ops[0], ops[-1]))
-    return code, [slot[id(r)] for r in roots]
-
-
-def label_program(code: list[tuple], full: int, atoms: dict[str, int],
-                  step: Callable[[type, int], int]) -> list[int]:
-    """The truth set of each instruction, as a bitmask over the points of
-    one structure (``full`` is all of them): ``atoms`` gives those of the
-    propositions, ``step(class, x)`` that of a modal or temporal
-    connective whose operand's is x."""
-    out: list[int] = []
-    for op, a, b in code:
-        if op is Prop:
-            v = atoms.get(a, 0)
-        elif op is Not:
-            v = full ^ out[a]
-        elif op is And:
-            v = out[a] & out[b]
-        elif op is Or:
-            v = out[a] | out[b]
-        elif op is Imp:
-            v = (full ^ out[a]) | out[b]
-        else:
-            v = step(op, out[a])
-        out.append(v)
-    return out
-
-
-def sequent_atoms(s: Sequent) -> frozenset[str]:
-    """The proposition names of the sequent, read off its cached program."""
-    return frozenset(a for op, a, _ in s.program[0] if op is Prop)
 
 
 def has_temporal(f: Formula) -> bool:

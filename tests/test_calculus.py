@@ -23,10 +23,10 @@ from twoseq.calculus import (CORE_SYSTEMS, TABLE, ProofNode, SystemId, apply_rul
                              structural_bridge, weak_left)
 from twoseq.errors import BridgeError, TwoseqError
 from twoseq.parser import parse_proof, render_proof
-from twoseq.positions import (LtlPos, PastPos, SeqPos, SetPos, ltl_step, ltl_token, pastpos,
-                              seqpos, setpos)
-from twoseq.syntax import Box, Imp, Prop, pf
-from twoseq.transform import canonical_rename
+from twoseq.positions import (LtlPos, PastPos, Position, SeqPos, SetPos, ltl_step, ltl_token,
+                              pastpos, seqpos, setpos)
+from twoseq.syntax import Box, Imp, Next, PFormula, Prop, is_subformula, pf, tokens_of
+from twoseq.transform import canonical_rename, compose_mp
 import twoseq.calculus as calculus
 import twoseq.cli as cli
 import twoseq.cutelim as cutelim
@@ -187,6 +187,28 @@ def test_structural_constructor_errors(build, message):
     (lambda: apply_rule("diaR", (ax(pf(P0, seqpos("x"))),)), "diaR: missing step parameter"),
     (lambda: apply_rule("boxR", (ax(pf(P0, seqpos("x"))),)), "boxR: missing eigen token"),
     (lambda: apply_rule("diaL", (ax(pf(P0, seqpos("x"))),)), "diaL: missing eigen token"),
+    # no position the active one comes from
+    (lambda: apply_rule("boxL", (ax(pf(P0, X)),), step=setpos("x")),
+     "step {x} does not apply to position [x]"),
+    (lambda: apply_rule("boxL", (ax(pf(P0, X)),), step=seqpos("y")),
+     "position does not end with the declared step"),
+    (lambda: apply_rule("nextL", (ax(pf(P0, LtlPos())),)), "position (0;{}) has no step to consume"),
+    (lambda: apply_rule("boxL", (ax(pf(P0, LtlPos(1))),), step=ltl_step(1)),
+     "boxL off sequence positions needs an explicit alpha"),
+    (lambda: apply_rule("boxL", (ax(pf(P0, X)),), step=X, alpha=seqpos("y")),
+     "boxL: alpha and the step do not reach the premise position"),
+    (lambda: apply_rule("ind", (ax(pf(P0, LtlPos(0, frozenset("x")))),), x="x",
+                        step=ltl_token("z")), "ind: premise positions are not s+x and s+x+1"),
+    (lambda: apply_rule("ind", (_built_by_name(SystemId.LTL, "ind").premises[0],), x="x",
+                        step=seqpos("z")), "ind: step [z] does not apply to position (0;{})"),
+    # the other producers' refusals
+    (lambda: compose_mp(AX0, AX0, SystemId.K),
+     "first proof must conclude |- A -> B at some position"),
+    (lambda: compose_mp(apply_rule("impR", (AX0,)), AX0, SystemId.K),
+     "second proof must conclude |- A at some position"),
+    (lambda: semantics.a_value({}, E), "lasso semantics needs step/token-set positions"),
+    (lambda: is_subformula(pf(Next(P0), E), A0),
+     "subformula decision requires the box/dia fragment"),
 ])
 def test_apply_rule_refuses_what_it_cannot_build(build, message):
     with pytest.raises(TwoseqError) as e:
@@ -435,6 +457,40 @@ def test_every_rule_is_built_by_name_and_accepted(sys_id):
         assert rep.accepted, (rule, rep.render_text())
         if fuzzed:
             assert semantics.soundness_fuzz(p, sys_id, budget=200, seed=1).ok, rule
+
+
+def _scanned_tokens(p: ProofNode) -> tuple[set, set]:
+    """`proof_tokens` as it once was, every conclusion's tokens and every
+    parameter's, and the parameters' alone."""
+    binders = {r for r, s in calculus.SCHEMAS.items() if "x" in s.params} | {"ind", "pind"}
+    seen, params = set(), set()
+    for n in calculus.subproofs(p):
+        seen |= tokens_of(n.conclusion)
+        for _, v in n.params:
+            if isinstance(v, Position):
+                params |= v.tokens()
+            elif isinstance(v, PFormula):
+                params |= v.pos.tokens()
+            elif n.rule in binders and isinstance(v, str):
+                params.add(v)
+    return seen | params, params
+
+
+def test_proof_tokens_of_an_accepted_proof_equal_the_old_parameter_scan():
+    # once a node's local check holds, each token of its parameters occurs in
+    # its own conclusion or a premise's, so reading conclusions alone loses none
+    cases = [(sys, p) for sys in SystemId for _, p in corpus.entries(sys)]
+    cases += [(sys, p) for sys in CORE_SYSTEMS for p in generate_suite(sys, 100, 7)]
+    cases += [(sys, _built_by_name(sys, rule))
+              for sys in SystemId for rule in calculus.RULES_BY_SYSTEM[sys]]
+    assert len(cases) == 43 + 500 + 214
+    with_params = 0
+    for sys, p in cases:
+        assert check_proof(p, sys).accepted
+        old, params = _scanned_tokens(p)
+        assert calculus.proof_tokens(p) == old, (sys, p.rule)
+        with_params += bool(params)
+    assert with_params > 300
 
 
 def test_axiom_d_rejection_names_the_dia_step():

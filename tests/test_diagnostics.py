@@ -181,6 +181,15 @@ def _induction(ant, suc) -> ProofNode:
     return apply_rule("ind", (premise,), x="x", step=ltl_token("z"))
 
 
+def test_an_induction_whose_right_principal_misses_the_target_step_is_rejected():
+    n = _induction((), ())
+    assert _only(n, SystemId.LTL) == []
+    for t in (ltl_token("w"), _at(1, "z"), _at(0)):
+        params = tuple(sorted((dict(n.params) | {"t": t}).items()))
+        assert _only(ProofNode("ind", params, n.conclusion, n.premises), SystemId.LTL) == \
+            [("ind", "schema", "right principal is not at the declared target step")]
+
+
 def test_an_induction_with_context_on_both_sides_is_accepted_and_its_context_read():
     n = _induction((pf(_Q, _at(0, "y")),), (pf(_Q, _at(2, "y")),))
     assert n.conclusion.ant[0] == pf(_Q, _at(0, "y")) and \

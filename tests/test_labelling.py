@@ -21,11 +21,10 @@ from twoseq.ltl import (LassoWord, a_value, eval_at, ltl_soundness_fuzz,
                         sequent_satisfied)
 from twoseq.parser import parse_model, parse_sequent, render_model
 from twoseq.positions import LtlPos, SeqPos, initials, seqpos
-from twoseq.semantics import (GraphModel, _Frame, _Lasso, admissible_assignments,
-                              check_sequent_on_model, forces,
+from twoseq.semantics import (GraphModel, _Compiled, _Frame, _Lasso, admissible_assignments,
+                              check_sequent_on_model, forces, sequent_atoms,
                               sequent_holds, soundness_fuzz)
-from twoseq.syntax import (Box, Dia, Next, Not, PFormula, Prop, Sequent,
-                           sequent_atoms, tokens_of)
+from twoseq.syntax import Box, Dia, Next, Not, PFormula, Prop, Sequent, tokens_of
 
 ATOMS = ("p0", "p1")
 PROPERTY = settings(max_examples=150, deadline=None,
@@ -221,7 +220,7 @@ def test_linear_time_fuzz_work_over_the_verdict_subjects(monkeypatch):
 
 def _decisions(pack: _Frame, s: Sequent, count: int) -> list[bool]:
     """The pack's verdict for each of its models: falsified or not."""
-    hits = pack.falsified(s)
+    hits = pack.falsified(_Compiled(s))
     return [bool(hits >> k * pack.width & 1) for k in range(count)]
 
 
@@ -408,9 +407,9 @@ def test_drawn_frames_search_like_their_models_and_the_reference(sys):
                 assert _items(admissible_assignments(m, sys, everything)) == want
     pack = _Frame.draw(rng, sys, frozenset(ATOMS), 40)
     for s in FRAME_SEQUENTS + PACK_SEQUENTS[:1]:
-        hits = pack.falsified(s)
+        hits = pack.falsified(c := _Compiled(s))
         for k in range(40):
-            got = pack.witness(k, s)
+            got = pack.witness(k, c)
             want = oracle.check_sequent_on_model(pack.model(k), sys, s)
             assert (got is None) == (want is None) == (not hits >> k * pack.width & 1)
             assert got is None or list(got.items()) == list(want.items()), (s, k)
@@ -467,9 +466,9 @@ def lasso_pack_case(draw):
 @given(lasso_pack_case())
 def test_a_lasso_pack_decides_each_word_like_the_oracle(case):
     s, count, pack = case
-    hits = pack.falsified(s)
+    hits = pack.falsified(c := _Compiled(s))
     for k in range(count):
-        w, a = pack.model(k), pack.witness(k, s)
+        w, a = pack.model(k), pack.witness(k, c)
         sat = [oracle.eval_at(w, a_value(a, q.pos), q.formula) for q in s.pformulas()]
         holds = not all(sat[:len(s.ant)]) or any(sat[len(s.ant):])
         assert bool(hits >> k * pack.width & 1) == (not holds) == \

@@ -128,6 +128,20 @@ def test_parameter_given_twice_is_a_parse_error():
             ("parameter 'x' given twice", 2, 4)
 
 
+def test_an_induction_target_off_the_step_family_is_a_parse_error():
+    # reported after the position read, at the token that closes the parameter
+    for text, line, col in [
+            ("(proof LTL (rule ind (x x)\n  (t [z]) (concl p0 @ (0;{}) |- p0 @ (0;{z}))\n"
+             "  (rule ax (concl p0 @ (0;{x}) |- p0 @ (1;{x})))))", 2, 9),
+            ("(proof LTLP (rule pind (x x) (t {z}) (concl p0 @ (0;{}) |- p0 @ (0;{z}))))",
+             1, 36)]:
+        for parse in (parse_proof, oracle.parse_proof):
+            with pytest.raises(ParseError) as e:
+                parse(text)
+            assert (e.value.message, e.value.line, e.value.col) == \
+                ("step parameters are (n;{tokens}) pairs", line, col)
+
+
 @given(formula_st("past"))
 def test_formula_round_trip(f):
     assert parse_formula(render_formula(f)) == f
